@@ -10,6 +10,20 @@ namespace {
 using namespace rrs;
 using namespace rrs::harness;
 
+/** FNV-1a over a series of values: a compact pin for long outputs. */
+std::uint64_t
+fnv1a(const std::vector<std::uint32_t> &values,
+      std::uint64_t h = 0xcbf29ce484222325ULL)
+{
+    for (std::uint32_t v : values) {
+        for (int b = 0; b < 4; ++b) {
+            h ^= (v >> (8 * b)) & 0xffu;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
 TEST(Harness, TableIIIPresetsMatchPaper)
 {
     const auto &rows = tableIIIPresets();
@@ -90,6 +104,15 @@ TEST(Harness, SharingSamplerCollectsSeries)
         EXPECT_GE(out.sharedAtLeast1[i], out.sharedAtLeast2[i]);
         EXPECT_GE(out.sharedAtLeast2[i], out.sharedAtLeast3[i]);
     }
+    // One point per simulated cycle with now % 128 == 0, and the exact
+    // series pinned: the Fig. 9 bank sizing is read off these values.
+    EXPECT_EQ(out.sharedAtLeast1.size(), (out.sim.cycles + 127) / 128);
+    EXPECT_EQ(out.sharedAtLeast2.size(), out.sharedAtLeast1.size());
+    EXPECT_EQ(out.sharedAtLeast3.size(), out.sharedAtLeast1.size());
+    EXPECT_EQ(out.sharedAtLeast1.size(), 143u);
+    EXPECT_EQ(fnv1a(out.sharedAtLeast3,
+                    fnv1a(out.sharedAtLeast2, fnv1a(out.sharedAtLeast1))),
+              0xb1caca9c117a0e7cULL);
 }
 
 TEST(Harness, GeomeanBasics)

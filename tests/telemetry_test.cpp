@@ -255,6 +255,17 @@ TEST(TelemetrySweep, TraceBytesIdenticalAcrossThreadCounts)
     EXPECT_EQ(bodies[0], bodies[1]) << "1 vs 2 threads";
     EXPECT_EQ(bodies[0], bodies[2]) << "1 vs 4 threads";
 
+    // The body itself is pinned (length and FNV-1a digest): the spans
+    // and the 128-cycle occupancy track are observer outputs that no
+    // exact table covers.
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : bodies[0]) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    EXPECT_EQ(bodies[0].size(), 147232u);
+    EXPECT_EQ(h, 0xdc1b0440870dd4b0ULL);
+
     // And the trace is a valid Chrome trace-event document.
     obs::json::Value doc;
     std::string error;
