@@ -3,15 +3,25 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "obs/flightrec.hh"
-#include "obs/pipetrace.hh"
-#include "rename/audit.hh"
 #include "trace/packed.hh"
 
 namespace rrs::core {
 
 using isa::BranchKind;
 using isa::InstClass;
+
+namespace {
+
+/** A rename result's destination, as observers see it. */
+obs::DestTag
+destOf(const rename::RenameResult &rr)
+{
+    if (!rr.hasDest)
+        return {};
+    return {rr.destTag.cls, rr.destTag.reg, rr.destTag.version};
+}
+
+} // namespace
 
 O3Core::O3Core(const CoreParams &params, rename::Renamer &renamer,
                mem::MemSystem &mem, bpred::BranchPredictor &bp,
@@ -26,8 +36,6 @@ O3Core::O3Core(const CoreParams &params, rename::Renamer &renamer,
       fuMem(params.fu.memPorts, 0),
       cycles(this, "cycles", "total simulated cycles"),
       committed(this, "committed", "committed instructions"),
-      committedWrongPathNever(this, "wrongPathCommitted",
-                              "wrong-path commits (must stay zero)"),
       renameStallNoReg(this, "renameStallNoReg",
                        "rename stalls: no free physical register"),
       renameStallRob(this, "renameStallRob", "rename stalls: ROB full"),
@@ -210,43 +218,38 @@ O3Core::scheduleCompletion(InFlight &inst)
 }
 
 void
-O3Core::recordFlight(obs::FlightEventKind kind, std::uint64_t seq,
-                     const rename::PhysRegTag *tag)
+O3Core::squashRobEntry(const InFlight &victim)
 {
-    obs::FlightEvent e;
-    e.cycle = now;
-    e.seq = seq;
-    e.kind = kind;
-    if (tag && tag->valid()) {
-        e.cls = tag->cls == RegClass::Float ? 1 : 0;
-        e.reg = static_cast<std::uint16_t>(tag->reg);
-        e.version = tag->version;
-    }
-    e.freeInt =
-        static_cast<std::int32_t>(renamer.freeRegs(RegClass::Int));
-    e.freeFp =
-        static_cast<std::int32_t>(renamer.freeRegs(RegClass::Float));
-    flightRec->record(e);
+    if (victim.meta.isLoad())
+        --loadsInFlight;
+    if (victim.meta.isStore())
+        --storesInFlight;
+    ++squashedInsts;
+    notify([&](obs::CoreObserver &o) { o.squash(victim.fetchSeq, now); });
+}
+
+void
+O3Core::squashFetchQueue()
+{
+    for (const InFlight &i : fetchQueue)
+        notify([&](obs::CoreObserver &o) { o.squash(i.fetchSeq, now); });
+    fetchQueue.clear();
 }
 
 void
 O3Core::squashAfter(std::uint64_t fetchSeq, rename::HistoryToken token,
                     std::uint32_t *recoveries)
 {
-    // Discard un-renamed younger instructions; replay correct-path ones
-    // is unnecessary for mispredicts (all younger are wrong-path) and
+    // Squash everything younger: ROB entries youngest first, then the
+    // un-renamed fetch queue.  Replaying correct-path ones is
+    // unnecessary for mispredicts (all younger are wrong-path) and
     // handled by the caller for flushes.
     while (!rob.empty() && rob.back().fetchSeq > fetchSeq) {
-        const InFlight &victim = rob.back();
-        if (victim.meta.isLoad())
-            --loadsInFlight;
-        if (victim.meta.isStore())
-            --storesInFlight;
-        ++squashedInsts;
-        if (tracer)
-            tracer->squash(victim.fetchSeq);
+        squashRobEntry(rob.back());
         rob.pop_back();
     }
+    squashFetchQueue();
+    lastFetchLine = invalidAddr;
     // Remove squashed entries from the IQ.
     iq.erase(std::remove_if(iq.begin(), iq.end(),
                             [&](std::uint64_t s) { return s > fetchSeq; }),
@@ -258,17 +261,9 @@ O3Core::squashAfter(std::uint64_t fetchSeq, rename::HistoryToken token,
     std::uint32_t rec = renamer.squashTo(token, produced);
     if (recoveries)
         *recoveries = rec;
-    if (flightRec)
-        recordFlight(obs::FlightEventKind::Squash, fetchSeq, nullptr);
-    if (auditor)
-        auditor->check(renamer, "post-squash");
-
-    if (tracer) {
-        for (const InFlight &i : fetchQueue)
-            tracer->squash(i.fetchSeq);
-    }
-    fetchQueue.clear();
-    lastFetchLine = invalidAddr;
+    notify([&](obs::CoreObserver &o) {
+        o.flush(obs::FlushScope::Younger, fetchSeq, now);
+    });
 }
 
 void
@@ -345,13 +340,7 @@ O3Core::flushAll(Cycles extraPenalty)
         squashAfter(seq == 0 ? 0 : seq - 1, token, &rec);
         if (!rob.empty()) {
             // Head had fetchSeq 0: squashAfter(0,...) keeps it; finish.
-            ++squashedInsts;
-            if (rob.front().meta.isLoad())
-                --loadsInFlight;
-            if (rob.front().meta.isStore())
-                --storesInFlight;
-            if (tracer)
-                tracer->squash(rob.front().fetchSeq);
+            squashRobEntry(rob.front());
             rob.clear();
             iq.clear();
             renamer.squashTo(token, [&](const rename::PhysRegTag &tag) {
@@ -359,17 +348,11 @@ O3Core::flushAll(Cycles extraPenalty)
             });
         }
     } else {
-        if (tracer) {
-            for (const InFlight &i : fetchQueue)
-                tracer->squash(i.fetchSeq);
-        }
-        fetchQueue.clear();
+        squashFetchQueue();
     }
-
-    if (flightRec)
-        recordFlight(obs::FlightEventKind::Flush, 0, nullptr);
-    if (auditor)
-        auditor->check(renamer, "post-flush");
+    notify([&](obs::CoreObserver &o) {
+        o.flush(obs::FlushScope::All, 0, now);
+    });
 
     // Recover committed values that live in shadow cells.
     std::uint32_t committed_rec = renamer.committedShadowValues();
@@ -420,12 +403,6 @@ O3Core::commitStage()
         }
 
         renamer.commit(head.rr);
-        if (flightRec) {
-            recordFlight(obs::FlightEventKind::Commit, head.fetchSeq,
-                         head.rr.hasDest ? &head.rr.destTag : nullptr);
-        }
-        if (auditor && auditEveryCommit)
-            auditor->check(renamer, "post-commit");
         if (head.meta.isStore())
             memSys.dataAccess(head.di.pc, head.di.effAddr, true, now);
         if (head.meta.isControl()) {
@@ -445,8 +422,9 @@ O3Core::commitStage()
         simResult.committedOps += 1 + head.rr.repairUops;
         lastCommitTick = now;
         ++n;
-        if (tracer)
-            tracer->retire(head.fetchSeq, now);
+        notify([&](obs::CoreObserver &o) {
+            o.commit(head.fetchSeq, destOf(head.rr), now);
+        });
         rob.pop_front();
 
         if (faulted) {
@@ -474,8 +452,7 @@ O3Core::writebackStage()
             continue;
         inst.completed = true;
         ++n;
-        if (tracer)
-            tracer->complete(inst.fetchSeq, now);
+        notify([&](obs::CoreObserver &o) { o.complete(inst.fetchSeq, now); });
         if (inst.meta.isStore())
             inst.storeExecuted = true;
         if (inst.rr.hasDest)
@@ -510,8 +487,7 @@ O3Core::issueStage()
         if (inst->issued) {
             inst->inIq = false;
             --budget;
-            if (tracer)
-                tracer->issue(seq, now);
+            notify([&](obs::CoreObserver &o) { o.issue(seq, now); });
         } else {
             remaining.push_back(seq);
         }
@@ -560,10 +536,6 @@ O3Core::renameStage()
             renameBlock = RenameBlock::NoReg;
             break;
         }
-        if (flightRec) {
-            recordFlight(obs::FlightEventKind::Alloc, cand.fetchSeq,
-                         rr.hasDest ? &rr.destTag : nullptr);
-        }
 
         // Repair micro-ops consume rename bandwidth and produce their
         // destination a few cycles after the stale value is available.
@@ -590,10 +562,9 @@ O3Core::renameStage()
         if (inst.meta.isStore())
             ++storesInFlight;
 
-        if (tracer) {
-            tracer->rename(inst.fetchSeq, now);
-            tracer->dispatch(inst.fetchSeq, now);
-        }
+        notify([&](obs::CoreObserver &o) {
+            o.rename(inst.fetchSeq, destOf(rr), now);
+        });
         if (needs_iq) {
             inst.inIq = true;
             iq.push_back(inst.fetchSeq);
@@ -601,10 +572,10 @@ O3Core::renameStage()
             inst.issued = true;
             inst.completed = true;
             inst.readyAt = now;
-            if (tracer) {
-                tracer->issue(inst.fetchSeq, now);
-                tracer->complete(inst.fetchSeq, now);
-            }
+            notify([&](obs::CoreObserver &o) { o.issue(inst.fetchSeq, now); });
+            notify([&](obs::CoreObserver &o) {
+                o.complete(inst.fetchSeq, now);
+            });
         }
         rob.push_back(std::move(inst));
         --width;
@@ -728,8 +699,7 @@ O3Core::fetchStage()
         if (!inst.wrongPath)
             wrongPath.observe(di);
 
-        if (tracer)
-            tracer->fetch(inst.fetchSeq, di, now);
+        notify([&](obs::CoreObserver &o) { o.fetch(inst.fetchSeq, di, now); });
         fetchQueue.push_back(std::move(inst));
         ++fetched;
         if (group_ends)
@@ -786,13 +756,8 @@ O3Core::run()
 
         robOccupancy.sample(static_cast<double>(rob.size()));
         iqOccupancy.sample(static_cast<double>(iq.size()));
-        if (sampler && samplerInterval > 0 &&
-            now % samplerInterval == 0) {
-            sampler(now);
-        }
         accountCycle();
-        if (auditor && auditInterval > 0 && now % auditInterval == 0)
-            auditor->check(renamer, "periodic");
+        notify([&](obs::CoreObserver &o) { o.sample(now); });
 
         ++now;
         ++cycles;
@@ -813,8 +778,7 @@ O3Core::run()
     // Every simulated cycle must have been attributed to exactly one
     // cause; a leak here means a new stall path bypassed accounting.
     cycleCauses.verify(static_cast<std::uint64_t>(cycles.value()));
-    if (tracer)
-        tracer->finishRun();
+    notify([](obs::CoreObserver &o) { o.endRun(); });
     return simResult;
 }
 

@@ -2,9 +2,13 @@
  * @file
  * Experiment harness: assembles a full rig (core + renamer + memory +
  * branch predictor + workload), runs it, and extracts the numbers the
- * paper's tables and figures report.  Also owns the equal-area sizing
- * logic (Table III) that maps a baseline register-file size to the
- * proposed 4-bank organisation of the same total area.
+ * paper's tables and figures report.  runOn is also the one place
+ * that wires core observers (obs/observer.hh): the pipe tracer, the
+ * flight recorder, the rename auditor's trigger points, the Fig. 9
+ * sharing series and the telemetry occupancy track.  Also owns the
+ * equal-area sizing logic (Table III) that maps a baseline
+ * register-file size to the proposed 4-bank organisation of the same
+ * total area.
  */
 
 #ifndef RRS_HARNESS_EXPERIMENT_HH
@@ -30,8 +34,9 @@ class RunTelemetry;
 namespace rrs::harness {
 
 /**
- * Per-run observability options (obs/ module).  All default off so the
- * hot sweep path pays nothing but a null-pointer branch per hook.
+ * Per-run observability options (obs/ module).  All default off, so
+ * the core runs with no observers and the hot sweep path pays one
+ * emptiness check per hook.
  */
 struct ObsOptions
 {
@@ -42,12 +47,6 @@ struct ObsOptions
      * a file (see SweepRunner::setTracePrefix / RRS_PIPETRACE).
      */
     std::string pipeTracePath;
-
-    /** >0: sample occupancies every this many cycles. */
-    Cycles sampleInterval = 0;
-
-    /** Non-empty: write the sampled occupancy time series as CSV. */
-    std::string timeseriesCsvPath;
 
     /**
      * Rename invariant auditing (rename/audit.hh).  0 defers to the
@@ -66,9 +65,10 @@ struct ObsOptions
 
     /**
      * Telemetry event buffer (obs/telemetry.hh).  Non-null: the run
-     * records its spans ("run", "simulate") and occupancy counter
-     * samples into the buffer; the sweep runner owns one buffer per
-     * submission index and serialises them post-join (RRS_TELEMETRY).
+     * records its spans ("run", "simulate") and the occupancy track
+     * (free int/fp, shared, ROB, IQ, LSQ every 128 cycles) into the
+     * buffer; the sweep runner owns one buffer per submission index
+     * and serialises them post-join (RRS_TELEMETRY).
      * Null (the default): no telemetry work at all.
      */
     obs::RunTelemetry *telemetry = nullptr;
@@ -98,7 +98,7 @@ struct RunConfig
     core::CoreParams core;
     mem::MemSystemParams mem;
     bpred::BPredParams bpred;
-    ObsOptions obs;                      //!< tracing / sampling, off by default
+    ObsOptions obs;                      //!< tracing / auditing, off by default
     std::uint64_t maxInsts = 0;          //!< 0: workload default
 
     /**
@@ -140,7 +140,11 @@ struct Outcome
      */
     obs::StallBreakdown stalls;
 
-    /** Time series of shared-register occupancy (Fig. 9 sampling). */
+    /**
+     * Time series of shared-register occupancy (Fig. 9 sampling): one
+     * point per cycle with cycle % 128 == 0, filled only when runOn's
+     * sampleSharing is set.
+     */
     std::vector<std::uint32_t> sharedAtLeast1;
     std::vector<std::uint32_t> sharedAtLeast2;
     std::vector<std::uint32_t> sharedAtLeast3;

@@ -12,13 +12,14 @@
  *
  * Cost model: recording is a handful of stores into a pre-sized ring
  * (no allocation, no locks — the recorder belongs to one core, which
- * belongs to one sweep lane).  When no recorder is attached the core
- * pays one never-taken branch per hook, the same pattern as the pipe
- * tracer and auditor.  Arming registers a crash hook
- * (common/logging.hh); the hook fires on the *crashing* thread, and
- * dumps every armed recorder — in a parallel sweep the other lanes'
- * recorders are quiescent-but-racy reads, acceptable in a process that
- * is already dying.
+ * belongs to one sweep lane).  harness::runOn feeds it through a core
+ * observer (obs/observer.hh) that reads the renamer's free lists;
+ * without one the core pays only the observer list's emptiness check
+ * per hook.  Arming registers a crash hook (common/logging.hh); the
+ * hook fires on the *crashing* thread, and dumps every armed recorder
+ * — in a parallel sweep the other lanes' recorders are
+ * quiescent-but-racy reads, acceptable in a process that is already
+ * dying.
  */
 
 #ifndef RRS_OBS_FLIGHTREC_HH

@@ -26,7 +26,7 @@ PipeTracer::PipeTracer(const std::string &path,
 
 PipeTracer::~PipeTracer()
 {
-    finishRun();
+    endRun();
 }
 
 void
@@ -41,19 +41,13 @@ PipeTracer::fetch(std::uint64_t seq, const trace::DynInst &di, Tick cycle)
 }
 
 void
-PipeTracer::rename(std::uint64_t seq, Tick cycle)
+PipeTracer::rename(std::uint64_t seq, const DestTag &, Tick cycle)
 {
     auto it = live.find(seq);
-    if (it != live.end())
+    if (it != live.end()) {
         it->second.renameTick = toTick(cycle);
-}
-
-void
-PipeTracer::dispatch(std::uint64_t seq, Tick cycle)
-{
-    auto it = live.find(seq);
-    if (it != live.end())
         it->second.dispatchTick = toTick(cycle);
+    }
 }
 
 void
@@ -73,7 +67,7 @@ PipeTracer::complete(std::uint64_t seq, Tick cycle)
 }
 
 void
-PipeTracer::retire(std::uint64_t seq, Tick cycle)
+PipeTracer::commit(std::uint64_t seq, const DestTag &, Tick cycle)
 {
     auto it = live.find(seq);
     if (it == live.end())
@@ -83,7 +77,7 @@ PipeTracer::retire(std::uint64_t seq, Tick cycle)
 }
 
 void
-PipeTracer::squash(std::uint64_t seq)
+PipeTracer::squash(std::uint64_t seq, Tick)
 {
     auto it = live.find(seq);
     if (it == live.end())
@@ -93,7 +87,7 @@ PipeTracer::squash(std::uint64_t seq)
 }
 
 void
-PipeTracer::finishRun()
+PipeTracer::endRun()
 {
     // Anything still in flight when the run ends never retired; emit
     // the records (in fetch order for determinism) as squashed.

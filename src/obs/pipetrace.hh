@@ -17,12 +17,11 @@
  * a squashed instruction retires at tick 0 — exactly how gem5 marks
  * flushed work, which Konata renders as such.
  *
- * The tracer buffers each instruction's record keyed by fetch sequence
- * number and emits it when the instruction leaves the pipeline (retire
- * or squash), matching gem5's emission order.  The core keeps a cached
- * `PipeTracer *` and guards every hook behind a single null-pointer
- * branch, so the disabled path costs one predictable branch per event
- * site and no data is gathered.
+ * The tracer is a CoreObserver (obs/observer.hh): it buffers each
+ * instruction's record keyed by fetch sequence number and emits it
+ * when the instruction leaves the pipeline (commit or squash),
+ * matching gem5's emission order.  Detached, it costs the core
+ * nothing beyond the observer list's emptiness check.
  */
 
 #ifndef RRS_OBS_PIPETRACE_HH
@@ -35,12 +34,13 @@
 #include <unordered_map>
 
 #include "common/types.hh"
+#include "obs/observer.hh"
 #include "trace/dyninst.hh"
 
 namespace rrs::obs {
 
 /** O3PipeView-format pipeline event tracer. */
-class PipeTracer
+class PipeTracer : public CoreObserver
 {
   public:
     /** Trace into an externally owned stream (tests). */
@@ -56,17 +56,19 @@ class PipeTracer
     PipeTracer(const PipeTracer &) = delete;
     PipeTracer &operator=(const PipeTracer &) = delete;
 
-    // --- event hooks, called by the core ---
-    void fetch(std::uint64_t seq, const trace::DynInst &di, Tick cycle);
-    void rename(std::uint64_t seq, Tick cycle);
-    void dispatch(std::uint64_t seq, Tick cycle);
-    void issue(std::uint64_t seq, Tick cycle);
-    void complete(std::uint64_t seq, Tick cycle);
-    void retire(std::uint64_t seq, Tick cycle);
-    void squash(std::uint64_t seq);
-
-    /** Emit any still-buffered instructions as squashed (end of run). */
-    void finishRun();
+    // --- CoreObserver events ---
+    void fetch(std::uint64_t seq, const trace::DynInst &di,
+               Tick cycle) override;
+    /** Stamps rename and dispatch: one stage in this model. */
+    void rename(std::uint64_t seq, const DestTag &dest,
+                Tick cycle) override;
+    void issue(std::uint64_t seq, Tick cycle) override;
+    void complete(std::uint64_t seq, Tick cycle) override;
+    void commit(std::uint64_t seq, const DestTag &dest,
+                Tick cycle) override;
+    void squash(std::uint64_t seq, Tick cycle) override;
+    /** Emit any still-buffered instructions as squashed. */
+    void endRun() override;
 
     /** Records emitted so far (retired + squashed). */
     std::uint64_t emitted() const { return emittedCount; }

@@ -11,9 +11,10 @@
  * tables and compares against the renamer's incremental state, the way
  * gem5's O3 debug machinery cross-checks its rename maps.
  *
- * Usage: attach a RenameAuditor to the core (O3Core::setAuditor) and
- * pick trigger points — every commit, every N cycles, and always after
- * squash / exception recovery.  check() panics with a full structured
+ * Usage: harness::runOn drives an auditor from a core observer
+ * (obs/observer.hh) with these trigger points: after every squash and
+ * every flush, plus either after every commit (interval 1) or every N
+ * cycles (interval N > 1).  check() panics with a full structured
  * report on the first violation, so a CI failure names the register,
  * the invariant, and the expected/actual values.  audit() returns the
  * report instead, which is what the fault-injection tests use to

@@ -229,64 +229,6 @@ Distribution::dumpJson(std::ostream &os) const
     os << "}";
 }
 
-double
-TimeSeries::mean() const
-{
-    if (points.empty())
-        return 0.0;
-    double sum = 0;
-    for (const Point &p : points)
-        sum += p.value;
-    return sum / static_cast<double>(points.size());
-}
-
-void
-TimeSeries::dump(std::ostream &os, const std::string &prefix) const
-{
-    os << prefix << name() << "::samples " << points.size() << "  # "
-       << desc() << "\n";
-    os << prefix << name() << "::mean " << mean() << "\n";
-    if (!points.empty()) {
-        os << prefix << name() << "::firstTick " << points.front().tick
-           << "\n";
-        os << prefix << name() << "::lastTick " << points.back().tick
-           << "\n";
-    }
-}
-
-void
-TimeSeries::dumpCsv(std::ostream &os) const
-{
-    os << "tick," << name() << "\n";
-    for (const Point &p : points) {
-        os << p.tick << ",";
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g", p.value);
-        os << buf << "\n";
-    }
-}
-
-void
-TimeSeries::dumpJson(std::ostream &os) const
-{
-    os << "{\"type\": \"timeseries\", \"samples\": " << points.size()
-       << ", \"mean\": ";
-    jsonNumber(os, mean());
-    os << ", \"points\": [";
-    bool first = true;
-    for (const Point &p : points) {
-        if (!first)
-            os << ", ";
-        first = false;
-        os << "[" << p.tick << ", ";
-        jsonNumber(os, p.value);
-        os << "]";
-    }
-    os << "], \"desc\": ";
-    jsonString(os, desc());
-    os << "}";
-}
-
 Group::Group(std::string name, Group *parent)
     : groupName(std::move(name)), parent(parent)
 {

@@ -1,9 +1,9 @@
 /**
  * @file
  * Lightweight statistics package, modelled on gem5's: named scalar
- * counters, averages, sparse integer distributions, fixed-bucket
- * histograms, and interval-sampled time series, organised into groups
- * that can be dumped as text or as machine-readable JSON.
+ * counters, averages, sparse integer distributions and fixed-bucket
+ * histograms, organised into groups that can be dumped as text or as
+ * machine-readable JSON.
  *
  * Stats are plain members of the owning model object and register
  * themselves with the owner's Group; dumping a Group walks its stats in
@@ -60,14 +60,14 @@ class StatBase
     /**
      * Measurement unit ("insts", "cycles", "regs", ...); empty for
      * dimensionless counts and ratios.  Purely descriptive — it feeds
-     * the schema dump and CSV headers, never arithmetic.
+     * the schema dump, never arithmetic.
      */
     const std::string &unit() const { return statUnit; }
 
     /**
      * Metric kind for the machine-readable schema: "counter" for
-     * monotonic scalars, "gauge" for sampled averages, "distribution"
-     * and "timeseries" for the shaped stats.  Tools use this to decide
+     * monotonic scalars, "gauge" for sampled averages and
+     * "distribution" for histograms.  Tools use this to decide
      * how a metric may be compared or aggregated without hard-coding
      * metric lists.
      */
@@ -272,63 +272,6 @@ class Distribution : public StatBase
   private:
     std::map<std::uint64_t, std::uint64_t> counts;
     std::uint64_t total = 0;
-};
-
-/**
- * Interval-sampled time series: (tick, value) points recorded by a
- * periodic sampler (e.g. free-list depth every 128 cycles).  The text
- * dump prints a summary line; the full series is exported through
- * dumpCsv() / dumpJson().
- */
-class TimeSeries : public StatBase
-{
-  public:
-    /** One sampled point. */
-    struct Point
-    {
-        std::uint64_t tick;
-        double value;
-        bool operator==(const Point &) const = default;
-    };
-
-    TimeSeries(Group *parent, std::string name, std::string desc,
-               std::string unit = "")
-        : StatBase(parent, std::move(name), std::move(desc),
-                   std::move(unit)) {}
-
-    const char *kind() const override { return "timeseries"; }
-
-    void sample(std::uint64_t tick, double v)
-    {
-        points.push_back(Point{tick, v});
-    }
-
-    std::uint64_t samples() const { return points.size(); }
-    const std::vector<Point> &raw() const { return points; }
-
-    double mean() const;
-
-    /**
-     * Fold another run's series into this one (post-join only).
-     * Appends: merged series from a sweep hold the runs back to back
-     * in submission order, each run's own ticks preserved.
-     */
-    void
-    merge(const TimeSeries &other)
-    {
-        points.insert(points.end(), other.points.begin(),
-                      other.points.end());
-    }
-
-    /** "tick,<name>" header plus one "tick,value" row per sample. */
-    void dumpCsv(std::ostream &os) const;
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void dumpJson(std::ostream &os) const override;
-    void reset() override { points.clear(); }
-
-  private:
-    std::vector<Point> points;
 };
 
 /**

@@ -48,7 +48,6 @@ TEST(StatsJson, GroupRoundTrip)
     stats::Scalar s(&root, "insts", "committed \"instructions\"");
     stats::Average a(&root, "wall", "wall seconds");
     stats::Distribution d(&root, "ipc", "ipc percent");
-    stats::TimeSeries ts(&root, "occupancy", "rob occupancy");
     stats::Group child("core", &root);
     stats::Scalar cs(&child, "cycles", "cycles");
 
@@ -58,8 +57,6 @@ TEST(StatsJson, GroupRoundTrip)
     d.sample(7);
     d.sample(7);
     d.sample(42);
-    ts.sample(100, 3.0);
-    ts.sample(200, 5.25);
     cs += 99.0;
 
     std::ostringstream os;
@@ -87,13 +84,6 @@ TEST(StatsJson, GroupRoundTrip)
     EXPECT_DOUBLE_EQ(v.at("ipc").at("max").num, 42.0);
     EXPECT_DOUBLE_EQ(v.at("ipc").at("counts").at("7").num, 2.0);
     EXPECT_DOUBLE_EQ(v.at("ipc").at("counts").at("42").num, 1.0);
-
-    // Time series: points as [tick, value] pairs, in order.
-    const Value &pts = v.at("occupancy").at("points");
-    ASSERT_EQ(pts.arr.size(), 2u);
-    EXPECT_DOUBLE_EQ(pts.arr[0].arr[0].num, 100.0);
-    EXPECT_DOUBLE_EQ(pts.arr[0].arr[1].num, 3.0);
-    EXPECT_DOUBLE_EQ(pts.arr[1].arr[1].num, 5.25);
 
     // Child group nests as an object.
     EXPECT_DOUBLE_EQ(v.at("core").at("cycles").at("value").num, 99.0);
@@ -175,7 +165,6 @@ TEST(StatsSchema, EveryStatSelfDescribes)
                         "insts");
     stats::Average wall(&root, "wall", "run wall clock", "seconds");
     stats::Distribution ipc(&root, "ipcPct", "ipc percent", "percent");
-    stats::TimeSeries occ(&root, "occupancy", "rob occupancy", "insts");
     stats::Group child("core", &root);
     stats::Scalar cycles(&child, "cycles", "cycles simulated", "cycles");
     stats::Scalar bare(&root, "bare", "no unit given");
@@ -185,7 +174,6 @@ TEST(StatsSchema, EveryStatSelfDescribes)
     EXPECT_STREQ(insts.kind(), "counter");
     EXPECT_STREQ(wall.kind(), "gauge");
     EXPECT_STREQ(ipc.kind(), "distribution");
-    EXPECT_STREQ(occ.kind(), "timeseries");
 
     std::ostringstream os;
     root.dumpSchema(os);
@@ -202,7 +190,6 @@ TEST(StatsSchema, EveryStatSelfDescribes)
               "committed instructions");
     EXPECT_EQ(v.at("root.wall").at("kind").str, "gauge");
     EXPECT_EQ(v.at("root.ipcPct").at("kind").str, "distribution");
-    EXPECT_EQ(v.at("root.occupancy").at("kind").str, "timeseries");
     EXPECT_EQ(v.at("root.core.cycles").at("kind").str, "counter");
     EXPECT_EQ(v.at("root.core.cycles").at("unit").str, "cycles");
     EXPECT_EQ(v.at("root.bare").at("unit").str, "");
