@@ -1,5 +1,5 @@
-// Unit tests for the common utilities: bit manipulation, the circular
-// queue, deterministic RNG and string helpers.
+// Unit tests for the common utilities: bit manipulation, deterministic
+// RNG and string helpers.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 
 #include "common/atomicfile.hh"
 #include "common/bitutils.hh"
-#include "common/circular_queue.hh"
 #include "common/random.hh"
 #include "common/strutils.hh"
 
@@ -51,51 +50,6 @@ TEST(BitUtils, BitsExtraction)
     EXPECT_EQ(bits(0xff00, 15, 8), 0xffu);
     EXPECT_EQ(bits(0xdeadbeef, 31, 16), 0xdeadu);
     EXPECT_EQ(bits(~0ULL, 63, 0), ~0ULL);
-}
-
-TEST(CircularQueue, PushPopOrder)
-{
-    CircularQueue<int> q(4);
-    EXPECT_TRUE(q.empty());
-    q.pushBack(1);
-    q.pushBack(2);
-    q.pushBack(3);
-    EXPECT_EQ(q.size(), 3u);
-    EXPECT_EQ(q.front(), 1);
-    EXPECT_EQ(q.back(), 3);
-    q.popFront();
-    EXPECT_EQ(q.front(), 2);
-    q.pushBack(4);
-    q.pushBack(5);
-    EXPECT_TRUE(q.full());
-    EXPECT_EQ(q.at(0), 2);
-    EXPECT_EQ(q.at(3), 5);
-}
-
-TEST(CircularQueue, PopBackSquashesYoungest)
-{
-    CircularQueue<int> q(4);
-    q.pushBack(10);
-    q.pushBack(20);
-    q.pushBack(30);
-    q.popBack();
-    EXPECT_EQ(q.back(), 20);
-    EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(CircularQueue, WrapAroundStress)
-{
-    CircularQueue<int> q(3);
-    int next_in = 0, next_out = 0;
-    for (int round = 0; round < 100; ++round) {
-        while (!q.full())
-            q.pushBack(next_in++);
-        while (!q.empty()) {
-            EXPECT_EQ(q.front(), next_out++);
-            q.popFront();
-        }
-    }
-    EXPECT_EQ(next_in, next_out);
 }
 
 TEST(Random, Deterministic)
