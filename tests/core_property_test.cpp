@@ -28,6 +28,17 @@ struct SweepPoint
     std::uint32_t regs;
 };
 
+// gtest prints a struct it has no printer for as raw bytes, here two
+// load addresses, and gtest_discover_tests copies the printed value
+// into the ctest name. Printing the fields keeps the names stable:
+// CMake rewrites "/<index>  # GetParam() = <value>" to "/<value>",
+// e.g. "Matrix/PipelineSweep.CommitsExactlyTheStream/int_sort_reuse_48".
+void
+PrintTo(const SweepPoint &p, std::ostream *os)
+{
+    *os << p.workload << '_' << p.scheme << '_' << p.regs;
+}
+
 class PipelineSweep : public ::testing::TestWithParam<SweepPoint>
 {
 };
@@ -63,12 +74,7 @@ INSTANTIATE_TEST_SUITE_P(
         SweepPoint{"media_dct", "reuse", 96},
         SweepPoint{"cog_gmm", "reuse", 72},
         SweepPoint{"cog_dnn", "baseline", 80},
-        SweepPoint{"cog_dnn", "reuse", 80}),
-    [](const auto &info) {
-        return std::string(info.param.workload) + "_" +
-               info.param.scheme + "_" +
-               std::to_string(info.param.regs);
-    });
+        SweepPoint{"cog_dnn", "reuse", 80}));
 
 TEST(PipelineStress, FaultStormStillExact)
 {
