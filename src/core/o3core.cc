@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "trace/packed.hh"
 
 namespace rrs::core {
 
@@ -58,11 +57,6 @@ O3Core::O3Core(const CoreParams &params, rename::Renamer &renamer,
 {
     if (params.interruptInterval > 0)
         nextInterrupt = params.interruptInterval;
-    // Streams with a packed backing hand out pre-decoded per-record
-    // metadata; everything else re-derives the identical values from
-    // the classifier at fetch, so timing does not depend on the
-    // stream's kind.
-    packedSrc = stream.packedView();
 }
 
 std::uint32_t
@@ -594,39 +588,27 @@ O3Core::fetchStage()
     while (fetched < params.fetchWidth &&
            fetchQueue.size() < params.fetchQueueEntries) {
         // Pick the next instruction: wrong path, replay, or stream.
-        // Stream instructions take their pre-decoded metadata from the
-        // packed columns when available; the rare paths (synthetic
-        // wrong path, post-flush replay, unpacked streams) re-derive
-        // the identical values from the one-time classifier.
+        // Every path takes its pre-decoded metadata from the one-time
+        // classifier, so timing does not depend on the stream's kind.
         trace::DynInst di;
-        isa::PackedMeta meta;
         bool from_stream = false;
         if (onWrongPath) {
             di = wrongPath.generate(wrongPathPc, nextFetchSeq);
-            meta = isa::packedMeta(di.si.op);
             wrongPathPc = di.nextPc;
             ++wrongPathFetched;
         } else if (!replayBuffer.empty()) {
             di = replayBuffer.front();
-            meta = isa::packedMeta(di.si.op);
         } else {
             if (!pendingInst && !streamDone) {
-                const std::size_t idx = stream.cursor();
                 pendingInst = stream.next();
-                if (!pendingInst) {
-                    streamDone = true;
-                } else {
-                    pendingMeta = packedSrc
-                                      ? packedSrc->meta(idx)
-                                      : isa::packedMeta(pendingInst->si.op);
-                }
+                streamDone = !pendingInst;
             }
             if (!pendingInst)
                 break;
             di = *pendingInst;
-            meta = pendingMeta;
             from_stream = true;
         }
+        const isa::PackedMeta &meta = isa::packedMeta(di.si.op);
 
         // Instruction cache: one access per new line.
         Addr line = di.pc / 64;

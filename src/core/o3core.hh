@@ -209,13 +209,7 @@ class O3Core : public stats::Group
     bool onWrongPath = false;
     Addr wrongPathPc = 0;
     std::optional<trace::DynInst> pendingInst;  //!< stream lookahead
-    isa::PackedMeta pendingMeta;                //!< meta of pendingInst
     std::deque<trace::DynInst> replayBuffer;    //!< refetch after flush
-
-    // Pre-decoded column view of the stream (nullptr for live
-    // emulator / synthetic streams, which fall back to the one-time
-    // isa::packedMeta classifier — same values, identical timing).
-    const trace::PackedTrace *packedSrc = nullptr;
     bool streamDone = false;
     bool finished = false;
     std::uint64_t nextFetchSeq = 0;

@@ -144,15 +144,10 @@ Emulator::next()
 std::uint64_t
 Emulator::fastForwardTo(Addr target, std::uint64_t cap)
 {
-    // Warmup instructions are executed but never emitted, so the
-    // record hook must not see them either.
-    RecordHook saved = std::move(recordHook);
-    recordHook = nullptr;
     std::uint64_t skipped = 0;
     trace::DynInst di;
     while (pc != target && skipped < cap && step(di))
         ++skipped;
-    recordHook = std::move(saved);
     return skipped;
 }
 
@@ -325,8 +320,6 @@ Emulator::step(trace::DynInst &out)
     out.nextPc = next_pc;
     pc = next_pc;
     ++icount;
-    if (recordHook)
-        recordHook(out);
     // The Halt instruction itself is still part of the stream; the next
     // call observes isHalted and ends it.
     return true;

@@ -13,7 +13,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -81,16 +80,6 @@ class Emulator : public trace::InstStream
     /** Run to completion (or the cap); returns instructions executed. */
     std::uint64_t run();
 
-    /**
-     * Record hook: called with every instruction the stream emits —
-     * the single capture point for trace recording, so consumers never
-     * have to pull the emulator live themselves.  Fast-forwarded
-     * (warmup) instructions are not emitted and therefore not
-     * recorded.  Empty function disables.
-     */
-    using RecordHook = std::function<void(const trace::DynInst &)>;
-    void setRecordHook(RecordHook hook) { recordHook = std::move(hook); }
-
     // InstStream interface.
     std::optional<trace::DynInst> next() override;
     void reset() override;
@@ -133,7 +122,6 @@ class Emulator : public trace::InstStream
     const isa::Program &prog;
     std::string label;
     std::uint64_t maxInsts;
-    RecordHook recordHook;
 
     std::array<std::uint64_t, isa::numLogRegs> xregs{};
     std::array<double, isa::numLogRegs> fregs{};

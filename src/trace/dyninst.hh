@@ -16,8 +16,6 @@
 
 namespace rrs::trace {
 
-class PackedTrace;
-
 /** A dynamic instruction record. */
 struct DynInst
 {
@@ -53,22 +51,6 @@ class InstStream
 
     /** Short label for reports (workload name). */
     virtual const std::string &name() const = 0;
-
-    /**
-     * The pre-decoded structure-of-arrays view of this stream, or
-     * nullptr when the stream has no packed backing (live emulator,
-     * synthetic generator).  Consumers that get a view read attributes
-     * straight from the columns; the nullptr fallback re-derives the
-     * same values through isa::packedMeta(), so timing is identical
-     * either way.
-     */
-    virtual const PackedTrace *packedView() const { return nullptr; }
-
-    /**
-     * Column index of the record the next call to next() will return.
-     * Meaningful only when packedView() is non-null.
-     */
-    virtual std::size_t cursor() const { return 0; }
 };
 
 } // namespace rrs::trace

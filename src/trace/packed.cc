@@ -1,6 +1,5 @@
 #include "packed.hh"
 
-#include <bit>
 #include <chrono>
 
 #include "common/logging.hh"
@@ -24,12 +23,6 @@ foldU64(std::uint64_t &h, std::uint64_t v)
 {
     for (unsigned b = 0; b < 8; ++b)
         foldU8(h, static_cast<std::uint8_t>(v >> (8 * b)));
-}
-
-void
-setBit(std::vector<std::uint64_t> &bv, std::size_t i)
-{
-    bv[i / 64] |= std::uint64_t{1} << (i % 64);
 }
 
 } // namespace
@@ -60,82 +53,87 @@ PackedTrace::unpackRegByte(std::uint8_t b)
                       static_cast<LogRegIndex>(b & 0x3fu)};
 }
 
-std::uint64_t
-PackedTrace::countBits(const std::vector<std::uint64_t> &bv)
+void
+PackedTrace::reserve(std::size_t records)
 {
-    std::uint64_t count = 0;
-    for (std::uint64_t w : bv)
-        count += static_cast<std::uint64_t>(std::popcount(w));
-    return count;
+    metaCol.reserve(records);
+    opCol.reserve(records);
+    destCol.reserve(records);
+    srcCol.reserve(records);
+    pcCol.reserve(records);
+    nextPcCol.reserve(records);
+    effAddrCol.reserve(records);
+    immCol.reserve(records);
+    fimmCol.reserve(records);
+    targetCol.reserve(records);
 }
 
-PackedTrace::PackedTrace(const std::vector<DynInst> &records)
+void
+PackedTrace::append(const DynInst &di)
+{
+    if (empty())
+        firstSeq = di.seq;
+    rrs_assert(di.seq == firstSeq + size(),
+               "trace records must be numbered densely");
+    rrs_assert(regBytePackable(di.si.dest) &&
+                   regBytePackable(di.si.srcs[0]) &&
+                   regBytePackable(di.si.srcs[1]) &&
+                   regBytePackable(di.si.srcs[2]),
+               "register id does not fit the packed byte codec");
+
+    // Static per-opcode bits from the one-time classifier, then the
+    // per-record facts stamped on top.
+    isa::PackedMeta m = isa::packedMeta(di.si.op);
+    if (di.taken)
+        m.attrs |= isa::instattr::taken;
+    if (m.hasDest() && !(di.si.dest.cls == RegClass::Int &&
+                         di.si.dest.idx == isa::zeroReg))
+        m.attrs |= isa::instattr::writesReg;
+    metaCol.push_back(m);
+    opCol.push_back(di.si.op);
+    destCol.push_back(packRegByte(di.si.dest));
+    srcCol.push_back({packRegByte(di.si.srcs[0]),
+                      packRegByte(di.si.srcs[1]),
+                      packRegByte(di.si.srcs[2])});
+    pcCol.push_back(di.pc);
+    nextPcCol.push_back(di.nextPc);
+    effAddrCol.push_back(di.effAddr);
+    immCol.push_back(di.si.imm);
+    fimmCol.push_back(di.si.fimm);
+    targetCol.push_back(di.si.target);
+}
+
+DynInst
+PackedTrace::record(std::size_t i) const
+{
+    DynInst di;
+    di.seq = seq(i);
+    di.pc = pcCol[i];
+    di.si.op = opCol[i];
+    di.si.dest = dest(i);
+    for (unsigned s = 0; s < 3; ++s)
+        di.si.srcs[s] = src(i, s);
+    di.si.imm = immCol[i];
+    di.si.fimm = fimmCol[i];
+    di.si.target = targetCol[i];
+    di.nextPc = nextPcCol[i];
+    di.taken = taken(i);
+    di.effAddr = effAddrCol[i];
+    return di;
+}
+
+void
+PackedTrace::finish()
 {
     const auto t0 = std::chrono::steady_clock::now();
-    n = records.size();
-    metaCol.reserve(n);
-    seqCol.reserve(n);
-    pcCol.reserve(n);
-    nextPcCol.reserve(n);
-    effAddrCol.reserve(n);
-    destCol.reserve(n);
-    srcCol.reserve(n);
-    numSrcsCol.reserve(n);
-    const std::size_t words = (n + 63) / 64;
-    loadBv.assign(words, 0);
-    storeBv.assign(words, 0);
-    controlBv.assign(words, 0);
-    hasDestBv.assign(words, 0);
-    takenBv.assign(words, 0);
-    writesRegBv.assign(words, 0);
 
-    for (std::size_t i = 0; i < n; ++i) {
-        const DynInst &di = records[i];
-        // Static per-opcode bits from the one-time classifier, then
-        // the per-record facts stamped on top.
-        isa::PackedMeta m = isa::packedMeta(di.si.op);
-        if (di.taken)
-            m.attrs |= isa::instattr::taken;
-        const bool writes =
-            (m.attrs & isa::instattr::hasDest) &&
-            !(di.si.dest.cls == RegClass::Int &&
-              di.si.dest.idx == isa::zeroReg);
-        if (writes)
-            m.attrs |= isa::instattr::writesReg;
-        metaCol.push_back(m);
-        seqCol.push_back(di.seq);
-        pcCol.push_back(di.pc);
-        nextPcCol.push_back(di.nextPc);
-        effAddrCol.push_back(di.effAddr);
-        rrs_assert(regBytePackable(di.si.dest) &&
-                       regBytePackable(di.si.srcs[0]) &&
-                       regBytePackable(di.si.srcs[1]) &&
-                       regBytePackable(di.si.srcs[2]),
-                   "register id does not fit the packed byte codec");
-        destCol.push_back(packRegByte(di.si.dest));
-        srcCol.push_back({packRegByte(di.si.srcs[0]),
-                          packRegByte(di.si.srcs[1]),
-                          packRegByte(di.si.srcs[2])});
-        numSrcsCol.push_back(di.si.numSrcs());
-
-        if (m.isLoad())
-            setBit(loadBv, i);
-        if (m.isStore())
-            setBit(storeBv, i);
-        if (m.isControl())
-            setBit(controlBv, i);
-        if (m.hasDest())
-            setBit(hasDestBv, i);
-        if (di.taken)
-            setBit(takenBv, i);
-        if (writes)
-            setBit(writesRegBv, i);
-    }
-
-    // Digest every column in declaration order.  The meta column
-    // includes classifier output, so two builds only agree when both
-    // the records *and* the classifier tables agree — exactly the
-    // property codec v2 checks on load.
+    // The digest's definition is frozen, since codec v2 stores it:
+    // meta, seq, pc, nextPc, effAddr, dest, sources, source counts.
+    // The meta column and the source counts are classifier output, so
+    // two builds only agree when both the records *and* the classifier
+    // tables agree — exactly the property codec v2 checks on load.  The
+    // record digest covers op, imm, fimm and target.
+    const std::size_t n = size();
     std::uint64_t h = fnvOffset;
     foldU64(h, n);
     for (const isa::PackedMeta &m : metaCol) {
@@ -144,8 +142,8 @@ PackedTrace::PackedTrace(const std::vector<DynInst> &records)
         foldU8(h, static_cast<std::uint8_t>(m.branch));
         foldU8(h, m.memBytes);
     }
-    for (InstSeqNum v : seqCol)
-        foldU64(h, v);
+    for (std::size_t i = 0; i < n; ++i)
+        foldU64(h, seq(i));
     for (Addr v : pcCol)
         foldU64(h, v);
     for (Addr v : nextPcCol)
@@ -159,8 +157,8 @@ PackedTrace::PackedTrace(const std::vector<DynInst> &records)
         foldU8(h, s[1]);
         foldU8(h, s[2]);
     }
-    for (std::uint8_t v : numSrcsCol)
-        foldU8(h, v);
+    for (isa::Opcode op : opCol)
+        foldU8(h, isa::opInfo(op).numSrcs);
     packedDigest = h;
 
     packSeconds =

@@ -8,7 +8,6 @@ namespace rrs::trace {
 
 namespace {
 
-constexpr std::uint64_t fnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t fnvPrime = 0x100000001b3ULL;
 
 void
@@ -55,33 +54,28 @@ RecordedTrace::foldInst(std::uint64_t &h, const DynInst &di)
     foldU64(h, di.effAddr);
 }
 
-std::uint64_t
-RecordedTrace::digestOf(const std::vector<DynInst> &insts)
+RecordedTrace::RecordedTrace(std::string workload, std::uint64_t cap,
+                             std::uint64_t sourceHash, Builder records)
+    : workloadName(std::move(workload)),
+      streamCap(cap),
+      srcHash(sourceHash),
+      cols(std::move(records.cols)),
+      contentDigest(records.recordDigest)
 {
-    std::uint64_t h = fnvOffset;
-    for (const DynInst &di : insts)
-        foldInst(h, di);
-    return h;
+    cols.finish();
 }
 
 RecordedTrace::RecordedTrace(std::string workload, std::uint64_t cap,
                              std::uint64_t sourceHash,
-                             std::vector<DynInst> insts)
-    : workloadName(std::move(workload)),
-      streamCap(cap),
-      srcHash(sourceHash),
-      records(std::move(insts)),
-      contentDigest(digestOf(records))
+                             const std::vector<DynInst> &insts)
+    : RecordedTrace(std::move(workload), cap, sourceHash, [&insts] {
+          Builder records;
+          records.reserve(insts.size());
+          for (const DynInst &di : insts)
+              records.append(di);
+          return records;
+      }())
 {
-}
-
-const PackedTrace &
-RecordedTrace::packed() const
-{
-    std::call_once(packOnce, [this] {
-        packedCols = std::make_unique<PackedTrace>(records);
-    });
-    return *packedCols;
 }
 
 ReplayStream::ReplayStream(TracePtr trace) : src(std::move(trace))

@@ -4,10 +4,10 @@
  *
  * A RecordedTrace is an immutable, shareable dynamic instruction
  * sequence: the exact DynInst records a live emulator stream would
- * produce for one (workload, cap) pair, plus the identity needed to
- * validate reuse (workload name, stream cap, a hash of the workload's
- * assembly source) and an FNV-1a content digest over every field of
- * every record.
+ * produce for one (workload, cap) pair, held only as PackedTrace
+ * columns, plus the identity needed to validate reuse (workload name,
+ * stream cap, a hash of the workload's assembly source) and an FNV-1a
+ * content digest over every field of every record.
  *
  * A ReplayStream is a cheap cursor over a shared RecordedTrace: many
  * sweep lanes replay the same read-only trace concurrently, each with
@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -37,15 +36,41 @@ class RecordedTrace
 {
   public:
     /**
+     * Collects the records of a trace: append() folds each one into
+     * the record digest and stores it in the columns, in one pass.
+     */
+    class Builder
+    {
+      public:
+        void reserve(std::size_t records) { cols.reserve(records); }
+        void append(const DynInst &di)
+        {
+            foldInst(recordDigest, di);
+            cols.append(di);
+        }
+
+      private:
+        friend class RecordedTrace;
+        PackedTrace cols;
+        std::uint64_t recordDigest = digestSeed;
+    };
+
+    /**
      * @param workload workload name the trace was captured from
      * @param cap stream-length cap used at capture (post-warmup,
      *        already normalised: never 0)
      * @param sourceHash hash of the workload's assembly source, used
      *        to invalidate spilled traces when kernels change
-     * @param insts the captured records (moved in)
+     * @param records the captured records; construction seals the
+     *        columns (PackedTrace::finish)
      */
     RecordedTrace(std::string workload, std::uint64_t cap,
-                  std::uint64_t sourceHash, std::vector<DynInst> insts);
+                  std::uint64_t sourceHash, Builder records);
+
+    /** A trace of hand-built records, numbered densely. */
+    RecordedTrace(std::string workload, std::uint64_t cap,
+                  std::uint64_t sourceHash,
+                  const std::vector<DynInst> &insts);
 
     const std::string &workload() const { return workloadName; }
     std::uint64_t cap() const { return streamCap; }
@@ -54,34 +79,27 @@ class RecordedTrace
     /** FNV-1a digest over every field of every record. */
     std::uint64_t digest() const { return contentDigest; }
 
-    std::size_t size() const { return records.size(); }
-    bool empty() const { return records.empty(); }
-    const DynInst &operator[](std::size_t i) const { return records[i]; }
-    const std::vector<DynInst> &insts() const { return records; }
+    std::size_t size() const { return cols.size(); }
+    bool empty() const { return cols.empty(); }
 
-    /**
-     * The pre-decoded structure-of-arrays companion (DESIGN §4h).
-     * Built at most once per trace — thread-safe, so concurrent sweep
-     * lanes sharing the trace all see the same columns.  The harness
-     * forces the build at capture / trace-file-load time so no lane
-     * ever pays pack cost mid-sweep.
-     */
-    const PackedTrace &packed() const;
+    /** Record i, rebuilt from the columns. */
+    DynInst operator[](std::size_t i) const { return cols.record(i); }
+
+    /** The columns: the trace's only in-memory form (DESIGN §4h). */
+    const PackedTrace &packed() const { return cols; }
+
+    /** FNV-1a offset basis: the digest of an empty trace. */
+    static constexpr std::uint64_t digestSeed = 0xcbf29ce484222325ULL;
 
     /** Fold one record's fields into a running FNV-1a state. */
     static void foldInst(std::uint64_t &h, const DynInst &di);
-
-    /** Content digest of an arbitrary record sequence. */
-    static std::uint64_t digestOf(const std::vector<DynInst> &insts);
 
   private:
     std::string workloadName;
     std::uint64_t streamCap;
     std::uint64_t srcHash;
-    std::vector<DynInst> records;
+    PackedTrace cols;
     std::uint64_t contentDigest;
-    mutable std::once_flag packOnce;
-    mutable std::unique_ptr<PackedTrace> packedCols;
 };
 
 /** Shared-ownership handle to an immutable trace. */
@@ -115,12 +133,6 @@ class ReplayStream : public InstStream
     std::uint64_t replayed() const { return emitted; }
 
     const RecordedTrace &trace() const { return *src; }
-
-    const PackedTrace *packedView() const override
-    {
-        return &src->packed();
-    }
-    std::size_t cursor() const override { return pos; }
 
   private:
     TracePtr src;

@@ -7,27 +7,28 @@
  *   header    u32 magic "RRST", u32 version,
  *             varint nameLen + name bytes,
  *             varint cap, u64 sourceHash, varint record count
- *   columns   the packed structure-of-arrays form (DESIGN §4h), one
- *             full column at a time, each `count` entries long:
- *             varint seq deltas, varint pcs,
+ *   columns   the PackedTrace columns (DESIGN §4h), one full column at
+ *             a time, each `count` entries long:
+ *             varint seq deltas (the first seq, then 1s: traces are
+ *             dense), varint pcs,
  *             zigzag varints (nextPc - pc), opcode bytes, flags bytes,
  *             dest register bytes, three source-register byte columns,
  *             zigzag varint immediates
  *   optional  the values the flags bytes announce, one group at a
  *             time in record order: u64 fp-immediate bit patterns,
  *             varint branch targets, varint effective addresses
- *   trailer   u64 record digest (RecordedTrace::digestOf) then
+ *   trailer   u64 record digest (RecordedTrace::digest) then
  *             u64 packed-column digest (PackedTrace::digest)
  *
- * Version 1 files (row-major records, varint register ids, single
- * digest trailer) are still read: the loader decodes the legacy rows
- * and silently re-packs the columns.  Unknown future versions fail
- * with the version number and path in the message.
+ * The reader decodes straight into the columns, one cursor per column.
+ * It reads version 2 only: any other version, including the row-major
+ * version 1 of older builds, fails with the version number and path in
+ * the message, and the trace cache recaptures such a spill.
  *
- * The reader validates the magic, version and both digests; the
- * fatal-on-error entry points are for tools and tests, the try*
- * variant lets the trace cache fall back to a fresh capture when a
- * spilled file is stale, truncated or corrupt.
+ * The reader validates the magic, version, sequence density and both
+ * digests; the fatal-on-error entry points are for tools and tests,
+ * the try* variant lets the trace cache fall back to a fresh capture
+ * when a spilled file is stale, truncated or corrupt.
  */
 
 #ifndef RRS_TRACE_TRACEFILE_HH
@@ -42,7 +43,7 @@ namespace rrs::trace {
 /** File magic: "RRST" read as a little-endian u32. */
 constexpr std::uint32_t traceFileMagic = 0x54535252u;
 
-/** Current (newest written) format version. */
+/** The one format version this build writes and reads. */
 constexpr std::uint32_t traceFileVersion = 2;
 
 /** Canonical spill file name for a (workload, cap) pair. */
@@ -66,11 +67,11 @@ bool tryWriteTraceFile(const std::string &path, const RecordedTrace &trace,
 /**
  * Read a trace file; returns nullptr and sets `error` on any problem
  * (missing file, bad magic, unsupported version, truncation, corrupt
- * record, digest mismatch) instead of terminating.  On success the
- * returned trace is already packed (columns built and, for v2 files,
- * verified against the stored packed digest).  When `fileVersion` is
- * non-null it receives the version field of the file header whenever
- * the header was readable, even if the read then fails.
+ * record, sequence gap, digest mismatch) instead of terminating.  On
+ * success the returned trace's columns are sealed and verified against
+ * the stored packed digest.  When `fileVersion` is non-null it
+ * receives the version field of the file header whenever the header
+ * was readable, even if the read then fails.
  */
 TracePtr tryReadTraceFile(const std::string &path, std::string &error,
                           std::uint32_t *fileVersion = nullptr);

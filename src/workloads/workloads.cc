@@ -140,21 +140,16 @@ captureTrace(const Workload &w, std::uint64_t maxInsts)
     obs::ScopedPhase phase("capture");
     const std::uint64_t cap = resolvedCap(w, maxInsts);
     auto e = makeEmulator(w, maxInsts);
-    std::vector<trace::DynInst> insts;
-    insts.reserve(static_cast<std::size_t>(
+    trace::RecordedTrace::Builder records;
+    records.reserve(static_cast<std::size_t>(
         std::min<std::uint64_t>(cap, 1'000'000)));
-    e->setRecordHook(
-        [&insts](const trace::DynInst &di) { insts.push_back(di); });
-    e->run();
-    auto trace = std::make_shared<trace::RecordedTrace>(
-        w.name, cap, sourceHash(w), std::move(insts));
-    {
-        // Build the pre-decoded columns here, once, while the capture
-        // is still the only owner — the cycle loop never packs.
-        obs::ScopedPhase packPhase("pack");
-        trace->packed();
-    }
-    return trace;
+    trace::DynInst di;
+    while (e->step(di))
+        records.append(di);
+    // Sealing the columns is the pack step; the cycle loop never packs.
+    obs::ScopedPhase packPhase("pack");
+    return std::make_shared<trace::RecordedTrace>(
+        w.name, cap, sourceHash(w), std::move(records));
 }
 
 std::unique_ptr<trace::InstStream>

@@ -82,9 +82,10 @@ std::unique_ptr<emu::Emulator> makeEmulator(const Workload &w,
 
 /**
  * Capture the post-warmup dynamic instruction stream of a workload
- * into an immutable, shareable trace.  The capture runs the functional
- * emulator once with its record hook attached; replaying the returned
- * trace is bit-identical to pulling the emulator live.
+ * into an immutable, shareable trace.  The capture steps the functional
+ * emulator once, appending each record straight to the trace's columns;
+ * replaying the returned trace is bit-identical to pulling the emulator
+ * live.
  */
 trace::TracePtr captureTrace(const Workload &w,
                              std::uint64_t maxInsts = 0);

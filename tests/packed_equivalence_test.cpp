@@ -1,14 +1,14 @@
-// Property test for the pre-decoded trace columns (trace/packed.hh):
-// for every workload, every PackedTrace column and attribute bit must
-// agree field-by-field with the DynInst records it was derived from —
-// the packed view is a pure re-encoding, never a reinterpretation.
-// The same columns must survive a codec v2 round trip (the stored
-// packed digest proves the load-side rebuild matches) and must be the
-// view ReplayStream hands the core, stable across reset() and
-// re-construction.
+// Property test for the trace columns (trace/packed.hh): for every
+// workload, every PackedTrace column and attribute bit must agree
+// field-by-field with the DynInst records a live emulator produces —
+// the columns are a pure re-encoding, never a reinterpretation.  The
+// same columns must survive a codec v2 round trip (the stored packed
+// digest proves the load-side rebuild matches) and must be what a
+// ReplayStream serves, across reset() and re-construction.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "trace/packed.hh"
@@ -24,10 +24,29 @@ using trace::PackedTrace;
 
 constexpr std::uint64_t kCap = 20'000;
 
-bool
-bit(const std::vector<std::uint64_t> &bv, std::size_t i)
+std::uint64_t
+fpBits(double d)
 {
-    return (bv[i / 64] >> (i % 64)) & 1;
+    std::uint64_t raw;
+    std::memcpy(&raw, &d, sizeof(raw));
+    return raw;
+}
+
+std::vector<DynInst>
+drain(trace::InstStream &stream)
+{
+    std::vector<DynInst> out;
+    while (auto di = stream.next())
+        out.push_back(*di);
+    return out;
+}
+
+// The reference records: a live emulator stream, pulled to the cap.
+std::vector<DynInst>
+liveRecords(const workloads::Workload &w)
+{
+    auto e = workloads::makeEmulator(w, kCap);
+    return drain(*e);
 }
 
 // The rename-allocation predicate, restated independently of the
@@ -41,8 +60,8 @@ refWritesReg(const DynInst &di)
              di.si.dest.idx == isa::zeroReg);
 }
 
-// Every packed column and attribute bit vs the DynInst records, one
-// record at a time, against the OpInfo table (the packer's input).
+// Every column and attribute bit vs the records, one record at a time,
+// against the OpInfo table (the packer's input).
 void
 expectPackedMatchesRecords(const PackedTrace &p,
                            const std::vector<DynInst> &records)
@@ -70,39 +89,21 @@ expectPackedMatchesRecords(const PackedTrace &p,
                   refWritesReg(di))
             << i;
 
-        // Plain columns.
+        // Plain columns, seq included although it is not stored.
         EXPECT_EQ(p.seq(i), di.seq) << i;
+        EXPECT_EQ(p.op(i), di.si.op) << i;
         EXPECT_EQ(p.pc(i), di.pc) << i;
         EXPECT_EQ(p.nextPc(i), di.nextPc) << i;
         EXPECT_EQ(p.effAddr(i), di.effAddr) << i;
+        EXPECT_EQ(p.imm(i), di.si.imm) << i;
+        EXPECT_EQ(fpBits(p.fimm(i)), fpBits(di.si.fimm)) << i;
+        EXPECT_EQ(p.target(i), di.si.target) << i;
 
         // Operand lists round-trip through the register byte codec.
         EXPECT_EQ(p.dest(i), di.si.dest) << i;
         for (unsigned s = 0; s < 3; ++s)
             EXPECT_EQ(p.src(i, s), di.si.srcs[s]) << i << " src " << s;
-        EXPECT_EQ(p.numSrcs(i), di.si.numSrcs()) << i;
-
-        // Bitvector bits agree with the per-record attribute bits.
-        EXPECT_EQ(bit(p.loadBits(), i), m.isLoad()) << i;
-        EXPECT_EQ(bit(p.storeBits(), i), m.isStore()) << i;
-        EXPECT_EQ(bit(p.controlBits(), i), m.isControl()) << i;
-        EXPECT_EQ(bit(p.hasDestBits(), i), m.hasDest()) << i;
-        EXPECT_EQ(bit(p.takenBits(), i), di.taken) << i;
-        EXPECT_EQ(bit(p.writesRegBits(), i), refWritesReg(di)) << i;
     }
-
-    // Population counts close the loop on the bitvector encoding.
-    std::uint64_t loads = 0, stores = 0, branches = 0, taken = 0;
-    for (const DynInst &di : records) {
-        loads += di.si.load();
-        stores += di.si.store();
-        branches += di.si.control();
-        taken += di.taken;
-    }
-    EXPECT_EQ(PackedTrace::countBits(p.loadBits()), loads);
-    EXPECT_EQ(PackedTrace::countBits(p.storeBits()), stores);
-    EXPECT_EQ(PackedTrace::countBits(p.controlBits()), branches);
-    EXPECT_EQ(PackedTrace::countBits(p.takenBits()), taken);
 }
 
 class EveryWorkloadPacked : public ::testing::TestWithParam<const char *>
@@ -112,19 +113,16 @@ class EveryWorkloadPacked : public ::testing::TestWithParam<const char *>
 TEST_P(EveryWorkloadPacked, ColumnsMatchRecords)
 {
     const auto &w = workloads::workload(GetParam());
+    const std::vector<DynInst> ref = liveRecords(w);
     trace::TracePtr t = workloads::captureTrace(w, kCap);
     ASSERT_FALSE(t->empty());
+    expectPackedMatchesRecords(t->packed(), ref);
 
-    const PackedTrace &p = t->packed();
-    expectPackedMatchesRecords(p, t->insts());
-
-    // packed() is built once and memoised: same object every call.
-    EXPECT_EQ(&t->packed(), &p);
-
-    // Packing is a pure function of the records: a fresh build from
-    // the same records digests identically.
-    PackedTrace rebuilt(t->insts());
-    EXPECT_EQ(rebuilt.digest(), p.digest());
+    // Packing is a pure function of the records: a trace built from
+    // the same records as a vector digests identically, both ways.
+    trace::RecordedTrace rebuilt(w.name, kCap, 0, ref);
+    EXPECT_EQ(rebuilt.digest(), t->digest());
+    EXPECT_EQ(rebuilt.packed().digest(), t->packed().digest());
 }
 
 TEST_P(EveryWorkloadPacked, SurvivesCodecRoundTrip)
@@ -139,9 +137,9 @@ TEST_P(EveryWorkloadPacked, SurvivesCodecRoundTrip)
     ASSERT_TRUE(back);
 
     // The reader verified the stored packed digest itself; check the
-    // rebuilt columns against the original anyway, field by field.
+    // decoded columns against the live records anyway, field by field.
     EXPECT_EQ(back->packed().digest(), t->packed().digest());
-    expectPackedMatchesRecords(back->packed(), t->insts());
+    expectPackedMatchesRecords(back->packed(), liveRecords(w));
 }
 
 TEST_P(EveryWorkloadPacked, ReplayStreamServesPackedView)
@@ -149,31 +147,17 @@ TEST_P(EveryWorkloadPacked, ReplayStreamServesPackedView)
     const auto &w = workloads::workload(GetParam());
     trace::TracePtr t = workloads::captureTrace(w, kCap);
 
-    // The stream's packed view is the trace's own packed columns, and
-    // cursor() indexes them in lockstep with next().
+    // A replay cursor serves the trace's columns record by record...
     trace::ReplayStream stream(t);
-    ASSERT_NE(stream.packedView(), nullptr);
-    EXPECT_EQ(stream.packedView(), &t->packed());
-    std::size_t i = 0;
-    while (true) {
-        EXPECT_EQ(stream.cursor(), i);
-        auto di = stream.next();
-        if (!di)
-            break;
-        EXPECT_EQ(di->seq, stream.packedView()->seq(i)) << i;
-        ++i;
-    }
-    EXPECT_EQ(i, t->size());
+    expectPackedMatchesRecords(t->packed(), drain(stream));
 
-    // reset() rewinds the cursor but never invalidates the view...
+    // ...and serves them again after reset()...
     stream.reset();
-    EXPECT_EQ(stream.cursor(), 0u);
-    EXPECT_EQ(stream.packedView(), &t->packed());
+    expectPackedMatchesRecords(t->packed(), drain(stream));
 
-    // ...and a re-constructed stream shares the same columns (the
-    // pack happened once, at capture).
+    // ...and from a re-constructed cursor sharing the same columns.
     trace::ReplayStream rebuilt(t);
-    EXPECT_EQ(rebuilt.packedView(), &t->packed());
+    expectPackedMatchesRecords(t->packed(), drain(rebuilt));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -185,21 +169,24 @@ INSTANTIATE_TEST_SUITE_P(
                       "media_sobel", "media_g711", "cog_gmm", "cog_dnn",
                       "cog_knn"));
 
-TEST(PackedTrace, EmulatorStreamsFallBackToNullView)
-{
-    // A live emulator has no packed columns; the core must get the
-    // documented nullptr and fall back to the one-time classifier.
-    const auto &w = workloads::workload("int_crc");
-    auto e = workloads::makeEmulator(w, 1'000);
-    EXPECT_EQ(e->packedView(), nullptr);
-}
-
 TEST(PackedTrace, EmptyTracePacksToEmptyColumns)
 {
-    PackedTrace p(std::vector<DynInst>{});
-    EXPECT_TRUE(p.empty());
-    EXPECT_EQ(p.size(), 0u);
-    EXPECT_EQ(PackedTrace::countBits(p.loadBits()), 0u);
+    trace::RecordedTrace t("empty", 1, 0, std::vector<DynInst>{});
+    EXPECT_TRUE(t.empty());
+    EXPECT_TRUE(t.packed().empty());
+    EXPECT_EQ(t.packed().size(), 0u);
+    EXPECT_EQ(t.digest(), trace::RecordedTrace::digestSeed);
+}
+
+TEST(PackedTraceDeath, GappedRecordsAreRefused)
+{
+    // Columns store no seq: a record that does not continue the dense
+    // numbering cannot be represented and must not be silently renumbered.
+    std::vector<DynInst> gapped(2);
+    gapped[0].seq = 10;
+    gapped[1].seq = 12;
+    EXPECT_DEATH({ trace::RecordedTrace t("gapped", 2, 0, gapped); },
+                 "di.seq == firstSeq");
 }
 
 } // namespace
