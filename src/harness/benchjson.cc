@@ -525,21 +525,29 @@ collectBenchDiff(const BenchResult &base, const BenchResult &cur,
         r.exitCode = 1;
 
     // Noisy pass: throughput numbers drift with the host; warn unless
-    // a threshold is configured.
+    // a threshold is configured, and then fail only on a slowdown past
+    // it.  A speedup never fails the gate.
     const bool gate = opts.throughputThresholdPct >= 0;
-    const std::pair<const char *, std::pair<double, double>> noisy[] = {
-        {"wall_seconds", {base.wallSeconds, cur.wallSeconds}},
-        {"runs_per_sec", {base.runsPerSec, cur.runsPerSec}},
-        {"minst_per_sec", {base.minstPerSec, cur.minstPerSec}},
+    struct Noisy
+    {
+        const char *name;
+        double base, cur;
+        bool higherIsBetter;
     };
-    for (const auto &[name, vals] : noisy) {
+    const Noisy noisy[] = {
+        {"wall_seconds", base.wallSeconds, cur.wallSeconds, false},
+        {"runs_per_sec", base.runsPerSec, cur.runsPerSec, true},
+        {"minst_per_sec", base.minstPerSec, cur.minstPerSec, true},
+    };
+    for (const Noisy &m : noisy) {
         BenchDiffReport::NoisyRow row;
-        row.name = name;
-        row.base = vals.first;
-        row.cur = vals.second;
-        row.deltaPct = pctDelta(vals.first, vals.second);
-        row.regression =
-            gate && std::fabs(row.deltaPct) > opts.throughputThresholdPct;
+        row.name = m.name;
+        row.base = m.base;
+        row.cur = m.cur;
+        row.deltaPct = pctDelta(m.base, m.cur);
+        const double slowdownPct =
+            m.higherIsBetter ? -row.deltaPct : row.deltaPct;
+        row.regression = gate && slowdownPct > opts.throughputThresholdPct;
         if (row.regression && r.exitCode == 0)
             r.exitCode = 1;
         r.noisy.push_back(std::move(row));

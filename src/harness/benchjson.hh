@@ -20,7 +20,7 @@
  *    configured.
  *
  * diffBenchResults() and the rrs-benchdiff tool gate CI on this split:
- * exit 0 clean, 1 on exact drift (or a noisy breach past the
+ * exit 0 clean, 1 on exact drift (or a noisy slowdown past the
  * threshold), 2 on a schema-version mismatch.
  */
 
@@ -148,8 +148,9 @@ bool loadBenchJson(const std::string &path, BenchResult &out,
 struct BenchDiffOptions
 {
     /**
-     * Fail when |throughput delta| exceeds this many percent; negative
-     * (the default) means noisy drift only warns.
+     * Fail when throughput worsens by more than this many percent
+     * (wall clock up, runs/s or Minst/s down); a speedup never fails.
+     * Negative (the default) means noisy drift only warns.
      */
     double throughputThresholdPct = -1;
     bool markdown = false;      //!< pipe-table output for PR comments
@@ -157,7 +158,7 @@ struct BenchDiffOptions
 
 /**
  * Compare a current result against a baseline, printing a delta table.
- * @return 0 clean, 1 exact drift (or noisy breach past the threshold),
+ * @return 0 clean, 1 exact drift (or noisy slowdown past the threshold),
  *         2 schema-version mismatch.
  */
 int diffBenchResults(const BenchResult &base, const BenchResult &cur,
@@ -196,7 +197,7 @@ struct BenchDiffReport
         std::string name;
         double base = 0, cur = 0;
         double deltaPct = 0;
-        bool regression = false;   //!< past the configured threshold
+        bool regression = false;   //!< slower than the threshold allows
     };
     std::vector<NoisyRow> noisy;
 

@@ -29,11 +29,11 @@ sampleResult()
     r.buildType = "Release";
     r.threads = 4;
     r.runs.push_back(RunRecord{"int_sort", "baseline", 20000, 25000,
-                               0.01});
+                               0.01, {}});
     r.runs.push_back(RunRecord{"int_sort", "reuse", 20000, 24000,
-                               0.01});
+                               0.01, {}});
     r.runs.push_back(RunRecord{"fp_fir", "baseline", 20000, 26000,
-                               0.02});
+                               0.02, {}});
     r.instsTotal = 60000;
     r.cyclesTotal = 75000;
     r.wallSeconds = 0.5;
@@ -176,6 +176,22 @@ TEST(BenchDiff, ThroughputThresholdGates)
     opts.throughputThresholdPct = 80;          // inside the budget
     std::ostringstream ok;
     EXPECT_EQ(harness::diffBenchResults(base, cur, opts, ok), 0);
+}
+
+TEST(BenchDiff, ThroughputSpeedupPasses)
+{
+    // Twice as fast on every throughput metric: only a slowdown past
+    // the threshold fails the gate.
+    const BenchResult base = sampleResult();
+    BenchResult cur = base;
+    cur.wallSeconds = base.wallSeconds / 2;
+    cur.runsPerSec = base.runsPerSec * 2;
+    cur.minstPerSec = base.minstPerSec * 2;
+    BenchDiffOptions opts;
+    opts.throughputThresholdPct = 50;
+    std::ostringstream os;
+    EXPECT_EQ(harness::diffBenchResults(base, cur, opts, os), 0);
+    EXPECT_EQ(os.str().find("REGRESSION"), std::string::npos);
 }
 
 TEST(BenchDiff, SchemaMismatchIsCleanError)

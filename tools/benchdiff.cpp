@@ -18,7 +18,9 @@
  *                                 one JSON document per pair (an array
  *                                 in directory mode), same verdicts
  *                                 and exit codes as text mode
- *   --throughput-threshold <pct>  fail on noisy drift beyond <pct>%
+ *   --throughput-threshold <pct>  fail when throughput worsens by
+ *                                 more than <pct>% (a non-negative
+ *                                 number); a speedup never fails
  */
 
 #include <algorithm>
@@ -27,9 +29,11 @@
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/strutils.hh"
 #include "harness/benchjson.hh"
 
 namespace {
@@ -49,6 +53,21 @@ usage(const char *argv0)
                  "directories matched by file name\n",
                  argv0);
     std::exit(2);
+}
+
+/** The --throughput-threshold value: a non-negative percentage. */
+double
+parseThreshold(const char *text)
+{
+    const std::optional<double> v = rrs::parseDouble(text);
+    if (!v || !(*v >= 0)) {
+        std::fprintf(stderr,
+                     "error: --throughput-threshold must be a "
+                     "non-negative number, got '%s'\n",
+                     text);
+        std::exit(2);
+    }
+    return *v;
 }
 
 /** BENCH_*.json files under `dir`, sorted by name. */
@@ -113,7 +132,7 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--throughput-threshold") == 0) {
             if (i + 1 >= argc)
                 usage(argv[0]);
-            opts.throughputThresholdPct = std::atof(argv[++i]);
+            opts.throughputThresholdPct = parseThreshold(argv[++i]);
         } else if (std::strcmp(argv[i], "--help") == 0 ||
                    std::strcmp(argv[i], "-h") == 0) {
             usage(argv[0]);
