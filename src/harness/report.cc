@@ -81,8 +81,7 @@ loadPairGrid(const Ledger &ledger, const FigureDesc &fig,
 
 /** The per-node stall-attribution table of one sweep figure. */
 std::string
-renderStallTable(const FigureDesc &fig,
-                 const std::vector<std::vector<LedgerEntry>> &entries)
+renderStallTable(const std::vector<std::vector<LedgerEntry>> &entries)
 {
     std::vector<std::string> headers = {"node", "workload", "scheme",
                                         "regs", "cycles"};
@@ -309,7 +308,7 @@ tryRenderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
             return false;
         }
         md << "### Stall attribution\n\n"
-           << "```\n" << renderStallTable(fig, entries) << "```\n\n";
+           << "```\n" << renderStallTable(entries) << "```\n\n";
     }
 
     md << "## Phase profile\n\n";
