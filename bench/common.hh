@@ -19,15 +19,12 @@
  * and finish(name) last.  `--stats-json <path>` (or the RRS_STATS_JSON
  * environment variable) makes finish() dump the sweep's stats group as
  * JSON to that path, so scripts can consume a bench without scraping
- * its tables.  `--bench-json <dir>` (or RRS_BENCH_JSON) additionally
- * records a versioned BENCH_<name>.json perf baseline
- * (harness/benchjson.hh) for the rrs-benchdiff regression gate; both
- * exports create missing parent directories and write atomically
- * (tmp+rename).  `--prof` (or RRS_PROF=1) turns on the host-side phase
- * profiler (obs/profiler.hh) and makes finish() print its report;
- * `--cap <insts>` overrides the default per-run timing length for
- * quick CI smoke runs (the printed tables then differ from the paper's,
- * but stay deterministic for that cap).
+ * its tables; the export creates missing parent directories and
+ * writes atomically (tmp+rename).  `--prof` (or RRS_PROF=1) turns on
+ * the host-side phase profiler (obs/profiler.hh) and makes finish()
+ * print its report; `--cap <insts>` overrides the default per-run
+ * timing length for quick CI smoke runs (the printed tables then
+ * differ from the paper's, but stay deterministic for that cap).
  */
 
 #ifndef RRS_BENCH_COMMON_HH
@@ -45,7 +42,6 @@
 
 #include "common/atomicfile.hh"
 #include "common/threadpool.hh"
-#include "harness/benchjson.hh"
 #include "harness/experiment.hh"
 #include "harness/figures.hh"
 #include "harness/sweep.hh"
@@ -193,14 +189,6 @@ statsJsonPath()
     return path;
 }
 
-/** Directory finish() records BENCH_<name>.json into ("" = disabled). */
-inline std::string &
-benchJsonDir()
-{
-    static std::string dir;
-    return dir;
-}
-
 /** `--suite <name>` filter ("" = all suites). */
 inline std::string &
 suiteFilter()
@@ -255,9 +243,8 @@ selectedWorkloads()
 /**
  * Standard bench option handling; call first in every main().  Parses
  * `--stats-json <path>` (the RRS_STATS_JSON environment variable is
- * the default), `--bench-json <dir>` (default RRS_BENCH_JSON; the
- * perf-baseline recorder), `--prof` (host phase profiler, also
- * RRS_PROF=1), `--cap <insts>` (shortened timing runs), `--suite
+ * the default), `--prof` (host phase profiler, also RRS_PROF=1),
+ * `--cap <insts>` (shortened timing runs), `--suite
  * <name>` and `--workload <substr>` (subset selection for quick
  * iteration; see selectedWorkloads()), `--matrix <file>` (a JSON sweep
  * matrix replacing the bench's default scheme/size grid; see
@@ -271,8 +258,6 @@ init(int argc, char **argv)
 {
     if (const char *env = std::getenv("RRS_STATS_JSON"))
         statsJsonPath() = env;
-    if (const char *env = std::getenv("RRS_BENCH_JSON"))
-        benchJsonDir() = env;
     if (const char *env = std::getenv("RRS_SAMPLE")) {
         if (*env != '\0' && std::strcmp(env, "0") != 0)
             sampleOverride() = parseSampleSpec(env);
@@ -295,10 +280,6 @@ init(int argc, char **argv)
             if (i + 1 >= argc)
                 rrs_fatal("--stats-json needs a path argument");
             statsJsonPath() = argv[++i];
-        } else if (std::strcmp(argv[i], "--bench-json") == 0) {
-            if (i + 1 >= argc)
-                rrs_fatal("--bench-json needs a directory argument");
-            benchJsonDir() = argv[++i];
         } else if (std::strcmp(argv[i], "--prof") == 0) {
             obs::Profiler::setEnabled(true);
         } else if (std::strcmp(argv[i], "--cap") == 0) {
@@ -354,11 +335,10 @@ init(int argc, char **argv)
  * Standard bench epilogue; call last in every main().  Prints the
  * sweep throughput footer (when the bench ran any sweep), the phase
  * profiler report (when profiling is on), and the machine-readable
- * exports configured via init(): the sweep stats group as
- * `{"bench": <name>, "sweep": {...}}` JSON, and/or the versioned
- * BENCH_<name>.json perf baseline.  Both writes are atomic
- * (tmp+rename) and create missing parent directories, so pointing
- * them into a fresh CI artifact directory just works.
+ * export configured via init(): the sweep stats group as
+ * `{"bench": <name>, "sweep": {...}}` JSON.  The write is atomic
+ * (tmp+rename) and creates missing parent directories, so pointing
+ * it into a fresh CI artifact directory just works.
  */
 inline void
 finish(const std::string &name)
@@ -388,19 +368,6 @@ finish(const std::string &name)
             rrs_fatal("cannot write stats JSON file '%s': %s",
                       path.c_str(), error.c_str());
         std::printf("stats json: %s\n", path.c_str());
-    }
-
-    const std::string &dir = benchJsonDir();
-    if (!dir.empty()) {
-        const std::string file =
-            dir + "/" + harness::benchJsonFileName(name);
-        harness::BenchResult r =
-            harness::collectBenchResult(name, sweeper());
-        std::string error;
-        if (!harness::tryWriteBenchJson(file, r, error))
-            rrs_fatal("cannot write bench JSON file '%s': %s",
-                      file.c_str(), error.c_str());
-        std::printf("bench json: %s\n", file.c_str());
     }
 }
 

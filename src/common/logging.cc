@@ -45,8 +45,8 @@ runCrashHooks()
 }
 
 /**
- * One mutex-guarded sink for every log line.  warn()/inform() are
- * called from sweep worker threads (e.g. a model warning fires in
+ * One mutex-guarded sink for every log line.  warn() is
+ * called from sweep worker threads (a model warning fires in
  * several parallel runs at once); writing each message with a single
  * locked fputs keeps lines whole instead of interleaving mid-line.
  * panic()/fatal() also serialise here so their last words are not
@@ -156,16 +156,6 @@ warnImpl(const char *fmt, ...)
     std::string msg = vformatString(fmt, args);
     va_end(args);
     logLine(stderr, "warn: ", msg);
-}
-
-void
-informImpl(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    std::string msg = vformatString(fmt, args);
-    va_end(args);
-    logLine(stdout, "info: ", msg);
 }
 
 } // namespace rrs

@@ -9,7 +9,6 @@
  *              (bad configuration, malformed workload).  Exits cleanly
  *              with a non-zero status.
  *  - warn():   something is suspicious but the run can continue.
- *  - inform(): plain status output.
  *
  * All of them accept printf-style formatting.  Every message goes
  * through one mutex-guarded sink, so lines stay whole when sweep
@@ -56,8 +55,6 @@ void removeCrashHook(std::uint64_t id);
 
 void warnImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-void informImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
 /** Format a printf-style message into a std::string. */
 std::string vformatString(const char *fmt, va_list args);
 
@@ -70,7 +67,6 @@ std::string formatString(const char *fmt, ...)
 #define rrs_panic(...) ::rrs::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define rrs_fatal(...) ::rrs::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define rrs_warn(...) ::rrs::warnImpl(__VA_ARGS__)
-#define rrs_inform(...) ::rrs::informImpl(__VA_ARGS__)
 
 /**
  * Warn at most once per process from this call site, even when many

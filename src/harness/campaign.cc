@@ -1,13 +1,15 @@
 #include "campaign.hh"
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "common/atomicfile.hh"
 #include "common/logging.hh"
-#include "harness/benchjson.hh"
 #include "obs/jsonlite.hh"
+#include "obs/profiler.hh"
 #include "stats/stats.hh"
 
 namespace rrs::harness {
@@ -151,40 +153,88 @@ jsonStr(const std::string &s)
     return stats::jsonQuoted(s);
 }
 
-/** Render the campaign.json sidecar. */
+std::string
+jsonNum(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+/** Best-effort current commit: GITHUB_SHA, `git rev-parse`, "unknown". */
+std::string
+currentGitSha()
+{
+    if (const char *env = std::getenv("GITHUB_SHA"))
+        return env;
+    if (FILE *p = ::popen("git rev-parse --short=12 HEAD 2>/dev/null",
+                          "r")) {
+        char buf[64] = {0};
+        std::string sha;
+        if (std::fgets(buf, sizeof(buf), p))
+            sha = buf;
+        ::pclose(p);
+        while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r'))
+            sha.pop_back();
+        if (!sha.empty())
+            return sha;
+    }
+    return "unknown";
+}
+
+/**
+ * The profiler's merged per-run phase tree, flattened depth-first into
+ * sidecar rows: "/"-joined path, count, seconds, per-run p50/p95/max.
+ */
+void
+renderPhaseRows(const obs::PhaseNode &node, const std::string &prefix,
+                std::ostream &os, bool &first)
+{
+    const obs::Profiler &prof = obs::Profiler::instance();
+    for (const auto &c : node.children) {
+        const std::string path =
+            prefix.empty() ? c->name : prefix + "/" + c->name;
+        os << (first ? "\n" : ",\n") << "    {\"path\": "
+           << jsonStr(path) << ", \"count\": " << c->count
+           << ", \"seconds\": " << jsonNum(c->seconds) << ", \"p50_us\": "
+           << jsonNum(prof.runPercentileUs(path, 50)) << ", \"p95_us\": "
+           << jsonNum(prof.runPercentileUs(path, 95)) << ", \"max_us\": "
+           << jsonNum(prof.runPercentileUs(path, 100)) << "}";
+        first = false;
+        renderPhaseRows(*c, path, os, first);
+    }
+}
+
+/**
+ * Render the campaign.json sidecar.  `sweep` is the summary of the
+ * sweep that simulated the missing nodes (all zero when none were).
+ */
 std::string
 renderCampaignJson(const CampaignManifest &m, const CampaignPlan &plan,
-                   const CampaignResult &result, unsigned threads,
-                   double wallSeconds,
-                   const std::vector<BenchResult::PhaseRow> &phases)
+                   const CampaignResult &result, const SweepSummary &sweep)
 {
     std::ostringstream os;
-    char wall[40];
-    std::snprintf(wall, sizeof(wall), "%.17g", wallSeconds);
-    auto jnum = [](double v) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-        return std::string(buf);
-    };
     os << "{\n"
        << "  \"campaign_schema\": " << campaignSchemaVersion << ",\n"
        << "  \"name\": " << jsonStr(m.name) << ",\n"
        << "  \"git_sha\": " << jsonStr(currentGitSha()) << ",\n"
-       << "  \"threads\": " << threads << ",\n"
-       << "  \"wall_seconds\": " << wall << ",\n"
+       << "  \"threads\": " << sweep.threads << ",\n"
+       << "  \"wall_seconds\": " << jsonNum(sweep.wallSeconds) << ",\n"
        << "  \"nodes_total\": " << result.totalNodes << ",\n"
        << "  \"nodes_cached\": " << result.hits << ",\n"
        << "  \"nodes_simulated\": " << result.simulated << ",\n"
        << "  \"nodes_deferred\": " << result.remaining << ",\n"
+       << "  \"trace_cache\": {\"hits\": " << sweep.traceHits
+       << ", \"misses\": " << sweep.traceMisses
+       << ", \"captured_insts\": " << sweep.instsCaptured
+       << ", \"replayed_insts\": " << sweep.instsReplayed << "},\n"
        << "  \"phases\": [";
+    // Host-side phase profile (RRS_PROF) of that sweep: sidecar data
+    // for the report's phase table, never part of the node files.
     bool firstPhase = true;
-    for (const auto &ph : phases) {
-        os << (firstPhase ? "\n" : ",\n") << "    {\"path\": "
-           << jsonStr(ph.path) << ", \"count\": " << ph.count
-           << ", \"seconds\": " << jnum(ph.seconds) << ", \"p50_us\": "
-           << jnum(ph.p50Us) << ", \"p95_us\": " << jnum(ph.p95Us)
-           << ", \"max_us\": " << jnum(ph.maxUs) << "}";
-        firstPhase = false;
+    if (result.simulated > 0 && obs::Profiler::enabled()) {
+        renderPhaseRows(obs::Profiler::instance().runTree(), "", os,
+                        firstPhase);
     }
     os << (firstPhase ? "" : "\n  ") << "],\n"
        << "  \"figures\": [";
@@ -424,9 +474,7 @@ runCampaign(const CampaignManifest &manifest, const Ledger &ledger,
         os << " (" << result.remaining << " deferred by --max-new-nodes)";
     os << "\n";
 
-    unsigned threads = 0;
-    double wallSeconds = 0;
-    std::vector<BenchResult::PhaseRow> phases;
+    SweepSummary sweep;
     if (toRun > 0) {
         SweepRunner runner(opts.threads);
         std::vector<SweepItem> items;
@@ -434,11 +482,7 @@ runCampaign(const CampaignManifest &manifest, const Ledger &ledger,
         for (std::size_t i = 0; i < toRun; ++i)
             items.push_back(plan.nodes.at(*missing[i]).item);
         const std::vector<SweepResult> results = runner.run(items);
-        threads = runner.numThreads();
-        wallSeconds = runner.summary().wallSeconds;
-        // Host-side phase profile (RRS_PROF): sidecar data for the
-        // report's phase table, never part of the node files.
-        phases = collectBenchResult(manifest.name, runner).phases;
+        sweep = runner.summary();
         for (std::size_t i = 0; i < toRun; ++i) {
             const std::string &hex = *missing[i];
             const LedgerEntry entry = makeLedgerEntry(
@@ -460,8 +504,7 @@ runCampaign(const CampaignManifest &manifest, const Ledger &ledger,
     std::string error;
     if (!tryWriteFileAtomic(result.sidecarPath,
                             renderCampaignJson(manifest, plan, result,
-                                               threads, wallSeconds,
-                                               phases),
+                                               sweep),
                             error))
         rrs_fatal("cannot write campaign sidecar '%s': %s",
                   result.sidecarPath.c_str(), error.c_str());

@@ -55,8 +55,12 @@
 
 namespace rrs::harness {
 
-/** Bump when the campaign.json sidecar layout changes. */
-constexpr int campaignSchemaVersion = 1;
+/**
+ * Bump when the campaign.json sidecar layout changes.
+ * v2: the sweep's trace-cache counters, which rrs-report --baseline
+ * gates next to the wall clock.
+ */
+constexpr int campaignSchemaVersion = 2;
 
 /** One declared figure/table of a campaign. */
 struct CampaignFigure
@@ -166,8 +170,9 @@ struct CampaignResult
  * Execute a manifest against a ledger: plan, skip every digest the
  * ledger already has, simulate the missing nodes through one parallel
  * sweep, store each result atomically, and write the campaign.json
- * sidecar (figure descriptors + host context) into the ledger
- * directory.  A clean re-run therefore simulates nothing and reports
+ * sidecar into the ledger directory: the figure descriptors plus the
+ * sweep's host cost (threads, wall clock, trace-cache traffic, and
+ * the phase profile under RRS_PROF).  A clean re-run therefore simulates nothing and reports
  * hits == totalNodes.
  */
 CampaignResult runCampaign(const CampaignManifest &m, const Ledger &ledger,

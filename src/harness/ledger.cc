@@ -1,13 +1,13 @@
 #include "ledger.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "common/atomicfile.hh"
-#include "harness/benchjson.hh"
 #include "obs/jsonlite.hh"
 #include "obs/stallcause.hh"
 
@@ -29,9 +29,12 @@ fnv1a(const std::string &s)
     return h;
 }
 
+/** %.17g round-trips a double; JSON has no NaN or infinity. */
 std::string
 num(double v)
 {
+    if (!std::isfinite(v))
+        return "null";
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
@@ -91,6 +94,79 @@ parseHex64(const std::string &s, std::uint64_t &out)
     return true;
 }
 
+/** The "run" object of a node file. */
+std::string
+renderRunRecordJson(const RunRecord &run)
+{
+    std::ostringstream os;
+    os << "{\"workload\": " << jsonStr(run.workload) << ", \"scheme\": "
+       << jsonStr(run.scheme) << ", \"insts\": " << run.insts
+       << ", \"cycles\": " << run.cycles << ", \"ipc\": " << num(run.ipc())
+       << ", \"wall_seconds\": " << num(run.wallSeconds);
+    if (run.sampled.enabled) {
+        const SampledSummary &sm = run.sampled;
+        os << ", \"sampled\": {\"windows\": " << sm.windows
+           << ", \"mean_ipc\": " << num(sm.meanIpc)
+           << ", \"stddev_ipc\": " << num(sm.stddevIpc)
+           << ", \"ci95_ipc\": " << num(sm.ci95Ipc)
+           << ", \"median_ipc\": " << num(sm.medianIpc)
+           << ", \"detailed_insts\": " << sm.detailedInsts
+           << ", \"detailed_cycles\": " << sm.detailedCycles
+           << ", \"warm_insts\": " << sm.warmInsts
+           << ", \"skipped_insts\": " << sm.skippedInsts << "}";
+    }
+    os << "}";
+    return os.str();
+}
+
+void
+parseRunRecordJson(const obs::json::Value &e, RunRecord &run)
+{
+    if (const auto *f = e.find("workload"))
+        run.workload = f->str;
+    if (const auto *f = e.find("scheme"))
+        run.scheme = f->str;
+    if (const auto *f = e.find("insts"))
+        run.insts = asU64(*f);
+    if (const auto *f = e.find("cycles"))
+        run.cycles = asU64(*f);
+    if (const auto *f = e.find("wall_seconds"))
+        run.wallSeconds = f->num;
+    if (const auto *f = e.find("sampled")) {
+        SampledSummary &sm = run.sampled;
+        sm.enabled = true;
+        if (const auto *s = f->find("windows"))
+            sm.windows = asU64(*s);
+        if (const auto *s = f->find("mean_ipc"))
+            sm.meanIpc = s->num;
+        if (const auto *s = f->find("stddev_ipc"))
+            sm.stddevIpc = s->num;
+        if (const auto *s = f->find("ci95_ipc"))
+            sm.ci95Ipc = s->num;
+        if (const auto *s = f->find("median_ipc"))
+            sm.medianIpc = s->num;
+        if (const auto *s = f->find("detailed_insts"))
+            sm.detailedInsts = asU64(*s);
+        if (const auto *s = f->find("detailed_cycles"))
+            sm.detailedCycles = asU64(*s);
+        if (const auto *s = f->find("warm_insts"))
+            sm.warmInsts = asU64(*s);
+        if (const auto *s = f->find("skipped_insts"))
+            sm.skippedInsts = asU64(*s);
+    }
+}
+
+/**
+ * Two sampled estimates agree when their means lie within the sum of
+ * their 95% CIs; anything further apart is an estimator or schedule
+ * change, not window-boundary noise.
+ */
+bool
+sampledCiOverlap(const SampledSummary &a, const SampledSummary &b)
+{
+    return std::fabs(a.meanIpc - b.meanIpc) <= a.ci95Ipc + b.ci95Ipc;
+}
+
 } // namespace
 
 std::string
@@ -106,8 +182,9 @@ std::string
 nodeKey(const NodeSpec &spec)
 {
     std::ostringstream key;
-    key << "ledger=" << ledgerSchemaVersion
-        << ";bench=" << benchSchemaVersion << ";w=" << spec.workload
+    // "bench=2" names the run-row layout the nodes were first stored
+    // in; it stays literal so that no digest changes.
+    key << "ledger=" << ledgerSchemaVersion << ";bench=2;w=" << spec.workload
         << ";src=" << digestHex(spec.sourceHash)
         << ";suite=" << spec.suite << ";scheme=" << spec.scheme
         << ";regs=" << spec.regs << ";cap=" << spec.cap << ";params=";
@@ -389,7 +466,7 @@ diffLedgers(const Ledger &base, const Ledger &cur)
         };
         if (b.run.sampled.enabled || c.run.sampled.enabled) {
             // Same digest, so the sampling schedule matched; gate the
-            // estimates on CI overlap like rrs-benchdiff does.
+            // estimates on CI overlap.
             if (b.run.sampled.enabled != c.run.sampled.enabled) {
                 row("sampled", b.run.sampled.enabled ? "yes" : "no",
                     c.run.sampled.enabled ? "yes" : "no");
@@ -411,10 +488,16 @@ diffLedgers(const Ledger &base, const Ledger &cur)
                     u64(b.stalls.counts[i]), u64(c.stalls.counts[i]));
             }
         }
-        if (b.reuses != c.reuses)
-            row("reuses", num(b.reuses), num(c.reuses));
-        if (b.repairs != c.repairs)
-            row("repairs", num(b.repairs), num(c.repairs));
+        const std::pair<const char *, double LedgerEntry::*> counters[] = {
+            {"allocations", &LedgerEntry::allocations},
+            {"reuses", &LedgerEntry::reuses},
+            {"repairs", &LedgerEntry::repairs},
+            {"rename_stalls", &LedgerEntry::renameStalls},
+        };
+        for (const auto &[name, field] : counters) {
+            if (b.*field != c.*field)
+                row(name, num(b.*field), num(c.*field));
+        }
     }
     return d;
 }

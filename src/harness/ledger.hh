@@ -8,7 +8,7 @@
  * from.  Its identity is a 64-bit FNV-1a digest over a canonical key
  * string covering everything that can change the result:
  *
- *     ledger=<v>;bench=<v>;w=<name>;src=<hex>;suite=<s>;scheme=<k>;
+ *     ledger=<v>;bench=2;w=<name>;src=<hex>;suite=<s>;scheme=<k>;
  *     regs=<n>;cap=<n>;params=<k>:<v>,...;sampling=<w>:<d>:<p>:<f>:<c>;
  *     seed=<hex>
  *
@@ -19,7 +19,7 @@
  * for one simulation.
  *
  * Entries live at `<dir>/nodes/<16-hex-digest>.json` and contain only
- * deterministic simulation results: the schema-v2 run row (wall clock
+ * deterministic simulation results: the run row (wall clock
  * zeroed), the full-cycle stall attribution, and the rename counters.
  * No timestamps, no git sha, no host data — so a ledger built in two
  * interrupted halves is byte-identical to one built in a single run,
@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "harness/experiment.hh"
-#include "harness/sweep.hh"
 
 namespace rrs::harness {
 
@@ -75,17 +74,45 @@ std::uint64_t nodeDigest(const NodeSpec &spec);
 /** A digest as the fixed-width 16-hex-char file-name form. */
 std::string digestHex(std::uint64_t digest);
 
+/**
+ * A node's run row: what it committed in how many cycles.  insts and
+ * cycles are exact (bit-identical across thread counts, like every
+ * Outcome field).
+ */
+struct RunRecord
+{
+    std::string workload;
+    std::string scheme;          //!< rename-scheme registry key
+    std::uint64_t insts = 0;
+    std::uint64_t cycles = 0;
+    double wallSeconds = 0;      //!< always zero in a stored node
+
+    /**
+     * Sampled-run statistics (harness/sampling.hh); enabled only for
+     * sampled nodes.  For those rows insts/cycles are the
+     * detailed-portion aggregates, the mean/CI here are the headline,
+     * and diffLedgers gates on CI overlap instead of exact equality.
+     */
+    SampledSummary sampled;
+
+    double
+    ipc() const
+    {
+        return cycles ? static_cast<double>(insts) /
+                            static_cast<double>(cycles)
+                      : 0.0;
+    }
+};
+
 /** One stored node: the spec plus its deterministic results. */
 struct LedgerEntry
 {
     NodeSpec spec;
 
     /**
-     * The schema-v2 run row (rendered via renderRunRecordJson, so the
-     * ledger and BENCH_*.json can never disagree on a row's shape).
-     * wallSeconds is always zero in stored entries: wall clock is host
-     * data, and entries must be byte-stable across machines and
-     * interruptions.
+     * The run row.  wallSeconds is always zero in stored entries: wall
+     * clock is host data, and entries must be byte-stable across
+     * machines and interruptions.
      */
     RunRecord run;
 
@@ -147,8 +174,10 @@ class Ledger
 
 /**
  * The drift report between two ledgers (the report's "vs baseline"
- * section).  Exact nodes gate bit-for-bit; sampled nodes gate on 95%
- * CI overlap (the same sampledCiOverlap rule rrs-benchdiff applies).
+ * section).  Exact nodes gate on every stored result field: insts,
+ * cycles, each stall cause and the four rename counters.  Sampled
+ * nodes gate on 95% CI overlap: two estimates agree when
+ * |mean_a - mean_b| does not exceed the sum of their reported CIs.
  */
 struct LedgerDiff
 {

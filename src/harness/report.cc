@@ -1,6 +1,7 @@
 #include "report.hh"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -40,6 +41,77 @@ pct(std::uint64_t part, std::uint64_t whole)
     return whole ? 100.0 * static_cast<double>(part) /
                        static_cast<double>(whole)
                  : 0.0;
+}
+
+/** Read and parse a ledger's campaign.json sidecar. */
+bool
+loadSidecar(const Ledger &ledger, Value &doc, std::string &error)
+{
+    const std::string path = ledger.directory() + "/campaign.json";
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        error = "no campaign sidecar at " + path +
+                " (run rrs-campaign first)";
+        return false;
+    }
+    std::ostringstream text;
+    text << in.rdbuf();
+    if (!obs::json::parse(text.str(), doc, &error)) {
+        error = path + ": " + error;
+        return false;
+    }
+    const Value *schema = doc.find("campaign_schema");
+    if (!schema || static_cast<int>(schema->num) != campaignSchemaVersion) {
+        error = path + ": missing or unsupported campaign_schema";
+        return false;
+    }
+    return true;
+}
+
+/** The host cost a sidecar records for the run that last wrote it. */
+struct HostCost
+{
+    std::uint64_t threads = 0;    //!< 0 when the run simulated nothing
+    double wallSeconds = 0;
+    std::uint64_t nodesTotal = 0;
+    std::uint64_t nodesSimulated = 0;
+    std::uint64_t traceHits = 0;
+    std::uint64_t traceMisses = 0;
+    std::uint64_t instsCaptured = 0;
+    std::uint64_t instsReplayed = 0;
+
+    bool
+    sameTraffic(const HostCost &o) const
+    {
+        return traceHits == o.traceHits && traceMisses == o.traceMisses &&
+               instsCaptured == o.instsCaptured &&
+               instsReplayed == o.instsReplayed;
+    }
+};
+
+/** A count member of a sidecar object; 0 when absent. */
+std::uint64_t
+countAt(const Value *obj, const char *key)
+{
+    const Value *v = obj ? obj->find(key) : nullptr;
+    return v ? static_cast<std::uint64_t>(v->num) : 0;
+}
+
+HostCost
+hostCostOf(const Value &doc)
+{
+    HostCost c;
+    c.threads = countAt(&doc, "threads");
+    if (const Value *v = doc.find("wall_seconds"))
+        c.wallSeconds = v->num;
+    c.nodesTotal = countAt(&doc, "nodes_total");
+    c.nodesSimulated = countAt(&doc, "nodes_simulated");
+    const Value *tc = doc.find("trace_cache");
+    c.traceHits = countAt(tc, "hits");
+    c.traceMisses = countAt(tc, "misses");
+    c.instsCaptured = countAt(tc, "captured_insts");
+    c.instsReplayed = countAt(tc, "replayed_insts");
+    return c;
 }
 
 /**
@@ -113,15 +185,14 @@ renderStallTable(const std::vector<std::vector<LedgerEntry>> &entries)
 
 /** The drift section against a baseline ledger. */
 std::string
-renderDriftSection(const Ledger &baseline, const Ledger &cur)
+renderDriftSection(const Ledger &baseline, const LedgerDiff &d)
 {
     std::ostringstream os;
-    const LedgerDiff d = diffLedgers(baseline, cur);
     os << "Baseline: " << baseline.directory() << "\n\n";
     if (d.clean()) {
-        os << "No drift: every shared node matches (exact nodes "
-              "byte-identical, sampled nodes within CI overlap), and "
-              "the node sets are equal.\n";
+        os << "No drift: every shared node matches (exact nodes on "
+              "every stored result, sampled nodes within CI overlap), "
+              "and the node sets are equal.\n";
         return os.str();
     }
     if (!d.onlyBase.empty() || !d.onlyCur.empty()) {
@@ -173,6 +244,87 @@ renderDriftSection(const Ledger &baseline, const Ledger &cur)
     return os.str();
 }
 
+/**
+ * The host-cost section: both sidecars side by side and, under a
+ * threshold, the gate's verdict.
+ * @return the gate's status: 0 pass (or not gated), 1 regression, 2
+ *         cannot compare (`error` says why).
+ */
+int
+renderHostCostSection(const Ledger &baseline, const HostCost &cur,
+                      bool sameNodes, double thresholdPct,
+                      std::ostream &os, std::string &error)
+{
+    const bool gate = thresholdPct >= 0;
+    Value baseDoc;
+    std::string loadError;
+    if (!loadSidecar(baseline, baseDoc, loadError)) {
+        os << "Baseline host cost unavailable: " << loadError << "\n";
+        if (!gate)
+            return 0;
+        error = "cannot gate host cost: " + loadError;
+        return 2;
+    }
+    const HostCost base = hostCostOf(baseDoc);
+
+    stats::TextTable t({"side", "threads", "wall s", "simulated",
+                        "trace hits", "trace misses", "captured insts",
+                        "replayed insts"});
+    auto row = [&t](const char *side, const HostCost &c) {
+        t.row()
+            .cell(side)
+            .cell(c.threads)
+            .cell(c.wallSeconds, 3)
+            .cell(std::to_string(c.nodesSimulated) + "/" +
+                  std::to_string(c.nodesTotal))
+            .cell(c.traceHits)
+            .cell(c.traceMisses)
+            .cell(c.instsCaptured)
+            .cell(c.instsReplayed);
+    };
+    row("baseline", base);
+    row("current", cur);
+    t.print(os);
+    if (!gate) {
+        os << "Not gated (no --throughput-threshold).\n";
+        return 0;
+    }
+
+    // Wall clock compares only equal work: the same node set, every
+    // node simulated on both sides.  A partly cached run would pass
+    // any threshold, so it must not count as a pass.
+    std::string reason;
+    if (!sameNodes)
+        reason = "the node sets differ";
+    else if (base.nodesSimulated != base.nodesTotal)
+        reason = "the baseline run did not simulate every node";
+    else if (cur.nodesSimulated != cur.nodesTotal)
+        reason = "the current run did not simulate every node";
+    if (!reason.empty()) {
+        os << "Cannot gate host cost: " << reason << ".\n";
+        error = "cannot gate host cost: " + reason;
+        return 2;
+    }
+
+    // Only a slowdown fails; with equal node sets, runs/s and Minst/s
+    // move by the same ratio as the wall clock.
+    const double deltaPct =
+        base.wallSeconds > 0
+            ? 100.0 * (cur.wallSeconds - base.wallSeconds) /
+                  base.wallSeconds
+            : 0.0;
+    const bool slower = deltaPct > thresholdPct;
+    const bool sameTraffic = base.sameTraffic(cur);
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "wall clock: %+.1f%% vs baseline (gate: slowdown over "
+                  "%g%%): %s\n",
+                  deltaPct, thresholdPct, slower ? "REGRESSION" : "OK");
+    os << buf << "trace-cache traffic: "
+       << (sameTraffic ? "identical" : "DIFFERS") << "\n";
+    return slower || !sameTraffic ? 1 : 0;
+}
+
 std::string
 htmlEscape(const std::string &s)
 {
@@ -206,28 +358,22 @@ outcomeFromEntry(const LedgerEntry &e)
     return o;
 }
 
-bool
-tryRenderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
-                        std::string &out, std::string &error)
+int
+renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
+                     std::string &out, std::string &error)
 {
-    const std::string sidecarPath = ledger.directory() + "/campaign.json";
-    std::ifstream in(sidecarPath, std::ios::binary);
-    if (!in) {
-        error = "no campaign sidecar at " + sidecarPath +
-                " (run rrs-campaign first)";
-        return false;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
+    out.clear();
     Value doc;
-    if (!obs::json::parse(text.str(), doc, &error)) {
-        error = sidecarPath + ": " + error;
-        return false;
-    }
-    const Value *schema = doc.find("campaign_schema");
-    if (!schema || static_cast<int>(schema->num) != campaignSchemaVersion) {
-        error = sidecarPath + ": missing or unsupported campaign_schema";
-        return false;
+    if (!loadSidecar(ledger, doc, error))
+        return 2;
+    // A mistyped baseline path must not read as an empty ledger whose
+    // every node is "only current".
+    const Ledger baseline(opts.baselineDir);
+    if (!opts.baselineDir.empty() &&
+        !std::filesystem::is_directory(baseline.nodesDir())) {
+        error = "baseline ledger '" + opts.baselineDir +
+                "' has no nodes/ directory";
+        return 2;
     }
 
     std::vector<FigureDesc> figures;
@@ -266,19 +412,24 @@ tryRenderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
         const Value *v = doc.find(key);
         return v ? v->str : std::string();
     };
-    auto count = [&doc](const char *key) -> std::uint64_t {
-        const Value *v = doc.find(key);
-        return v ? static_cast<std::uint64_t>(v->num) : 0;
-    };
+    const HostCost cost = hostCostOf(doc);
     md << "# Campaign report: " << str("name") << "\n\n"
        << "- git sha: `" << str("git_sha") << "`\n"
-       << "- nodes: " << count("nodes_total") << " total, "
-       << count("nodes_cached") << " cached, "
-       << count("nodes_simulated") << " simulated, "
-       << count("nodes_deferred") << " deferred\n";
+       << "- nodes: " << cost.nodesTotal << " total, "
+       << countAt(&doc, "nodes_cached") << " cached, "
+       << cost.nodesSimulated << " simulated, "
+       << countAt(&doc, "nodes_deferred") << " deferred\n";
     // threads is 0 when the last run was fully cached (no sweep ran).
-    if (count("threads"))
-        md << "- last run: " << count("threads") << " thread(s)\n";
+    if (cost.threads) {
+        char wall[32];
+        std::snprintf(wall, sizeof(wall), "%.3f", cost.wallSeconds);
+        md << "- last run: " << cost.threads << " thread(s), " << wall
+           << " s wall clock\n"
+           << "- trace cache: " << cost.traceHits << " hits / "
+           << cost.traceMisses << " misses, " << cost.instsCaptured
+           << " insts captured, " << cost.instsReplayed
+           << " replayed\n";
+    }
     md << "\n";
 
     for (const auto &fig : figures) {
@@ -293,7 +444,7 @@ tryRenderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
         std::vector<std::vector<OutcomePair>> grid;
         std::vector<std::vector<LedgerEntry>> entries;
         if (!loadPairGrid(ledger, fig, grid, entries, error))
-            return false;
+            return 2;
         if (fig.kind == "fig11") {
             md << "```\n" << renderFig11(fig.sizes, grid) << "```\n\n";
         } else if (fig.kind == "fig10") {
@@ -305,7 +456,7 @@ tryRenderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
         } else {
             error = "figure '" + fig.name + "': unknown kind '" +
                     fig.kind + "'";
-            return false;
+            return 2;
         }
         md << "### Stall attribution\n\n"
            << "```\n" << renderStallTable(entries) << "```\n\n";
@@ -334,16 +485,23 @@ tryRenderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
               "capture the host-side phase breakdown.\n\n";
     }
 
+    int status = 0;
     if (!opts.baselineDir.empty()) {
+        const LedgerDiff d = diffLedgers(baseline, ledger);
         md << "## Drift vs baseline ledger\n\n"
-           << "```\n"
-           << renderDriftSection(Ledger(opts.baselineDir), ledger)
-           << "```\n";
+           << "```\n" << renderDriftSection(baseline, d) << "```\n\n"
+           << "## Host cost vs baseline\n\n```\n";
+        status = renderHostCostSection(
+            baseline, cost, d.onlyBase.empty() && d.onlyCur.empty(),
+            opts.throughputThresholdPct, md, error);
+        md << "```\n";
+        if (status == 0 && !d.clean())
+            status = 1;
     }
 
     if (!opts.html) {
         out = md.str();
-        return true;
+        return status;
     }
     std::ostringstream html;
     html << "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n"
@@ -354,7 +512,7 @@ tryRenderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
          << "</head><body>\n"
          << htmlEscape(md.str()) << "</body></html>\n";
     out = html.str();
-    return true;
+    return status;
 }
 
 } // namespace rrs::harness

@@ -5,7 +5,8 @@
  *
  * Sections, in order:
  *
- *  1. Header — campaign name, git sha, node counts, wall clock.
+ *  1. Header — campaign name, git sha, node counts, and the last run's
+ *     threads, wall clock and trace-cache traffic.
  *  2. One block per declared figure, rendered by the *same*
  *     harness/figures renderers the bench binaries print through, fed
  *     from outcomes reconstructed out of ledger nodes — so each fenced
@@ -16,9 +17,13 @@
  *  4. Phase profile — the host-side profiler rows from the sidecar
  *     (present when the campaign ran under RRS_PROF).
  *  5. Drift vs a baseline ledger (optional): diffLedgers' verdicts —
- *     exact nodes byte-compared, sampled nodes on 95% CI overlap —
- *     with each drifted metric named per node, so a regression is
- *     explained (which node, which metric, which stall cause grew).
+ *     exact nodes on every stored result, sampled nodes on 95% CI
+ *     overlap — with each drifted metric named per node, so a
+ *     regression is explained (which node, which metric, which stall
+ *     cause grew).
+ *  6. Host cost vs the baseline (with a baseline): both sidecars'
+ *     threads, wall clock and trace-cache traffic, gated under a
+ *     throughput threshold.
  */
 
 #ifndef RRS_HARNESS_REPORT_HH
@@ -33,22 +38,36 @@ namespace rrs::harness {
 /** Report knobs. */
 struct ReportOptions
 {
-    /** Non-empty: append the drift section against this ledger. */
+    /** Non-empty: append the drift and host-cost sections against
+     *  this ledger. */
     std::string baselineDir;
+
+    /**
+     * Non-negative: gate host cost against the baseline's sidecar.  The
+     * report then fails when the wall clock rose by more than this many
+     * percent (a speedup never fails) or the trace-cache traffic
+     * differs, and refuses to compare unless both sidecars record a run
+     * that simulated the same node set in full.  Negative (the
+     * default): host cost is reported, never gated.
+     */
+    double throughputThresholdPct = -1;
 
     /** Wrap the markdown in a minimal self-contained HTML page. */
     bool html = false;
 };
 
 /**
- * Render the campaign report for a ledger directory.
- * @return false with `error` set when the ledger has no readable
- *         campaign.json sidecar or a referenced node is missing or
- *         malformed.
+ * Render the campaign report for a ledger directory into `out`.
+ * @return 0 when nothing drifted against the baseline (or there is
+ *         none); 1 on drift — a shared node's stored result or the node
+ *         set differs, or gated host cost regressed; 2 with `error` set
+ *         when the report cannot be rendered (no readable sidecar, a
+ *         missing or malformed node, a baseline without nodes/) or the
+ *         host-cost gate cannot compare.  `out` holds the report
+ *         whenever it rendered, whatever the status.
  */
-bool tryRenderCampaignReport(const Ledger &ledger,
-                             const ReportOptions &opts, std::string &out,
-                             std::string &error);
+int renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
+                         std::string &out, std::string &error);
 
 /** Rebuild a figure-renderer Outcome from a stored ledger node. */
 Outcome outcomeFromEntry(const LedgerEntry &e);

@@ -175,18 +175,10 @@ SweepRunner::run(const std::vector<SweepItem> &items)
         for (const auto &t : runTrees)
             obs::Profiler::instance().addRunTree(t);
     }
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        RunRecord rec;
-        rec.workload = items[i].workload->name;
-        rec.scheme = items[i].config.scheme;
-        rec.insts = results[i].outcome.sim.committedInsts;
-        rec.cycles = results[i].outcome.sim.cycles;
-        rec.wallSeconds = results[i].wallSeconds;
-        rec.sampled = results[i].outcome.sampled;
-        // Sampled totals, accumulated post-join in submission order
-        // like the audit counters, so they inherit the determinism
-        // contract.
-        const SampledSummary &sm = rec.sampled;
+    // Sampled totals, accumulated post-join in submission order like
+    // the audit counters, so they inherit the determinism contract.
+    for (const SweepResult &r : results) {
+        const SampledSummary &sm = r.outcome.sampled;
         if (sm.enabled) {
             ++sampledRuns;
             sampledWindows += static_cast<double>(sm.windows);
@@ -200,7 +192,6 @@ SweepRunner::run(const std::vector<SweepItem> &items)
                     100.0 * sm.ci95Ipc / sm.meanIpc));
             }
         }
-        records.push_back(std::move(rec));
     }
     traceCaptureInsts =
         static_cast<double>(cacheAfter.capturedInsts -

@@ -123,46 +123,13 @@ struct SweepSummary
     }
 };
 
-/**
- * One line per run of a finished sweep, in submission order: the raw
- * numbers the BENCH_*.json recorder exports per workload.  insts and
- * cycles are exact (bit-identical across thread counts, like every
- * Outcome field); wallSeconds is host noise.
- */
-struct RunRecord
-{
-    std::string workload;
-    std::string scheme;          //!< "baseline" or "reuse"
-    std::uint64_t insts = 0;
-    std::uint64_t cycles = 0;
-    double wallSeconds = 0;
-
-    /**
-     * Sampled-run statistics (harness/sampling.hh); enabled only for
-     * sampled sweeps.  For those rows insts/cycles are the
-     * detailed-portion aggregates, the mean/CI here are the headline,
-     * and rrs-benchdiff gates on CI overlap instead of exact equality.
-     */
-    SampledSummary sampled;
-
-    double
-    ipc() const
-    {
-        return cycles ? static_cast<double>(insts) /
-                            static_cast<double>(cycles)
-                      : 0.0;
-    }
-};
-
 /** Derive the RNG seed of sweep entry `index` from a base seed. */
 std::uint64_t sweepSeed(std::uint64_t base, std::size_t index);
 
 /**
  * The sweep footer text benches print after their tables — the
  * throughput and trace-cache lines (plus the audit line when audits
- * ran).  The BENCH_*.json recorder embeds this same string and draws
- * its throughput numbers from the same SweepSummary accessors, so the
- * human footer and the machine-readable baseline can never disagree.
+ * ran).
  */
 std::string formatSweepFooter(const SweepSummary &s);
 
@@ -219,13 +186,6 @@ class SweepRunner : public stats::Group
     /** Throughput numbers of the most recent run(). */
     const SweepSummary &summary() const { return lastSummary; }
 
-    /**
-     * Per-run records of every run() this runner has executed, in
-     * submission order across sweeps — the rows the BENCH_*.json
-     * recorder exports.
-     */
-    const std::vector<RunRecord> &runRecords() const { return records; }
-
     unsigned numThreads() const { return pool.numThreads(); }
 
     /**
@@ -242,7 +202,6 @@ class SweepRunner : public stats::Group
     std::string tracePrefix;
     std::string telemetryLabel = "sweep";
     std::string telemetryPath;
-    std::vector<RunRecord> records;
 
     // Sweep-lifetime aggregates, fed through the post-join stats merge
     // path (see stats/stats.hh threading model).

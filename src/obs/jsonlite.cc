@@ -176,7 +176,7 @@ class Parser
         // Locale-independent (common/strutils.hh): std::strtod honours
         // the global locale's decimal separator, so under de_DE-style
         // locales it would read "1.5" as 1 and desynchronise the
-        // cursor; every float in stats-json and BENCH_*.json would
+        // cursor; every float in stats-json and ledger nodes would
         // misparse.
         const char *start = text.c_str() + pos;
         const char *last = text.c_str() + text.size();

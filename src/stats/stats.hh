@@ -307,8 +307,8 @@ class Group
      * (e.g. "core.rename.allocInt") mapping to
      * {"kind": ..., "unit": ..., "desc": ...}.  Walk order matches
      * dump(), so the schema is stable across runs and diffs cleanly.
-     * Tools (rrs-benchdiff, the future experiment ledger) read this
-     * instead of hard-coding metric lists.
+     * The --stats-json export embeds it, so tools read this instead
+     * of hard-coding metric lists.
      */
     void dumpSchema(std::ostream &os, int indent = 0) const;
 

@@ -2,8 +2,8 @@
 // (harness/campaign.hh): parse-time diagnostics, node sharing between
 // figures, the interrupt/resume contract (a ledger built in pieces is
 // byte-identical to one built in a single run, at every thread count),
-// the 100%-hit re-run, and the report's figure blocks matching the
-// direct renderer output byte for byte.
+// the 100%-hit re-run, the report's figure blocks matching the direct
+// renderer output byte for byte, and the report's host-cost gate.
 
 #include <gtest/gtest.h>
 
@@ -250,8 +250,9 @@ TEST(CampaignReportTest, FigureBlocksMatchTheDirectRenderers)
     harness::runCampaign(m, ledger, CampaignOptions{}, sink);
 
     std::string report, error;
-    ASSERT_TRUE(harness::tryRenderCampaignReport(
-        ledger, harness::ReportOptions{}, report, error))
+    ASSERT_EQ(harness::renderCampaignReport(
+                  ledger, harness::ReportOptions{}, report, error),
+              0)
         << error;
 
     // The same cells simulated directly, through the bench path.
@@ -284,9 +285,139 @@ TEST(CampaignReportTest, FigureBlocksMatchTheDirectRenderers)
     // says what to do about it.
     const Ledger bare(tempDir("campaign_report_bare"));
     std::string out;
-    EXPECT_FALSE(harness::tryRenderCampaignReport(
-        bare, harness::ReportOptions{}, out, error));
+    EXPECT_EQ(harness::renderCampaignReport(
+                  bare, harness::ReportOptions{}, out, error),
+              2);
     EXPECT_NE(error.find("rrs-campaign"), std::string::npos);
+
+    // A baseline path with no nodes/ is a typo, not an empty ledger.
+    harness::ReportOptions typo;
+    typo.baselineDir = bare.directory();
+    EXPECT_EQ(harness::renderCampaignReport(ledger, typo, out, error), 2);
+    EXPECT_NE(error.find(bare.directory()), std::string::npos) << error;
+}
+
+// The host-cost gate of `rrs-report --baseline`, on one shared node
+// and hand-written sidecars, so each verdict is exact.
+struct Sidecar
+{
+    double wallSeconds = 2.0;
+    int simulated = 1;          // of nodes_total = 1
+    int traceHits = 3;
+};
+
+Ledger
+gateLedger(const std::string &name, const Sidecar &car,
+           std::uint64_t cycles = 1000)
+{
+    const Ledger ledger(tempDir(name));
+    harness::LedgerEntry e;
+    e.spec.workload = e.run.workload = "int_sort";
+    e.spec.scheme = e.run.scheme = "baseline";
+    e.spec.regs = 64;
+    e.run.insts = 800;
+    e.run.cycles = cycles;
+    std::string error;
+    EXPECT_TRUE(ledger.store(
+        harness::digestHex(harness::nodeDigest(e.spec)), e, error))
+        << error;
+    std::ofstream(ledger.directory() + "/campaign.json")
+        << "{\"campaign_schema\": " << harness::campaignSchemaVersion
+        << ", \"name\": \"gate\", \"git_sha\": \"x\", \"threads\": 1, "
+        << "\"wall_seconds\": " << car.wallSeconds
+        << ", \"nodes_total\": 1, \"nodes_cached\": "
+        << 1 - car.simulated << ", \"nodes_simulated\": " << car.simulated
+        << ", \"nodes_deferred\": 0, \"trace_cache\": {\"hits\": "
+        << car.traceHits << ", \"misses\": 1, \"captured_insts\": 900, "
+        << "\"replayed_insts\": 2400}, \"phases\": [], \"figures\": []}\n";
+    return ledger;
+}
+
+int
+gate(const Ledger &base, const Ledger &cur, double thresholdPct = 50,
+     std::string *report = nullptr)
+{
+    harness::ReportOptions opts;
+    opts.baselineDir = base.directory();
+    opts.throughputThresholdPct = thresholdPct;
+    std::string out, error;
+    const int status = harness::renderCampaignReport(cur, opts, out, error);
+    if (report)
+        *report = out;
+    return status;
+}
+
+TEST(ReportHostCostTest, OnlyASlowdownPastTheThresholdFails)
+{
+    const Ledger base = gateLedger("gate_wall_base", {2.0, 1, 3});
+    const Ledger slow = gateLedger("gate_wall_slow", {4.0, 1, 3});
+    std::string report;
+    EXPECT_EQ(gate(base, slow, 50, &report), 1);
+    EXPECT_NE(report.find("+100.0%"), std::string::npos) << report;
+    EXPECT_NE(report.find("REGRESSION"), std::string::npos);
+    EXPECT_EQ(gate(base, slow, 150), 0);   // inside the budget
+    EXPECT_EQ(gate(base, slow, -1), 0);    // no threshold: reported only
+
+    const Ledger fast = gateLedger("gate_wall_fast", {1.0, 1, 3});
+    EXPECT_EQ(gate(base, fast), 0);
+    EXPECT_EQ(gate(base, fast, 0), 0);
+}
+
+TEST(ReportHostCostTest, TraceCacheTrafficDifferenceFails)
+{
+    const Ledger base = gateLedger("gate_traffic_base", {2.0, 1, 3});
+    const Ledger cur = gateLedger("gate_traffic_cur", {2.0, 1, 4});
+    std::string report;
+    EXPECT_EQ(gate(base, cur, 50, &report), 1);
+    EXPECT_NE(report.find("trace-cache traffic: DIFFERS"),
+              std::string::npos)
+        << report;
+}
+
+TEST(ReportHostCostTest, IncomparableRunsCannotPass)
+{
+    const Ledger base = gateLedger("gate_cmp_base", {});
+    const Ledger cur = gateLedger("gate_cmp_cur", {});
+    EXPECT_EQ(gate(base, cur), 0);
+
+    // A partly cached run would pass any threshold.
+    const Ledger cached = gateLedger("gate_cmp_cached", {0.01, 0, 3});
+    std::string report;
+    EXPECT_EQ(gate(base, cached, 50, &report), 2);
+    EXPECT_NE(report.find("did not simulate every node"),
+              std::string::npos)
+        << report;
+
+    // Different node sets.
+    const Ledger other = gateLedger("gate_cmp_other", {});
+    harness::LedgerEntry extra;
+    extra.spec.workload = extra.run.workload = "fp_fir";
+    std::string error;
+    ASSERT_TRUE(other.store(
+        harness::digestHex(harness::nodeDigest(extra.spec)), extra,
+        error));
+    EXPECT_EQ(gate(cur, other, 50, &report), 2);
+    EXPECT_NE(report.find("node sets differ"), std::string::npos)
+        << report;
+
+    // A baseline sidecar of another layout version, or none at all.
+    std::ofstream(base.directory() + "/campaign.json")
+        << "{\"campaign_schema\": " << harness::campaignSchemaVersion + 1
+        << ", \"wall_seconds\": 2, \"nodes_total\": 1, "
+        << "\"nodes_simulated\": 1}\n";
+    EXPECT_EQ(gate(base, cur), 2);
+    std::filesystem::remove(base.directory() + "/campaign.json");
+    EXPECT_EQ(gate(base, cur), 2);
+    EXPECT_EQ(gate(base, cur, -1), 0);    // nothing to gate without one
+}
+
+TEST(ReportHostCostTest, NodeDriftFailsWithoutAThreshold)
+{
+    const Ledger base = gateLedger("gate_drift_base", {});
+    const Ledger cur = gateLedger("gate_drift_cur", {}, 1001);
+    std::string report;
+    EXPECT_EQ(gate(base, cur, -1, &report), 1);
+    EXPECT_NE(report.find("DRIFT"), std::string::npos) << report;
 }
 
 } // namespace

@@ -1,15 +1,19 @@
 // The experiment ledger (harness/ledger.hh): node-key canonical form,
 // digest stability, entry JSON round-trip, corruption rejection, the
 // content-addressed store, and the two-ledger drift report's gating
-// rules (exact nodes bit-for-bit, sampled nodes on CI overlap).
+// rules (exact nodes on every stored result, sampled nodes on CI
+// overlap).
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/ledger.hh"
+#include "obs/stallcause.hh"
 
 namespace {
 
@@ -165,6 +169,39 @@ TEST(LedgerEntryJson, RoundTrip)
     // Rendering the parsed entry reproduces the bytes: the node files
     // are canonical, so ledger diffs can compare bytes.
     EXPECT_EQ(harness::renderLedgerEntryJson(back), text);
+
+    // A sampled node's run row carries its estimate, and every field of
+    // it survives the trip.
+    LedgerEntry sampled = sampleEntry();
+    sampled.spec.sampling.warm = 2048;
+    sampled.spec.sampling.detailed = 1024;
+    sampled.spec.sampling.period = 8192;
+    harness::SampledSummary &sm = sampled.run.sampled;
+    sm.enabled = true;
+    sm.windows = 16;
+    sm.meanIpc = 0.83;
+    sm.stddevIpc = 0.0428;
+    sm.ci95Ipc = 0.021;
+    sm.medianIpc = 0.825;
+    sm.detailedInsts = 16'384;
+    sm.detailedCycles = 19'740;
+    sm.warmInsts = 32'768;
+    sm.skippedInsts = 98'304;
+    const std::string sampledText = harness::renderLedgerEntryJson(sampled);
+    ASSERT_TRUE(harness::parseLedgerEntryJson(sampledText, back, error))
+        << error;
+    const harness::SampledSummary &bs = back.run.sampled;
+    ASSERT_TRUE(bs.enabled);
+    EXPECT_EQ(bs.windows, sm.windows);
+    EXPECT_EQ(bs.meanIpc, sm.meanIpc);
+    EXPECT_EQ(bs.stddevIpc, sm.stddevIpc);
+    EXPECT_EQ(bs.ci95Ipc, sm.ci95Ipc);
+    EXPECT_EQ(bs.medianIpc, sm.medianIpc);
+    EXPECT_EQ(bs.detailedInsts, sm.detailedInsts);
+    EXPECT_EQ(bs.detailedCycles, sm.detailedCycles);
+    EXPECT_EQ(bs.warmInsts, sm.warmInsts);
+    EXPECT_EQ(bs.skippedInsts, sm.skippedInsts);
+    EXPECT_EQ(harness::renderLedgerEntryJson(back), sampledText);
 }
 
 TEST(LedgerEntryJson, WallClockIsNeverStored)
@@ -266,6 +303,44 @@ TEST(LedgerDiffTest, ExactNodesGateBitForBit)
     }
     EXPECT_TRUE(sawCycles);
     EXPECT_TRUE(sawStall);
+}
+
+TEST(LedgerDiffTest, EveryStoredFieldGates)
+{
+    // Each stored result of an exact node, changed alone, is named as
+    // drift: none may pass as "no drift".
+    const Ledger base(tempLedgerDir("diff_fields_base"));
+    const Ledger cur(tempLedgerDir("diff_fields_cur"));
+    const LedgerEntry e = sampleEntry();
+    const std::string hex =
+        harness::digestHex(harness::nodeDigest(e.spec));
+    std::string error;
+    ASSERT_TRUE(base.store(hex, e, error)) << error;
+
+    std::vector<std::pair<std::string, LedgerEntry>> cases;
+    auto change = [&cases, &e](const std::string &metric, auto edit) {
+        LedgerEntry c = e;
+        edit(c);
+        cases.emplace_back(metric, c);
+    };
+    change("insts", [](LedgerEntry &c) { c.run.insts += 1; });
+    change("cycles", [](LedgerEntry &c) { c.run.cycles += 1; });
+    for (int i = 0; i < obs::numCycleCauses; ++i) {
+        change(std::string("stall.") +
+                   obs::cycleCauseName(static_cast<obs::CycleCause>(i)),
+               [i](LedgerEntry &c) { c.stalls.counts[i] += 1; });
+    }
+    change("allocations", [](LedgerEntry &c) { c.allocations += 1; });
+    change("reuses", [](LedgerEntry &c) { c.reuses += 1; });
+    change("repairs", [](LedgerEntry &c) { c.repairs += 1; });
+    change("rename_stalls", [](LedgerEntry &c) { c.renameStalls += 1; });
+
+    for (const auto &[metric, changed] : cases) {
+        ASSERT_TRUE(cur.store(hex, changed, error)) << error;
+        const LedgerDiff d = harness::diffLedgers(base, cur);
+        ASSERT_EQ(d.drift.size(), 1u) << metric;
+        EXPECT_EQ(d.drift[0].metric, metric);
+    }
 }
 
 TEST(LedgerDiffTest, SampledNodesGateOnCiOverlap)

@@ -204,8 +204,7 @@ TEST(Telemetry, DirOverrideBeatsEnvironment)
 // The end-to-end determinism lock: one sweep exported at 1, 2 and 4
 // threads must produce byte-identical trace files.  The trace cache is
 // warmed by the first sweep, so the three measured sweeps see identical
-// capture deltas (zero) — the same reasoning the BENCH_*.json exact
-// metrics rely on.
+// capture deltas (zero).
 TEST(TelemetrySweep, TraceBytesIdenticalAcrossThreadCounts)
 {
     const std::string dir = testing::TempDir() + "telemetry_det";

@@ -2,32 +2,47 @@
  * @file
  * rrs-report: render a campaign ledger into one report.
  *
- *   rrs-report [--ledger <dir>] [--baseline <dir>] [--html] [-o <file>]
+ *   rrs-report [--ledger <dir>] [--baseline <dir>]
+ *              [--throughput-threshold <pct>] [--html] [-o <file>]
  *
  * Reads the campaign.json sidecar rrs-campaign wrote next to the
  * ledger's nodes/ directory and renders every figure and table of the
  * reproduction from ledger entries alone — no re-simulation.  Figure
  * blocks are byte-identical to the direct bench output for the same
  * runs; sampled rows carry 95% confidence intervals.  With --baseline,
- * a drift section diffs this ledger against a prior one using the
- * benchdiff gating rules and explains any regression (which node,
- * which metric, which stall cause grew).
+ * a drift section diffs this ledger against a prior one (exact nodes
+ * on every stored result, sampled nodes on CI overlap) and explains
+ * any regression (which node, which metric, which stall cause grew),
+ * and a host-cost section sets both sidecars' wall clock, threads and
+ * trace-cache traffic side by side.
  *
  * Options:
  *   --ledger <dir>      ledger directory (default: RRS_LEDGER_DIR)
  *   --baseline <dir>    prior ledger to diff against
+ *   --throughput-threshold <pct>
+ *                       with --baseline, gate host cost: fail when the
+ *                       wall clock rose by more than <pct>% (a
+ *                       non-negative number; a speedup never fails) or
+ *                       the trace-cache traffic differs
  *   --html              wrap the report in a minimal HTML page
  *   -o <file>           write to <file> (atomic) instead of stdout
  *
- * Exit status: 0 on success, 2 on a missing/unreadable ledger.
+ * Exit status: 0 clean; 1 drift against the baseline (a node's result,
+ * the node set, or gated host cost); 2 on a missing or unreadable
+ * ledger, a baseline without nodes/, or a host-cost gate that cannot
+ * compare (no baseline sidecar, different node sets, or a side that
+ * did not simulate every node).  The report is written whenever it
+ * rendered, so a failing gate still leaves its explanation.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "common/atomicfile.hh"
+#include "common/strutils.hh"
 #include "harness/report.hh"
 
 namespace {
@@ -37,11 +52,26 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--ledger <dir>] [--baseline <dir>] "
-                 "[--html] [-o <file>]\n"
+                 "[--throughput-threshold <pct>] [--html] [-o <file>]\n"
                  "  --ledger defaults to the RRS_LEDGER_DIR "
                  "environment variable\n",
                  argv0);
     std::exit(2);
+}
+
+/** The --throughput-threshold value: a non-negative percentage. */
+double
+parseThreshold(const char *text)
+{
+    const std::optional<double> v = rrs::parseDouble(text);
+    if (!v || !(*v >= 0)) {
+        std::fprintf(stderr,
+                     "error: --throughput-threshold must be a "
+                     "non-negative number, got '%s'\n",
+                     text);
+        std::exit(2);
+    }
+    return *v;
 }
 
 } // namespace
@@ -64,6 +94,10 @@ main(int argc, char **argv)
             if (i + 1 >= argc)
                 usage(argv[0]);
             opts.baselineDir = argv[++i];
+        } else if (std::strcmp(argv[i], "--throughput-threshold") == 0) {
+            if (i + 1 >= argc)
+                usage(argv[0]);
+            opts.throughputThresholdPct = parseThreshold(argv[++i]);
         } else if (std::strcmp(argv[i], "--html") == 0) {
             opts.html = true;
         } else if (std::strcmp(argv[i], "-o") == 0 ||
@@ -80,22 +114,30 @@ main(int argc, char **argv)
                              "--ledger or set RRS_LEDGER_DIR)\n");
         return 2;
     }
+    if (opts.throughputThresholdPct >= 0 && opts.baselineDir.empty()) {
+        std::fprintf(stderr, "error: --throughput-threshold needs "
+                             "--baseline\n");
+        return 2;
+    }
 
     const rrs::harness::Ledger ledger(ledgerDir);
     std::string report, error;
-    if (!rrs::harness::tryRenderCampaignReport(ledger, opts, report,
-                                               error)) {
+    const int status =
+        rrs::harness::renderCampaignReport(ledger, opts, report, error);
+    if (!error.empty())
         std::fprintf(stderr, "error: %s\n", error.c_str());
-        return 2;
-    }
+    if (report.empty())
+        return status;
     if (outPath.empty()) {
         std::fputs(report.c_str(), stdout);
-        return 0;
-    }
-    if (!rrs::tryWriteFileAtomic(outPath, report, error)) {
+    } else if (!rrs::tryWriteFileAtomic(outPath, report, error)) {
         std::fprintf(stderr, "error: %s\n", error.c_str());
         return 2;
+    } else {
+        std::printf("wrote %s\n", outPath.c_str());
     }
-    std::printf("wrote %s\n", outPath.c_str());
-    return 0;
+    if (status == 1)
+        std::fprintf(stderr, "drift against the baseline: see the "
+                             "report's drift and host-cost sections\n");
+    return status;
 }
