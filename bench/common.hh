@@ -34,6 +34,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,6 +42,7 @@
 #include "common/logging.hh"
 
 #include "common/atomicfile.hh"
+#include "common/strutils.hh"
 #include "common/threadpool.hh"
 #include "harness/experiment.hh"
 #include "harness/figures.hh"
@@ -285,13 +287,11 @@ init(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--cap") == 0) {
             if (i + 1 >= argc)
                 rrs_fatal("--cap needs an instruction-count argument");
-            char *end = nullptr;
-            const unsigned long long v =
-                std::strtoull(argv[++i], &end, 10);
-            if (end == argv[i] || *end != '\0' || v == 0)
+            const std::optional<std::int64_t> v = parseInt(argv[++i]);
+            if (!v || *v <= 0)
                 rrs_fatal("--cap must be a positive integer, got '%s'",
                           argv[i]);
-            capInsts() = static_cast<std::uint64_t>(v);
+            capInsts() = static_cast<std::uint64_t>(*v);
         } else if (std::strcmp(argv[i], "--suite") == 0) {
             if (i + 1 >= argc)
                 rrs_fatal("--suite needs a suite name argument");

@@ -132,25 +132,10 @@ BM_UsageAnalysis(benchmark::State &state)
 BENCHMARK(BM_UsageAnalysis);
 
 void
-BM_ThreadPoolSubmitDrain(benchmark::State &state)
-{
-    // Overhead of the sweep engine's fan-out machinery: submit a batch
-    // of no-op tasks and drain it.  Guards the pool's bookkeeping cost
-    // against regressions (it sits under every paper artifact).
-    ThreadPool pool;
-    constexpr int batch = 256;
-    for (auto _ : state) {
-        for (int i = 0; i < batch; ++i)
-            pool.submit([] {});
-        pool.wait();
-    }
-    state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_ThreadPoolSubmitDrain);
-
-void
 BM_ThreadPoolParallelFor(benchmark::State &state)
 {
+    // Overhead of the sweep engine's fan-out: every call starts and
+    // joins its helper lanes around near-empty loop bodies.
     ThreadPool pool;
     constexpr std::size_t n = 256;
     std::vector<std::uint64_t> out(n);

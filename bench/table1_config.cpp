@@ -74,9 +74,9 @@ main(int argc, char **argv)
         .cell(static_cast<std::uint64_t>(mp.dram.tRefi)).cell("15600");
     t.print(std::cout, "Simulated configuration vs paper Table I");
     std::printf("\nHost sweep engine: %u execution lane(s) by default "
-                "(override with RRS_THREADS); runs fan out via the "
-                "work-stealing pool with bit-identical results at any "
-                "lane count.\n",
+                "(override with RRS_THREADS); runs fan out through one "
+                "parallelFor with bit-identical results at any lane "
+                "count.\n",
                 ThreadPool::defaultThreadCount());
     bench::finish("table1_config");
     return 0;

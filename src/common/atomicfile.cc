@@ -5,8 +5,6 @@
 #include <fstream>
 #include <system_error>
 
-#include "common/logging.hh"
-
 namespace rrs {
 
 bool
@@ -51,14 +49,6 @@ tryWriteFileAtomic(const std::string &path, std::string_view contents,
         return false;
     }
     return true;
-}
-
-void
-writeFileAtomic(const std::string &path, std::string_view contents)
-{
-    std::string error;
-    if (!tryWriteFileAtomic(path, contents, error))
-        rrs_fatal("%s", error.c_str());
 }
 
 } // namespace rrs

@@ -38,9 +38,6 @@ bool ensureParentDir(const std::string &path, std::string &error);
 bool tryWriteFileAtomic(const std::string &path, std::string_view contents,
                         std::string &error, bool createParents = true);
 
-/** tryWriteFileAtomic() that fatals with the error message instead. */
-void writeFileAtomic(const std::string &path, std::string_view contents);
-
 } // namespace rrs
 
 #endif // RRS_COMMON_ATOMICFILE_HH

@@ -65,13 +65,6 @@ toLower(std::string_view s)
     return out;
 }
 
-bool
-startsWith(std::string_view s, std::string_view prefix)
-{
-    return s.size() >= prefix.size() &&
-           s.substr(0, prefix.size()) == prefix;
-}
-
 std::optional<std::int64_t>
 parseInt(std::string_view s)
 {

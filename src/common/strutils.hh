@@ -28,9 +28,6 @@ std::vector<std::string_view> splitWhitespace(std::string_view s);
 /** Lower-case an ASCII string. */
 std::string toLower(std::string_view s);
 
-/** True if s starts with the given prefix. */
-bool startsWith(std::string_view s, std::string_view prefix);
-
 /**
  * Parse a signed integer; accepts decimal, 0x-hex and a leading '-'
  * or '#' (ARM-style immediate marker).  Returns nullopt on garbage.

@@ -1,34 +1,27 @@
 #include "threadpool.hh"
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
+#include <exception>
+#include <limits>
+#include <mutex>
+#include <optional>
+#include <thread>
+#include <vector>
 
 #include "common/logging.hh"
+#include "common/strutils.hh"
 
 namespace rrs {
-
-namespace {
-
-/**
- * Where the current thread should enqueue nested submissions: the
- * worker's own deque when running on a pool thread, round-robin
- * otherwise.  (One pool per thread at a time is enough: tasks run on
- * the pool that executes them.)
- */
-thread_local ThreadPool *tlPool = nullptr;
-thread_local std::size_t tlQueue = 0;
-
-} // namespace
 
 unsigned
 ThreadPool::defaultThreadCount()
 {
     if (const char *env = std::getenv("RRS_THREADS")) {
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1)
-            return static_cast<unsigned>(v);
+        const std::optional<std::int64_t> v = parseInt(env);
+        if (v && *v >= 1 && *v <= std::numeric_limits<unsigned>::max())
+            return static_cast<unsigned>(*v);
         rrs_warn("ignoring invalid RRS_THREADS='%s'", env);
     }
     unsigned hw = std::thread::hardware_concurrency();
@@ -36,231 +29,51 @@ ThreadPool::defaultThreadCount()
 }
 
 ThreadPool::ThreadPool(unsigned numThreads)
+    : lanes(numThreads ? numThreads : defaultThreadCount())
 {
-    if (numThreads == 0)
-        numThreads = defaultThreadCount();
-    numWorkers_ = numThreads - 1;
-    queues.reserve(numWorkers_ + 1);
-    // Queue [i] belongs to worker i; the extra last queue receives
-    // external submissions when there are no workers at all.
-    for (std::size_t i = 0; i < numWorkers_ + 1u; ++i)
-        queues.push_back(std::make_unique<WorkerQueue>());
-    workers.reserve(numWorkers_);
-    for (std::size_t i = 0; i < numWorkers_; ++i)
-        workers.emplace_back([this, i] { workerLoop(i); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    // Drain outstanding work so queued tasks are never silently
-    // dropped; a task exception at this point can only be warned about.
-    try {
-        wait();
-    } catch (const std::exception &e) {
-        rrs_warn("ThreadPool destroyed with failed task: %s", e.what());
-    } catch (...) {
-        rrs_warn("ThreadPool destroyed with failed task");
-    }
-    {
-        std::lock_guard<std::mutex> lock(stateMutex);
-        shuttingDown = true;
-    }
-    workAvailable.notify_all();
-    for (auto &t : workers)
-        t.join();
-}
-
-void
-ThreadPool::enqueueOn(std::size_t queueIdx, Task &&task)
-{
-    // Count before publishing: a worker may pop and finish the task
-    // the instant it lands in the deque, and its decrement must never
-    // observe the counter at zero.
-    {
-        std::lock_guard<std::mutex> lock(stateMutex);
-        ++pendingTasks;
-    }
-    {
-        std::lock_guard<std::mutex> lock(queues[queueIdx]->mutex);
-        queues[queueIdx]->tasks.push_back(std::move(task));
-    }
-    workAvailable.notify_one();
-    // A caller parked in wait() helps with new work too.
-    allDone.notify_all();
-}
-
-void
-ThreadPool::submit(Task task)
-{
-    rrs_assert(task != nullptr, "null task submitted");
-    std::size_t idx;
-    if (tlPool == this) {
-        idx = tlQueue;           // nested: stay on our own deque
-    } else {
-        idx = nextQueue++ % queues.size();   // external round-robin
-    }
-    enqueueOn(idx, std::move(task));
-}
-
-bool
-ThreadPool::takeTask(std::size_t self, Task &out)
-{
-    const std::size_t n = queues.size();
-    // Own deque first, newest-first: nested tasks run while their
-    // parent's working set is hot.
-    if (self < n) {
-        std::lock_guard<std::mutex> lock(queues[self]->mutex);
-        if (!queues[self]->tasks.empty()) {
-            out = std::move(queues[self]->tasks.back());
-            queues[self]->tasks.pop_back();
-            return true;
-        }
-    }
-    // Steal oldest-first from the other deques.
-    for (std::size_t k = 1; k <= n; ++k) {
-        std::size_t victim = (self + k) % n;
-        if (victim == self)
-            continue;
-        std::lock_guard<std::mutex> lock(queues[victim]->mutex);
-        if (!queues[victim]->tasks.empty()) {
-            out = std::move(queues[victim]->tasks.front());
-            queues[victim]->tasks.pop_front();
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-ThreadPool::runTask(Task &task)
-{
-    try {
-        task();
-    } catch (...) {
-        std::lock_guard<std::mutex> lock(stateMutex);
-        if (!firstError)
-            firstError = std::current_exception();
-    }
-    bool done;
-    {
-        std::lock_guard<std::mutex> lock(stateMutex);
-        rrs_assert(pendingTasks > 0, "task accounting underflow");
-        done = --pendingTasks == 0;
-    }
-    if (done)
-        allDone.notify_all();
-}
-
-void
-ThreadPool::workerLoop(std::size_t self)
-{
-    tlPool = this;
-    tlQueue = self;
-    Task task;
-    while (true) {
-        if (takeTask(self, task)) {
-            runTask(task);
-            task = nullptr;
-            continue;
-        }
-        std::unique_lock<std::mutex> lock(stateMutex);
-        if (shuttingDown)
-            return;
-        // pendingTasks counts running tasks too; re-check the queues
-        // after (re)acquiring the lock to avoid a missed notify.
-        workAvailable.wait_for(lock, std::chrono::milliseconds(50));
-    }
-}
-
-void
-ThreadPool::wait()
-{
-    const std::size_t self =
-        tlPool == this ? tlQueue : queues.size();
-    Task task;
-    while (true) {
-        if (takeTask(self, task)) {
-            runTask(task);
-            task = nullptr;
-            continue;
-        }
-        std::unique_lock<std::mutex> lock(stateMutex);
-        if (pendingTasks == 0)
-            break;
-        // Wake when everything finished or new work shows up to help
-        // with; the timeout guards against a steal racing the notify.
-        allDone.wait_for(lock, std::chrono::milliseconds(10));
-    }
-    std::exception_ptr err;
-    {
-        std::lock_guard<std::mutex> lock(stateMutex);
-        err = firstError;
-        firstError = nullptr;
-    }
-    if (err)
-        std::rethrow_exception(err);
 }
 
 void
 ThreadPool::parallelFor(std::size_t n,
-                        const std::function<void(std::size_t)> &fn)
+                        const std::function<void(std::size_t)> &fn) const
 {
     if (n == 0)
         return;
-    // Private completion state: unlike wait(), a nested parallelFor
-    // only waits for its own n tasks, so tasks may fan out again
-    // without deadlocking on their own pending entry.
-    struct ForState
-    {
-        std::mutex mutex;
-        std::condition_variable finished;
-        std::size_t remaining;
-        std::exception_ptr error;
-    };
-    auto state = std::make_shared<ForState>();
-    state->remaining = n;
-
-    for (std::size_t i = 0; i < n; ++i) {
-        submit([state, &fn, i] {
+    // The claim counter and the error slot are the only state the
+    // lanes share; each fn(i) owns whatever index i writes.
+    std::atomic<std::size_t> next{0};
+    std::mutex errorMutex;
+    std::exception_ptr firstError;
+    auto lane = [&] {
+        for (std::size_t i = next++; i < n; i = next++) {
             try {
                 fn(i);
             } catch (...) {
-                std::lock_guard<std::mutex> lock(state->mutex);
-                if (!state->error)
-                    state->error = std::current_exception();
+                std::lock_guard<std::mutex> lock(errorMutex);
+                if (!firstError)
+                    firstError = std::current_exception();
             }
-            bool done;
-            {
-                std::lock_guard<std::mutex> lock(state->mutex);
-                done = --state->remaining == 0;
-            }
-            if (done)
-                state->finished.notify_all();
-        });
-    }
+        }
+    };
 
-    // Help out until our batch is done; executing unrelated queued
-    // tasks while waiting is fine (they have to run anyway).
-    const std::size_t self =
-        tlPool == this ? tlQueue : queues.size();
-    Task task;
-    while (true) {
-        {
-            std::lock_guard<std::mutex> lock(state->mutex);
-            if (state->remaining == 0)
-                break;
-        }
-        if (takeTask(self, task)) {
-            runTask(task);
-            task = nullptr;
-            continue;
-        }
-        std::unique_lock<std::mutex> lock(state->mutex);
-        state->finished.wait_for(lock, std::chrono::milliseconds(10),
-                                 [&] { return state->remaining == 0; });
+    const std::size_t helperCount = std::min<std::size_t>(lanes, n) - 1;
+    std::vector<std::thread> helpers;
+    helpers.reserve(helperCount);
+    try {
+        while (helpers.size() < helperCount)
+            helpers.emplace_back(lane);
+    } catch (...) {
+        // A joinable std::thread must not be destroyed: the helpers
+        // already started finish the loop before the error leaves.
+        for (std::thread &t : helpers)
+            t.join();
+        throw;
     }
-    if (state->error)
-        std::rethrow_exception(state->error);
+    lane();
+    for (std::thread &t : helpers)
+        t.join();
+    if (firstError)
+        std::rethrow_exception(firstError);
 }
 
 } // namespace rrs

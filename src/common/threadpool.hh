@@ -1,30 +1,27 @@
 /**
  * @file
- * A small work-stealing thread pool for fan-out over independent
- * simulation runs.
+ * Fan-out over independent simulation runs.
  *
- * Design points, driven by how the sweep engine uses it:
+ * Every use in the tree is one flat loop over runs that share nothing
+ * (the sweep engine's configs, the equal-area solver's rows), so the
+ * pool is exactly that loop:
  *
- *  - Fixed worker count, chosen at construction.  `0` picks the
- *    default: the `RRS_THREADS` environment variable if set, otherwise
- *    the hardware concurrency.  `RRS_THREADS=1` degenerates to
- *    caller-executes-everything (no worker threads at all), which keeps
- *    single-threaded runs trivially debuggable.
- *  - Each worker owns a deque: it pushes and pops its own work LIFO
- *    (cache-friendly for nested tasks) and steals FIFO from victims
- *    when empty.  External submitters round-robin across deques.
- *  - Tasks may submit tasks (nested submission): a task running on a
- *    worker enqueues onto that worker's own deque.
- *  - Exceptions thrown by tasks are captured; the *first* one (in
- *    completion order) is rethrown from wait().  Remaining tasks still
- *    run — a sweep never deadlocks because one config asserted.
- *  - The thread that calls wait() participates: it executes queued
- *    tasks instead of blocking while work remains, so a pool of N
- *    workers plus the caller gives N+1 lanes and `numWorkers() == 0`
- *    still makes progress.
+ *  - The lane count is fixed at construction.  `0` picks the default:
+ *    the `RRS_THREADS` environment variable if set, otherwise the
+ *    hardware concurrency.
+ *  - parallelFor(n, fn) runs min(numThreads(), n) lanes: the caller
+ *    plus helper threads started for the call and joined before it
+ *    returns.  Each lane claims the next index from one atomic counter
+ *    until none are left.  With one lane every index runs on the
+ *    calling thread and no thread starts, which keeps single-threaded
+ *    runs trivially debuggable.
+ *  - Every index runs even when one throws; the first exception caught
+ *    is rethrown after the join.  A sweep never stops short because
+ *    one config asserted.
+ *  - A parallelFor inside fn starts helpers of its own.
  *
  * The pool provides *no* ordering or affinity guarantees.  Determinism
- * of results is the submitting code's contract: every task must be
+ * of results is the caller's contract: every index must be
  * self-contained (own RNG, own stats, writes only its own output slot),
  * which is exactly how harness::SweepRunner uses it.
  */
@@ -32,95 +29,40 @@
 #ifndef RRS_COMMON_THREADPOOL_HH
 #define RRS_COMMON_THREADPOOL_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace rrs {
 
-/** The pool. */
+/** The pool: a resolved lane count and the loop that uses it. */
 class ThreadPool
 {
   public:
-    using Task = std::function<void()>;
-
     /**
-     * @param numThreads total execution lanes requested; 0 picks
-     *        defaultThreadCount().  The pool spawns numThreads-1
-     *        workers because the caller of wait()/parallelFor() is
-     *        itself a lane.
+     * @param numThreads execution lanes requested, the caller
+     *        included; 0 picks defaultThreadCount().
      */
     explicit ThreadPool(unsigned numThreads = 0);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
 
     /**
-     * `RRS_THREADS` if set to a positive integer, else
-     * std::thread::hardware_concurrency(), else 1.
+     * `RRS_THREADS` if set to a positive integer that fits an unsigned,
+     * else std::thread::hardware_concurrency(), else 1.  An invalid
+     * `RRS_THREADS` is warned about and ignored.
      */
     static unsigned defaultThreadCount();
 
-    /** Execution lanes: worker threads + the participating caller. */
-    unsigned numThreads() const { return numWorkers_ + 1; }
-
-    /** Worker threads actually spawned (numThreads() - 1). */
-    unsigned numWorkers() const { return numWorkers_; }
-
-    /** Enqueue a task.  Thread-safe; callable from inside tasks. */
-    void submit(Task task);
+    /** Execution lanes: the calling thread plus its helpers. */
+    unsigned numThreads() const { return lanes; }
 
     /**
-     * Block until every submitted task has finished, executing queued
-     * tasks on the calling thread while any remain.  Rethrows the
-     * first captured task exception, if any.
-     */
-    void wait();
-
-    /**
-     * Run fn(0) .. fn(n-1) across the pool and return once all have
-     * finished (the caller executes its share).  Equivalent to n
-     * submit() calls plus wait(), and like wait() it rethrows the
-     * first captured exception.
+     * Run fn(0) .. fn(n-1) and return once all have finished, then
+     * rethrow the first exception any of them threw.
      */
     void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)> &fn);
+                     const std::function<void(std::size_t)> &fn) const;
 
   private:
-    struct WorkerQueue
-    {
-        std::mutex mutex;
-        std::deque<Task> tasks;
-    };
-
-    void workerLoop(std::size_t self);
-
-    /** Pop from our own deque (LIFO) or steal from a victim (FIFO). */
-    bool takeTask(std::size_t self, Task &out);
-
-    /** One bookkeeping step: run a task and update pending counts. */
-    void runTask(Task &task);
-
-    void enqueueOn(std::size_t queueIdx, Task &&task);
-
-    unsigned numWorkers_ = 0;
-    std::vector<std::unique_ptr<WorkerQueue>> queues;
-    std::vector<std::thread> workers;
-
-    std::mutex stateMutex;
-    std::condition_variable workAvailable;  //!< workers sleep here
-    std::condition_variable allDone;        //!< wait() sleeps here
-    std::size_t pendingTasks = 0;           //!< submitted, not finished
-    bool shuttingDown = false;
-    std::atomic<std::size_t> nextQueue{0};  //!< external round-robin
-    std::exception_ptr firstError;          //!< rethrown by wait()
+    unsigned lanes;
 };
 
 } // namespace rrs

@@ -17,6 +17,8 @@ namespace rrs::harness {
 namespace {
 
 using obs::json::Value;
+using stats::jsonNumber;
+using stats::jsonQuoted;
 
 /**
  * Per-run timing length when neither the manifest nor a matrix sets
@@ -147,20 +149,6 @@ parseFigure(const Value &v, CampaignFigure &fig, std::string &error)
     return true;
 }
 
-std::string
-jsonStr(const std::string &s)
-{
-    return stats::jsonQuoted(s);
-}
-
-std::string
-jsonNum(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
 /** Best-effort current commit: GITHUB_SHA, `git rev-parse`, "unknown". */
 std::string
 currentGitSha()
@@ -195,11 +183,11 @@ renderPhaseRows(const obs::PhaseNode &node, const std::string &prefix,
         const std::string path =
             prefix.empty() ? c->name : prefix + "/" + c->name;
         os << (first ? "\n" : ",\n") << "    {\"path\": "
-           << jsonStr(path) << ", \"count\": " << c->count
-           << ", \"seconds\": " << jsonNum(c->seconds) << ", \"p50_us\": "
-           << jsonNum(prof.runPercentileUs(path, 50)) << ", \"p95_us\": "
-           << jsonNum(prof.runPercentileUs(path, 95)) << ", \"max_us\": "
-           << jsonNum(prof.runPercentileUs(path, 100)) << "}";
+           << jsonQuoted(path) << ", \"count\": " << c->count
+           << ", \"seconds\": " << jsonNumber(c->seconds) << ", \"p50_us\": "
+           << jsonNumber(prof.runPercentileUs(path, 50)) << ", \"p95_us\": "
+           << jsonNumber(prof.runPercentileUs(path, 95)) << ", \"max_us\": "
+           << jsonNumber(prof.runPercentileUs(path, 100)) << "}";
         first = false;
         renderPhaseRows(*c, path, os, first);
     }
@@ -216,10 +204,10 @@ renderCampaignJson(const CampaignManifest &m, const CampaignPlan &plan,
     std::ostringstream os;
     os << "{\n"
        << "  \"campaign_schema\": " << campaignSchemaVersion << ",\n"
-       << "  \"name\": " << jsonStr(m.name) << ",\n"
-       << "  \"git_sha\": " << jsonStr(currentGitSha()) << ",\n"
+       << "  \"name\": " << jsonQuoted(m.name) << ",\n"
+       << "  \"git_sha\": " << jsonQuoted(currentGitSha()) << ",\n"
        << "  \"threads\": " << sweep.threads << ",\n"
-       << "  \"wall_seconds\": " << jsonNum(sweep.wallSeconds) << ",\n"
+       << "  \"wall_seconds\": " << jsonNumber(sweep.wallSeconds) << ",\n"
        << "  \"nodes_total\": " << result.totalNodes << ",\n"
        << "  \"nodes_cached\": " << result.hits << ",\n"
        << "  \"nodes_simulated\": " << result.simulated << ",\n"
@@ -241,27 +229,27 @@ renderCampaignJson(const CampaignManifest &m, const CampaignPlan &plan,
     bool firstFig = true;
     for (const auto &fp : plan.figures) {
         os << (firstFig ? "\n" : ",\n") << "    {\n"
-           << "      \"figure\": " << jsonStr(fp.figure->name) << ",\n"
+           << "      \"figure\": " << jsonQuoted(fp.figure->name) << ",\n"
            << "      \"kind\": "
-           << jsonStr(campaignKindName(fp.figure->kind)) << ",\n"
+           << jsonQuoted(campaignKindName(fp.figure->kind)) << ",\n"
            << "      \"sizes\": [";
         for (std::size_t i = 0; i < fp.sizes.size(); ++i)
             os << (i ? ", " : "") << fp.sizes[i];
         os << "],\n"
            << "      \"scheme_labels\": [";
         for (std::size_t i = 0; i < fp.schemeLabels.size(); ++i)
-            os << (i ? ", " : "") << jsonStr(fp.schemeLabels[i]);
+            os << (i ? ", " : "") << jsonQuoted(fp.schemeLabels[i]);
         os << "],\n"
            << "      \"workloads\": [";
         for (std::size_t i = 0; i < fp.workloads.size(); ++i) {
             os << (i ? ", " : "") << "{\"name\": "
-               << jsonStr(fp.workloads[i].first) << ", \"suite\": "
-               << jsonStr(fp.workloads[i].second) << "}";
+               << jsonQuoted(fp.workloads[i].first) << ", \"suite\": "
+               << jsonQuoted(fp.workloads[i].second) << "}";
         }
         os << "],\n"
            << "      \"nodes\": [";
         for (std::size_t i = 0; i < fp.digests.size(); ++i)
-            os << (i ? ", " : "") << jsonStr(fp.digests[i]);
+            os << (i ? ", " : "") << jsonQuoted(fp.digests[i]);
         os << "]\n    }";
         firstFig = false;
     }

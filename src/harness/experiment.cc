@@ -275,7 +275,7 @@ runOn(const workloads::Workload &w, const RunConfig &config,
     mem::MemSystem mem(config.mem);
     bpred::BranchPredictor bp(config.bpred);
 
-    // String-keyed scheme dispatch: the registry (rename/scheme.hh)
+    // String-keyed scheme dispatch: the scheme table (rename/scheme.hh)
     // builds the renamer, prices it, and reads its counters back, so
     // this path never names a concrete scheme type.
     const rename::RenameScheme &scheme =
@@ -290,7 +290,7 @@ runOn(const workloads::Workload &w, const RunConfig &config,
     // every hook.  The flight recorder goes before the auditor, so a
     // crash dump ends with the event that tripped the audit.
     const Cycles auditEvery = resolveAuditInterval(config.obs);
-    const bool auditing = auditEvery > 0 && scheme.auditable();
+    const bool auditing = auditEvery > 0;
 
     // Crash-time forensics: keep the last N rename/pipeline events so
     // a panic (e.g. an audit violation) or fatal dumps what the rename
@@ -387,36 +387,6 @@ runOn(const workloads::Workload &w, const RunConfig &config,
         obs::argNum(sim, "mispredicts", out.mispredicts);
     }
     return out;
-}
-
-namespace {
-
-/** Bridge the reuse scheme's preset tables into the harness type. */
-std::vector<EqualAreaRow>
-bridgePresets(bool paperPreset)
-{
-    std::vector<EqualAreaRow> rows;
-    for (const auto &p : rename::reuseEqualAreaPresets(paperPreset))
-        rows.push_back(EqualAreaRow{p.baselineRegs, p.banks});
-    return rows;
-}
-
-} // namespace
-
-const std::vector<EqualAreaRow> &
-tableIIIPresets()
-{
-    // Paper Table III rows; the data lives with the reuse scheme
-    // plugin (rename/scheme.cc).
-    static const std::vector<EqualAreaRow> rows = bridgePresets(true);
-    return rows;
-}
-
-const std::vector<EqualAreaRow> &
-tunedEqualAreaRows()
-{
-    static const std::vector<EqualAreaRow> rows = bridgePresets(false);
-    return rows;
 }
 
 rename::BankConfig

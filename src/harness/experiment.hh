@@ -168,24 +168,6 @@ struct Outcome
 Outcome runOn(const workloads::Workload &w, const RunConfig &config,
               bool sampleSharing = false);
 
-/** The paper's Table III register-file size mapping. */
-struct EqualAreaRow
-{
-    std::uint32_t baselineRegs;
-    rename::BankConfig banks;    //!< 0/1/2/3-shadow-cell bank sizes
-};
-
-/** Paper Table III presets (per register-file class). */
-const std::vector<EqualAreaRow> &tableIIIPresets();
-
-/**
- * This repository's tuned equal-area rows: bank shapes derived from
- * our Fig. 9 occupancy study (our kernels' reuse is dominated by
- * depth-1 chains, so the shadow banks are shallower than the paper's),
- * with bank 0 solved for equal area under the calibrated area model.
- */
-const std::vector<EqualAreaRow> &tunedEqualAreaRows();
-
 /**
  * Bank configuration for a given baseline size.
  * @param paperPreset true: the paper's Table III row; false (default):

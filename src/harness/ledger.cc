@@ -10,10 +10,14 @@
 #include "common/atomicfile.hh"
 #include "obs/jsonlite.hh"
 #include "obs/stallcause.hh"
+#include "stats/stats.hh"
 
 namespace rrs::harness {
 
 namespace {
+
+using stats::jsonNumber;
+using stats::jsonQuoted;
 
 constexpr std::uint64_t fnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t fnvPrime = 0x100000001b3ULL;
@@ -27,41 +31,6 @@ fnv1a(const std::string &s)
         h *= fnvPrime;
     }
     return h;
-}
-
-/** %.17g round-trips a double; JSON has no NaN or infinity. */
-std::string
-num(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonStr(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-    return out;
 }
 
 std::uint64_t
@@ -99,17 +68,18 @@ std::string
 renderRunRecordJson(const RunRecord &run)
 {
     std::ostringstream os;
-    os << "{\"workload\": " << jsonStr(run.workload) << ", \"scheme\": "
-       << jsonStr(run.scheme) << ", \"insts\": " << run.insts
-       << ", \"cycles\": " << run.cycles << ", \"ipc\": " << num(run.ipc())
-       << ", \"wall_seconds\": " << num(run.wallSeconds);
+    os << "{\"workload\": " << jsonQuoted(run.workload) << ", \"scheme\": "
+       << jsonQuoted(run.scheme) << ", \"insts\": " << run.insts
+       << ", \"cycles\": " << run.cycles
+       << ", \"ipc\": " << jsonNumber(run.ipc())
+       << ", \"wall_seconds\": " << jsonNumber(run.wallSeconds);
     if (run.sampled.enabled) {
         const SampledSummary &sm = run.sampled;
         os << ", \"sampled\": {\"windows\": " << sm.windows
-           << ", \"mean_ipc\": " << num(sm.meanIpc)
-           << ", \"stddev_ipc\": " << num(sm.stddevIpc)
-           << ", \"ci95_ipc\": " << num(sm.ci95Ipc)
-           << ", \"median_ipc\": " << num(sm.medianIpc)
+           << ", \"mean_ipc\": " << jsonNumber(sm.meanIpc)
+           << ", \"stddev_ipc\": " << jsonNumber(sm.stddevIpc)
+           << ", \"ci95_ipc\": " << jsonNumber(sm.ci95Ipc)
+           << ", \"median_ipc\": " << jsonNumber(sm.medianIpc)
            << ", \"detailed_insts\": " << sm.detailedInsts
            << ", \"detailed_cycles\": " << sm.detailedCycles
            << ", \"warm_insts\": " << sm.warmInsts
@@ -190,12 +160,13 @@ nodeKey(const NodeSpec &spec)
         << ";regs=" << spec.regs << ";cap=" << spec.cap << ";params=";
     bool first = true;
     for (const auto &[k, v] : spec.params) {
-        key << (first ? "" : ",") << k << ":" << num(v);
+        key << (first ? "" : ",") << k << ":" << jsonNumber(v);
         first = false;
     }
     key << ";sampling=" << spec.sampling.warm << ":"
         << spec.sampling.detailed << ":" << spec.sampling.period << ":"
-        << spec.sampling.fillInsts << ":" << num(spec.sampling.ciFloorPct)
+        << spec.sampling.fillInsts << ":"
+        << jsonNumber(spec.sampling.ciFloorPct)
         << ";seed=" << digestHex(spec.seed);
     return key.str();
 }
@@ -231,20 +202,20 @@ renderLedgerEntryJson(const LedgerEntry &e)
     std::ostringstream os;
     os << "{\n"
        << "  \"ledger_schema\": " << ledgerSchemaVersion << ",\n"
-       << "  \"digest\": " << jsonStr(digestHex(nodeDigest(e.spec)))
+       << "  \"digest\": " << jsonQuoted(digestHex(nodeDigest(e.spec)))
        << ",\n"
-       << "  \"key\": " << jsonStr(nodeKey(e.spec)) << ",\n"
+       << "  \"key\": " << jsonQuoted(nodeKey(e.spec)) << ",\n"
        << "  \"node\": {\n"
-       << "    \"workload\": " << jsonStr(e.spec.workload) << ",\n"
-       << "    \"suite\": " << jsonStr(e.spec.suite) << ",\n"
-       << "    \"source_hash\": " << jsonStr(digestHex(e.spec.sourceHash))
+       << "    \"workload\": " << jsonQuoted(e.spec.workload) << ",\n"
+       << "    \"suite\": " << jsonQuoted(e.spec.suite) << ",\n"
+       << "    \"source_hash\": " << jsonQuoted(digestHex(e.spec.sourceHash))
        << ",\n"
-       << "    \"scheme\": " << jsonStr(e.spec.scheme) << ",\n"
-       << "    \"label\": " << jsonStr(e.spec.label) << ",\n"
+       << "    \"scheme\": " << jsonQuoted(e.spec.scheme) << ",\n"
+       << "    \"label\": " << jsonQuoted(e.spec.label) << ",\n"
        << "    \"params\": {";
     bool first = true;
     for (const auto &[k, v] : e.spec.params) {
-        os << (first ? "" : ", ") << jsonStr(k) << ": " << num(v);
+        os << (first ? "" : ", ") << jsonQuoted(k) << ": " << jsonNumber(v);
         first = false;
     }
     os << "},\n"
@@ -254,23 +225,23 @@ renderLedgerEntryJson(const LedgerEntry &e)
        << ", \"detailed\": " << e.spec.sampling.detailed
        << ", \"period\": " << e.spec.sampling.period
        << ", \"fill\": " << e.spec.sampling.fillInsts
-       << ", \"ci_floor_pct\": " << num(e.spec.sampling.ciFloorPct)
+       << ", \"ci_floor_pct\": " << jsonNumber(e.spec.sampling.ciFloorPct)
        << "},\n"
-       << "    \"seed\": " << jsonStr(digestHex(e.spec.seed)) << "\n"
+       << "    \"seed\": " << jsonQuoted(digestHex(e.spec.seed)) << "\n"
        << "  },\n"
        << "  \"run\": " << renderRunRecordJson(e.run) << ",\n"
        << "  \"stalls\": {";
     for (int i = 0; i < obs::numCycleCauses; ++i) {
         os << (i ? ", " : "")
-           << jsonStr(obs::cycleCauseName(
+           << jsonQuoted(obs::cycleCauseName(
                   static_cast<obs::CycleCause>(i)))
            << ": " << e.stalls.counts[i];
     }
     os << "},\n"
-       << "  \"rename\": {\"allocations\": " << num(e.allocations)
-       << ", \"reuses\": " << num(e.reuses) << ", \"repairs\": "
-       << num(e.repairs) << ", \"rename_stalls\": "
-       << num(e.renameStalls) << "}\n"
+       << "  \"rename\": {\"allocations\": " << jsonNumber(e.allocations)
+       << ", \"reuses\": " << jsonNumber(e.reuses) << ", \"repairs\": "
+       << jsonNumber(e.repairs) << ", \"rename_stalls\": "
+       << jsonNumber(e.renameStalls) << "}\n"
        << "}\n";
     return os.str();
 }
@@ -471,8 +442,8 @@ diffLedgers(const Ledger &base, const Ledger &cur)
                 row("sampled", b.run.sampled.enabled ? "yes" : "no",
                     c.run.sampled.enabled ? "yes" : "no");
             } else if (!sampledCiOverlap(b.run.sampled, c.run.sampled)) {
-                row("mean_ipc", num(b.run.sampled.meanIpc),
-                    num(c.run.sampled.meanIpc));
+                row("mean_ipc", jsonNumber(b.run.sampled.meanIpc),
+                    jsonNumber(c.run.sampled.meanIpc));
             }
             continue;
         }
@@ -496,7 +467,7 @@ diffLedgers(const Ledger &base, const Ledger &cur)
         };
         for (const auto &[name, field] : counters) {
             if (b.*field != c.*field)
-                row(name, num(b.*field), num(c.*field));
+                row(name, jsonNumber(b.*field), jsonNumber(c.*field));
         }
     }
     return d;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/logging.hh"
 
@@ -128,11 +126,6 @@ SamplingController::run(core::SimResult &aggregate)
                 const double ipc =
                     static_cast<double>(r.committedInsts) /
                     static_cast<double>(r.cycles);
-                if (std::getenv("RRS_SAMPLE_DEBUG"))
-                    std::fprintf(stderr, "window @%zu: %llu insts %llu cycles ipc %.4f\n",
-                                 periodStart,
-                                 (unsigned long long)r.committedInsts,
-                                 (unsigned long long)r.cycles, ipc);
                 sum += ipc;
                 sumSq += ipc * ipc;
                 measuredInsts += r.committedInsts;

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <memory>
 
 #include "common/logging.hh"
 #include "harness/tracecache.hh"
@@ -68,30 +67,7 @@ SweepRunner::run(const std::vector<SweepItem> &items)
 {
     using Clock = std::chrono::steady_clock;
 
-    // Per-run stats containers, one slot per item: workers touch only
-    // their own slot, and the slots are merged after the join below.
-    struct RunStats
-    {
-        explicit RunStats()
-            : group("run"),
-              insts(&group, "insts", "committed instructions"),
-              cycles(&group, "cycles", "simulated cycles"),
-              wall(&group, "wall_seconds", "run wall-clock seconds"),
-              ipcPct(&group, "ipc_pct", "committed IPC (percent)")
-        {
-        }
-        stats::Group group;
-        stats::Scalar insts;
-        stats::Scalar cycles;
-        stats::Average wall;
-        stats::Distribution ipcPct;
-    };
-
     std::vector<SweepResult> results(items.size());
-    std::vector<std::unique_ptr<RunStats>> perRun;
-    perRun.reserve(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i)
-        perRun.push_back(std::make_unique<RunStats>());
 
     // Host-side phase profiling (obs/profiler.hh): the whole sweep is
     // one phase on the calling thread; each run gets its own local
@@ -103,7 +79,7 @@ SweepRunner::run(const std::vector<SweepItem> &items)
     std::vector<obs::PhaseTree> runTrees(prof ? items.size() : 0);
 
     // Telemetry (obs/telemetry.hh): one pre-sized buffer per run —
-    // same single-writer-then-merge discipline as the stats slots and
+    // same single-writer-then-merge discipline as the result slots and
     // the profiler trees, so the exported trace is bit-identical for
     // every thread count.
     const std::string telemetryOut = obs::telemetryDir();
@@ -145,14 +121,6 @@ SweepRunner::run(const std::vector<SweepItem> &items)
                                    item.sampleSharing);
         const std::chrono::duration<double> dt = Clock::now() - t0;
         results[i].wallSeconds = dt.count();
-
-        RunStats &rs = *perRun[i];
-        rs.insts += static_cast<double>(
-            results[i].outcome.sim.committedInsts);
-        rs.cycles += static_cast<double>(results[i].outcome.sim.cycles);
-        rs.wall.sample(results[i].wallSeconds);
-        rs.ipcPct.sample(static_cast<std::uint64_t>(
-            100.0 * results[i].outcome.sim.ipc()));
         progress.endRun(i, results[i].outcome.sim.committedInsts);
     });
     progress.finish();
@@ -160,24 +128,21 @@ SweepRunner::run(const std::vector<SweepItem> &items)
         Clock::now() - sweepStart;
     const TraceCache::Counters cacheAfter = traceCache().counters();
 
-    // Workers have joined (parallelFor returned): the merge path.
+    // The lanes have joined (parallelFor returned): fold the result
+    // slots in submission order, so no floating-point sum depends on
+    // which run finished first.
     obs::ScopedPhase mergePhase("stats-merge");
     resetStats();
-    for (const auto &rs : perRun) {
-        ++totalRuns;
-        totalInsts.merge(rs->insts);
-        totalCycles.merge(rs->cycles);
-        runWall.merge(rs->wall);
-        runIpcPct.merge(rs->ipcPct);
-    }
-    if (prof) {
-        // Submission-order merge of the per-run phase trees.
-        for (const auto &t : runTrees)
-            obs::Profiler::instance().addRunTree(t);
-    }
-    // Sampled totals, accumulated post-join in submission order like
-    // the audit counters, so they inherit the determinism contract.
+    double audits = 0, auditBad = 0;
     for (const SweepResult &r : results) {
+        ++totalRuns;
+        totalInsts += static_cast<double>(r.outcome.sim.committedInsts);
+        totalCycles += static_cast<double>(r.outcome.sim.cycles);
+        runWall.sample(r.wallSeconds);
+        runIpcPct.sample(
+            static_cast<std::uint64_t>(100.0 * r.outcome.sim.ipc()));
+        audits += r.outcome.auditsRun;
+        auditBad += r.outcome.auditViolations;
         const SampledSummary &sm = r.outcome.sampled;
         if (sm.enabled) {
             ++sampledRuns;
@@ -193,6 +158,13 @@ SweepRunner::run(const std::vector<SweepItem> &items)
             }
         }
     }
+    auditChecks = audits;
+    auditViolations = auditBad;
+    if (prof) {
+        // Submission-order merge of the per-run phase trees.
+        for (const auto &t : runTrees)
+            obs::Profiler::instance().addRunTree(t);
+    }
     traceCaptureInsts =
         static_cast<double>(cacheAfter.capturedInsts -
                             cacheBefore.capturedInsts);
@@ -203,13 +175,6 @@ SweepRunner::run(const std::vector<SweepItem> &items)
         static_cast<double>(cacheAfter.hits - cacheBefore.hits);
     traceCacheMisses =
         static_cast<double>(cacheAfter.misses - cacheBefore.misses);
-    double audits = 0, auditBad = 0;
-    for (const auto &r : results) {
-        audits += r.outcome.auditsRun;
-        auditBad += r.outcome.auditViolations;
-    }
-    auditChecks = audits;
-    auditViolations = auditBad;
 
     // Serialise the telemetry buffers in submission order (the trace
     // tid is the run index) — post-join, like every other merge here,

@@ -4,24 +4,24 @@
  *
  * Every paper artifact is a sweep over workloads x register-file sizes
  * x {Baseline, Reuse}; the runs are completely independent, so they
- * fan out across a work-stealing thread pool (common/threadpool.hh)
- * and scale near-linearly with cores, like trace-driven simulator
- * farms do.
+ * fan out through one parallelFor (common/threadpool.hh), whose lanes
+ * claim run indices from a shared counter, and scale near-linearly
+ * with cores, like trace-driven simulator farms do.
  *
  * Determinism contract — results are bit-identical for every thread
  * count, including 1:
  *
  *  - Each run builds all of its own model state (core, renamer,
- *    memory, predictor, stats) inside the worker task; nothing is
+ *    memory, predictor, stats) inside its lane; nothing is
  *    shared between runs but the read-only workload programs (whose
  *    cache is locked).
  *  - Each run's RNG seed is derived from the *submission index* of its
  *    config via sweepSeed(), never drawn from a shared stream, so the
  *    schedule cannot leak into the results.
  *  - Outcomes are written into a pre-sized slot per run and returned
- *    in submission order; per-run stats are merged into the sweep
- *    aggregate only after all workers have joined (the stats merge
- *    path), so no floating-point reduction depends on arrival order.
+ *    in submission order; the sweep aggregates are folded from those
+ *    slots, in submission order, only after every lane has joined, so
+ *    no floating-point reduction depends on arrival order.
  *
  * Only the wall-clock/throughput numbers in SweepSummary may vary
  * between thread counts; everything in Outcome may not.
@@ -203,8 +203,8 @@ class SweepRunner : public stats::Group
     std::string telemetryLabel = "sweep";
     std::string telemetryPath;
 
-    // Sweep-lifetime aggregates, fed through the post-join stats merge
-    // path (see stats/stats.hh threading model).
+    // Aggregates of the most recent run(), folded post-join from the
+    // result slots in submission order.
     stats::Scalar totalRuns;
     stats::Scalar totalInsts;
     stats::Scalar totalCycles;

@@ -27,19 +27,11 @@ Cache::Cache(const CacheParams &params, Cache *below, Dram *dram,
 }
 
 void
-Cache::setPrefetcher(std::unique_ptr<Prefetcher> pf)
-{
-    prefetcher = std::move(pf);
-}
-
-void
 Cache::resetState()
 {
     std::fill(lines.begin(), lines.end(), Line{});
     std::fill(mshrFile.begin(), mshrFile.end(), Mshr{});
     lruTick = 0;
-    if (prefetcher)
-        prefetcher->resetState();
     if (below)
         below->resetState();
     if (dram)
@@ -117,8 +109,6 @@ Cache::access(Addr addr, bool write, Tick now)
 {
     const Addr line = lineAddr(addr);
 
-    // Prefetcher observes every demand access (pc-less form uses the
-    // address as the index key; the core calls prefetch via observe()).
     Line *hitLine = findLine(line);
     if (hitLine) {
         hitLine->lru = ++lruTick;

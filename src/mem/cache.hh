@@ -2,7 +2,8 @@
  * @file
  * Set-associative cache timing model with LRU replacement, a bounded
  * MSHR file (miss merging + structural stalls), write-back/
- * write-allocate policy, and an optional hardware prefetcher hook.
+ * write-allocate policy and a prefetch-insert entry point, plus the
+ * stride prefetcher that mem::MemSystem drives into its L1D.
  *
  * Caches form a linear hierarchy (L1 -> L2 -> DRAM).  The model is
  * latency-based: access() returns the absolute tick at which the
@@ -15,7 +16,6 @@
 #define RRS_MEM_CACHE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,8 +24,6 @@
 #include "stats/stats.hh"
 
 namespace rrs::mem {
-
-class Prefetcher;
 
 /** Cache geometry and timing. */
 struct CacheParams
@@ -63,9 +61,6 @@ class Cache : public stats::Group
      * a hit once the fill completes.
      */
     void prefetch(Addr addr, Tick now);
-
-    /** Attach a prefetcher that observes demand accesses. */
-    void setPrefetcher(std::unique_ptr<Prefetcher> pf);
 
     /** True if the line is resident *now* (test/introspection). */
     bool contains(Addr addr, Tick now) const;
@@ -113,7 +108,6 @@ class Cache : public stats::Group
     std::vector<Line> lines;
     std::vector<Mshr> mshrFile;
     std::uint64_t lruTick = 0;
-    std::unique_ptr<Prefetcher> prefetcher;
 
     stats::Scalar hits;
     stats::Scalar misses;

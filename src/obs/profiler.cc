@@ -47,22 +47,10 @@ threadLocalTree()
 }
 
 void
-jsonNumber(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf;
-}
-
-void
 dumpNodeJson(std::ostream &os, const PhaseNode &node)
 {
     os << "{\"count\": " << node.count << ", \"seconds\": ";
-    jsonNumber(os, node.seconds);
+    os << stats::jsonNumber(node.seconds);
     os << ", \"children\": {";
     bool first = true;
     for (const auto &c : node.children) {
@@ -338,11 +326,11 @@ Profiler::dumpJson(std::ostream &os, int indent) const
         os << "\n" << pad << "  ";
         stats::jsonEscape(os, path);
         os << ": {\"count\": " << agg.count << ", \"seconds\": ";
-        jsonNumber(os, agg.seconds);
+        os << stats::jsonNumber(agg.seconds);
         os << ", \"p50_us\": ";
-        jsonNumber(os, agg.perRunUs->percentile(50));
+        os << stats::jsonNumber(agg.perRunUs->percentile(50));
         os << ", \"p95_us\": ";
-        jsonNumber(os, agg.perRunUs->percentile(95));
+        os << stats::jsonNumber(agg.perRunUs->percentile(95));
         os << ", \"max_us\": " << agg.perRunUs->maxKey() << "}";
     }
     if (!first)

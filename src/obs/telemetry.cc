@@ -1,8 +1,6 @@
 #include "telemetry.hh"
 
 #include <atomic>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <sstream>
@@ -14,17 +12,6 @@
 namespace rrs::obs {
 
 namespace {
-
-/** JSON number with round-trip precision; non-finite becomes null. */
-std::string
-numJson(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 /**
  * Directory override state.  A mutex, not an atomic string: the
@@ -74,7 +61,7 @@ writeCounterEvent(std::ostream &os, const TelemetryCounterSample &c,
         if (!first)
             os << ",";
         first = false;
-        os << stats::jsonQuoted(key) << ":" << numJson(value);
+        os << stats::jsonQuoted(key) << ":" << stats::jsonNumber(value);
     }
     os << "}}";
 }
@@ -100,7 +87,7 @@ argStr(TelemetrySpan &s, std::string key, const std::string &value)
 void
 argNum(TelemetrySpan &s, std::string key, double value)
 {
-    s.args.push_back(TelemetryArg{std::move(key), numJson(value)});
+    s.args.push_back(TelemetryArg{std::move(key), stats::jsonNumber(value)});
 }
 
 void

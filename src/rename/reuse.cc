@@ -85,12 +85,6 @@ ReuseRenamer::freeRegs(RegClass cls) const
     return n;
 }
 
-bool
-ReuseRenamer::anyFree(RegClass cls) const
-{
-    return freeRegs(cls) > 0;
-}
-
 std::uint32_t
 ReuseRenamer::bankInUse(RegClass cls, int bank) const
 {

@@ -251,9 +251,6 @@ class ReuseRenamer : public Renamer
     /** Free-list pop honouring the predicted bank, closest-first. */
     PhysRegIndex allocFromBank(RegClass cls, std::uint8_t wantBank);
 
-    /** Any free register at all in the class? */
-    bool anyFree(RegClass cls) const;
-
     /** Drop a reference; frees the register when fully unreferenced. */
     void dropSpecRef(RegClass cls, PhysRegIndex phys, bool fromSquash);
     void dropRetRef(RegClass cls, PhysRegIndex phys);

@@ -1,7 +1,5 @@
 #include "scheme.hh"
 
-#include <mutex>
-
 #include "common/logging.hh"
 
 namespace rrs::rename {
@@ -177,53 +175,27 @@ class ReuseScheme : public RenameScheme
 };
 
 /**
- * The registry.  Guarded by a mutex because sweep workers may resolve
- * schemes while a test registers an experimental one; lookups return
- * stable pointers (schemes are never unregistered).
+ * Every rename scheme, in registeredRenameSchemes() order.  A new
+ * scheme is one more entry here.
  */
-struct Registry
+const std::vector<const RenameScheme *> &
+schemeTable()
 {
-    std::mutex mu;
-    std::vector<std::unique_ptr<RenameScheme>> schemes;
-};
-
-Registry &
-registry()
-{
-    static Registry r;
-    static std::once_flag builtins;
-    std::call_once(builtins, [] {
-        r.schemes.push_back(std::make_unique<BaselineScheme>());
-        r.schemes.push_back(std::make_unique<ReuseScheme>());
-    });
-    return r;
+    static const BaselineScheme baseline;
+    static const ReuseScheme reuse;
+    static const std::vector<const RenameScheme *> table = {&baseline,
+                                                           &reuse};
+    return table;
 }
 
 } // namespace
 
-const RenameScheme &
-registerRenameScheme(std::unique_ptr<RenameScheme> scheme)
-{
-    rrs_assert(scheme != nullptr, "null rename scheme");
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    for (const auto &s : r.schemes) {
-        if (s->name() == scheme->name())
-            rrs_fatal("rename scheme '%s' registered twice",
-                      scheme->name().c_str());
-    }
-    r.schemes.push_back(std::move(scheme));
-    return *r.schemes.back();
-}
-
 const RenameScheme *
 findRenameScheme(const std::string &name)
 {
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    for (const auto &s : r.schemes) {
+    for (const RenameScheme *s : schemeTable()) {
         if (s->name() == name)
-            return s.get();
+            return s;
     }
     return nullptr;
 }
@@ -245,11 +217,8 @@ renameScheme(const std::string &name)
 std::vector<std::string>
 registeredRenameSchemes()
 {
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
     std::vector<std::string> names;
-    names.reserve(r.schemes.size());
-    for (const auto &s : r.schemes)
+    for (const RenameScheme *s : schemeTable())
         names.push_back(s->name());
     return names;
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * The pluggable rename-scheme interface and its factory registry.
+ * The pluggable rename-scheme interface and its table of schemes.
  *
  * The paper compares two rename policies (conventional rename and
  * physical-register sharing); the ROADMAP's next scheme families
@@ -16,13 +16,14 @@
  *    model can compare schemes at equal silicon;
  *  - a generic counter extractor feeding the harness Outcome;
  *  - declarative parameter setters so sweep matrices (JSON) can
- *    express per-scheme ablations without C++ loops;
- *  - an auditability flag gating the RRS_AUDIT invariant auditor.
+ *    express per-scheme ablations without C++ loops.
  *
- * Schemes are registered by name in a process-wide registry; run
- * configurations select one with a string key.  Every registered
- * scheme automatically inherits the cross-scheme conformance suite
- * (tests/scheme_conformance_test.cpp), which enumerates the registry.
+ * The schemes live in one static table in rename/scheme.cc, looked up
+ * by name; run configurations select one with a string key.  A new
+ * scheme is one more entry in that table, and every entry inherits
+ * the cross-scheme conformance suite
+ * (tests/scheme_conformance_test.cpp) and the RRS_AUDIT invariant
+ * auditor (rename/audit.hh).
  */
 
 #ifndef RRS_RENAME_SCHEME_HH
@@ -118,36 +119,20 @@ class RenameScheme
 
     /** The keys setParam() accepts, for diagnostics. */
     virtual std::vector<std::string> paramKeys() const = 0;
-
-    /**
-     * Whether the RRS_AUDIT invariant auditor understands this
-     * scheme's bookkeeping (rename/audit.hh).  Schemes that return
-     * true are audit-checked at every trigger point in Debug CI.
-     */
-    virtual bool auditable() const { return true; }
 };
 
 /**
- * Register a scheme under its name().  Fatal on a duplicate name —
- * silent shadowing would corrupt sweep results.  Returns the
- * registered scheme for convenience.  Thread-safe; built-in schemes
- * (baseline, reuse) are registered on first registry access.
- */
-const RenameScheme &registerRenameScheme(
-    std::unique_ptr<RenameScheme> scheme);
-
-/**
  * Factory lookup, typed-absence flavour: nullptr when `name` is not
- * registered.  This is the config-parse-time check — resolve the
+ * in the table.  This is the config-parse-time check — resolve the
  * scheme before a sweep starts so an unknown name is a clean
  * diagnostic, never a crash mid-sweep.
  */
 const RenameScheme *findRenameScheme(const std::string &name);
 
-/** Factory lookup that fatals with the registered names on a miss. */
+/** Factory lookup that fatals with the known names on a miss. */
 const RenameScheme &renameScheme(const std::string &name);
 
-/** Names of every registered scheme, in registration order. */
+/** Names of every scheme, in table order. */
 std::vector<std::string> registeredRenameSchemes();
 
 /**

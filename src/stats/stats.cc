@@ -10,26 +10,6 @@
 
 namespace rrs::stats {
 
-namespace {
-
-/**
- * Write a double as a JSON number.  Full round-trip precision (%.17g);
- * non-finite values, which JSON cannot represent, become null.
- */
-void
-jsonNumber(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf;
-}
-
-} // namespace
-
 void
 jsonEscape(std::ostream &os, const std::string &s)
 {
@@ -62,16 +42,15 @@ jsonQuoted(const std::string &s)
     return os.str();
 }
 
-namespace {
-
-/** Local alias so the existing emitters read unchanged. */
-void
-jsonString(std::ostream &os, const std::string &s)
+std::string
+jsonNumber(double v)
 {
-    jsonEscape(os, s);
+    if (!std::isfinite(v))
+        return "null";
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
 }
-
-} // namespace
 
 StatBase::StatBase(Group *parent, std::string name, std::string desc,
                    std::string unit)
@@ -86,9 +65,9 @@ void
 StatBase::dumpSchema(std::ostream &os) const
 {
     os << "{\"kind\": \"" << kind() << "\", \"unit\": ";
-    jsonString(os, statUnit);
+    jsonEscape(os, statUnit);
     os << ", \"desc\": ";
-    jsonString(os, statDesc);
+    jsonEscape(os, statDesc);
     os << "}";
 }
 
@@ -102,9 +81,9 @@ void
 Scalar::dumpJson(std::ostream &os) const
 {
     os << "{\"type\": \"scalar\", \"value\": ";
-    jsonNumber(os, val);
+    os << jsonNumber(val);
     os << ", \"desc\": ";
-    jsonString(os, desc());
+    jsonEscape(os, desc());
     os << "}";
 }
 
@@ -120,13 +99,13 @@ void
 Average::dumpJson(std::ostream &os) const
 {
     os << "{\"type\": \"average\", \"mean\": ";
-    jsonNumber(os, mean());
+    os << jsonNumber(mean());
     os << ", \"samples\": " << n << ", \"min\": ";
-    jsonNumber(os, min());
+    os << jsonNumber(min());
     os << ", \"max\": ";
-    jsonNumber(os, max());
+    os << jsonNumber(max());
     os << ", \"desc\": ";
-    jsonString(os, desc());
+    jsonEscape(os, desc());
     os << "}";
 }
 
@@ -214,7 +193,7 @@ Distribution::dumpJson(std::ostream &os) const
 {
     os << "{\"type\": \"distribution\", \"samples\": " << total
        << ", \"mean\": ";
-    jsonNumber(os, mean());
+    os << jsonNumber(mean());
     os << ", \"min\": " << minKey() << ", \"max\": " << maxKey()
        << ", \"counts\": {";
     bool first = true;
@@ -225,7 +204,7 @@ Distribution::dumpJson(std::ostream &os) const
         os << "\"" << k << "\": " << v;
     }
     os << "}, \"desc\": ";
-    jsonString(os, desc());
+    jsonEscape(os, desc());
     os << "}";
 }
 
@@ -271,7 +250,7 @@ Group::dumpJson(std::ostream &os, int indent) const
             os << ",";
         first = false;
         os << "\n" << pad;
-        jsonString(os, stat->name());
+        jsonEscape(os, stat->name());
         os << ": ";
         stat->dumpJson(os);
     }
@@ -280,7 +259,7 @@ Group::dumpJson(std::ostream &os, int indent) const
             os << ",";
         first = false;
         os << "\n" << pad;
-        jsonString(os, child->name());
+        jsonEscape(os, child->name());
         os << ": ";
         child->dumpJson(os, indent + 2);
     }
@@ -299,7 +278,7 @@ Group::dumpSchemaEntries(std::ostream &os, const std::string &prefix,
             os << ",";
         first = false;
         os << "\n" << pad;
-        jsonString(os, self + stat->name());
+        jsonEscape(os, self + stat->name());
         os << ": ";
         stat->dumpSchema(os);
     }

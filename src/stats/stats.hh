@@ -11,10 +11,11 @@
  *
  * Threading model: individual stats are *not* synchronised.  Parallel
  * sweeps give every run its own model objects (and therefore its own
- * stats), then combine them through the merge() methods strictly after
- * the worker threads have joined — merge-after-join is the thread-safe
- * aggregation path, and it keeps per-run updates free of atomics on
- * the simulator's hot paths.
+ * stats), and fold the sweep's aggregates from the per-run result
+ * slots strictly after the lanes have joined.  Aggregating after the
+ * join is the thread-safe path, and it keeps per-run updates free of
+ * atomics on the simulator's hot paths; merge() folds one stat into
+ * another under the same rule.
  */
 
 #ifndef RRS_STATS_STATS_HH
@@ -42,6 +43,15 @@ void jsonEscape(std::ostream &os, const std::string &s);
 
 /** jsonEscape into a fresh string (for stream-free call sites). */
 std::string jsonQuoted(const std::string &s);
+
+/**
+ * A double as a JSON number: full round-trip precision (%.17g), and
+ * null for the non-finite values JSON cannot represent.  The one
+ * number writer every JSON emitter in the tree should use; ledger node
+ * keys format their parameters with it too, so its output is part of
+ * every node digest.
+ */
+std::string jsonNumber(double v);
 
 /** Base class for every statistic: a name, a description, a dump. */
 class StatBase

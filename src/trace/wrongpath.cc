@@ -10,13 +10,6 @@ WrongPathGenerator::WrongPathGenerator(std::uint64_t seed,
 }
 
 void
-WrongPathGenerator::reset()
-{
-    history.clear();
-    cursor = 0;
-}
-
-void
 WrongPathGenerator::observe(const DynInst &di)
 {
     if (history.size() < historySize) {

@@ -40,9 +40,6 @@ class WrongPathGenerator
      */
     DynInst generate(Addr pc, InstSeqNum seq);
 
-    /** Clear history (for stream resets). */
-    void reset();
-
   private:
     Random rng;
     std::size_t historySize;

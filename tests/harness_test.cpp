@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
+#include "rename/scheme.hh"
 
 namespace {
 
@@ -26,7 +27,7 @@ fnv1a(const std::vector<std::uint32_t> &values,
 
 TEST(Harness, TableIIIPresetsMatchPaper)
 {
-    const auto &rows = tableIIIPresets();
+    const auto &rows = rename::reuseEqualAreaPresets(true);
     ASSERT_EQ(rows.size(), 7u);
     EXPECT_EQ(rows[0].baselineRegs, 48u);
     EXPECT_EQ(rows[0].banks, (rename::BankConfig{28, 4, 4, 4}));
@@ -37,7 +38,7 @@ TEST(Harness, TableIIIPresetsMatchPaper)
 TEST(Harness, TunedRowsFitEqualArea)
 {
     area::AreaModel model;
-    for (const auto &row : tunedEqualAreaRows()) {
+    for (const auto &row : rename::reuseEqualAreaPresets(false)) {
         double budget = model.regFileArea(row.baselineRegs, 64);
         double used = model.bankedRegFileArea(row.banks, 64);
         EXPECT_LE(used, budget * 1.001)
@@ -54,7 +55,7 @@ TEST(Harness, EqualAreaLookupExactAndNearest)
 {
     EXPECT_EQ(equalAreaBanks(48, true), (rename::BankConfig{28, 4, 4, 4}));
     EXPECT_EQ(equalAreaBanks(48, false),
-              tunedEqualAreaRows()[0].banks);
+              rename::reuseEqualAreaPresets(false)[0].banks);
     // Nearest row for a non-preset size.
     EXPECT_EQ(equalAreaBanks(50, true), (rename::BankConfig{28, 4, 4, 4}));
 }

@@ -230,9 +230,6 @@ TEST_P(SchemeConformance, FreelistConservationAndExactSquashUndo)
 
 TEST_P(SchemeConformance, AuditCleanAtEveryCommit)
 {
-    const RenameScheme &scheme = renameScheme(GetParam());
-    if (!scheme.auditable())
-        GTEST_SKIP() << GetParam() << " opts out of invariant auditing";
     const auto &w = workloads::workload("int_hash");
     harness::RunConfig cfg = harness::schemeConfig(GetParam(), 56);
     cfg.maxInsts = 15'000;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "obs/jsonlite.hh"
@@ -107,6 +108,13 @@ TEST(StatsJson, FullPrecisionAndNonFinite)
     // valid JSON (null), not bare inf/nan tokens.
     EXPECT_TRUE(v.at("empty").at("min").isNull() ||
                 std::isfinite(v.at("empty").at("min").num));
+
+    // The number writer every JSON emitter shares (stats, ledger,
+    // campaign sidecar, profiler, telemetry).
+    EXPECT_EQ(stats::jsonNumber(0.1), "0.10000000000000001");
+    EXPECT_EQ(stats::jsonNumber(std::nan("")), "null");
+    EXPECT_EQ(stats::jsonNumber(-std::numeric_limits<double>::infinity()),
+              "null");
 }
 
 TEST(StatsJson, TextAndJsonCarryTheSameSummary)

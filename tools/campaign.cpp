@@ -27,8 +27,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 
+#include "common/strutils.hh"
 #include "harness/campaign.hh"
 
 namespace {
@@ -46,17 +49,19 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-std::uint64_t
+/** A positive integer that fits T, else a usage error. */
+template <typename T>
+T
 parsePositive(const char *argv0, const char *flag, const char *text)
 {
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || v == 0) {
+    const std::optional<std::int64_t> v = rrs::parseInt(text);
+    if (!v || *v <= 0 ||
+        static_cast<std::uint64_t>(*v) > std::numeric_limits<T>::max()) {
         std::fprintf(stderr, "error: %s must be a positive integer, "
                              "got '%s'\n", flag, text);
         usage(argv0);
     }
-    return static_cast<std::uint64_t>(v);
+    return static_cast<T>(*v);
 }
 
 } // namespace
@@ -85,18 +90,18 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--cap") == 0) {
             if (i + 1 >= argc)
                 usage(argv[0]);
-            opts.capOverride =
-                parsePositive(argv[0], "--cap", argv[++i]);
+            opts.capOverride = parsePositive<std::uint64_t>(
+                argv[0], "--cap", argv[++i]);
         } else if (std::strcmp(argv[i], "--max-new-nodes") == 0) {
             if (i + 1 >= argc)
                 usage(argv[0]);
-            opts.maxNewNodes = static_cast<std::size_t>(
-                parsePositive(argv[0], "--max-new-nodes", argv[++i]));
+            opts.maxNewNodes = parsePositive<std::size_t>(
+                argv[0], "--max-new-nodes", argv[++i]);
         } else if (std::strcmp(argv[i], "--threads") == 0) {
             if (i + 1 >= argc)
                 usage(argv[0]);
-            opts.threads = static_cast<unsigned>(
-                parsePositive(argv[0], "--threads", argv[++i]));
+            opts.threads = parsePositive<unsigned>(argv[0], "--threads",
+                                                   argv[++i]);
         } else {
             usage(argv[0]);
         }
