@@ -119,7 +119,10 @@ constexpr std::uint64_t samplePeriodDefault = 8192;
 
 /**
  * Parse a "warm:detailed:period" sampling spec; "" and "1" (a plain
- * RRS_SAMPLE=1) select the defaults.  Fatal on anything malformed.
+ * RRS_SAMPLE=1) select the defaults.  Each field is an rrs::parseInt
+ * integer up to INT64_MAX, warm at least 0 and the others at least 1,
+ * so warm + detailed cannot wrap.  Fatal, naming the field, on
+ * anything else.
  */
 inline harness::SamplingParams
 parseSampleSpec(const char *spec)
@@ -128,20 +131,25 @@ parseSampleSpec(const char *spec)
     p.warm = sampleWarmDefault;
     p.detailed = sampleDetailedDefault;
     p.period = samplePeriodDefault;
-    if (spec != nullptr && *spec != '\0' && std::strcmp(spec, "1") != 0) {
-        unsigned long long w = 0, d = 0, per = 0;
-        char trail = '\0';
-        if (std::sscanf(spec, "%llu:%llu:%llu%c", &w, &d, &per,
-                        &trail) != 3 ||
-            d == 0 || per == 0 || per < w + d) {
-            rrs_fatal("sampling spec must be warm:detailed:period "
-                      "(period >= warm + detailed, detailed > 0), "
-                      "got '%s'", spec);
-        }
-        p.warm = w;
-        p.detailed = d;
-        p.period = per;
+    if (spec == nullptr || *spec == '\0' || std::strcmp(spec, "1") == 0)
+        return p;
+    const std::vector<std::string_view> fields = split(spec, ':');
+    if (fields.size() != 3)
+        rrs_fatal("sampling spec must be warm:detailed:period, got '%s'",
+                  spec);
+    std::uint64_t *const out[3] = {&p.warm, &p.detailed, &p.period};
+    const char *const names[3] = {"warm", "detailed", "period"};
+    for (std::size_t i = 0; i < 3; ++i) {
+        const std::optional<std::int64_t> v = parseInt(fields[i]);
+        if (!v || *v < (i == 0 ? 0 : 1))
+            rrs_fatal("sampling spec '%s': %s must be a %s integer up to "
+                      "9223372036854775807", spec, names[i],
+                      i == 0 ? "non-negative" : "positive");
+        *out[i] = static_cast<std::uint64_t>(*v);
     }
+    if (p.period < p.warm + p.detailed)
+        rrs_fatal("sampling spec '%s': period must cover warm + detailed",
+                  spec);
     return p;
 }
 

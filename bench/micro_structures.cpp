@@ -210,7 +210,7 @@ BM_CoreReplay(benchmark::State &state, const std::string &source,
         captured = harness::traceCache().get(workloads::workload(source),
                                              20'000);
     }
-    auto makeStream = [&]() -> std::unique_ptr<trace::InstStream> {
+    auto newStream = [&]() -> std::unique_ptr<trace::InstStream> {
         if (captured)
             return std::make_unique<trace::ReplayStream>(captured);
         return std::make_unique<trace::SyntheticStream>(synth);
@@ -220,7 +220,7 @@ BM_CoreReplay(benchmark::State &state, const std::string &source,
     std::int64_t committed = 0;
     for (auto _ : state) {
         state.PauseTiming();
-        rig = std::make_unique<CoreRig>(makeStream(), cfg);
+        rig = std::make_unique<CoreRig>(newStream(), cfg);
         state.ResumeTiming();
         const core::SimResult r = rig->core.run();
         benchmark::DoNotOptimize(r);

@@ -35,27 +35,6 @@ split(std::string_view s, char delim)
     return out;
 }
 
-std::vector<std::string_view>
-splitWhitespace(std::string_view s)
-{
-    std::vector<std::string_view> out;
-    std::size_t i = 0;
-    while (i < s.size()) {
-        while (i < s.size() &&
-               std::isspace(static_cast<unsigned char>(s[i]))) {
-            ++i;
-        }
-        std::size_t start = i;
-        while (i < s.size() &&
-               !std::isspace(static_cast<unsigned char>(s[i]))) {
-            ++i;
-        }
-        if (i > start)
-            out.push_back(s.substr(start, i - start));
-    }
-    return out;
-}
-
 std::string
 toLower(std::string_view s)
 {

@@ -22,9 +22,6 @@ std::string_view trim(std::string_view s);
 /** Split on a delimiter character; empty fields are kept. */
 std::vector<std::string_view> split(std::string_view s, char delim);
 
-/** Split on any run of whitespace; empty fields are dropped. */
-std::vector<std::string_view> splitWhitespace(std::string_view s);
-
 /** Lower-case an ASCII string. */
 std::string toLower(std::string_view s);
 

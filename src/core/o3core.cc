@@ -37,8 +37,9 @@ O3Core::O3Core(const CoreParams &params, rename::Renamer &renamer,
     : stats::Group("core", parent), params(params), renamer(renamer),
       memSys(mem), bpred(bp), stream(stream),
       wrongPath(params.seed ^ 0xabcdef, 256), rng(params.seed),
-      rob(std::bit_ceil(std::max<std::size_t>(params.robEntries, 1))),
-      robMask(rob.size() - 1),
+      ring(std::bit_ceil(std::max<std::size_t>(
+          std::size_t{params.robEntries} + params.fetchQueueEntries, 1))),
+      ringMask(ring.size() - 1),
       indexer(renamer.tagIndexer()),
       regReadyAt(indexer.size(), 0),
       tagProduced([this](const rename::PhysRegTag &tag) {
@@ -222,53 +223,52 @@ O3Core::squashRobEntry(const InFlight &victim)
     if (victim.meta.isStore())
         stores.pop_back();
     ++squashedInsts;
-    notify([&](obs::CoreObserver &o) { o.squash(victim.fetchSeq, now); });
+    notify([&](obs::CoreObserver &o) { o.squash(victim.di.seq, now); });
 }
 
 void
 O3Core::squashFetchQueue()
 {
-    for (const InFlight &i : fetchQueue)
-        notify([&](obs::CoreObserver &o) { o.squash(i.fetchSeq, now); });
-    fetchQueue.clear();
+    for (std::uint64_t pos = robTail; pos != fetchTail; ++pos)
+        notify([&](obs::CoreObserver &o) { o.squash(at(pos).di.seq, now); });
+    fetchTail = robTail;
 }
 
-void
-O3Core::squashAfter(std::uint64_t fetchSeq, rename::HistoryToken token,
-                    std::uint32_t *recoveries)
+std::uint32_t
+O3Core::squashFrom(std::uint64_t pos, std::uint64_t flushSeq,
+                   rename::HistoryToken token)
 {
-    // Squash everything younger: ROB entries youngest first, then the
-    // un-renamed fetch queue.  Replaying correct-path ones is
-    // unnecessary for mispredicts (all younger are wrong-path) and
-    // handled by the caller for flushes.
-    while (!robEmpty() && at(robTail - 1).fetchSeq > fetchSeq) {
-        squashRobEntry(at(robTail - 1));
-        --robTail;
-    }
+    // Squash every slot at or past `pos`: ROB entries youngest first,
+    // then the un-renamed fetch queue oldest first.  Replaying
+    // correct-path ones is unnecessary for mispredicts (all younger are
+    // wrong-path) and handled by the caller for flushes.
+    for (std::uint64_t victim = robTail; victim > pos; --victim)
+        squashRobEntry(at(victim - 1));
     squashFetchQueue();
+    robTail = fetchTail = pos;
     lastFetchLine = invalidAddr;
-    dropFrom(iq, robTail);
-    dropFrom(executing, robTail);
+    dropFrom(iq, pos);
+    dropFrom(executing, pos);
 
-    std::uint32_t rec = renamer.squashTo(token, tagProduced);
-    if (recoveries)
-        *recoveries = rec;
+    const std::uint32_t rec = renamer.squashTo(token, tagProduced);
     notify([&](obs::CoreObserver &o) {
-        o.flush(obs::FlushScope::Younger, fetchSeq, now);
+        o.flush(obs::FlushScope::Younger, flushSeq, now);
     });
+    return rec;
 }
 
 void
-O3Core::resolveBranch(InFlight &inst)
+O3Core::resolveBranch(std::uint64_t pos)
 {
+    const InFlight &inst = at(pos);
     const BranchKind kind = inst.meta.branch;
     bpred.recordResolution(kind, !inst.mispredicted);
     if (!inst.mispredicted)
         return;
 
     ++branchMispredicts;
-    std::uint32_t rec = 0;
-    squashAfter(inst.fetchSeq, inst.rr.endToken, &rec);
+    const std::uint32_t rec =
+        squashFrom(pos + 1, inst.di.seq, inst.rr.endToken);
 
     // Repair the speculative predictor state.
     if (kind == BranchKind::Cond) {
@@ -291,55 +291,33 @@ O3Core::resolveBranch(InFlight &inst)
 void
 O3Core::flushAll(Cycles extraPenalty)
 {
-    if (robEmpty() && fetchQueue.empty())
+    if (robHead == fetchTail)
         return;
 
     // Rewind the branch predictor to the oldest squashed prediction.
-    const InFlight *oldest_pred = nullptr;
-    for (std::uint64_t pos = robHead; pos != robTail; ++pos) {
-        if (at(pos).hasPred) {
-            oldest_pred = &at(pos);
+    for (std::uint64_t pos = robHead; pos != fetchTail; ++pos) {
+        if (at(pos).meta.isControl()) {
+            bpred.squash(at(pos).pred);
             break;
         }
     }
-    if (!oldest_pred) {
-        for (const InFlight &i : fetchQueue) {
-            if (i.hasPred) {
-                oldest_pred = &i;
-                break;
-            }
-        }
-    }
-    if (oldest_pred)
-        bpred.squash(oldest_pred->pred);
 
-    // Correct-path instructions must be refetched after the flush.
-    std::vector<trace::DynInst> replayed;
-    for (std::uint64_t pos = robHead; pos != robTail; ++pos) {
-        if (!at(pos).wrongPath)
-            replayed.push_back(at(pos).di);
-    }
-    for (const InFlight &i : fetchQueue) {
-        if (!i.wrongPath)
-            replayed.push_back(i.di);
+    // Correct-path instructions must be refetched after the flush:
+    // queue them ahead of the stream, in program order.
+    for (std::uint64_t pos = fetchTail; pos != robHead; --pos) {
+        if (!at(pos - 1).wrongPath)
+            replayBuffer.push_front(at(pos - 1).di);
     }
 
+    // Squash everything including the head.  The Younger event names
+    // the seq before the head (0 when the head is the run's first).
     std::uint32_t rec = 0;
-    if (!robEmpty()) {
-        rename::HistoryToken token = at(robHead).rr.token;
-        std::uint64_t seq = at(robHead).fetchSeq;
-        // Squash everything including the head.
-        squashAfter(seq == 0 ? 0 : seq - 1, token, &rec);
-        if (!robEmpty()) {
-            // Head had fetchSeq 0: squashAfter(0,...) keeps it; finish.
-            squashRobEntry(at(robHead));
-            robTail = robHead;
-            iq.clear();
-            executing.clear();
-            renamer.squashTo(token, tagProduced);
-        }
-    } else {
+    if (robEmpty()) {
         squashFetchQueue();
+    } else {
+        const InFlight &head = at(robHead);
+        rec = squashFrom(robHead, std::max<std::uint64_t>(head.di.seq, 1) - 1,
+                         head.rr.token);
     }
     notify([&](obs::CoreObserver &o) {
         o.flush(obs::FlushScope::All, 0, now);
@@ -359,10 +337,6 @@ O3Core::flushAll(Cycles extraPenalty)
 
     onWrongPath = false;
     lastFetchLine = invalidAddr;
-
-    // Queue the replayed instructions ahead of the stream.
-    for (auto it = replayed.rbegin(); it != replayed.rend(); ++it)
-        replayBuffer.push_front(*it);
 }
 
 void
@@ -371,7 +345,7 @@ O3Core::commitStage()
     committedThisCycle = 0;
     if (params.interruptInterval > 0 && now >= nextInterrupt) {
         nextInterrupt += params.interruptInterval;
-        if (!robEmpty() || !fetchQueue.empty()) {
+        if (robHead != fetchTail) {
             ++interruptsTaken;
             flushAll(params.exceptionPenalty +
                      params.interruptServiceCycles);
@@ -414,7 +388,7 @@ O3Core::commitStage()
         lastCommitTick = now;
         ++n;
         notify([&](obs::CoreObserver &o) {
-            o.commit(head.fetchSeq, destOf(head.rr), now);
+            o.commit(head.di.seq, destOf(head.rr), now);
         });
         ++robHead;
 
@@ -450,17 +424,17 @@ O3Core::writebackStage()
         }
         inst.completed = true;
         ++n;
-        notify([&](obs::CoreObserver &o) { o.complete(inst.fetchSeq, now); });
+        notify([&](obs::CoreObserver &o) { o.complete(inst.di.seq, now); });
         if (inst.rr.hasDest)
             setTagReady(inst.rr.destTag, now);
         if (inst.mispredicted) {
             // Everything after it is younger and gets squashed.
             executing.resize(kept);
-            resolveBranch(inst);
+            resolveBranch(pos);
             return;
         }
         if (inst.meta.isControl())
-            resolveBranch(inst);
+            resolveBranch(pos);
     }
     executing.erase(executing.begin() + kept, executing.begin() + i);
 }
@@ -482,7 +456,7 @@ O3Core::issueStage()
         --budget;
         executing.insert(
             std::upper_bound(executing.begin(), executing.end(), pos), pos);
-        notify([&](obs::CoreObserver &o) { o.issue(at(pos).fetchSeq, now); });
+        notify([&](obs::CoreObserver &o) { o.issue(at(pos).di.seq, now); });
     }
     iq.erase(iq.begin() + kept, iq.begin() + i);
 }
@@ -492,33 +466,36 @@ O3Core::renameStage()
 {
     renameBlock = RenameBlock::None;
     std::uint32_t width = params.renameWidth;
-    while (width > 0 && !fetchQueue.empty()) {
-        InFlight &cand = fetchQueue.front();
+    while (width > 0 && !fetchQueueEmpty()) {
+        // Rename works on the fetch queue's head slot in place; a
+        // failed attempt leaves it in the fetch queue.
+        InFlight &inst = at(robTail);
         if (robSize() >= params.robEntries) {
             ++renameStallRob;
             renameBlock = RenameBlock::Rob;
             break;
         }
-        bool needs_iq = cand.meta.cls != InstClass::Nop;
+        bool needs_iq = inst.meta.cls != InstClass::Nop;
         if (needs_iq && iq.size() >= params.iqEntries) {
             ++renameStallIq;
             renameBlock = RenameBlock::Iq;
             break;
         }
-        if (cand.meta.isLoad() &&
+        if (inst.meta.isLoad() &&
             loadsInFlight >= params.loadQueueEntries) {
             ++renameStallLsq;
             renameBlock = RenameBlock::Lsq;
             break;
         }
-        if (cand.meta.isStore() &&
+        if (inst.meta.isStore() &&
             stores.size() >= params.storeQueueEntries) {
             ++renameStallLsq;
             renameBlock = RenameBlock::Lsq;
             break;
         }
 
-        rename::RenameResult rr = renamer.rename(cand.di, tagProduced);
+        inst.rr = renamer.rename(inst.di, tagProduced);
+        const rename::RenameResult &rr = inst.rr;
         if (!rr.success) {
             ++renameStallNoReg;
             renameBlock = RenameBlock::NoReg;
@@ -540,10 +517,6 @@ O3Core::renameStage()
             width -= rr.repairUops;
 
         const std::uint64_t pos = robTail++;
-        InFlight &inst = at(pos);
-        inst = std::move(cand);
-        fetchQueue.pop_front();
-        inst.rr = rr;
         if (rr.hasDest)
             setTagPending(rr.destTag);
 
@@ -553,17 +526,15 @@ O3Core::renameStage()
             stores.push_back(pos);
 
         notify([&](obs::CoreObserver &o) {
-            o.rename(inst.fetchSeq, destOf(rr), now);
+            o.rename(inst.di.seq, destOf(rr), now);
         });
         if (needs_iq) {
             iq.push_back(pos);
         } else {
             inst.completed = true;
             inst.readyAt = now;
-            notify([&](obs::CoreObserver &o) { o.issue(inst.fetchSeq, now); });
-            notify([&](obs::CoreObserver &o) {
-                o.complete(inst.fetchSeq, now);
-            });
+            notify([&](obs::CoreObserver &o) { o.issue(inst.di.seq, now); });
+            notify([&](obs::CoreObserver &o) { o.complete(inst.di.seq, now); });
         }
         --width;
     }
@@ -579,7 +550,7 @@ O3Core::fetchStage()
 
     std::uint32_t fetched = 0;
     while (fetched < params.fetchWidth &&
-           fetchQueue.size() < params.fetchQueueEntries) {
+           fetchTail - robTail < params.fetchQueueEntries) {
         // Pick the next instruction: wrong path, replay, or stream.
         // Every path takes its pre-decoded metadata from the one-time
         // classifier, so timing does not depend on the stream's kind.
@@ -620,18 +591,22 @@ O3Core::fetchStage()
         else if (!onWrongPath)
             replayBuffer.pop_front();
 
-        InFlight inst;
+        // Write the fetch queue's tail slot in place.  `pred` is set
+        // only for control instructions and `rr` only at rename.
+        InFlight &inst = at(fetchTail);
         inst.di = di;
+        inst.di.seq = nextFetchSeq++;
         inst.meta = meta;
-        inst.fetchSeq = nextFetchSeq++;
+        inst.mispredicted = false;
         inst.wrongPath = onWrongPath;
-        inst.di.seq = inst.fetchSeq;
+        inst.faulting = false;
+        inst.completed = false;
+        inst.readyAt = 0;
 
         bool group_ends = false;
         if (meta.isControl()) {
             bpred::Prediction p = bpred.predict(di.pc, meta.branch);
             inst.pred = p;
-            inst.hasPred = true;
             if (!inst.wrongPath) {
                 Addr pred_next =
                     p.taken && p.target != invalidAddr
@@ -674,8 +649,8 @@ O3Core::fetchStage()
         if (!inst.wrongPath)
             wrongPath.observe(di);
 
-        notify([&](obs::CoreObserver &o) { o.fetch(inst.fetchSeq, di, now); });
-        fetchQueue.push_back(std::move(inst));
+        notify([&](obs::CoreObserver &o) { o.fetch(inst.di.seq, di, now); });
+        ++fetchTail;
         ++fetched;
         if (group_ends)
             break;
@@ -690,7 +665,7 @@ O3Core::accountCycle()
     if (committedThisCycle > 0) {
         cause = CycleCause::Commit;
     } else if (streamDone && !pendingInst && replayBuffer.empty() &&
-               !onWrongPath && fetchQueue.empty()) {
+               !onWrongPath && fetchQueueEmpty()) {
         // Nothing left to fetch, ever: the backend is draining the
         // tail of the run.
         cause = CycleCause::Drain;
@@ -738,7 +713,7 @@ O3Core::run()
         ++cycles;
         simResult.cycles = now;
 
-        if (streamDone && robEmpty() && fetchQueue.empty() &&
+        if (streamDone && robHead == fetchTail &&
             replayBuffer.empty() && !pendingInst) {
             finished = true;
         }

@@ -136,22 +136,23 @@ class O3Core : public stats::Group
     }
 
   private:
-    /** One in-flight instruction (ROB entry). */
+    /**
+     * One in-flight instruction: a ring slot, written once by fetch.
+     * `di.seq` is the fetch number observers see; `pred` is meaningful
+     * only for control instructions and `rr` only once renamed.
+     */
     struct InFlight
     {
         trace::DynInst di;
         isa::PackedMeta meta;        //!< pre-decoded attribute bits
         rename::RenameResult rr;
         bpred::Prediction pred;
-        bool hasPred = false;
         bool mispredicted = false;   //!< resolves with a redirect
         bool wrongPath = false;
         bool faulting = false;       //!< raises an exception at commit
 
         bool completed = false;      //!< written back (store: address known)
         Tick readyAt = 0;            //!< completion (writeback) tick
-
-        std::uint64_t fetchSeq = 0;  //!< observers' id; not dense in ROB
     };
 
     // --- pipeline stages, called once per cycle ---
@@ -166,20 +167,21 @@ class O3Core : public stats::Group
     bool srcsReady(const InFlight &inst) const;
     bool loadMayIssue(std::uint64_t pos, Tick *forwardReady) const;
     bool scheduleCompletion(std::uint64_t pos);
-    void resolveBranch(InFlight &inst);
-    void squashAfter(std::uint64_t fetchSeq, rename::HistoryToken token,
-                     std::uint32_t *recoveries);
+    void resolveBranch(std::uint64_t pos);
+    std::uint32_t squashFrom(std::uint64_t pos, std::uint64_t flushSeq,
+                             rename::HistoryToken token);
     void flushAll(Cycles extraPenalty);
     void squashRobEntry(const InFlight &victim);
     void squashFetchQueue();
 
-    /** The ROB entry at position `pos`, in [robHead, robTail). */
-    InFlight &at(std::uint64_t pos) { return rob[pos & robMask]; }
+    /** The slot at position `pos`, in [robHead, fetchTail). */
+    InFlight &at(std::uint64_t pos) { return ring[pos & ringMask]; }
     const InFlight &at(std::uint64_t pos) const
     {
-        return rob[pos & robMask];
+        return ring[pos & ringMask];
     }
     bool robEmpty() const { return robHead == robTail; }
+    bool fetchQueueEmpty() const { return robTail == fetchTail; }
 
     /**
      * Call `event` on every observer, in registration order.  With no
@@ -209,7 +211,6 @@ class O3Core : public stats::Group
     Tick now = 0;
 
     // Fetch state.
-    std::deque<InFlight> fetchQueue;
     Tick fetchBlockedUntil = 0;
     bool onWrongPath = false;
     Addr wrongPathPc = 0;
@@ -220,14 +221,16 @@ class O3Core : public stats::Group
     std::uint64_t nextFetchSeq = 0;
     Addr lastFetchLine = invalidAddr;
 
-    // Backend state (DESIGN §4k).  The ROB is a power-of-two ring
-    // addressed by ROB position; [robHead, robTail) are in flight.
-    // Positions never wrap, so they compare in program order, and the
-    // IQ, executing and store lists keep them in that order.
-    std::vector<InFlight> rob;
-    std::uint64_t robMask;
+    // The one home of every in-flight instruction (DESIGN §4k): a
+    // power-of-two ring addressed by position.  [robHead, robTail) is
+    // the ROB and [robTail, fetchTail) the fetch queue.  Positions
+    // never wrap, so they compare in program order, and the IQ,
+    // executing and store lists keep them in that order.
+    std::vector<InFlight> ring;
+    std::uint64_t ringMask;
     std::uint64_t robHead = 0;
     std::uint64_t robTail = 0;
+    std::uint64_t fetchTail = 0;
     std::vector<std::uint64_t> iq;          //!< renamed, not yet issued
     std::vector<std::uint64_t> executing;   //!< issued, not completed
     std::deque<std::uint64_t> stores;       //!< in-flight stores

@@ -1,9 +1,9 @@
 #include "campaign.hh"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/atomicfile.hh"
@@ -96,14 +96,14 @@ parseFigure(const Value &v, CampaignFigure &fig, std::string &error)
                 return false;
             }
             for (const auto &entry : val.arr) {
-                if (!entry.isNumber() || entry.num <= 0 ||
-                    entry.num != std::floor(entry.num)) {
-                    error = "campaign manifest: " + where + ": 'sizes' "
-                            "entries must be positive integers";
+                std::uint64_t n = 0;
+                if (!readJsonInteger(entry, 1,
+                                     std::numeric_limits<std::uint32_t>::max(),
+                                     "campaign manifest: " + where +
+                                         ": each 'sizes' entry",
+                                     n, error))
                     return false;
-                }
-                fig.sizes.push_back(
-                    static_cast<std::uint32_t>(entry.num));
+                fig.sizes.push_back(static_cast<std::uint32_t>(n));
             }
         } else {
             error = "campaign manifest: " + where + ": unknown key '" +
@@ -299,13 +299,10 @@ tryParseCampaignManifest(const std::string &text, CampaignManifest &out,
             }
             m.name = val.str;
         } else if (key == "cap") {
-            if (!val.isNumber() || val.num <= 0 ||
-                val.num != std::floor(val.num)) {
-                error = "campaign manifest: 'cap' must be a positive "
-                        "integer";
+            if (!readJsonInteger(val, 1,
+                                 std::numeric_limits<std::uint64_t>::max(),
+                                 "campaign manifest: 'cap'", m.cap, error))
                 return false;
-            }
-            m.cap = static_cast<std::uint64_t>(val.num);
         } else if (key == "figures") {
             sawFigures = true;
             if (!val.isArray()) {

@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
+#include "common/strutils.hh"
 #include "common/threadpool.hh"
 #include "core/o3core.hh"
 #include "harness/sampling.hh"
@@ -20,24 +22,32 @@ namespace rrs::harness {
 namespace {
 
 /**
+ * A count from the environment variable `name`: -1 when unset,
+ * otherwise an integer in [0, max] (rrs::parseInt syntax).  Read
+ * during static initialisation so a malformed or too-large value dies
+ * cleanly before any sweep worker starts (rrs_fatal from inside a pool
+ * thread would race process teardown).
+ */
+std::int64_t
+envCount(const char *name, std::int64_t max)
+{
+    const char *env = std::getenv(name);
+    if (!env)
+        return -1;
+    const std::optional<std::int64_t> v = parseInt(env);
+    if (!v || *v < 0 || *v > max)
+        rrs_fatal("%s must be a non-negative integer up to %lld, got '%s'",
+                  name, static_cast<long long>(max), env);
+    return *v;
+}
+
+/**
  * The process-wide audit default from RRS_AUDIT: -1 when the variable
  * is unset, otherwise its value (0 disables, 1 audits after every
- * commit, N > 1 audits every N cycles).  Parsed during static
- * initialisation so a malformed value dies cleanly before any sweep
- * worker starts (rrs_fatal from inside a pool thread would race
- * process teardown).
+ * commit, N > 1 audits every N cycles).
  */
-const long long envAuditDefault = [] {
-    const char *env = std::getenv("RRS_AUDIT");
-    if (!env)
-        return -1LL;
-    char *end = nullptr;
-    long long v = std::strtoll(env, &end, 10);
-    if (end == env || *end != '\0' || v < 0)
-        rrs_fatal("RRS_AUDIT must be a non-negative integer, got '%s'",
-                  env);
-    return v;
-}();
+const std::int64_t envAuditDefault =
+    envCount("RRS_AUDIT", std::numeric_limits<std::int64_t>::max());
 
 /** Resolve a run's audit interval (0 = auditing off). */
 Cycles
@@ -59,20 +69,10 @@ resolveAuditInterval(const ObsOptions &obs)
 
 /**
  * The process-wide flight-recorder default from RRS_FLIGHTREC_DEPTH:
- * -1 when unset, otherwise the ring depth (0 disables).  Parsed at
- * static init for the same die-before-the-sweep reason as RRS_AUDIT.
+ * -1 when unset, otherwise the ring depth (0 disables).
  */
-const long long envFlightRecDepth = [] {
-    const char *env = std::getenv("RRS_FLIGHTREC_DEPTH");
-    if (!env)
-        return -1LL;
-    char *end = nullptr;
-    long long v = std::strtoll(env, &end, 10);
-    if (end == env || *end != '\0' || v < 0)
-        rrs_fatal("RRS_FLIGHTREC_DEPTH must be a non-negative integer, "
-                  "got '%s'", env);
-    return v;
-}();
+const std::int64_t envFlightRecDepth = envCount(
+    "RRS_FLIGHTREC_DEPTH", std::numeric_limits<std::uint32_t>::max());
 
 /** Resolve a run's flight-recorder depth (0 = recorder off). */
 std::uint32_t

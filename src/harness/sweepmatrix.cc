@@ -1,7 +1,9 @@
 #include "sweepmatrix.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -13,6 +15,15 @@ namespace rrs::harness {
 namespace {
 
 using obs::json::Value;
+
+constexpr std::uint64_t u32Max = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t u64Max = std::numeric_limits<std::uint64_t>::max();
+
+/**
+ * Sampling lengths stop at INT64_MAX, as a `--sample` spec's do, so
+ * warm + detailed cannot wrap.
+ */
+constexpr std::uint64_t sampleMax = std::numeric_limits<std::int64_t>::max();
 
 /**
  * Duplicate detection for hand-written matrices: a matrix with two
@@ -30,70 +41,63 @@ checkNoDuplicateKeys(const Value &obj, const std::string &where,
     return true;
 }
 
+/**
+ * Read one declarative parameter of `scheme`: a key the scheme
+ * publishes and a whole value in that key's range (a bool reads as 0
+ * or 1 for the keys that are flags).  This is the config-parse-time
+ * check that keeps an unknown key, or a value the renamer would
+ * reject, from ever reaching a sweep worker.
+ */
+bool
+parseParam(const rename::RenameScheme &scheme, const std::string &key,
+           const Value &val, double &out, std::string &error)
+{
+    const std::vector<rename::SchemeParamRange> ranges =
+        scheme.paramRanges();
+    const auto range =
+        std::find_if(ranges.begin(), ranges.end(),
+                     [&](const auto &r) { return r.key == key; });
+    if (range == ranges.end()) {
+        std::string keys;
+        for (const auto &r : ranges)
+            keys += (keys.empty() ? "" : ", ") + r.key;
+        error = "sweep matrix: scheme '" + scheme.name() +
+                "' has no parameter '" + key + "' (keys: " + keys + ")";
+        return false;
+    }
+    std::uint64_t n = 0;
+    if (val.kind() == Value::Kind::Bool && range->min == 0 &&
+        range->max == 1) {
+        n = val.boolean;
+    } else if (!readJsonInteger(val, range->min, range->max,
+                                "sweep matrix: parameter '" + key +
+                                    "' of scheme '" + scheme.name() + "'",
+                                n, error)) {
+        return false;
+    }
+    out = static_cast<double>(n);
+    return true;
+}
+
 bool
 parseSchemeSpec(const Value &v, SchemeSpec &spec, std::string &error)
 {
-    if (v.isString()) {
-        spec.scheme = v.str;
-    } else if (v.isObject()) {
-        if (!checkNoDuplicateKeys(v, "a scheme entry", error))
-            return false;
-        const Value *name = v.find("scheme");
-        if (!name || !name->isString()) {
-            error = "sweep matrix: scheme entries need a string "
-                    "'scheme' member";
-            return false;
-        }
-        spec.scheme = name->str;
-        for (const auto &[key, val] : v.members) {
-            if (key == "scheme") {
-                continue;
-            } else if (key == "label") {
-                if (!val.isString()) {
-                    error = "sweep matrix: 'label' must be a string";
-                    return false;
-                }
-                spec.label = val.str;
-            } else if (key == "params") {
-                if (!val.isObject()) {
-                    error = "sweep matrix: 'params' must be an object "
-                            "of name: number pairs";
-                    return false;
-                }
-                if (!checkNoDuplicateKeys(val, "the params of scheme '" +
-                                                   spec.scheme + "'",
-                                          error))
-                    return false;
-                for (const auto &[pk, pv] : val.members) {
-                    if (!pv.isNumber() &&
-                        pv.kind() != Value::Kind::Bool) {
-                        error = "sweep matrix: parameter '" + pk +
-                                "' of scheme '" + spec.scheme +
-                                "' must be a number or bool";
-                        return false;
-                    }
-                    double num = pv.isNumber()
-                                     ? pv.num
-                                     : (pv.boolean ? 1.0 : 0.0);
-                    spec.params.emplace_back(pk, num);
-                }
-            } else {
-                error = "sweep matrix: unknown scheme-entry key '" +
-                        key + "' (expected scheme/label/params)";
-                return false;
-            }
-        }
-    } else {
+    if (!v.isString() && !v.isObject()) {
         error = "sweep matrix: each scheme must be a registry name "
                 "string or an object";
         return false;
     }
-    if (spec.label.empty())
-        spec.label = spec.scheme;
+    if (v.isObject() && !checkNoDuplicateKeys(v, "a scheme entry", error))
+        return false;
+    const Value *name = v.isString() ? &v : v.find("scheme");
+    if (!name || !name->isString()) {
+        error = "sweep matrix: scheme entries need a string "
+                "'scheme' member";
+        return false;
+    }
+    spec.scheme = name->str;
 
-    // Resolve the scheme and dry-run every parameter override now:
-    // this is the config-parse-time check that keeps an unknown name
-    // or key from ever reaching a sweep worker.
+    // Resolve the scheme now: an unknown name is a parse-time error.
     const rename::RenameScheme *scheme =
         rename::findRenameScheme(spec.scheme);
     if (!scheme) {
@@ -104,18 +108,39 @@ parseSchemeSpec(const Value &v, SchemeSpec &spec, std::string &error)
                 "' (registered: " + known + ")";
         return false;
     }
-    rename::SchemeParams scratch;
-    for (const auto &[key, val] : spec.params) {
-        if (!scheme->setParam(scratch, key, val)) {
-            std::string keys;
-            for (const auto &k : scheme->paramKeys())
-                keys += (keys.empty() ? "" : ", ") + k;
-            error = "sweep matrix: scheme '" + spec.scheme +
-                    "' has no parameter '" + key + "' (keys: " + keys +
-                    ")";
+    for (const auto &[key, val] : v.members) {
+        if (key == "scheme") {
+            continue;
+        } else if (key == "label") {
+            if (!val.isString()) {
+                error = "sweep matrix: 'label' must be a string";
+                return false;
+            }
+            spec.label = val.str;
+        } else if (key == "params") {
+            if (!val.isObject()) {
+                error = "sweep matrix: 'params' must be an object "
+                        "of name: number pairs";
+                return false;
+            }
+            if (!checkNoDuplicateKeys(val, "the params of scheme '" +
+                                               spec.scheme + "'",
+                                      error))
+                return false;
+            for (const auto &[pk, pv] : val.members) {
+                double num = 0;
+                if (!parseParam(*scheme, pk, pv, num, error))
+                    return false;
+                spec.params.emplace_back(pk, num);
+            }
+        } else {
+            error = "sweep matrix: unknown scheme-entry key '" + key +
+                    "' (expected scheme/label/params)";
             return false;
         }
     }
+    if (spec.label.empty())
+        spec.label = spec.scheme;
     return true;
 }
 
@@ -135,6 +160,29 @@ checkNoDuplicateJsonKeys(const Value &obj, const std::string &where,
         }
     }
     return true;
+}
+
+bool
+readJsonInteger(const Value &v, std::uint64_t lo, std::uint64_t hi,
+                const std::string &field, std::uint64_t &out,
+                std::string &error)
+{
+    // 2^64 is exact as a double, and every whole double in [0, 2^64)
+    // converts to std::uint64_t exactly.
+    if (v.isNumber() && v.num == std::floor(v.num) && v.num >= 0 &&
+        v.num < 0x1p64) {
+        const auto n = static_cast<std::uint64_t>(v.num);
+        if (n >= lo && n <= hi) {
+            out = n;
+            return true;
+        }
+    }
+    const std::string top = std::to_string(hi);
+    error = field + " must be " +
+            (lo == 0   ? "a non-negative integer up to " + top
+             : lo == 1 ? "a positive integer up to " + top
+                       : "an integer in " + std::to_string(lo) + ".." + top);
+    return false;
 }
 
 bool
@@ -183,23 +231,17 @@ tryParseSweepMatrix(const Value &root, SweepMatrix &out,
                 return false;
             }
             for (const auto &entry : val.arr) {
-                if (!entry.isNumber() || entry.num <= 0 ||
-                    entry.num != std::floor(entry.num)) {
-                    error = "sweep matrix: 'rf_sizes' entries must be "
-                            "positive integers";
+                std::uint64_t n = 0;
+                if (!readJsonInteger(entry, 1, u32Max,
+                                     "sweep matrix: each 'rf_sizes' entry",
+                                     n, error))
                     return false;
-                }
-                m.rfSizes.push_back(
-                    static_cast<std::uint32_t>(entry.num));
+                m.rfSizes.push_back(static_cast<std::uint32_t>(n));
             }
         } else if (key == "cap") {
-            if (!val.isNumber() || val.num <= 0 ||
-                val.num != std::floor(val.num)) {
-                error = "sweep matrix: 'cap' must be a positive "
-                        "integer";
+            if (!readJsonInteger(val, 1, u64Max, "sweep matrix: 'cap'",
+                                 m.cap, error))
                 return false;
-            }
-            m.cap = static_cast<std::uint64_t>(val.num);
         } else if (key == "sample_sharing") {
             if (val.kind() != Value::Kind::Bool) {
                 error = "sweep matrix: 'sample_sharing' must be a bool";
@@ -236,15 +278,11 @@ tryParseSweepMatrix(const Value &root, SweepMatrix &out,
                 // warm may be zero (no functional warming); detailed
                 // and period must be positive for the mode to mean
                 // anything.
-                if (!sv.isNumber() || sv.num < (isWarm ? 0 : 1) ||
-                    sv.num != std::floor(sv.num)) {
-                    error = "sweep matrix: sampling '" + sk + "' must "
-                            "be a " +
-                            (isWarm ? "non-negative" : "positive") +
-                            std::string(" integer");
+                std::uint64_t n = 0;
+                if (!readJsonInteger(sv, isWarm ? 0 : 1, sampleMax,
+                                     "sweep matrix: sampling '" + sk + "'",
+                                     n, error))
                     return false;
-                }
-                const auto n = static_cast<std::uint64_t>(sv.num);
                 if (sk == "warm")
                     m.sampling.warm = n;
                 else if (sk == "detailed")

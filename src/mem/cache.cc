@@ -26,18 +26,6 @@ Cache::Cache(const CacheParams &params, Cache *below, Dram *dram,
     rrs_assert(sets > 0, "cache too small for its associativity");
 }
 
-void
-Cache::resetState()
-{
-    std::fill(lines.begin(), lines.end(), Line{});
-    std::fill(mshrFile.begin(), mshrFile.end(), Mshr{});
-    lruTick = 0;
-    if (below)
-        below->resetState();
-    if (dram)
-        dram->resetState();
-}
-
 std::uint32_t
 Cache::setIndex(Addr line) const
 {
@@ -198,12 +186,6 @@ Cache::prefetch(Addr addr, Tick now)
 Prefetcher::Prefetcher(std::uint32_t tableEntries, std::uint32_t degree)
     : table(tableEntries), degree(degree)
 {
-}
-
-void
-Prefetcher::resetState()
-{
-    std::fill(table.begin(), table.end(), Entry{});
 }
 
 std::vector<Addr>

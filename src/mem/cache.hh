@@ -65,9 +65,6 @@ class Cache : public stats::Group
     /** True if the line is resident *now* (test/introspection). */
     bool contains(Addr addr, Tick now) const;
 
-    /** Drop all lines and MSHR state (between sweep runs). */
-    void resetState();
-
     std::uint64_t hitCount() const
     {
         return static_cast<std::uint64_t>(hits.value());
@@ -130,8 +127,6 @@ class Prefetcher
 
     /** Observe a demand access; returns prefetch addresses to issue. */
     std::vector<Addr> observe(Addr pc, Addr addr);
-
-    void resetState();
 
   private:
     struct Entry

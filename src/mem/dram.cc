@@ -18,14 +18,6 @@ Dram::Dram(const DramParams &params, stats::Group *parent)
     rrs_assert(!banks.empty(), "DRAM needs at least one bank");
 }
 
-void
-Dram::resetState()
-{
-    for (auto &b : banks)
-        b = Bank{};
-    busReadyAt = 0;
-}
-
 std::uint32_t
 Dram::bankIndex(Addr addr) const
 {

@@ -50,9 +50,6 @@ class Dram : public stats::Group
      */
     Tick access(Addr addr, Tick now);
 
-    /** Reset bank state (between sweep runs). */
-    void resetState();
-
   private:
     struct Bank
     {

@@ -18,18 +18,6 @@ MemSystem::MemSystem(const MemSystemParams &params, stats::Group *parent)
     }
 }
 
-void
-MemSystem::resetState()
-{
-    // L1 resets cascade into L2/DRAM; reset the L2 chain only once.
-    l1iCache->resetState();
-    // l1d shares l2: reset only its own arrays to avoid double work.
-    l1dCache->resetState();
-    dtlb->resetState();
-    if (stride)
-        stride->resetState();
-}
-
 Tick
 MemSystem::fetchAccess(Addr pc, Tick now)
 {

@@ -61,9 +61,6 @@ class MemSystem : public stats::Group
     Tlb &tlb() { return *dtlb; }
     Dram &dram() { return *mainMem; }
 
-    /** Reset all timing state (between sweep runs). */
-    void resetState();
-
   private:
     MemSystemParams params;
     std::unique_ptr<Dram> mainMem;

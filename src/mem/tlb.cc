@@ -1,7 +1,5 @@
 #include "tlb.hh"
 
-#include <algorithm>
-
 namespace rrs::mem {
 
 Tlb::Tlb(const TlbParams &params, stats::Group *parent)
@@ -10,13 +8,6 @@ Tlb::Tlb(const TlbParams &params, stats::Group *parent)
       lookups(this, "lookups", "translations requested"),
       misses(this, "misses", "TLB misses (page walks)")
 {
-}
-
-void
-Tlb::resetState()
-{
-    std::fill(entries.begin(), entries.end(), Entry{});
-    lruTick = 0;
 }
 
 TlbResult

@@ -41,8 +41,6 @@ class Tlb : public stats::Group
     /** Translate; misses insert the page and charge the walk. */
     TlbResult translate(Addr vaddr);
 
-    void resetState();
-
     std::uint64_t missCount() const
     {
         return static_cast<std::uint64_t>(misses.value());

@@ -1,10 +1,14 @@
 #include "scheme.hh"
 
+#include <limits>
+
 #include "common/logging.hh"
 
 namespace rrs::rename {
 
 namespace {
+
+constexpr std::uint64_t u32Max = std::numeric_limits<std::uint32_t>::max();
 
 /** The baseline (merged-file, release-on-commit) scheme plugin. */
 class BaselineScheme : public RenameScheme
@@ -73,10 +77,13 @@ class BaselineScheme : public RenameScheme
         return true;
     }
 
-    std::vector<std::string>
-    paramKeys() const override
+    std::vector<SchemeParamRange>
+    paramRanges() const override
     {
-        return {"regs", "int_regs", "fp_regs"};
+        // Each class needs a physical register per logical one.
+        return {{"regs", isa::numLogRegs, u32Max},
+                {"int_regs", isa::numLogRegs, u32Max},
+                {"fp_regs", isa::numLogRegs, u32Max}};
     }
 };
 
@@ -165,12 +172,20 @@ class ReuseScheme : public RenameScheme
         return true;
     }
 
-    std::vector<std::string>
-    paramKeys() const override
+    std::vector<SchemeParamRange>
+    paramRanges() const override
     {
-        return {"counter_bits", "predictor_entries", "reuse_non_redef",
-                "reuse_enabled", "non_redef_confidence", "bank0",
-                "bank1", "bank2", "bank3"};
+        // ReuseRenamer takes 1..4-bit version counters, and the type
+        // predictor needs an entry.
+        return {{"counter_bits", 1, 4},
+                {"predictor_entries", 1, u32Max},
+                {"reuse_non_redef", 0, 1},
+                {"reuse_enabled", 0, 1},
+                {"non_redef_confidence", 0, 255},
+                {"bank0", 0, u32Max},
+                {"bank1", 0, u32Max},
+                {"bank2", 0, u32Max},
+                {"bank3", 0, u32Max}};
     }
 };
 

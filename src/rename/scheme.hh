@@ -79,6 +79,14 @@ struct SchemeAreaDescriptor
     std::uint32_t predictorBits = 0;    //!< bits per predictor entry
 };
 
+/** One declarative parameter: its key and the whole values it takes. */
+struct SchemeParamRange
+{
+    std::string key;
+    std::uint64_t min;
+    std::uint64_t max;
+};
+
 /** A pluggable rename scheme (stateless; a factory plus metadata). */
 class RenameScheme
 {
@@ -111,14 +119,17 @@ class RenameScheme
 
     /**
      * Apply one declarative "key: value" override from a sweep matrix.
-     * @return false if the key is not one of paramKeys() (the matrix
-     *         parser turns that into a config-parse-time error).
+     * @return false if the key is not one of paramRanges().
      */
     virtual bool setParam(SchemeParams &params, const std::string &key,
                           double value) const = 0;
 
-    /** The keys setParam() accepts, for diagnostics. */
-    virtual std::vector<std::string> paramKeys() const = 0;
+    /**
+     * The keys setParam() accepts, each with the whole values its
+     * field holds and the scheme's renamer takes.  The matrix parser
+     * rejects any other key or value before a sweep starts.
+     */
+    virtual std::vector<SchemeParamRange> paramRanges() const = 0;
 };
 
 /**

@@ -110,17 +110,6 @@ Average::dumpJson(std::ostream &os) const
 }
 
 double
-Distribution::fractionAtLeast(std::uint64_t lo) const
-{
-    if (!total)
-        return 0.0;
-    std::uint64_t c = 0;
-    for (auto it = counts.lower_bound(lo); it != counts.end(); ++it)
-        c += it->second;
-    return static_cast<double>(c) / static_cast<double>(total);
-}
-
-double
 Distribution::mean() const
 {
     if (!total)

@@ -14,8 +14,7 @@
  * stats), and fold the sweep's aggregates from the per-run result
  * slots strictly after the lanes have joined.  Aggregating after the
  * join is the thread-safe path, and it keeps per-run updates free of
- * atomics on the simulator's hot paths; merge() folds one stat into
- * another under the same rule.
+ * atomics on the simulator's hot paths.
  */
 
 #ifndef RRS_STATS_STATS_HH
@@ -127,9 +126,6 @@ class Scalar : public StatBase
 
     double value() const { return val; }
 
-    /** Fold another run's counter into this one (post-join only). */
-    void merge(const Scalar &other) { val += other.val; }
-
     void dump(std::ostream &os, const std::string &prefix) const override;
     void dumpJson(std::ostream &os) const override;
     void reset() override { val = 0; }
@@ -167,23 +163,6 @@ class Average : public StatBase
     std::uint64_t samples() const { return n; }
     double min() const { return n ? minV : 0.0; }
     double max() const { return n ? maxV : 0.0; }
-
-    /** Fold another run's samples into this one (post-join only). */
-    void
-    merge(const Average &other)
-    {
-        if (other.n == 0)
-            return;
-        if (n == 0) {
-            minV = other.minV;
-            maxV = other.maxV;
-        } else {
-            minV = other.minV < minV ? other.minV : minV;
-            maxV = other.maxV > maxV ? other.maxV : maxV;
-        }
-        sum += other.sum;
-        n += other.n;
-    }
 
     void dump(std::ostream &os, const std::string &prefix) const override;
     void dumpJson(std::ostream &os) const override;
@@ -232,9 +211,6 @@ class Distribution : public StatBase
                      : 0.0;
     }
 
-    /** Fraction of samples with key >= lo. */
-    double fractionAtLeast(std::uint64_t lo) const;
-
     double mean() const;
 
     /**
@@ -264,15 +240,6 @@ class Distribution : public StatBase
     const std::map<std::uint64_t, std::uint64_t> &raw() const
     {
         return counts;
-    }
-
-    /** Fold another run's histogram into this one (post-join only). */
-    void
-    merge(const Distribution &other)
-    {
-        for (const auto &[key, count] : other.counts)
-            counts[key] += count;
-        total += other.total;
     }
 
     void dump(std::ostream &os, const std::string &prefix) const override;

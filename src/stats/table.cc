@@ -86,33 +86,4 @@ TextTable::print(std::ostream &os, const std::string &title) const
         emitRow(r);
 }
 
-void
-TextTable::printCsv(std::ostream &os) const
-{
-    auto quote = [](const std::string &s) {
-        if (s.find_first_of(",\"\n") == std::string::npos)
-            return s;
-        std::string out = "\"";
-        for (char ch : s) {
-            if (ch == '"')
-                out += "\"\"";
-            else
-                out += ch;
-        }
-        out += "\"";
-        return out;
-    };
-    auto emit = [&](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            if (c)
-                os << ",";
-            os << quote(cells[c]);
-        }
-        os << "\n";
-    };
-    emit(headers);
-    for (const auto &r : rows)
-        emit(r);
-}
-
 } // namespace rrs::stats

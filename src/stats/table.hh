@@ -1,8 +1,7 @@
 /**
  * @file
  * Plain-text table formatter used by the benchmark harness to print the
- * paper's tables and figure data series in aligned columns, plus a CSV
- * emitter for downstream plotting.
+ * paper's tables and figure data series in aligned columns.
  */
 
 #ifndef RRS_STATS_TABLE_HH
@@ -40,9 +39,6 @@ class TextTable
 
     /** Render with column alignment and a header underline. */
     void print(std::ostream &os, const std::string &title = "") const;
-
-    /** Render as CSV (no alignment, comma separated, quoted as needed). */
-    void printCsv(std::ostream &os) const;
 
     std::size_t numRows() const { return rows.size(); }
 

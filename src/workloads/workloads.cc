@@ -152,11 +152,4 @@ captureTrace(const Workload &w, std::uint64_t maxInsts)
         w.name, cap, sourceHash(w), std::move(records));
 }
 
-std::unique_ptr<trace::InstStream>
-makeStream(const Workload &w, std::uint64_t maxInsts)
-{
-    return std::make_unique<trace::ReplayStream>(
-        captureTrace(w, maxInsts));
-}
-
 } // namespace rrs::workloads

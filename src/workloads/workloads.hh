@@ -74,8 +74,8 @@ resolvedCap(const Workload &w, std::uint64_t maxInsts)
  * past its warmup phase and capped at `maxInsts` post-warmup
  * instructions (0: workload default).  Use this when architectural
  * state matters (oracle tests, emulator microbenchmarks); timing runs
- * should consume traces via makeStream / the harness trace cache
- * instead.
+ * should replay a captured trace (captureTrace, or the harness trace
+ * cache) instead.
  */
 std::unique_ptr<emu::Emulator> makeEmulator(const Workload &w,
                                             std::uint64_t maxInsts = 0);
@@ -89,17 +89,6 @@ std::unique_ptr<emu::Emulator> makeEmulator(const Workload &w,
  */
 trace::TracePtr captureTrace(const Workload &w,
                              std::uint64_t maxInsts = 0);
-
-/**
- * Create a fresh instruction stream for a workload.  Built on the
- * capture/replay layer: the workload is emulated once and the stream
- * replays the recording, so reset() costs nothing.  Callers that run
- * many configurations should share one capture through
- * harness::traceCache() instead of calling this repeatedly.
- * @param maxInsts cap override; 0 uses the workload default
- */
-std::unique_ptr<trace::InstStream> makeStream(const Workload &w,
-                                              std::uint64_t maxInsts = 0);
 
 /** Suite names in canonical order. */
 const std::vector<std::string> &suiteNames();

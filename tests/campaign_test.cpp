@@ -114,6 +114,27 @@ TEST(CampaignManifestTest, DiagnosticsAreRaisedAtParseTime)
                          "\"figures\": []}")
                   .find("'cap'"),
               std::string::npos);
+    EXPECT_NE(parseError("{\"name\": \"x\", \"cap\": 1e30, "
+                         "\"figures\": []}")
+                  .find("'cap' must be a positive integer up to "
+                        "18446744073709551615"),
+              std::string::npos);
+    EXPECT_NE(parseError("{\"name\": \"x\", \"figures\": ["
+                         "{\"figure\": \"t\", \"kind\": \"table3\", "
+                         "\"sizes\": [4294967344]}]}")
+                  .find("figure 't': each 'sizes' entry must be a "
+                        "positive integer up to 4294967295"),
+              std::string::npos);
+    const std::string badParam =
+        parseError("{\"name\": \"x\", \"figures\": ["
+                   "{\"figure\": \"f\", \"kind\": \"fig11\", "
+                   "\"matrix\": {\"schemes\": [\"baseline\", "
+                   "{\"scheme\": \"reuse\", \"params\": "
+                   "{\"counter_bits\": 5}}], \"rf_sizes\": [48]}}]}");
+    EXPECT_NE(badParam.find("figure 'f'"), std::string::npos);
+    EXPECT_NE(badParam.find("parameter 'counter_bits' of scheme 'reuse' "
+                            "must be a positive integer up to 4"),
+              std::string::npos);
 
     // Figure-level diagnostics name the offending figure.
     const std::string badKind =

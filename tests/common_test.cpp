@@ -121,14 +121,6 @@ TEST(StrUtils, Split)
     EXPECT_EQ(parts[3], "c");
 }
 
-TEST(StrUtils, SplitWhitespace)
-{
-    auto parts = splitWhitespace("  add   x1,  x2 ");
-    ASSERT_EQ(parts.size(), 3u);
-    EXPECT_EQ(parts[0], "add");
-    EXPECT_EQ(parts[1], "x1,");
-}
-
 TEST(StrUtils, ParseInt)
 {
     EXPECT_EQ(parseInt("42").value(), 42);

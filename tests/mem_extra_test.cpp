@@ -37,18 +37,6 @@ TEST(DramExtra, BusSerialisesBackToBackBursts)
     EXPECT_GE(t3, t2 + dp.burst);
 }
 
-TEST(DramExtra, ResetStateClearsRowBuffers)
-{
-    DramParams dp;
-    Dram dram(dp);
-    Tick now = 20000;
-    Tick cold = dram.access(0, now) - now;
-    dram.access(1, now + 1000);
-    dram.resetState();
-    Tick cold2 = dram.access(0, now) - now;
-    EXPECT_EQ(cold, cold2);
-}
-
 TEST(CacheExtra, WritebackOnlyForDirtyLines)
 {
     DramParams dp;

@@ -174,16 +174,6 @@ TEST(TlbTest, LruCapacity)
     EXPECT_EQ(tlb.missCount(), 4u);
 }
 
-TEST(MemSystemTest, ResetClearsTimingState)
-{
-    MemSystemParams mp;
-    MemSystem ms(mp);
-    Tick cold1 = ms.dataAccess(0x1000, 0x300000, false, 0);
-    ms.resetState();
-    Tick cold2 = ms.dataAccess(0x1000, 0x300000, false, 0);
-    EXPECT_EQ(cold1, cold2);   // identical cold behaviour after reset
-}
-
 TEST(MemSystemTest, FetchPathUsesL1I)
 {
     MemSystemParams mp;

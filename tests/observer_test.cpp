@@ -3,13 +3,18 @@
 // branchy kernel and on a run with load faults and timer interrupts,
 // under both rename schemes — pipeline order per instruction, exactly
 // one commit or squash per fetch, registration order across observers,
-// and a simulated result that does not depend on being observed.
+// and a simulated result that does not depend on being observed.  Two
+// more cases pin core paths through their events: a flush whose ROB
+// head is the run's first instruction, and store-to-load forwarding.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "core/o3core.hh"
@@ -67,6 +72,26 @@ buf:
     .space 8192
 )";
 
+// Each load reads the store just before it, whose data waits on two
+// divides: the load issues once the store completes, and forwards.
+const char *forwardProgram = R"(
+    movz x1, #7
+    movz x2, =buf
+    movz x4, #40
+    movz x6, #1
+loop:
+    div x1, x1, x6
+    div x1, x1, x6
+    str x1, [x2]
+    ldr x3, [x2]
+    subi x4, x4, #1
+    bne x4, xzr, loop
+    halt
+    .data
+buf:
+    .space 8
+)";
+
 enum class Kind : std::uint8_t {
     Fetch, Rename, Issue, Complete, Commit, Squash,
     FlushYounger, FlushAll, Sample, EndRun,
@@ -78,6 +103,7 @@ struct Event
     Kind kind;
     std::uint64_t seq;
     Tick now;
+    bool load = false;   //!< a fetched load (Fetch events only)
 
     bool
     sameAs(const Event &o) const
@@ -93,9 +119,10 @@ class Recorder : public obs::CoreObserver
     Recorder(int id, std::vector<Event> &log) : id(id), log(log) {}
 
     void
-    fetch(std::uint64_t seq, const trace::DynInst &, Tick now) override
+    fetch(std::uint64_t seq, const trace::DynInst &di, Tick now) override
     {
         add(Kind::Fetch, seq, now);
+        log.back().load = isa::isLoad(di.si.op);
     }
     void
     rename(std::uint64_t seq, const obs::DestTag &, Tick now) override
@@ -160,6 +187,7 @@ struct Case
     bool reuse;
     double loadFaultProbability;
     Cycles interruptInterval;
+    Cycles forwardLat = 1;
 };
 
 /** Run one case on a hand-built core with `observers` recorders. */
@@ -181,6 +209,7 @@ runCase(const Case &c, int observers)
     core::CoreParams cp;
     cp.loadFaultProbability = c.loadFaultProbability;
     cp.interruptInterval = c.interruptInterval;
+    cp.fu.forwardLat = c.forwardLat;
     core::O3Core core(cp, *rn, mem, bp, stream);
 
     ObservedRun out;
@@ -336,6 +365,93 @@ TEST(CoreObserver, ObservingNeverChangesTheResult)
         EXPECT_EQ(bare.mispredicts, watched.mispredicts);
         EXPECT_EQ(bare.exceptions, watched.exceptions);
         EXPECT_EQ(bare.interrupts, watched.interrupts);
+    }
+}
+
+TEST(CoreObserver, FlushOfTheFirstInstructionSquashesRobThenFetchQueue)
+{
+    // The first timer interrupt lands while seq 0 is renamed but not
+    // committed.  The flush squashes the ROB youngest first, seq 0
+    // included, then the fetch queue oldest first, then reports its
+    // Younger and All events.
+    for (bool reuse : {false, true}) {
+        SCOPED_TRACE(reuse ? "reuse" : "baseline");
+        const Case c{"first_flush", branchyProgram, reuse, 0, 145};
+        const std::vector<Event> log = runCase(c, 1).log;
+        const auto all =
+            std::find_if(log.begin(), log.end(), [](const Event &e) {
+                return e.kind == Kind::FlushAll;
+            });
+        ASSERT_NE(all, log.end());
+        auto first = all;
+        while (first != log.begin() &&
+               (first[-1].kind == Kind::Squash ||
+                first[-1].kind == Kind::FlushYounger))
+            --first;
+
+        // What was in flight when the flush began.
+        std::set<std::uint64_t> rob, fetchQueue;
+        for (auto it = log.begin(); it != first; ++it) {
+            if (it->kind == Kind::Fetch) {
+                fetchQueue.insert(it->seq);
+            } else if (it->kind == Kind::Rename) {
+                fetchQueue.erase(it->seq);
+                rob.insert(it->seq);
+            } else if (it->kind == Kind::Commit ||
+                       it->kind == Kind::Squash) {
+                rob.erase(it->seq);
+                fetchQueue.erase(it->seq);
+            }
+        }
+        ASSERT_FALSE(rob.empty());
+        ASSERT_EQ(*rob.begin(), 0u) << "seq 0 must head the ROB";
+        ASSERT_FALSE(fetchQueue.empty());
+
+        std::vector<std::string> expected;
+        for (auto it = rob.rbegin(); it != rob.rend(); ++it)
+            expected.push_back("squash " + std::to_string(*it));
+        for (std::uint64_t seq : fetchQueue)
+            expected.push_back("squash " + std::to_string(seq));
+        expected.push_back("younger 0");
+        expected.push_back("all 0");
+        std::vector<std::string> got;
+        for (auto it = first; it != all + 1; ++it) {
+            const char *what = it->kind == Kind::Squash ? "squash "
+                               : it->kind == Kind::FlushYounger
+                                   ? "younger "
+                                   : "all ";
+            got.push_back(what + std::to_string(it->seq));
+        }
+        EXPECT_EQ(got, expected);
+    }
+}
+
+TEST(CoreObserver, ForwardedLoadsCompleteForwardLatAfterIssue)
+{
+    for (Cycles lat : {Cycles{1}, Cycles{20}}) {
+        for (bool reuse : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "forwardLat " << lat << ", "
+                         << (reuse ? "reuse" : "baseline"));
+            const Case c{"forward", forwardProgram, reuse, 0, 0, lat};
+            std::set<std::uint64_t> loads;
+            std::map<std::uint64_t, Tick> issued, completed;
+            int committedLoads = 0;
+            for (const Event &e : runCase(c, 1).log) {
+                if (e.kind == Kind::Fetch && e.load)
+                    loads.insert(e.seq);
+                else if (e.kind == Kind::Issue)
+                    issued[e.seq] = e.now;
+                else if (e.kind == Kind::Complete)
+                    completed[e.seq] = e.now;
+                else if (e.kind == Kind::Commit && loads.count(e.seq)) {
+                    EXPECT_EQ(completed.at(e.seq) - issued.at(e.seq), lat)
+                        << "load seq " << e.seq;
+                    ++committedLoads;
+                }
+            }
+            EXPECT_EQ(committedLoads, 40);
+        }
     }
 }
 

@@ -115,8 +115,8 @@ TEST_P(SchemeConformance, RegistryRoundTrip)
     // Every advertised key must be settable; an invented one must be
     // a typed rejection (the matrix parser's diagnostic path).
     SchemeParams params;
-    for (const auto &key : scheme->paramKeys())
-        EXPECT_TRUE(scheme->setParam(params, key, 1.0)) << key;
+    for (const auto &range : scheme->paramRanges())
+        EXPECT_TRUE(scheme->setParam(params, range.key, 1.0)) << range.key;
     EXPECT_FALSE(scheme->setParam(params, "no_such_parameter", 1.0));
 }
 

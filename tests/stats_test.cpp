@@ -55,7 +55,6 @@ TEST(DistributionStat, FractionsAndMean)
     EXPECT_DOUBLE_EQ(d.fraction(1), 0.5);
     EXPECT_DOUBLE_EQ(d.fraction(2), 0.3);
     EXPECT_DOUBLE_EQ(d.fraction(3), 0.0);
-    EXPECT_DOUBLE_EQ(d.fractionAtLeast(2), 0.5);
     EXPECT_DOUBLE_EQ(d.mean(), (1 * 50 + 2 * 30 + 5 * 20) / 100.0);
 }
 
@@ -149,65 +148,6 @@ TEST(DistributionPercentile, MedianOfOddCountIsExactSample)
     EXPECT_DOUBLE_EQ(d.percentile(75), 6.0);
 }
 
-TEST(ScalarMerge, AddsValues)
-{
-    Group g("g");
-    Scalar a(&g, "a", ""), b(&g, "b", "");
-    a = 10;
-    b = 2.5;
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.value(), 12.5);
-    EXPECT_DOUBLE_EQ(b.value(), 2.5);
-}
-
-TEST(AverageMerge, CombinesSumsAndExtrema)
-{
-    Group g("g");
-    Average a(&g, "a", ""), b(&g, "b", "");
-    a.sample(2);
-    a.sample(4);
-    b.sample(-1);
-    b.sample(9);
-    a.merge(b);
-    EXPECT_EQ(a.samples(), 4u);
-    EXPECT_DOUBLE_EQ(a.mean(), 3.5);
-    EXPECT_DOUBLE_EQ(a.min(), -1.0);
-    EXPECT_DOUBLE_EQ(a.max(), 9.0);
-}
-
-TEST(AverageMerge, EmptySidesAreNeutral)
-{
-    Group g("g");
-    Average a(&g, "a", ""), empty(&g, "e", "");
-    a.sample(5);
-    a.merge(empty);
-    EXPECT_EQ(a.samples(), 1u);
-    EXPECT_DOUBLE_EQ(a.min(), 5.0);
-    EXPECT_DOUBLE_EQ(a.max(), 5.0);
-
-    Average into(&g, "i", "");
-    into.merge(a);
-    EXPECT_EQ(into.samples(), 1u);
-    EXPECT_DOUBLE_EQ(into.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(into.min(), 5.0);
-    EXPECT_DOUBLE_EQ(into.max(), 5.0);
-}
-
-TEST(DistributionMerge, AddsCountsByKey)
-{
-    Group g("g");
-    Distribution a(&g, "a", ""), b(&g, "b", "");
-    a.sample(1, 3);
-    a.sample(2, 1);
-    b.sample(2, 4);
-    b.sample(7, 2);
-    a.merge(b);
-    EXPECT_EQ(a.samples(), 10u);
-    EXPECT_EQ(a.count(1), 3u);
-    EXPECT_EQ(a.count(2), 5u);
-    EXPECT_EQ(a.count(7), 2u);
-}
-
 TEST(GroupDump, NestedPrefixes)
 {
     Group root("core");
@@ -245,15 +185,6 @@ TEST(TextTable, AlignedOutput)
     EXPECT_NE(out.find("bench"), std::string::npos);
     EXPECT_NE(out.find("1.047"), std::string::npos);
     EXPECT_EQ(t.numRows(), 2u);
-}
-
-TEST(TextTable, CsvEscaping)
-{
-    TextTable t({"name", "v"});
-    t.row().cell("with,comma").cell(std::uint64_t{3});
-    std::ostringstream oss;
-    t.printCsv(oss);
-    EXPECT_NE(oss.str().find("\"with,comma\",3"), std::string::npos);
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <utility>
 
 #include "harness/sweepmatrix.hh"
 #include "rename/scheme.hh"
@@ -98,6 +99,8 @@ TEST(SweepMatrixDeath, MissingFile)
 
 TEST(SweepMatrixErrors, ProbeReportsWithoutDying)
 {
+    const char *counterBits = "parameter 'counter_bits' of scheme 'reuse' "
+                              "must be a positive integer up to 4";
     EXPECT_NE(probeError("{ not json").find("sweep matrix:"),
               std::string::npos);
     EXPECT_NE(probeError(R"({"schemes": ["baseline"], "rf_sizes": []})")
@@ -105,7 +108,7 @@ TEST(SweepMatrixErrors, ProbeReportsWithoutDying)
               std::string::npos);
     EXPECT_NE(probeError(R"({"schemes": ["baseline"],
                              "rf_sizes": [0]})")
-                  .find("positive integers"),
+                  .find("each 'rf_sizes' entry must be a positive integer"),
               std::string::npos);
     EXPECT_NE(probeError(R"({"schemes": ["baseline"], "rf_sizes": [64],
                              "frobnicate": 1})")
@@ -126,8 +129,60 @@ TEST(SweepMatrixErrors, ProbeReportsWithoutDying)
                                           "params": {"counter_bits":
                                                      "two"}}],
                              "rf_sizes": [64]})")
-                  .find("must be a number or bool"),
+                  .find(counterBits),
               std::string::npos);
+
+    // Numbers that do not fit their field fail by name instead of
+    // being cast: the field's type bounds each one, and a scheme
+    // parameter also takes only what its renamer accepts.
+    const std::pair<const char *, const char *> unfit[] = {
+        {R"({"schemes": ["baseline"], "rf_sizes": [4294967344]})",
+         "each 'rf_sizes' entry must be a positive integer up to "
+         "4294967295"},
+        {R"({"schemes": ["baseline"], "rf_sizes": [64], "cap": 1e30})",
+         "'cap' must be a positive integer up to 18446744073709551615"},
+        {R"({"schemes": ["baseline"], "rf_sizes": [64], "cap": 2.5})",
+         "'cap' must be a positive integer"},
+        {R"({"schemes": [{"scheme": "reuse",
+                          "params": {"counter_bits": 2.5}}],
+             "rf_sizes": [64]})",
+         counterBits},
+        {R"({"schemes": [{"scheme": "reuse",
+                          "params": {"counter_bits": 258}}],
+             "rf_sizes": [64]})",
+         counterBits},
+        {R"({"schemes": [{"scheme": "reuse",
+                          "params": {"counter_bits": 5}}],
+             "rf_sizes": [64]})",
+         counterBits},
+        {R"({"schemes": [{"scheme": "reuse",
+                          "params": {"counter_bits": true}}],
+             "rf_sizes": [64]})",
+         counterBits},
+        {R"({"schemes": [{"scheme": "reuse",
+                          "params": {"predictor_entries": 0}}],
+             "rf_sizes": [64]})",
+         "parameter 'predictor_entries' of scheme 'reuse' must be a "
+         "positive integer up to 4294967295"},
+        {R"({"schemes": [{"scheme": "reuse",
+                          "params": {"bank0": 4294967336}}],
+             "rf_sizes": [64]})",
+         "parameter 'bank0' of scheme 'reuse' must be a non-negative "
+         "integer up to 4294967295"},
+        {R"({"schemes": [{"scheme": "reuse",
+                          "params": {"reuse_enabled": 2}}],
+             "rf_sizes": [64]})",
+         "parameter 'reuse_enabled' of scheme 'reuse' must be a "
+         "non-negative integer up to 1"},
+        {R"({"schemes": [{"scheme": "baseline",
+                          "params": {"regs": 16}}],
+             "rf_sizes": [64]})",
+         "parameter 'regs' of scheme 'baseline' must be an integer in "
+         "32..4294967295"},
+    };
+    for (const auto &[doc, diagnostic] : unfit)
+        EXPECT_NE(probeError(doc).find(diagnostic), std::string::npos)
+            << doc;
 }
 
 TEST(SweepMatrixErrors, OutputUntouchedOnFailure)
@@ -286,6 +341,19 @@ TEST(SweepMatrixErrors, SamplingBlockDiagnostics)
     EXPECT_NE(probe(R"({"detailed": 512, "period": 4096,
                         "period": 8192})")
                   .find("duplicate key 'period' in the sampling block"),
+              std::string::npos);
+    // Lengths stop at INT64_MAX, so warm + detailed cannot wrap past
+    // the period check.
+    EXPECT_NE(probe(R"({"warm": 18446744073709549568, "detailed": 4096,
+                        "period": 8192})")
+                  .find("sampling 'warm' must be a non-negative integer "
+                        "up to 9223372036854775807"),
+              std::string::npos);
+    EXPECT_NE(probe(R"({"detailed": 1e30, "period": 4096})")
+                  .find("sampling 'detailed' must be a positive integer"),
+              std::string::npos);
+    EXPECT_NE(probe(R"({"detailed": 512.5, "period": 4096})")
+                  .find("sampling 'detailed' must be a positive integer"),
               std::string::npos);
 }
 
