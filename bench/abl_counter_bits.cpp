@@ -50,6 +50,6 @@ main(int argc, char **argv)
     std::printf("\nShape checks: 2 bits captures nearly all of the "
                 "benefit; 3 bits adds little speedup while growing the "
                 "wakeup tags.\n");
-    bench::finish("abl_counter_bits");
+    bench::finish();
     return 0;
 }

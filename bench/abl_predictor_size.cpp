@@ -55,6 +55,6 @@ main(int argc, char **argv)
                 "the raw capacity deficit of the equal-area file; "
                 "speculative reuse recovers more than redefining-only "
                 "reuse.\n");
-    bench::finish("abl_predictor_size");
+    bench::finish();
     return 0;
 }

@@ -83,6 +83,6 @@ main(int argc, char **argv)
                 "fraction (%.3f at 0.8); at 0.0 the proposed scheme "
                 "pays its capacity deficit with little reuse to "
                 "recover it.\n", last);
-    bench::finish("abl_synthetic");
+    bench::finish();
     return 0;
 }

@@ -15,33 +15,33 @@
  * footer adds an audit line — checks run and violations found — so a
  * published table doubles as a self-check receipt.
  *
- * Machine-readable export: every bench calls init(argc, argv) first
- * and finish(name) last.  `--stats-json <path>` (or the RRS_STATS_JSON
- * environment variable) makes finish() dump the sweep's stats group as
- * JSON to that path, so scripts can consume a bench without scraping
- * its tables; the export creates missing parent directories and
- * writes atomically (tmp+rename).  `--prof` (or RRS_PROF=1) turns on
- * the host-side phase profiler (obs/profiler.hh) and makes finish()
- * print its report; `--cap <insts>` overrides the default per-run
- * timing length for quick CI smoke runs (the printed tables then
- * differ from the paper's, but stay deterministic for that cap).
+ * Every bench calls init(argc, argv) first and finish() last.
+ * init() refuses any argument it does not know and the bench did not
+ * declare, so a typo such as `--cpa` fails instead of running the
+ * default grid.  `--prof` (or RRS_PROF=1) turns on the host-side phase
+ * profiler (obs/profiler.hh) and makes finish() print its report;
+ * `--cap <insts>` overrides the default per-run timing length for
+ * quick CI smoke runs (the printed tables then differ from the
+ * paper's, but stay deterministic for that cap).  Machine-readable
+ * results come from the experiment ledger (tools/rrs-campaign), not
+ * from the benches.
  */
 
 #ifndef RRS_BENCH_COMMON_HH
 #define RRS_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
-
-#include "common/atomicfile.hh"
 #include "common/strutils.hh"
 #include "common/threadpool.hh"
 #include "harness/experiment.hh"
@@ -191,14 +191,6 @@ sweepFooter()
     sweeper().printSummary(std::cout);
 }
 
-/** Where finish() writes the JSON stats export ("" = disabled). */
-inline std::string &
-statsJsonPath()
-{
-    static std::string path;
-    return path;
-}
-
 /** `--suite <name>` filter ("" = all suites). */
 inline std::string &
 suiteFilter()
@@ -252,30 +244,29 @@ selectedWorkloads()
 
 /**
  * Standard bench option handling; call first in every main().  Parses
- * `--stats-json <path>` (the RRS_STATS_JSON environment variable is
- * the default), `--prof` (host phase profiler, also RRS_PROF=1),
- * `--cap <insts>` (shortened timing runs), `--suite
- * <name>` and `--workload <substr>` (subset selection for quick
- * iteration; see selectedWorkloads()), `--matrix <file>` (a JSON sweep
- * matrix replacing the bench's default scheme/size grid; see
- * harness/sweepmatrix.hh), `--sample [warm:detailed:period]` (SMARTS
- * sampled simulation, default 2048:1024:8192; also RRS_SAMPLE=1 or
- * RRS_SAMPLE=W:D:P), and returns the arguments it did not consume, in
- * order, for the bench's own flags (e.g. fig10's --quick).
+ * `--prof` (host phase profiler, also RRS_PROF=1), `--cap <insts>`
+ * (shortened timing runs), `--suite <name>` and `--workload <substr>`
+ * (subset selection for quick iteration; see selectedWorkloads()),
+ * `--matrix <file>` (a JSON sweep matrix replacing the bench's default
+ * scheme/size grid; see harness/sweepmatrix.hh) and `--sample
+ * [warm:detailed:period]` (SMARTS sampled simulation, default
+ * 2048:1024:8192; also RRS_SAMPLE=1 or RRS_SAMPLE=W:D:P).
+ * @param benchFlags the bench's own flags (e.g. fig10's --quick),
+ *        accepted at any position
+ * @return the bench flags given, in command-line order
+ * Any other argument is fatal, naming it, before any simulation runs.
  */
 inline std::vector<std::string>
-init(int argc, char **argv)
+init(int argc, char **argv,
+     std::initializer_list<std::string_view> benchFlags = {})
 {
-    if (const char *env = std::getenv("RRS_STATS_JSON"))
-        statsJsonPath() = env;
     if (const char *env = std::getenv("RRS_SAMPLE")) {
         if (*env != '\0' && std::strcmp(env, "0") != 0)
             sampleOverride() = parseSampleSpec(env);
     }
-    // Label telemetry traces with this binary's name so a directory of
-    // RRS_TELEMETRY exports stays attributable per bench.  argv[0] is
-    // used (rather than the finish() name) because sweeps run between
-    // init and finish and the label must be set before the first one.
+    // Label telemetry traces with this binary's name (argv[0]) so a
+    // directory of RRS_TELEMETRY exports stays attributable per bench.
+    // It must be set before the first sweep runs.
     if (argc > 0 && argv[0] != nullptr && *argv[0] != '\0') {
         std::string label(argv[0]);
         const std::size_t slash = label.find_last_of('/');
@@ -284,13 +275,9 @@ init(int argc, char **argv)
         if (!label.empty())
             sweeper().setTelemetryLabel(std::move(label));
     }
-    std::vector<std::string> rest;
+    std::vector<std::string> given;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--stats-json") == 0) {
-            if (i + 1 >= argc)
-                rrs_fatal("--stats-json needs a path argument");
-            statsJsonPath() = argv[++i];
-        } else if (std::strcmp(argv[i], "--prof") == 0) {
+        if (std::strcmp(argv[i], "--prof") == 0) {
             obs::Profiler::setEnabled(true);
         } else if (std::strcmp(argv[i], "--cap") == 0) {
             if (i + 1 >= argc)
@@ -328,7 +315,10 @@ init(int argc, char **argv)
                 spec = argv[++i];
             sampleOverride() = parseSampleSpec(spec);
         } else {
-            rest.emplace_back(argv[i]);
+            if (std::find(benchFlags.begin(), benchFlags.end(),
+                          argv[i]) == benchFlags.end())
+                rrs_fatal("unknown argument '%s'", argv[i]);
+            given.emplace_back(argv[i]);
         }
     }
     // Parse (and so validate) the matrix eagerly once all overrides are
@@ -336,47 +326,21 @@ init(int argc, char **argv)
     // simulation work starts.
     if (!matrixJsonPath().empty())
         (void)matrix();
-    return rest;
+    return given;
 }
 
 /**
  * Standard bench epilogue; call last in every main().  Prints the
- * sweep throughput footer (when the bench ran any sweep), the phase
- * profiler report (when profiling is on), and the machine-readable
- * export configured via init(): the sweep stats group as
- * `{"bench": <name>, "sweep": {...}}` JSON.  The write is atomic
- * (tmp+rename) and creates missing parent directories, so pointing
- * it into a fresh CI artifact directory just works.
+ * sweep throughput footer (when the bench ran any sweep) and the phase
+ * profiler report (when profiling is on).
  */
 inline void
-finish(const std::string &name)
+finish()
 {
     if (sweeper().summary().runs > 0)
         sweepFooter();
     if (obs::Profiler::enabled())
         obs::Profiler::instance().report(std::cout);
-
-    const std::string &path = statsJsonPath();
-    if (!path.empty()) {
-        std::ostringstream os;
-        os << "{\n  \"bench\": " << stats::jsonQuoted(name)
-           << ",\n  \"sweep\": ";
-        sweeper().dumpJson(os, 2);
-        os << ",\n  \"metric_schema\": ";
-        sweeper().dumpSchema(os, 2);
-        os << ",\n  \"trace_cache\": ";
-        harness::traceCache().dumpJson(os, 2);
-        if (obs::Profiler::enabled()) {
-            os << ",\n  \"prof\": ";
-            obs::Profiler::instance().dumpJson(os, 2);
-        }
-        os << "\n}\n";
-        std::string error;
-        if (!tryWriteFileAtomic(path, os.str(), error))
-            rrs_fatal("cannot write stats JSON file '%s': %s",
-                      path.c_str(), error.c_str());
-        std::printf("stats json: %s\n", path.c_str());
-    }
 }
 
 /** Print a bench banner. */

@@ -63,6 +63,6 @@ main(int argc, char **argv)
     std::printf("\nPaper: SPECfp mean > 50%%, SPECint mean > 30%% "
                 "(our kernels stand in for SPEC; the fp > int ordering "
                 "and magnitudes are the reproduced shape).\n");
-    bench::finish("fig01_single_use");
+    bench::finish();
     return 0;
 }

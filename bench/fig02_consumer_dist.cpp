@@ -53,6 +53,6 @@ main(int argc, char **argv)
             "Percent of consumed values read exactly k times");
     std::printf("\nPaper: the k=1 bar is the tallest across all "
                 "suites.\n");
-    bench::finish("fig02_consumer_dist");
+    bench::finish();
     return 0;
 }

@@ -65,6 +65,6 @@ main(int argc, char **argv)
     std::printf("\nShape checks: cap columns are monotone; the d>3 "
                 "column is small (long chains are rare), matching the "
                 "paper's motivation for a 2-bit counter.\n");
-    bench::finish("fig03_reuse_chains");
+    bench::finish();
     return 0;
 }

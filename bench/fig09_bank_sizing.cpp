@@ -79,6 +79,6 @@ main(int argc, char **argv)
                 "chains are rare) and the 90-95%% coverage points "
                 "motivate small shadow banks, as in the paper's "
                 "Table III and this repo's tuned rows.\n");
-    bench::finish("fig09_bank_sizing");
+    bench::finish();
     return 0;
 }

@@ -20,8 +20,8 @@ using namespace rrs;
 int
 main(int argc, char **argv)
 {
-    const auto rest = bench::init(argc, argv);
-    const bool quick = !rest.empty() && rest[0] == "--quick";
+    // --quick is this bench's only own flag, so any flag given is it.
+    const bool quick = !bench::init(argc, argv, {"--quick"}).empty();
     bench::banner("Figure 10: equal-area speedup vs register file size",
                   "SPECfp avg +12.2%..+0.8% (48..112); SPECint avg "
                   "+47%..+0.4%; gains shrink as the file grows");
@@ -40,6 +40,6 @@ main(int argc, char **argv)
     // note — comes from the shared renderer, so the campaign report's
     // fig10 section is byte-identical to this bench's output.
     std::cout << harness::renderFig10(all, sizes, grid);
-    bench::finish("fig10_speedup");
+    bench::finish();
     return 0;
 }

@@ -33,6 +33,6 @@ main(int argc, char **argv)
     const auto all = bench::matrixWorkloads(m);
     auto grid = bench::outcomeGrid(all, m);
     std::cout << harness::renderFig11(m.rfSizes, grid);
-    bench::finish("fig11_ipc");
+    bench::finish();
     return 0;
 }

@@ -69,6 +69,6 @@ main(int argc, char **argv)
     std::printf("\nShape checks: correct classifications dominate; "
                 "repair micro-ops stay at a few per thousand committed "
                 "instructions (paper: mispredicted reuses ~3%%).\n");
-    bench::finish("fig12_predictor");
+    bench::finish();
     return 0;
 }

@@ -78,6 +78,6 @@ main(int argc, char **argv)
                 "parallelFor with bit-identical results at any lane "
                 "count.\n",
                 ThreadPool::defaultThreadCount());
-    bench::finish("table1_config");
+    bench::finish();
     return 0;
 }

@@ -80,6 +80,6 @@ main(int argc, char **argv)
     }
     st.print(std::cout, "Registered schemes priced via their area "
                         "descriptors (64-register equal-area point)");
-    bench::finish("table2_area");
+    bench::finish();
     return 0;
 }

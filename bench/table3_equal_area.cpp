@@ -27,6 +27,6 @@ main(int argc, char **argv)
     // the golden tests lock byte-for-byte (harness/figures.hh).
     area::AreaModel m;
     std::cout << harness::renderTable3(m, bench::rfSizes());
-    bench::finish("table3_equal_area");
+    bench::finish();
     return 0;
 }

@@ -87,15 +87,10 @@ ReturnAddressStack::top() const
     return stack[topPtr];
 }
 
-BranchPredictor::BranchPredictor(const BPredParams &params,
-                                 stats::Group *parent)
-    : stats::Group("bpred", parent), params(params),
+BranchPredictor::BranchPredictor(const BPredParams &params)
+    : params(params),
       counters(params.tableEntries, 1),  // weakly not-taken
-      btb(params.btbEntries, params.btbAssoc), ras(params.rasEntries),
-      condLookups(this, "condLookups", "conditional branch predictions"),
-      condCorrect(this, "condCorrect", "correct conditional predictions"),
-      btbMisses(this, "btbMisses", "BTB misses on taken control"),
-      rasPredictions(this, "rasPredictions", "return predictions from RAS")
+      btb(params.btbEntries, params.btbAssoc), ras(params.rasEntries)
 {
     rrs_assert(isPowerOf2(params.tableEntries),
                "predictor table must be a power of two");
@@ -131,7 +126,6 @@ BranchPredictor::predict(Addr pc, BranchKind kind)
             p.target = btb.lookup(pc);
             p.btbHit = p.target != invalidAddr;
             if (!p.btbHit) {
-                ++btbMisses;
                 // Predicted taken but no target known: a real front end
                 // would redirect once decode computes the target; we
                 // treat it as a fall-through prediction, which the core
@@ -147,8 +141,6 @@ BranchPredictor::predict(Addr pc, BranchKind kind)
         p.taken = true;
         p.target = btb.lookup(pc);
         p.btbHit = p.target != invalidAddr;
-        if (!p.btbHit)
-            ++btbMisses;
         if (kind == BranchKind::Call)
             ras.push(pc + isa::instBytes);
         break;
@@ -157,7 +149,6 @@ BranchPredictor::predict(Addr pc, BranchKind kind)
         p.taken = true;
         p.target = ras.pop();
         p.btbHit = true;
-        ++rasPredictions;
         if (p.target == 0) {
             p.target = invalidAddr;
             p.btbHit = false;
@@ -168,8 +159,6 @@ BranchPredictor::predict(Addr pc, BranchKind kind)
         p.taken = true;
         p.target = btb.lookup(pc);
         p.btbHit = p.target != invalidAddr;
-        if (!p.btbHit)
-            ++btbMisses;
         break;
       }
       case BranchKind::None:
@@ -223,9 +212,9 @@ BranchPredictor::recordResolution(BranchKind kind, bool correct)
 double
 BranchPredictor::condAccuracy() const
 {
-    return condLookups.value() > 0
-               ? condCorrect.value() / condLookups.value()
-               : 0.0;
+    return condLookups > 0 ? static_cast<double>(condCorrect) /
+                                 static_cast<double>(condLookups)
+                           : 0.0;
 }
 
 } // namespace rrs::bpred

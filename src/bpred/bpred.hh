@@ -17,7 +17,6 @@
 
 #include "common/types.hh"
 #include "isa/isa.hh"
-#include "stats/stats.hh"
 
 namespace rrs::bpred {
 
@@ -109,11 +108,10 @@ class ReturnAddressStack
  * the snapshot in the returned Prediction allows squash() to rewind.
  * Counter tables are updated non-speculatively via update().
  */
-class BranchPredictor : public stats::Group
+class BranchPredictor
 {
   public:
-    explicit BranchPredictor(const BPredParams &params,
-                             stats::Group *parent = nullptr);
+    explicit BranchPredictor(const BPredParams &params);
 
     /** Predict a control instruction at fetch. */
     Prediction predict(Addr pc, isa::BranchKind kind);
@@ -142,7 +140,7 @@ class BranchPredictor : public stats::Group
     /** Fraction of conditional predictions that were correct so far. */
     double condAccuracy() const;
 
-    /** Record whether a prediction turned out correct (stats only). */
+    /** Record whether a prediction turned out correct (condAccuracy). */
     void recordResolution(isa::BranchKind kind, bool correct);
 
   private:
@@ -154,10 +152,8 @@ class BranchPredictor : public stats::Group
     BTB btb;
     ReturnAddressStack ras;
 
-    stats::Scalar condLookups;
-    stats::Scalar condCorrect;
-    stats::Scalar btbMisses;
-    stats::Scalar rasPredictions;
+    std::uint64_t condLookups = 0;   //!< conditional predictions made
+    std::uint64_t condCorrect = 0;   //!< ... that resolved correct
 };
 
 } // namespace rrs::bpred

@@ -2,7 +2,7 @@
  * @file
  * Atomic file writes: the tmp+rename idiom the trace codec introduced,
  * factored out so every writer of machine-readable artifacts (trace
- * spills, --stats-json exports, ledger nodes) shares one
+ * spills, ledger nodes, telemetry traces) shares one
  * implementation.  A crash or concurrent writer can never leave a
  * half-written file at the destination path, and missing parent
  * directories are created instead of failing.

@@ -67,7 +67,7 @@ parseDoublePrefix(const char *first, const char *last, double &out)
 #if defined(__cpp_lib_to_chars)
     // std::from_chars always parses with '.' as the decimal separator,
     // so a comma-decimal global locale (de_DE and friends) cannot skew
-    // how stats-json, ledger nodes or sweep matrices read back.
+    // how ledger nodes or sweep matrices read back.
     // std::strtod, which this replaces, honours the locale and would
     // silently stop at the '.' there.
     const auto [ptr, ec] = std::from_chars(first, last, out);

@@ -35,7 +35,7 @@ std::optional<std::int64_t> parseInt(std::string_view s);
  * Parse a double.  Returns nullopt on garbage.  Locale-independent:
  * the decimal separator is always '.', whatever the global locale says
  * (std::strtod would honour a comma-decimal locale and misparse every
- * float in stats-json, ledger nodes and sweep matrices).
+ * float in ledger nodes and sweep matrices).
  */
 std::optional<double> parseDouble(std::string_view s);
 

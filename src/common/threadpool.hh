@@ -22,8 +22,8 @@
  *
  * The pool provides *no* ordering or affinity guarantees.  Determinism
  * of results is the caller's contract: every index must be
- * self-contained (own RNG, own stats, writes only its own output slot),
- * which is exactly how harness::SweepRunner uses it.
+ * self-contained (own RNG, own model state, writes only its own output
+ * slot), which is exactly how harness::SweepRunner uses it.
  */
 
 #ifndef RRS_COMMON_THREADPOOL_HH

@@ -33,8 +33,8 @@ dropFrom(std::vector<std::uint64_t> &list, std::uint64_t end)
 
 O3Core::O3Core(const CoreParams &params, rename::Renamer &renamer,
                mem::MemSystem &mem, bpred::BranchPredictor &bp,
-               trace::InstStream &stream, stats::Group *parent)
-    : stats::Group("core", parent), params(params), renamer(renamer),
+               trace::InstStream &stream)
+    : params(params), renamer(renamer),
       memSys(mem), bpred(bp), stream(stream),
       wrongPath(params.seed ^ 0xabcdef, 256), rng(params.seed),
       ring(std::bit_ceil(std::max<std::size_t>(
@@ -47,28 +47,7 @@ O3Core::O3Core(const CoreParams &params, rename::Renamer &renamer,
       }),
       fuIntAlu(params.fu.intAlu, 0), fuIntMulDiv(params.fu.intMulDiv, 0),
       fuFpAlu(params.fu.fpAlu, 0), fuFpMulDiv(params.fu.fpMulDiv, 0),
-      fuMem(params.fu.memPorts, 0),
-      cycles(this, "cycles", "total simulated cycles"),
-      committed(this, "committed", "committed instructions"),
-      renameStallNoReg(this, "renameStallNoReg",
-                       "rename stalls: no free physical register"),
-      renameStallRob(this, "renameStallRob", "rename stalls: ROB full"),
-      renameStallIq(this, "renameStallIq", "rename stalls: IQ full"),
-      renameStallLsq(this, "renameStallLsq", "rename stalls: LSQ full"),
-      fetchStallCycles(this, "fetchStallCycles",
-                       "cycles with fetch blocked"),
-      branchMispredicts(this, "branchMispredicts",
-                        "resolved mispredicted control instructions"),
-      squashedInsts(this, "squashedInsts", "instructions squashed"),
-      recoveryCycles(this, "recoveryCycles",
-                     "extra cycles for shadow-cell recover commands"),
-      exceptionsTaken(this, "exceptions", "page-fault exceptions taken"),
-      interruptsTaken(this, "interrupts", "timer interrupts taken"),
-      wrongPathFetched(this, "wrongPathFetched",
-                       "synthetic wrong-path instructions fetched"),
-      robOccupancy(this, "robOccupancy", "ROB occupancy per cycle"),
-      iqOccupancy(this, "iqOccupancy", "IQ occupancy per cycle"),
-      cycleCauses(this)
+      fuMem(params.fu.memPorts, 0)
 {
     if (params.interruptInterval > 0)
         nextInterrupt = params.interruptInterval;
@@ -222,7 +201,6 @@ O3Core::squashRobEntry(const InFlight &victim)
         --loadsInFlight;
     if (victim.meta.isStore())
         stores.pop_back();
-    ++squashedInsts;
     notify([&](obs::CoreObserver &o) { o.squash(victim.di.seq, now); });
 }
 
@@ -282,7 +260,7 @@ O3Core::resolveBranch(std::uint64_t pos)
 
     onWrongPath = false;
     Cycles rec_cycles = rec * params.recoverCmdCycles;
-    recoveryCycles += static_cast<double>(rec_cycles);
+    recoveryCycles += rec_cycles;
     // Redirect: any previous fetch block (icache miss on the wrong
     // path, or the no-wrong-path stall sentinel) is void.
     fetchBlockedUntil = now + params.mispredictPenalty + rec_cycles;
@@ -327,9 +305,7 @@ O3Core::flushAll(Cycles extraPenalty)
     std::uint32_t committed_rec = renamer.committedShadowValues();
     Cycles rec_cycles =
         (rec + committed_rec) * params.recoverCmdCycles + extraPenalty;
-    recoveryCycles +=
-        static_cast<double>((rec + committed_rec) *
-                            params.recoverCmdCycles);
+    recoveryCycles += (rec + committed_rec) * params.recoverCmdCycles;
     // Assignment, not max: the flush redirects fetch, voiding any
     // earlier block (including the no-wrong-path stall sentinel of a
     // mispredicted branch this flush just squashed).
@@ -381,7 +357,6 @@ O3Core::commitStage()
         if (head.meta.isStore())
             stores.pop_front();
 
-        ++committed;
         ++committedThisCycle;
         simResult.committedInsts += 1;
         simResult.committedOps += 1 + head.rr.repairUops;
@@ -471,25 +446,21 @@ O3Core::renameStage()
         // failed attempt leaves it in the fetch queue.
         InFlight &inst = at(robTail);
         if (robSize() >= params.robEntries) {
-            ++renameStallRob;
             renameBlock = RenameBlock::Rob;
             break;
         }
         bool needs_iq = inst.meta.cls != InstClass::Nop;
         if (needs_iq && iq.size() >= params.iqEntries) {
-            ++renameStallIq;
             renameBlock = RenameBlock::Iq;
             break;
         }
         if (inst.meta.isLoad() &&
             loadsInFlight >= params.loadQueueEntries) {
-            ++renameStallLsq;
             renameBlock = RenameBlock::Lsq;
             break;
         }
         if (inst.meta.isStore() &&
             stores.size() >= params.storeQueueEntries) {
-            ++renameStallLsq;
             renameBlock = RenameBlock::Lsq;
             break;
         }
@@ -497,7 +468,6 @@ O3Core::renameStage()
         inst.rr = renamer.rename(inst.di, tagProduced);
         const rename::RenameResult &rr = inst.rr;
         if (!rr.success) {
-            ++renameStallNoReg;
             renameBlock = RenameBlock::NoReg;
             break;
         }
@@ -543,10 +513,8 @@ O3Core::renameStage()
 void
 O3Core::fetchStage()
 {
-    if (now < fetchBlockedUntil) {
-        ++fetchStallCycles;
+    if (now < fetchBlockedUntil)
         return;
-    }
 
     std::uint32_t fetched = 0;
     while (fetched < params.fetchWidth &&
@@ -559,7 +527,6 @@ O3Core::fetchStage()
         if (onWrongPath) {
             di = wrongPath.generate(wrongPathPc, nextFetchSeq);
             wrongPathPc = di.nextPc;
-            ++wrongPathFetched;
         } else if (!replayBuffer.empty()) {
             di = replayBuffer.front();
         } else {
@@ -704,8 +671,6 @@ O3Core::run()
         renameStage();
         fetchStage();
 
-        robOccupancy.sample(static_cast<double>(robSize()));
-        iqOccupancy.sample(static_cast<double>(iq.size()));
         accountCycle();
         notify([&](obs::CoreObserver &o) { o.sample(now); });
 
@@ -727,7 +692,7 @@ O3Core::run()
     }
     // Every simulated cycle must have been attributed to exactly one
     // cause; a leak here means a new stall path bypassed accounting.
-    cycleCauses.verify(static_cast<std::uint64_t>(cycles.value()));
+    cycleCauses.verify(cycles);
     notify([](obs::CoreObserver &o) { o.endRun(); });
     return simResult;
 }

@@ -35,14 +35,13 @@
 #include "obs/observer.hh"
 #include "obs/stallcause.hh"
 #include "rename/renamer.hh"
-#include "stats/stats.hh"
 #include "trace/dyninst.hh"
 #include "trace/wrongpath.hh"
 
 namespace rrs::core {
 
 /** The core. */
-class O3Core : public stats::Group
+class O3Core
 {
   public:
     /**
@@ -54,7 +53,11 @@ class O3Core : public stats::Group
      */
     O3Core(const CoreParams &params, rename::Renamer &renamer,
            mem::MemSystem &mem, bpred::BranchPredictor &bp,
-           trace::InstStream &stream, stats::Group *parent = nullptr);
+           trace::InstStream &stream);
+
+    // The renamer callback tagProduced captures `this`.
+    O3Core(const O3Core &) = delete;
+    O3Core &operator=(const O3Core &) = delete;
 
     /** Run the stream to completion; returns timing results. */
     SimResult run();
@@ -126,13 +129,21 @@ class O3Core : public stats::Group
     }
 
     /** Aggregate counters for reports. */
-    double mispredictCount() const { return branchMispredicts.value(); }
-    double exceptionCount() const { return exceptionsTaken.value(); }
-    double interruptCount() const { return interruptsTaken.value(); }
-    double recoveryCycleCount() const { return recoveryCycles.value(); }
-    double renameStallNoRegCount() const
+    double mispredictCount() const
     {
-        return renameStallNoReg.value();
+        return static_cast<double>(branchMispredicts);
+    }
+    double exceptionCount() const
+    {
+        return static_cast<double>(exceptionsTaken);
+    }
+    double interruptCount() const
+    {
+        return static_cast<double>(interruptsTaken);
+    }
+    double recoveryCycleCount() const
+    {
+        return static_cast<double>(recoveryCycles);
     }
 
   private:
@@ -259,22 +270,13 @@ class O3Core : public stats::Group
 
     SimResult simResult;
 
-    // Statistics.
-    stats::Scalar cycles;
-    stats::Scalar committed;
-    stats::Scalar renameStallNoReg;
-    stats::Scalar renameStallRob;
-    stats::Scalar renameStallIq;
-    stats::Scalar renameStallLsq;
-    stats::Scalar fetchStallCycles;
-    stats::Scalar branchMispredicts;
-    stats::Scalar squashedInsts;
-    stats::Scalar recoveryCycles;
-    stats::Scalar exceptionsTaken;
-    stats::Scalar interruptsTaken;
-    stats::Scalar wrongPathFetched;
-    stats::Average robOccupancy;
-    stats::Average iqOccupancy;
+    // Counters.  `cycles` counts simulated cycles for the accounting
+    // check; it differs from `now` once advanceClock() has jumped it.
+    std::uint64_t cycles = 0;
+    std::uint64_t branchMispredicts = 0;
+    std::uint64_t recoveryCycles = 0;   //!< charged to recover commands
+    std::uint64_t exceptionsTaken = 0;
+    std::uint64_t interruptsTaken = 0;
     obs::CycleAccounting cycleCauses;
 };
 

@@ -315,7 +315,7 @@ renderTable3(const area::AreaModel &model,
                   1)
             .cell(solved[0]);
     }
-    t.print(os, "Equal-area configurations (area%% = fraction of the "
+    t.print(os, "Equal-area configurations (area% = fraction of the "
                 "baseline file's area used)");
     os << "\nShape checks: every configuration fits within 100% "
           "of its baseline's area; the solver's bank0 matches the "

@@ -5,9 +5,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "common/atomicfile.hh"
+#include "harness/sweepmatrix.hh"
 #include "obs/jsonlite.hh"
 #include "obs/stallcause.hh"
 #include "stats/stats.hh"
@@ -33,10 +36,76 @@ fnv1a(const std::string &s)
     return h;
 }
 
-std::uint64_t
-asU64(const obs::json::Value &v)
+using obs::json::Value;
+
+// Node fields are read as written or refused.  Each reader leaves
+// `out` alone when `obj` has no member `key`, and returns false with
+// `error` set when the member is of the wrong JSON type or, for a
+// count, not a whole number in the range of `out`'s type
+// (readJsonInteger).
+
+/** A count; a double `out` holds a count Outcome keeps as double. */
+template <typename T>
+bool
+readCount(const Value &obj, const char *key, T &out, std::string &error)
 {
-    return static_cast<std::uint64_t>(v.num);
+    const Value *v = obj.find(key);
+    if (!v)
+        return true;
+    std::uint64_t hi = std::numeric_limits<std::uint64_t>::max();
+    if constexpr (std::is_integral_v<T>)
+        hi = std::numeric_limits<T>::max();
+    std::uint64_t n = 0;
+    if (!readJsonInteger(*v, 0, hi,
+                         std::string("ledger entry: '") + key + "'", n,
+                         error))
+        return false;
+    out = static_cast<T>(n);
+    return true;
+}
+
+bool
+readNumber(const Value &obj, const char *key, double &out,
+           std::string &error)
+{
+    const Value *v = obj.find(key);
+    if (!v)
+        return true;
+    if (!v->isNumber()) {
+        error = std::string("ledger entry: '") + key + "' must be a number";
+        return false;
+    }
+    out = v->num;
+    return true;
+}
+
+bool
+readString(const Value &obj, const char *key, std::string &out,
+           std::string &error)
+{
+    const Value *v = obj.find(key);
+    if (!v)
+        return true;
+    if (!v->isString()) {
+        error = std::string("ledger entry: '") + key + "' must be a string";
+        return false;
+    }
+    out = v->str;
+    return true;
+}
+
+/** An optional member that must be an object when present. */
+bool
+readObject(const Value &obj, const char *key, const Value *&out,
+           std::string &error)
+{
+    out = obj.find(key);
+    if (out && !out->isObject()) {
+        error = std::string("ledger entry: '") + key +
+                "' must be an object";
+        return false;
+    }
+    return true;
 }
 
 /**
@@ -89,41 +158,31 @@ renderRunRecordJson(const RunRecord &run)
     return os.str();
 }
 
-void
-parseRunRecordJson(const obs::json::Value &e, RunRecord &run)
+bool
+parseRunRecordJson(const Value &e, RunRecord &run, std::string &error)
 {
-    if (const auto *f = e.find("workload"))
-        run.workload = f->str;
-    if (const auto *f = e.find("scheme"))
-        run.scheme = f->str;
-    if (const auto *f = e.find("insts"))
-        run.insts = asU64(*f);
-    if (const auto *f = e.find("cycles"))
-        run.cycles = asU64(*f);
-    if (const auto *f = e.find("wall_seconds"))
-        run.wallSeconds = f->num;
-    if (const auto *f = e.find("sampled")) {
-        SampledSummary &sm = run.sampled;
-        sm.enabled = true;
-        if (const auto *s = f->find("windows"))
-            sm.windows = asU64(*s);
-        if (const auto *s = f->find("mean_ipc"))
-            sm.meanIpc = s->num;
-        if (const auto *s = f->find("stddev_ipc"))
-            sm.stddevIpc = s->num;
-        if (const auto *s = f->find("ci95_ipc"))
-            sm.ci95Ipc = s->num;
-        if (const auto *s = f->find("median_ipc"))
-            sm.medianIpc = s->num;
-        if (const auto *s = f->find("detailed_insts"))
-            sm.detailedInsts = asU64(*s);
-        if (const auto *s = f->find("detailed_cycles"))
-            sm.detailedCycles = asU64(*s);
-        if (const auto *s = f->find("warm_insts"))
-            sm.warmInsts = asU64(*s);
-        if (const auto *s = f->find("skipped_insts"))
-            sm.skippedInsts = asU64(*s);
-    }
+    const Value *sampled = nullptr;
+    if (!readString(e, "workload", run.workload, error) ||
+        !readString(e, "scheme", run.scheme, error) ||
+        !readCount(e, "insts", run.insts, error) ||
+        !readCount(e, "cycles", run.cycles, error) ||
+        !readNumber(e, "wall_seconds", run.wallSeconds, error) ||
+        !readObject(e, "sampled", sampled, error))
+        return false;
+    if (!sampled)
+        return true;
+    SampledSummary &sm = run.sampled;
+    sm.enabled = true;
+    return readCount(*sampled, "windows", sm.windows, error) &&
+           readNumber(*sampled, "mean_ipc", sm.meanIpc, error) &&
+           readNumber(*sampled, "stddev_ipc", sm.stddevIpc, error) &&
+           readNumber(*sampled, "ci95_ipc", sm.ci95Ipc, error) &&
+           readNumber(*sampled, "median_ipc", sm.medianIpc, error) &&
+           readCount(*sampled, "detailed_insts", sm.detailedInsts, error) &&
+           readCount(*sampled, "detailed_cycles", sm.detailedCycles,
+                     error) &&
+           readCount(*sampled, "warm_insts", sm.warmInsts, error) &&
+           readCount(*sampled, "skipped_insts", sm.skippedInsts, error);
 }
 
 /**
@@ -250,94 +309,99 @@ bool
 parseLedgerEntryJson(const std::string &text, LedgerEntry &out,
                      std::string &error)
 {
-    obs::json::Value doc;
+    Value doc;
     if (!obs::json::parse(text, doc, &error))
         return false;
     if (!doc.isObject()) {
         error = "ledger entry: root must be an object";
         return false;
     }
-    const obs::json::Value *schema = doc.find("ledger_schema");
-    if (!schema || !schema->isNumber() ||
-        static_cast<int>(schema->num) != ledgerSchemaVersion) {
+    const Value *schema = doc.find("ledger_schema");
+    std::uint64_t version = 0;
+    std::string schemaError;
+    if (!schema ||
+        !readJsonInteger(*schema, ledgerSchemaVersion, ledgerSchemaVersion,
+                         "ledger_schema", version, schemaError)) {
         error = "ledger entry: missing or unsupported ledger_schema "
                 "(expected " + std::to_string(ledgerSchemaVersion) + ")";
         return false;
     }
-    const obs::json::Value *node = doc.find("node");
-    const obs::json::Value *run = doc.find("run");
+    const Value *node = doc.find("node");
+    const Value *run = doc.find("run");
     if (!node || !node->isObject() || !run || !run->isObject()) {
         error = "ledger entry: missing node/run objects";
         return false;
     }
 
     LedgerEntry e;
-    if (const auto *v = node->find("workload"))
-        e.spec.workload = v->str;
-    if (const auto *v = node->find("suite"))
-        e.spec.suite = v->str;
-    if (const auto *v = node->find("source_hash")) {
-        if (!parseHex64(v->str, e.spec.sourceHash)) {
-            error = "ledger entry: bad source_hash";
-            return false;
+    std::string sourceHash, seed, digest;
+    const Value *params = nullptr, *sampling = nullptr, *stalls = nullptr,
+                *rename = nullptr;
+    if (!readString(*node, "workload", e.spec.workload, error) ||
+        !readString(*node, "suite", e.spec.suite, error) ||
+        !readString(*node, "source_hash", sourceHash, error) ||
+        !readString(*node, "scheme", e.spec.scheme, error) ||
+        !readString(*node, "label", e.spec.label, error) ||
+        !readObject(*node, "params", params, error) ||
+        !readCount(*node, "regs", e.spec.regs, error) ||
+        !readCount(*node, "cap", e.spec.cap, error) ||
+        !readObject(*node, "sampling", sampling, error) ||
+        !readString(*node, "seed", seed, error) ||
+        !readString(doc, "digest", digest, error) ||
+        !readObject(doc, "stalls", stalls, error) ||
+        !readObject(doc, "rename", rename, error))
+        return false;
+    if (node->find("source_hash") &&
+        !parseHex64(sourceHash, e.spec.sourceHash)) {
+        error = "ledger entry: bad source_hash";
+        return false;
+    }
+    if (node->find("seed") && !parseHex64(seed, e.spec.seed)) {
+        error = "ledger entry: bad seed";
+        return false;
+    }
+    if (params) {
+        for (const auto &[k, pv] : params->members) {
+            double v = 0;
+            if (!readNumber(*params, k.c_str(), v, error))
+                return false;
+            e.spec.params.emplace_back(k, v);
         }
     }
-    if (const auto *v = node->find("scheme"))
-        e.spec.scheme = v->str;
-    if (const auto *v = node->find("label"))
-        e.spec.label = v->str;
-    if (const auto *v = node->find("params")) {
-        for (const auto &[k, pv] : v->members)
-            e.spec.params.emplace_back(k, pv.num);
-    }
-    if (const auto *v = node->find("regs"))
-        e.spec.regs = static_cast<std::uint32_t>(v->num);
-    if (const auto *v = node->find("cap"))
-        e.spec.cap = asU64(*v);
-    if (const auto *v = node->find("sampling")) {
-        if (const auto *s = v->find("warm"))
-            e.spec.sampling.warm = asU64(*s);
-        if (const auto *s = v->find("detailed"))
-            e.spec.sampling.detailed = asU64(*s);
-        if (const auto *s = v->find("period"))
-            e.spec.sampling.period = asU64(*s);
-        if (const auto *s = v->find("fill"))
-            e.spec.sampling.fillInsts = asU64(*s);
-        if (const auto *s = v->find("ci_floor_pct"))
-            e.spec.sampling.ciFloorPct = s->num;
-    }
-    if (const auto *v = node->find("seed")) {
-        if (!parseHex64(v->str, e.spec.seed)) {
-            error = "ledger entry: bad seed";
+    if (sampling) {
+        SamplingParams &sp = e.spec.sampling;
+        if (!readCount(*sampling, "warm", sp.warm, error) ||
+            !readCount(*sampling, "detailed", sp.detailed, error) ||
+            !readCount(*sampling, "period", sp.period, error) ||
+            !readCount(*sampling, "fill", sp.fillInsts, error) ||
+            !readNumber(*sampling, "ci_floor_pct", sp.ciFloorPct, error))
             return false;
-        }
     }
 
-    parseRunRecordJson(*run, e.run);
+    if (!parseRunRecordJson(*run, e.run, error))
+        return false;
 
-    if (const auto *v = doc.find("stalls")) {
+    if (stalls) {
         for (int i = 0; i < obs::numCycleCauses; ++i) {
-            if (const auto *s = v->find(obs::cycleCauseName(
-                    static_cast<obs::CycleCause>(i))))
-                e.stalls.counts[i] = asU64(*s);
+            if (!readCount(*stalls,
+                           obs::cycleCauseName(
+                               static_cast<obs::CycleCause>(i)),
+                           e.stalls.counts[i], error))
+                return false;
         }
     }
-    if (const auto *v = doc.find("rename")) {
-        if (const auto *s = v->find("allocations"))
-            e.allocations = s->num;
-        if (const auto *s = v->find("reuses"))
-            e.reuses = s->num;
-        if (const auto *s = v->find("repairs"))
-            e.repairs = s->num;
-        if (const auto *s = v->find("rename_stalls"))
-            e.renameStalls = s->num;
-    }
+    if (rename &&
+        (!readCount(*rename, "allocations", e.allocations, error) ||
+         !readCount(*rename, "reuses", e.reuses, error) ||
+         !readCount(*rename, "repairs", e.repairs, error) ||
+         !readCount(*rename, "rename_stalls", e.renameStalls, error)))
+        return false;
 
     // The stored digest must match the spec we just parsed: a mismatch
     // means the file was hand-edited or the key grammar changed without
     // a schema bump, and trusting it would poison every consumer.
-    if (const auto *v = doc.find("digest")) {
-        if (v->str != digestHex(nodeDigest(e.spec))) {
+    if (doc.find("digest")) {
+        if (digest != digestHex(nodeDigest(e.spec))) {
             error = "ledger entry: digest does not match its node spec "
                     "(corrupt or hand-edited entry)";
             return false;

@@ -8,6 +8,7 @@
 #include "area/area.hh"
 #include "harness/campaign.hh"
 #include "harness/figures.hh"
+#include "harness/sweepmatrix.hh"
 #include "obs/jsonlite.hh"
 #include "obs/stallcause.hh"
 #include "stats/table.hh"
@@ -61,9 +62,72 @@ loadSidecar(const Ledger &ledger, Value &doc, std::string &error)
         return false;
     }
     const Value *schema = doc.find("campaign_schema");
-    if (!schema || static_cast<int>(schema->num) != campaignSchemaVersion) {
+    std::uint64_t version = 0;
+    std::string schemaError;
+    if (!schema ||
+        !readJsonInteger(*schema, campaignSchemaVersion,
+                         campaignSchemaVersion, "campaign_schema", version,
+                         schemaError)) {
         error = path + ": missing or unsupported campaign_schema";
         return false;
+    }
+    return true;
+}
+
+/** A node digest as the sidecar lists it: 16 lowercase hex digits. */
+bool
+isDigestHex(const std::string &s)
+{
+    return s.size() == 16 &&
+           s.find_first_not_of("0123456789abcdef") == std::string::npos;
+}
+
+/**
+ * The figure descriptors of a sidecar.  Sizes must be register counts
+ * (1..2^32-1) and nodes digests, since each becomes a file path.
+ */
+bool
+parseFigures(const Value &doc, std::vector<FigureDesc> &figures,
+             std::string &error)
+{
+    const Value *figs = doc.find("figures");
+    if (!figs)
+        return true;
+    for (const auto &f : figs->arr) {
+        FigureDesc fd;
+        if (const auto *v = f.find("figure"))
+            fd.name = v->str;
+        if (const auto *v = f.find("kind"))
+            fd.kind = v->str;
+        const std::string where = "campaign sidecar: figure '" + fd.name + "'";
+        if (const auto *v = f.find("sizes")) {
+            for (const auto &e : v->arr) {
+                std::uint64_t regs = 0;
+                if (!readJsonInteger(e, 1, 0xffffffffULL,
+                                     where + " 'sizes' entry", regs, error))
+                    return false;
+                fd.sizes.push_back(static_cast<std::uint32_t>(regs));
+            }
+        }
+        if (const auto *v = f.find("scheme_labels")) {
+            for (const auto &e : v->arr)
+                fd.schemeLabels.push_back(e.str);
+        }
+        if (const auto *v = f.find("workloads")) {
+            for (const auto &e : v->arr)
+                fd.workloads.emplace_back(e.at("name").str, e.at("suite").str);
+        }
+        if (const auto *v = f.find("nodes")) {
+            for (const auto &e : v->arr) {
+                if (!e.isString() || !isDigestHex(e.str)) {
+                    error = where + ": each 'nodes' entry must be 16 "
+                                    "lowercase hex digits";
+                    return false;
+                }
+                fd.nodes.push_back(e.str);
+            }
+        }
+        figures.push_back(std::move(fd));
     }
     return true;
 }
@@ -377,35 +441,8 @@ renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
     }
 
     std::vector<FigureDesc> figures;
-    if (const Value *figs = doc.find("figures")) {
-        for (const auto &f : figs->arr) {
-            FigureDesc fd;
-            if (const auto *v = f.find("figure"))
-                fd.name = v->str;
-            if (const auto *v = f.find("kind"))
-                fd.kind = v->str;
-            if (const auto *v = f.find("sizes")) {
-                for (const auto &e : v->arr)
-                    fd.sizes.push_back(
-                        static_cast<std::uint32_t>(e.num));
-            }
-            if (const auto *v = f.find("scheme_labels")) {
-                for (const auto &e : v->arr)
-                    fd.schemeLabels.push_back(e.str);
-            }
-            if (const auto *v = f.find("workloads")) {
-                for (const auto &e : v->arr) {
-                    fd.workloads.emplace_back(e.at("name").str,
-                                              e.at("suite").str);
-                }
-            }
-            if (const auto *v = f.find("nodes")) {
-                for (const auto &e : v->arr)
-                    fd.nodes.push_back(e.str);
-            }
-            figures.push_back(std::move(fd));
-        }
-    }
+    if (!parseFigures(doc, figures, error))
+        return 2;
 
     std::ostringstream md;
     auto str = [&doc](const char *key) {
@@ -432,6 +469,7 @@ renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
     }
     md << "\n";
 
+    std::string figureError;   // first figure whose nodes did not load
     for (const auto &fig : figures) {
         md << "## " << fig.name << " (" << fig.kind << ")\n\n";
         if (fig.kind == "table3") {
@@ -443,8 +481,16 @@ renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
 
         std::vector<std::vector<OutcomePair>> grid;
         std::vector<std::vector<LedgerEntry>> entries;
-        if (!loadPairGrid(ledger, fig, grid, entries, error))
-            return 2;
+        std::string loadError;
+        if (!loadPairGrid(ledger, fig, grid, entries, loadError)) {
+            // Keep going: the drift section names an unreadable node
+            // against a baseline, and the status says the report is
+            // incomplete either way.
+            md << "Cannot render: " << loadError << "\n\n";
+            if (figureError.empty())
+                figureError = loadError;
+            continue;
+        }
         if (fig.kind == "fig11") {
             md << "```\n" << renderFig11(fig.sizes, grid) << "```\n\n";
         } else if (fig.kind == "fig10") {
@@ -497,6 +543,10 @@ renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
         md << "```\n";
         if (status == 0 && !d.clean())
             status = 1;
+    }
+    if (status == 0 && !figureError.empty()) {
+        error = figureError;
+        status = 2;
     }
 
     if (!opts.html) {

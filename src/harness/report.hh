@@ -59,12 +59,14 @@ struct ReportOptions
 /**
  * Render the campaign report for a ledger directory into `out`.
  * @return 0 when nothing drifted against the baseline (or there is
- *         none); 1 on drift — a shared node's stored result or the node
- *         set differs, or gated host cost regressed; 2 with `error` set
- *         when the report cannot be rendered (no readable sidecar, a
- *         missing or malformed node, a baseline without nodes/) or the
- *         host-cost gate cannot compare.  `out` holds the report
- *         whenever it rendered, whatever the status.
+ *         none); 1 on drift — a shared node's stored result differs, a
+ *         node is unreadable on one side, the node set differs, or
+ *         gated host cost regressed; 2 with `error` set when the report
+ *         cannot be rendered (no readable sidecar, a baseline without
+ *         nodes/), a figure's node is missing or malformed and no drift
+ *         names it, or the host-cost gate cannot compare.  `out` holds
+ *         the report whenever it rendered, whatever the status; a
+ *         figure whose nodes did not load says so in its section.
  */
 int renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
                          std::string &out, std::string &error);

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
+#include "stats/stats.hh"
 
 namespace rrs::harness {
 
@@ -73,15 +76,11 @@ SamplingController::run(core::SimResult &aggregate)
     out.enabled = true;
     aggregate = core::SimResult{};
 
-    // Per-window IPC accumulators.  The Distribution feeds the median
-    // through the same stats::Distribution::percentile the metric
-    // dumps use (keys are IPC x 1e4, the dump convention for
-    // sub-integer metrics).
+    // Per-window IPC accumulators.  The median is taken over the
+    // window IPCs rounded to units of 1e-4.
     double sum = 0, sumSq = 0;
     std::uint64_t measuredInsts = 0, measuredCycles = 0;
-    stats::Group scratch("sampling");
-    stats::Distribution ipcDist(&scratch, "window_ipc_x1e4",
-                                "per-window IPC scaled by 1e4");
+    std::vector<std::uint64_t> windowIpcX1e4;
 
     const std::uint64_t fill =
         std::min<std::uint64_t>(params.fillInsts, params.detailed);
@@ -131,7 +130,7 @@ SamplingController::run(core::SimResult &aggregate)
                 measuredInsts += r.committedInsts;
                 measuredCycles += r.cycles;
                 ++out.windows;
-                ipcDist.sample(static_cast<std::uint64_t>(
+                windowIpcX1e4.push_back(static_cast<std::uint64_t>(
                     std::llround(ipc * 1e4)));
             }
         }
@@ -175,7 +174,8 @@ SamplingController::run(core::SimResult &aggregate)
             out.stddevIpc = var > 0 ? std::sqrt(var) : 0.0;
             out.ci95Ipc = 1.96 * out.stddevIpc / std::sqrt(count);
         }
-        out.medianIpc = ipcDist.percentile(50) / 1e4;
+        out.medianIpc =
+            stats::percentile(std::move(windowIpcX1e4), 50) / 1e4;
     } else {
         // Trace shorter than one measured window: fall back to the
         // aggregate over whatever detail ran.

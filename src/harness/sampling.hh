@@ -36,6 +36,9 @@
 #include <cstdint>
 
 #include "core/o3core.hh"
+// Nothing here uses stats/stats.hh.  perfbench/src/checks.cc calls
+// stats::jsonQuoted and reaches the header only through this include;
+// ROADMAP item 10 moves the include into checks.cc and drops this one.
 #include "stats/stats.hh"
 #include "trace/recorded.hh"
 
@@ -76,7 +79,7 @@ struct SampledSummary
     double meanIpc = 0;
     double stddevIpc = 0;            //!< sample stddev across windows
     double ci95Ipc = 0;              //!< max(1.96*s/sqrt(n), floor)
-    double medianIpc = 0;            //!< stats::Distribution percentile
+    double medianIpc = 0;            //!< stats::percentile, 1e-4 units
     std::uint64_t detailedInsts = 0; //!< simulated in detail (incl. fill)
     std::uint64_t detailedCycles = 0;
     std::uint64_t warmInsts = 0;     //!< functionally warmed pre-window

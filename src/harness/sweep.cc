@@ -24,39 +24,7 @@ sweepSeed(std::uint64_t base, std::size_t index)
     return z ^ (z >> 31);
 }
 
-SweepRunner::SweepRunner(unsigned threads)
-    : stats::Group("sweep"),
-      pool(threads),
-      totalRuns(this, "runs", "simulation runs completed"),
-      totalInsts(this, "insts", "instructions committed across runs"),
-      totalCycles(this, "cycles", "cycles simulated across runs"),
-      runWall(this, "run_wall_seconds", "per-run wall-clock seconds"),
-      runIpcPct(this, "run_ipc_pct", "per-run committed IPC (percent)"),
-      traceCaptureInsts(this, "trace_capture_insts",
-                        "instructions emulated to capture traces"),
-      traceReplayInsts(this, "trace_replay_insts",
-                       "instructions replayed from cached traces"),
-      traceCacheHits(this, "trace_cache_hits",
-                     "sweep runs served from the trace cache"),
-      traceCacheMisses(this, "trace_cache_misses",
-                       "sweep runs that captured their trace"),
-      auditChecks(this, "audit_checks",
-                  "rename invariant audits across the sweep"),
-      auditViolations(this, "audit_violations",
-                      "rename invariant violations across the sweep"),
-      sampledRuns(this, "sampled_runs",
-                  "runs executed in sampled (SMARTS) mode"),
-      sampledWindows(this, "sampled_windows",
-                     "measured detailed windows across sampled runs"),
-      sampledDetailedInsts(this, "sampled_detailed_insts",
-                           "instructions simulated in detail "
-                           "(sampled runs, incl. pipeline fill)"),
-      sampledWarmInsts(this, "sampled_warm_insts",
-                       "instructions functionally warmed"),
-      sampledSkippedInsts(this, "sampled_skipped_insts",
-                          "instructions neither warmed nor simulated"),
-      sampledCiPct(this, "sampled_ci_pct",
-                   "per-run 95% CI as a percent of mean IPC")
+SweepRunner::SweepRunner(unsigned threads) : pool(threads)
 {
     if (const char *env = std::getenv("RRS_PIPETRACE"))
         tracePrefix = env;
@@ -132,49 +100,35 @@ SweepRunner::run(const std::vector<SweepItem> &items)
     // slots in submission order, so no floating-point sum depends on
     // which run finished first.
     obs::ScopedPhase mergePhase("stats-merge");
-    resetStats();
-    double audits = 0, auditBad = 0;
-    for (const SweepResult &r : results) {
-        ++totalRuns;
-        totalInsts += static_cast<double>(r.outcome.sim.committedInsts);
-        totalCycles += static_cast<double>(r.outcome.sim.cycles);
-        runWall.sample(r.wallSeconds);
-        runIpcPct.sample(
-            static_cast<std::uint64_t>(100.0 * r.outcome.sim.ipc()));
-        audits += r.outcome.auditsRun;
-        auditBad += r.outcome.auditViolations;
-        const SampledSummary &sm = r.outcome.sampled;
-        if (sm.enabled) {
-            ++sampledRuns;
-            sampledWindows += static_cast<double>(sm.windows);
-            sampledDetailedInsts +=
-                static_cast<double>(sm.detailedInsts);
-            sampledWarmInsts += static_cast<double>(sm.warmInsts);
-            sampledSkippedInsts +=
-                static_cast<double>(sm.skippedInsts);
-            if (sm.meanIpc > 0) {
-                sampledCiPct.sample(static_cast<std::uint64_t>(
-                    100.0 * sm.ci95Ipc / sm.meanIpc));
-            }
-        }
+    lastSummary = SweepSummary{};
+    lastSummary.threads = pool.numThreads();
+    lastSummary.runs = items.size();
+    lastSummary.wallSeconds = sweepDt.count();
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const SweepResult &r = results[i];
+        lastSummary.runSecondsTotal += r.wallSeconds;
+        if (i == 0 || r.wallSeconds < lastSummary.runSecondsMin)
+            lastSummary.runSecondsMin = r.wallSeconds;
+        if (i == 0 || r.wallSeconds > lastSummary.runSecondsMax)
+            lastSummary.runSecondsMax = r.wallSeconds;
+        lastSummary.instsCommitted += r.outcome.sim.committedInsts;
+        lastSummary.cyclesSimulated += r.outcome.sim.cycles;
+        lastSummary.auditsRun +=
+            static_cast<std::uint64_t>(r.outcome.auditsRun);
+        lastSummary.auditViolations +=
+            static_cast<std::uint64_t>(r.outcome.auditViolations);
     }
-    auditChecks = audits;
-    auditViolations = auditBad;
+    lastSummary.traceHits = cacheAfter.hits - cacheBefore.hits;
+    lastSummary.traceMisses = cacheAfter.misses - cacheBefore.misses;
+    lastSummary.instsCaptured =
+        cacheAfter.capturedInsts - cacheBefore.capturedInsts;
+    lastSummary.instsReplayed =
+        cacheAfter.replayedInsts - cacheBefore.replayedInsts;
     if (prof) {
         // Submission-order merge of the per-run phase trees.
         for (const auto &t : runTrees)
             obs::Profiler::instance().addRunTree(t);
     }
-    traceCaptureInsts =
-        static_cast<double>(cacheAfter.capturedInsts -
-                            cacheBefore.capturedInsts);
-    traceReplayInsts =
-        static_cast<double>(cacheAfter.replayedInsts -
-                            cacheBefore.replayedInsts);
-    traceCacheHits =
-        static_cast<double>(cacheAfter.hits - cacheBefore.hits);
-    traceCacheMisses =
-        static_cast<double>(cacheAfter.misses - cacheBefore.misses);
 
     // Serialise the telemetry buffers in submission order (the trace
     // tid is the run index) — post-join, like every other merge here,
@@ -184,10 +138,8 @@ SweepRunner::run(const std::vector<SweepItem> &items)
         obs::TelemetrySweepInfo info;
         info.label = telemetryLabel;
         info.runs = items.size();
-        info.capturedInsts =
-            cacheAfter.capturedInsts - cacheBefore.capturedInsts;
-        info.replayedInsts =
-            cacheAfter.replayedInsts - cacheBefore.replayedInsts;
+        info.capturedInsts = lastSummary.instsCaptured;
+        info.replayedInsts = lastSummary.instsReplayed;
         info.packedRecords =
             cacheAfter.packedRecords - cacheBefore.packedRecords;
         std::vector<const obs::RunTelemetry *> buffers;
@@ -196,27 +148,6 @@ SweepRunner::run(const std::vector<SweepItem> &items)
             buffers.push_back(&rt);
         telemetryPath = obs::writeSweepTrace(telemetryOut, info, buffers);
     }
-
-    lastSummary = SweepSummary{};
-    lastSummary.threads = pool.numThreads();
-    lastSummary.runs = items.size();
-    lastSummary.wallSeconds = sweepDt.count();
-    lastSummary.runSecondsTotal =
-        runWall.mean() * static_cast<double>(runWall.samples());
-    lastSummary.runSecondsMin = runWall.min();
-    lastSummary.runSecondsMax = runWall.max();
-    lastSummary.instsCommitted =
-        static_cast<std::uint64_t>(totalInsts.value());
-    lastSummary.cyclesSimulated =
-        static_cast<std::uint64_t>(totalCycles.value());
-    lastSummary.traceHits = cacheAfter.hits - cacheBefore.hits;
-    lastSummary.traceMisses = cacheAfter.misses - cacheBefore.misses;
-    lastSummary.instsCaptured =
-        cacheAfter.capturedInsts - cacheBefore.capturedInsts;
-    lastSummary.instsReplayed =
-        cacheAfter.replayedInsts - cacheBefore.replayedInsts;
-    lastSummary.auditsRun = static_cast<std::uint64_t>(audits);
-    lastSummary.auditViolations = static_cast<std::uint64_t>(auditBad);
     return results;
 }
 

@@ -12,14 +12,14 @@
  * count, including 1:
  *
  *  - Each run builds all of its own model state (core, renamer,
- *    memory, predictor, stats) inside its lane; nothing is
- *    shared between runs but the read-only workload programs (whose
- *    cache is locked).
+ *    memory, predictor) inside its lane; nothing is shared between
+ *    runs but the read-only workload programs (whose cache is
+ *    locked).
  *  - Each run's RNG seed is derived from the *submission index* of its
  *    config via sweepSeed(), never drawn from a shared stream, so the
  *    schedule cannot leak into the results.
  *  - Outcomes are written into a pre-sized slot per run and returned
- *    in submission order; the sweep aggregates are folded from those
+ *    in submission order; the SweepSummary is folded from those
  *    slots, in submission order, only after every lane has joined, so
  *    no floating-point reduction depends on arrival order.
  *
@@ -37,7 +37,6 @@
 
 #include "common/threadpool.hh"
 #include "harness/experiment.hh"
-#include "stats/stats.hh"
 
 namespace rrs::harness {
 
@@ -138,7 +137,7 @@ std::string formatSweepFooter(const SweepSummary &s);
  * submission order.  Reusable: each run() call produces a fresh
  * summary.
  */
-class SweepRunner : public stats::Group
+class SweepRunner
 {
   public:
     /**
@@ -202,36 +201,6 @@ class SweepRunner : public stats::Group
     std::string tracePrefix;
     std::string telemetryLabel = "sweep";
     std::string telemetryPath;
-
-    // Aggregates of the most recent run(), folded post-join from the
-    // result slots in submission order.
-    stats::Scalar totalRuns;
-    stats::Scalar totalInsts;
-    stats::Scalar totalCycles;
-    stats::Average runWall;
-    stats::Distribution runIpcPct;
-
-    // Trace-cache deltas of the most recent run() (set post-join from
-    // the cache's own counters; see harness/tracecache.hh).
-    stats::Scalar traceCaptureInsts;
-    stats::Scalar traceReplayInsts;
-    stats::Scalar traceCacheHits;
-    stats::Scalar traceCacheMisses;
-
-    // Rename-audit totals of the most recent run() (summed post-join
-    // from the per-run Outcomes, so the count is schedule-independent).
-    stats::Scalar auditChecks;
-    stats::Scalar auditViolations;
-
-    // Sampled-simulation totals of the most recent run() (zero when
-    // every run was exact).  Same post-join merge discipline; these
-    // surface in the stats-json dump and the metric schema.
-    stats::Scalar sampledRuns;
-    stats::Scalar sampledWindows;
-    stats::Scalar sampledDetailedInsts;
-    stats::Scalar sampledWarmInsts;
-    stats::Scalar sampledSkippedInsts;
-    stats::Distribution sampledCiPct;   //!< per-run 100*ci95/mean (pct)
 };
 
 /** Convenience builder. */

@@ -10,27 +10,6 @@
 namespace rrs::harness {
 
 TraceCache::TraceCache()
-    : stats::Group("trace_cache"),
-      hitsStat(this, "hits", "trace cache hits"),
-      missesStat(this, "misses", "trace cache misses (captures)"),
-      capturedStat(this, "captured_insts",
-                   "instructions functionally emulated to capture traces"),
-      replayedStat(this, "replayed_insts",
-                   "instructions replayed from cached traces"),
-      spillLoadsStat(this, "spill_loads",
-                     "traces loaded from RRS_TRACE_DIR"),
-      spillStoresStat(this, "spill_stores",
-                      "traces written to RRS_TRACE_DIR"),
-      packedRecordsStat(this, "packed_records",
-                        "records packed into column form", "insts"),
-      packCaptureSecondsStat(
-          this, "pack_seconds_capture",
-          "host seconds sealing packed columns at capture",
-          "seconds"),
-      packLoadSecondsStat(
-          this, "pack_seconds_load",
-          "host seconds sealing packed columns on spill load",
-          "seconds")
 {
     if (const char *env = std::getenv("RRS_TRACE_DIR"))
         dir = env;
@@ -44,7 +23,7 @@ TraceCache::get(const workloads::Workload &w, std::uint64_t maxInsts)
     std::unique_lock<std::mutex> lock(mu);
     auto it = entries.find(key);
     if (it != entries.end()) {
-        ++hitsStat;
+        ++counts.hits;
         auto future = it->second;
         lock.unlock();
         // May block until the capturing lane publishes the trace; the
@@ -53,7 +32,7 @@ TraceCache::get(const workloads::Workload &w, std::uint64_t maxInsts)
         return future.get();
     }
 
-    ++missesStat;
+    ++counts.misses;
     std::promise<trace::TracePtr> promise;
     entries.emplace(key, promise.get_future().share());
     const std::string spillTo = dir;
@@ -88,10 +67,6 @@ TraceCache::get(const workloads::Workload &w, std::uint64_t maxInsts)
     if (!trace)
         trace = workloads::captureTrace(w, maxInsts);
 
-    // A trace is born packed: captureTrace and tryReadTraceFile both
-    // seal the columns before they return, timing that step.
-    const double packSecs = trace->packed().buildSeconds();
-
     bool stored = false;
     if (!loaded && !path.empty()) {
         obs::ScopedPhase phase("trace-cache-spill");
@@ -101,17 +76,17 @@ TraceCache::get(const workloads::Workload &w, std::uint64_t maxInsts)
             rrs_warn_once("trace spill disabled: %s", error.c_str());
     }
 
+    // A trace is born packed: captureTrace and tryReadTraceFile both
+    // seal the columns before they return.
     lock.lock();
     if (loaded) {
-        ++spillLoadsStat;
-        packLoadSecondsStat += packSecs;
+        ++counts.spillLoads;
     } else {
-        capturedStat += static_cast<double>(trace->size());
-        packCaptureSecondsStat += packSecs;
+        counts.capturedInsts += trace->size();
         if (stored)
-            ++spillStoresStat;
+            ++counts.spillStores;
     }
-    packedRecordsStat += static_cast<double>(trace->size());
+    counts.packedRecords += trace->size();
     lock.unlock();
 
     promise.set_value(trace);
@@ -122,25 +97,14 @@ void
 TraceCache::noteReplayed(std::uint64_t insts)
 {
     std::lock_guard<std::mutex> lock(mu);
-    replayedStat += static_cast<double>(insts);
+    counts.replayedInsts += insts;
 }
 
 TraceCache::Counters
 TraceCache::counters() const
 {
     std::lock_guard<std::mutex> lock(mu);
-    Counters c;
-    c.hits = static_cast<std::uint64_t>(hitsStat.value());
-    c.misses = static_cast<std::uint64_t>(missesStat.value());
-    c.capturedInsts = static_cast<std::uint64_t>(capturedStat.value());
-    c.replayedInsts = static_cast<std::uint64_t>(replayedStat.value());
-    c.spillLoads = static_cast<std::uint64_t>(spillLoadsStat.value());
-    c.spillStores = static_cast<std::uint64_t>(spillStoresStat.value());
-    c.packedRecords =
-        static_cast<std::uint64_t>(packedRecordsStat.value());
-    c.packSecondsCapture = packCaptureSecondsStat.value();
-    c.packSecondsLoad = packLoadSecondsStat.value();
-    return c;
+    return counts;
 }
 
 void
@@ -148,7 +112,7 @@ TraceCache::clear()
 {
     std::lock_guard<std::mutex> lock(mu);
     entries.clear();
-    resetStats();
+    counts = Counters{};
 }
 
 void

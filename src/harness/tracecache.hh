@@ -19,9 +19,8 @@
  * trace::traceFileVersion orphans all older spills.
  *
  * Counters (hits, misses, captured vs replayed instructions, spill
- * traffic) are a stats::Group, so they join the text dumps and the
- * --stats-json export; their values are deterministic across thread
- * counts.
+ * traffic, packed records) are deterministic across thread counts;
+ * sweeps difference them into their footer and the campaign sidecar.
  */
 
 #ifndef RRS_HARNESS_TRACECACHE_HH
@@ -34,32 +33,24 @@
 #include <string>
 #include <utility>
 
-#include "stats/stats.hh"
 #include "trace/recorded.hh"
 #include "workloads/workloads.hh"
 
 namespace rrs::harness {
 
-class TraceCache : public stats::Group
+class TraceCache
 {
   public:
-    /**
-     * Snapshot of the cache counters.  All count fields are
-     * deterministic across thread counts; the pack-seconds fields are
-     * host wall clock (reporting only — they never reach exact-metric
-     * surfaces like BENCH json trace_cache blocks or telemetry bytes).
-     */
+    /** The cache counters, all deterministic across thread counts. */
     struct Counters
     {
         std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t capturedInsts = 0;
-        std::uint64_t replayedInsts = 0;
-        std::uint64_t spillLoads = 0;
-        std::uint64_t spillStores = 0;
-        std::uint64_t packedRecords = 0;
-        double packSecondsCapture = 0.0;
-        double packSecondsLoad = 0.0;
+        std::uint64_t misses = 0;            //!< captures or spill loads
+        std::uint64_t capturedInsts = 0;     //!< functionally emulated
+        std::uint64_t replayedInsts = 0;     //!< fed to timing runs
+        std::uint64_t spillLoads = 0;        //!< read from RRS_TRACE_DIR
+        std::uint64_t spillStores = 0;       //!< written to RRS_TRACE_DIR
+        std::uint64_t packedRecords = 0;     //!< sealed into columns
     };
 
     /** Spill directory defaults to the RRS_TRACE_DIR environment. */
@@ -77,6 +68,7 @@ class TraceCache : public stats::Group
     /** Account instructions a ReplayStream fed to a timing run. */
     void noteReplayed(std::uint64_t insts);
 
+    /** A copy of the counters, taken under the lock. */
     Counters counters() const;
 
     /** Drop all entries and reset the counters (tests). */
@@ -93,18 +85,7 @@ class TraceCache : public stats::Group
     std::map<Key, std::shared_future<trace::TracePtr>> entries;
     std::string dir;
 
-    // All mutations happen under `mu`; reads for reporting go through
-    // counters(), which locks too, so the group can be dumped while a
-    // sweep is idle without racing.
-    stats::Scalar hitsStat;
-    stats::Scalar missesStat;
-    stats::Scalar capturedStat;
-    stats::Scalar replayedStat;
-    stats::Scalar spillLoadsStat;
-    stats::Scalar spillStoresStat;
-    stats::Scalar packedRecordsStat;
-    stats::Scalar packCaptureSecondsStat;
-    stats::Scalar packLoadSecondsStat;
+    Counters counts;   //!< guarded by `mu`, like `entries`
 };
 
 /** The process-wide cache every harness run shares. */

@@ -7,19 +7,12 @@
 
 namespace rrs::mem {
 
-Cache::Cache(const CacheParams &params, Cache *below, Dram *dram,
-             stats::Group *parent)
-    : stats::Group(params.name, parent), params(params),
+Cache::Cache(const CacheParams &params, Cache *below, Dram *dram)
+    : params(params),
       sets(static_cast<std::uint32_t>(params.sizeBytes /
                                       (params.lineBytes * params.assoc))),
       below(below), dram(dram),
-      lines(sets * params.assoc), mshrFile(params.mshrs),
-      hits(this, "hits", "demand hits"),
-      misses(this, "misses", "demand misses"),
-      mshrMerges(this, "mshrMerges", "misses merged into pending MSHRs"),
-      mshrStalls(this, "mshrStalls", "stall events due to full MSHRs"),
-      writebacks(this, "writebacks", "dirty evictions"),
-      prefetches(this, "prefetches", "prefetch fills issued")
+      lines(sets * params.assoc), mshrFile(params.mshrs)
 {
     rrs_assert((below == nullptr) != (dram == nullptr),
                "cache needs exactly one of a lower cache or DRAM");
@@ -62,27 +55,15 @@ Cache::victimLine(Addr line)
         if (l.lru < victim->lru)
             victim = &l;
     }
-    if (victim->dirty) {
-        // Dirty eviction: the writeback proceeds in the background (it
-        // does not delay the demand fill) but is counted, and it pushes
-        // the line to the level below for inclusion bookkeeping.
-        ++writebacks;
-    }
     return *victim;
 }
 
 Tick
-Cache::fillFromBelow(Addr addr, Tick now, bool isPrefetch)
+Cache::fillFromBelow(Addr addr, Tick now)
 {
-    Tick done;
-    if (below) {
-        done = below->access(addr, false, now);
-    } else {
-        done = dram->access(addr / params.lineBytes, now);
-    }
-    if (isPrefetch)
-        ++prefetches;
-    return done;
+    if (below)
+        return below->access(addr, false, now);
+    return dram->access(addr / params.lineBytes, now);
 }
 
 bool
@@ -102,12 +83,9 @@ Cache::access(Addr addr, bool write, Tick now)
         hitLine->lru = ++lruTick;
         hitLine->dirty = hitLine->dirty || write;
         // A line still in flight (MSHR hit) is ready at fillDone.
-        Tick ready = std::max(now, hitLine->fillDone) + params.hitLatency;
         if (hitLine->fillDone <= now)
             ++hits;
-        else
-            ++mshrMerges;
-        return ready;
+        return std::max(now, hitLine->fillDone) + params.hitLatency;
     }
 
     ++misses;
@@ -116,10 +94,8 @@ Cache::access(Addr addr, bool write, Tick now)
     // happen because the fill installs the line immediately, but a
     // conflicting eviction can re-miss a pending line).
     for (auto &m : mshrFile) {
-        if (m.valid && m.lineAddr == line) {
-            ++mshrMerges;
+        if (m.valid && m.lineAddr == line)
             return std::max(now, m.done) + params.hitLatency;
-        }
     }
 
     // Allocate an MSHR: if all are busy, stall until the earliest one
@@ -135,7 +111,6 @@ Cache::access(Addr addr, bool write, Tick now)
     }
     Tick start = now;
     if (!slot) {
-        ++mshrStalls;
         start = earliest;
         for (auto &m : mshrFile) {
             if (m.done == earliest)
@@ -143,7 +118,7 @@ Cache::access(Addr addr, bool write, Tick now)
         }
     }
 
-    Tick done = fillFromBelow(addr, start, false);
+    Tick done = fillFromBelow(addr, start);
     slot->valid = true;
     slot->lineAddr = line;
     slot->done = done;
@@ -168,7 +143,7 @@ Cache::prefetch(Addr addr, Tick now)
     // Prefetches only proceed when an MSHR is free; they never stall.
     for (auto &m : mshrFile) {
         if (!m.valid || m.done <= now) {
-            Tick done = fillFromBelow(addr, now, true);
+            Tick done = fillFromBelow(addr, now);
             m.valid = true;
             m.lineAddr = line;
             m.done = done;

@@ -16,19 +16,16 @@
 #define RRS_MEM_CACHE_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.hh"
 #include "mem/dram.hh"
-#include "stats/stats.hh"
 
 namespace rrs::mem {
 
 /** Cache geometry and timing. */
 struct CacheParams
 {
-    std::string name = "cache";
     std::uint64_t sizeBytes = 32 * 1024;
     std::uint32_t assoc = 2;
     std::uint32_t lineBytes = 64;
@@ -40,11 +37,10 @@ struct CacheParams
  * One cache level.  The level below is either another Cache or the
  * Dram (exactly one must be given).
  */
-class Cache : public stats::Group
+class Cache
 {
   public:
-    Cache(const CacheParams &params, Cache *below, Dram *dram,
-          stats::Group *parent = nullptr);
+    Cache(const CacheParams &params, Cache *below, Dram *dram);
 
     /**
      * Demand access.
@@ -65,14 +61,8 @@ class Cache : public stats::Group
     /** True if the line is resident *now* (test/introspection). */
     bool contains(Addr addr, Tick now) const;
 
-    std::uint64_t hitCount() const
-    {
-        return static_cast<std::uint64_t>(hits.value());
-    }
-    std::uint64_t missCount() const
-    {
-        return static_cast<std::uint64_t>(misses.value());
-    }
+    std::uint64_t hitCount() const { return hits; }
+    std::uint64_t missCount() const { return misses; }
 
   private:
     struct Line
@@ -96,7 +86,7 @@ class Cache : public stats::Group
     Line *findLine(Addr line);
     const Line *findLine(Addr line) const;
     Line &victimLine(Addr line);
-    Tick fillFromBelow(Addr addr, Tick now, bool isPrefetch);
+    Tick fillFromBelow(Addr addr, Tick now);
 
     CacheParams params;
     std::uint32_t sets;
@@ -106,12 +96,8 @@ class Cache : public stats::Group
     std::vector<Mshr> mshrFile;
     std::uint64_t lruTick = 0;
 
-    stats::Scalar hits;
-    stats::Scalar misses;
-    stats::Scalar mshrMerges;
-    stats::Scalar mshrStalls;
-    stats::Scalar writebacks;
-    stats::Scalar prefetches;
+    std::uint64_t hits = 0;     //!< demand hits on a filled line
+    std::uint64_t misses = 0;   //!< demand misses
 };
 
 /**

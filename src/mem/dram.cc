@@ -6,14 +6,8 @@
 
 namespace rrs::mem {
 
-Dram::Dram(const DramParams &params, stats::Group *parent)
-    : stats::Group("dram", parent), params(params),
-      banks(params.ranks * params.banksPerRank),
-      reads(this, "reads", "line accesses"),
-      rowHits(this, "rowHits", "row-buffer hits"),
-      rowMisses(this, "rowMisses", "row misses (closed row)"),
-      rowConflicts(this, "rowConflicts", "row conflicts (other row open)"),
-      latency(this, "latency", "access latency in cycles")
+Dram::Dram(const DramParams &params)
+    : params(params), banks(params.ranks * params.banksPerRank)
 {
     rrs_assert(!banks.empty(), "DRAM needs at least one bank");
 }
@@ -35,7 +29,6 @@ Dram::rowIndex(Addr addr) const
 Tick
 Dram::access(Addr addr, Tick now)
 {
-    ++reads;
     Bank &bank = banks[bankIndex(addr)];
     const Addr row = rowIndex(addr);
 
@@ -48,14 +41,11 @@ Dram::access(Addr addr, Tick now)
 
     Cycles access_lat;
     if (bank.rowOpen && bank.openRow == row) {
-        ++rowHits;
-        access_lat = params.tCas;
+        access_lat = params.tCas;   // row-buffer hit
     } else if (!bank.rowOpen) {
-        ++rowMisses;
-        access_lat = params.tRcd + params.tCas;
+        access_lat = params.tRcd + params.tCas;   // row miss
     } else {
-        ++rowConflicts;
-        access_lat = params.tRp + params.tRcd + params.tCas;
+        access_lat = params.tRp + params.tRcd + params.tCas;   // conflict
     }
     bank.rowOpen = true;
     bank.openRow = row;
@@ -65,8 +55,6 @@ Dram::access(Addr addr, Tick now)
     Tick done = data_start + params.burst;
     busReadyAt = done;
     bank.readyAt = start + access_lat;
-
-    latency.sample(static_cast<double>(done - now));
     return done;
 }
 

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "stats/stats.hh"
 
 namespace rrs::mem {
 
@@ -37,10 +36,10 @@ struct DramParams
 };
 
 /** Main memory: returns absolute completion ticks for line fills. */
-class Dram : public stats::Group
+class Dram
 {
   public:
-    explicit Dram(const DramParams &params, stats::Group *parent = nullptr);
+    explicit Dram(const DramParams &params);
 
     /**
      * Issue a 64-byte line access.
@@ -64,12 +63,6 @@ class Dram : public stats::Group
     DramParams params;
     std::vector<Bank> banks;
     Tick busReadyAt = 0;
-
-    stats::Scalar reads;
-    stats::Scalar rowHits;
-    stats::Scalar rowMisses;
-    stats::Scalar rowConflicts;
-    stats::Average latency;
 };
 
 } // namespace rrs::mem

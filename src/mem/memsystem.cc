@@ -2,17 +2,13 @@
 
 namespace rrs::mem {
 
-MemSystem::MemSystem(const MemSystemParams &params, stats::Group *parent)
-    : stats::Group("mem", parent), params(params)
+MemSystem::MemSystem(const MemSystemParams &params) : params(params)
 {
-    mainMem = std::make_unique<Dram>(params.dram, this);
-    l2Cache = std::make_unique<Cache>(params.l2, nullptr, mainMem.get(),
-                                      this);
-    l1iCache = std::make_unique<Cache>(params.l1i, l2Cache.get(), nullptr,
-                                       this);
-    l1dCache = std::make_unique<Cache>(params.l1d, l2Cache.get(), nullptr,
-                                       this);
-    dtlb = std::make_unique<Tlb>(params.tlb, this);
+    mainMem = std::make_unique<Dram>(params.dram);
+    l2Cache = std::make_unique<Cache>(params.l2, nullptr, mainMem.get());
+    l1iCache = std::make_unique<Cache>(params.l1i, l2Cache.get(), nullptr);
+    l1dCache = std::make_unique<Cache>(params.l1d, l2Cache.get(), nullptr);
+    dtlb = std::make_unique<Tlb>(params.tlb);
     if (params.stridePrefetcher) {
         stride = std::make_unique<Prefetcher>(64, params.prefetchDegree);
     }

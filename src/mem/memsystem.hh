@@ -22,9 +22,9 @@ namespace rrs::mem {
 /** Parameters of the whole hierarchy. */
 struct MemSystemParams
 {
-    CacheParams l1i{"l1i", 48 * 1024, 3, 64, 1, 4};
-    CacheParams l1d{"l1d", 32 * 1024, 2, 64, 1, 8};
-    CacheParams l2{"l2", 1024 * 1024, 16, 64, 12, 16};
+    CacheParams l1i{48 * 1024, 3, 64, 1, 4};
+    CacheParams l1d{32 * 1024, 2, 64, 1, 8};
+    CacheParams l2{1024 * 1024, 16, 64, 12, 16};
     DramParams dram;
     TlbParams tlb;
     bool stridePrefetcher = true;
@@ -32,11 +32,10 @@ struct MemSystemParams
 };
 
 /** The composed hierarchy. */
-class MemSystem : public stats::Group
+class MemSystem
 {
   public:
-    explicit MemSystem(const MemSystemParams &params,
-                       stats::Group *parent = nullptr);
+    explicit MemSystem(const MemSystemParams &params);
 
     /**
      * Instruction fetch of one cache line.
@@ -54,12 +53,11 @@ class MemSystem : public stats::Group
      */
     Tick dataAccess(Addr pc, Addr addr, bool write, Tick now);
 
-    /** Direct sub-component access for tests and stats. */
+    /** Direct sub-component access for tests and reports. */
     Cache &l1i() { return *l1iCache; }
     Cache &l1d() { return *l1dCache; }
     Cache &l2() { return *l2Cache; }
     Tlb &tlb() { return *dtlb; }
-    Dram &dram() { return *mainMem; }
 
   private:
     MemSystemParams params;

@@ -2,18 +2,14 @@
 
 namespace rrs::mem {
 
-Tlb::Tlb(const TlbParams &params, stats::Group *parent)
-    : stats::Group("tlb", parent), params(params),
-      entries(params.entries),
-      lookups(this, "lookups", "translations requested"),
-      misses(this, "misses", "TLB misses (page walks)")
+Tlb::Tlb(const TlbParams &params)
+    : params(params), entries(params.entries)
 {
 }
 
 TlbResult
 Tlb::translate(Addr vaddr)
 {
-    ++lookups;
     const Addr vpn = vaddr / params.pageBytes;
     Entry *victim = &entries[0];
     for (auto &e : entries) {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "stats/stats.hh"
 
 namespace rrs::mem {
 
@@ -33,18 +32,15 @@ struct TlbResult
 };
 
 /** Fully-associative, LRU-replaced TLB. */
-class Tlb : public stats::Group
+class Tlb
 {
   public:
-    explicit Tlb(const TlbParams &params, stats::Group *parent = nullptr);
+    explicit Tlb(const TlbParams &params);
 
     /** Translate; misses insert the page and charge the walk. */
     TlbResult translate(Addr vaddr);
 
-    std::uint64_t missCount() const
-    {
-        return static_cast<std::uint64_t>(misses.value());
-    }
+    std::uint64_t missCount() const { return misses; }
 
   private:
     struct Entry
@@ -57,9 +53,7 @@ class Tlb : public stats::Group
     TlbParams params;
     std::vector<Entry> entries;
     std::uint64_t lruTick = 0;
-
-    stats::Scalar lookups;
-    stats::Scalar misses;
+    std::uint64_t misses = 0;   //!< page walks
 };
 
 } // namespace rrs::mem

@@ -155,8 +155,8 @@ class Parser
                     else
                         return fail("bad \\u escape");
                 }
-                // The stats dump only escapes control characters, so
-                // plain one-byte code points suffice here.
+                // stats::jsonEscape only escapes control characters,
+                // so plain one-byte code points suffice here.
                 out.push_back(static_cast<char>(code & 0xff));
                 break;
               }
@@ -176,8 +176,8 @@ class Parser
         // Locale-independent (common/strutils.hh): std::strtod honours
         // the global locale's decimal separator, so under de_DE-style
         // locales it would read "1.5" as 1 and desynchronise the
-        // cursor; every float in stats-json and ledger nodes would
-        // misparse.
+        // cursor; every float in ledger nodes and sweep matrices
+        // would misparse.
         const char *start = text.c_str() + pos;
         const char *last = text.c_str() + text.size();
         double v = 0;

@@ -1,13 +1,13 @@
 /**
  * @file
- * A minimal JSON DOM: enough to parse what stats::Group::dumpJson
- * emits (objects, arrays, strings, numbers, bools, null) so the JSON
- * round-trip test — and any tool that consumes the machine-readable
- * stats export — does not need an external dependency.
+ * A minimal JSON DOM: enough to parse what the tree's own writers
+ * emit (objects, arrays, strings, numbers, bools, null) — ledger
+ * nodes, the campaign sidecar, telemetry traces — and the sweep
+ * matrices and manifests users write, without an external dependency.
  *
- * Object member order is preserved (the dump order is stable, and
+ * Object member order is preserved (writers emit a stable order, and
  * tests compare against it).  Numbers are stored as double, which is
- * exact for every value the stats package emits (%.17g).
+ * exact for every value stats::jsonNumber writes (%.17g).
  */
 
 #ifndef RRS_OBS_JSONLITE_HH

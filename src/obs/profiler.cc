@@ -47,24 +47,6 @@ threadLocalTree()
 }
 
 void
-dumpNodeJson(std::ostream &os, const PhaseNode &node)
-{
-    os << "{\"count\": " << node.count << ", \"seconds\": ";
-    os << stats::jsonNumber(node.seconds);
-    os << ", \"children\": {";
-    bool first = true;
-    for (const auto &c : node.children) {
-        if (!first)
-            os << ", ";
-        first = false;
-        stats::jsonEscape(os, c->name);
-        os << ": ";
-        dumpNodeJson(os, *c);
-    }
-    os << "}}";
-}
-
-void
 printNode(std::ostream &os, const PhaseNode &node, int depth,
           double parentSeconds)
 {
@@ -164,7 +146,7 @@ Profiler::setEnabled(bool on)
     detail::profilerEnabled = on;
 }
 
-Profiler::Profiler() : aggGroup("prof")
+Profiler::Profiler()
 {
     runMerged.name = "run";
 }
@@ -227,11 +209,7 @@ Profiler::collectRunAggregates(const PhaseNode &node,
         RunPhaseAgg &agg = runAgg[path];
         agg.count += c->count;
         agg.seconds += c->seconds;
-        if (!agg.perRunUs) {
-            agg.perRunUs = std::make_unique<stats::Distribution>(
-                &aggGroup, path, "per-run phase microseconds");
-        }
-        agg.perRunUs->sample(
+        agg.perRunUs.push_back(
             static_cast<std::uint64_t>(std::llround(c->seconds * 1e6)));
         collectRunAggregates(*c, path);
     }
@@ -253,9 +231,9 @@ Profiler::runPercentileUs(const std::string &path, double p) const
 {
     std::lock_guard<std::mutex> lock(mu);
     auto it = runAgg.find(path);
-    if (it == runAgg.end() || !it->second.perRunUs)
+    if (it == runAgg.end())
         return 0.0;
-    return it->second.perRunUs->percentile(p);
+    return stats::percentile(it->second.perRunUs, p);
 }
 
 PhaseNode
@@ -299,44 +277,11 @@ Profiler::report(std::ostream &os) const
                       "  %-24s %10llu %10.3f %10.0f %10.0f %10.0f\n",
                       path.c_str(),
                       static_cast<unsigned long long>(agg.count),
-                      agg.seconds, agg.perRunUs->percentile(50),
-                      agg.perRunUs->percentile(95),
-                      static_cast<double>(agg.perRunUs->maxKey()));
+                      agg.seconds, stats::percentile(agg.perRunUs, 50),
+                      stats::percentile(agg.perRunUs, 95),
+                      stats::percentile(agg.perRunUs, 100));
         os << buf;
     }
-}
-
-void
-Profiler::dumpJson(std::ostream &os, int indent) const
-{
-    const PhaseNode host = hostTree();
-    const std::string pad(static_cast<std::size_t>(indent) + 2, ' ');
-    std::lock_guard<std::mutex> lock(mu);
-    os << "{\n" << pad << "\"runs_merged\": " << runCount << ",\n"
-       << pad << "\"host\": ";
-    dumpNodeJson(os, host);
-    os << ",\n" << pad << "\"run\": ";
-    dumpNodeJson(os, runMerged);
-    os << ",\n" << pad << "\"run_phases\": {";
-    bool first = true;
-    for (const auto &[path, agg] : runAgg) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n" << pad << "  ";
-        stats::jsonEscape(os, path);
-        os << ": {\"count\": " << agg.count << ", \"seconds\": ";
-        os << stats::jsonNumber(agg.seconds);
-        os << ", \"p50_us\": ";
-        os << stats::jsonNumber(agg.perRunUs->percentile(50));
-        os << ", \"p95_us\": ";
-        os << stats::jsonNumber(agg.perRunUs->percentile(95));
-        os << ", \"max_us\": " << agg.perRunUs->maxKey() << "}";
-    }
-    if (!first)
-        os << "\n" << pad;
-    os << "}\n" << std::string(static_cast<std::size_t>(indent), ' ')
-       << "}";
 }
 
 void

@@ -13,7 +13,7 @@
  * when off, a ScopedPhase costs exactly one branch on a cached bool —
  * cheap enough to leave in the hot harness paths permanently.
  *
- * Threading model (mirrors the stats package's merge-after-join):
+ * Threading model (mirrors the sweep's merge-after-join):
  *
  *  - Phases recorded on a thread land in that thread's own tree; no
  *    phase mutation is ever shared between running threads.
@@ -21,16 +21,14 @@
  *    the duration of each run; the runner merges the run trees after
  *    the pool has joined, in submission order, so the merged counts —
  *    and the order of FP additions — are identical for every
- *    `RRS_THREADS` value, exactly like the sweep's stats.
+ *    `RRS_THREADS` value, exactly like the sweep's Outcomes.
  *  - Unbound threads (the main thread, analysis pool workers) record
  *    into registered thread-local trees that report() folds together;
- *    report() must only run while no profiled work is in flight, the
- *    same quiescence the stats dump already assumes.
+ *    report() must only run while no profiled work is in flight.
  *
- * Per-run latency aggregates: each merged run tree also samples every
- * phase path's per-run total (in microseconds) into a
- * stats::Distribution, so the report carries p50/p95/max per-run
- * latencies computed with Distribution::percentile().
+ * Per-run latency aggregates: each merged run tree also records every
+ * phase path's per-run total (in microseconds), so the report carries
+ * p50/p95/max per-run latencies computed with stats::percentile().
  */
 
 #ifndef RRS_OBS_PROFILER_HH
@@ -45,8 +43,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "stats/stats.hh"
 
 namespace rrs::obs {
 
@@ -172,9 +168,6 @@ class Profiler
      */
     void report(std::ostream &os) const;
 
-    /** Machine-readable form of report(), one JSON object. */
-    void dumpJson(std::ostream &os, int indent = 0) const;
-
     /** Drop all recorded data (tests; not thread-safe vs recording). */
     void reset();
 
@@ -189,7 +182,7 @@ class Profiler
     {
         std::uint64_t count = 0;     //!< phase entries across runs
         double seconds = 0;          //!< total seconds across runs
-        std::unique_ptr<stats::Distribution> perRunUs;
+        std::vector<std::uint64_t> perRunUs;   //!< one per run tree
     };
 
     void collectRunAggregates(const PhaseNode &node,
@@ -200,7 +193,6 @@ class Profiler
     PhaseNode retired;                      //!< trees of exited threads
     PhaseNode runMerged;                    //!< per-run merge (post-join)
     std::uint64_t runCount = 0;
-    stats::Group aggGroup;                  //!< parent of the Distributions
     std::map<std::string, RunPhaseAgg> runAgg;   //!< by phase path
 };
 

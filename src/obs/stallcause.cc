@@ -29,35 +29,10 @@ StallBreakdown::sum() const
     return s;
 }
 
-CycleAccounting::CycleAccounting(stats::Group *parent)
-    : stats::Group("cycleCause", parent),
-      causes{{this, "commit", "cycles with at least one commit"},
-             {this, "drain", "stream exhausted, backend draining"},
-             {this, "renameNoReg",
-              "whole cycles blocked: no free physical register"},
-             {this, "renameRob", "whole cycles blocked: ROB full"},
-             {this, "renameIq", "whole cycles blocked: IQ full"},
-             {this, "renameLsq", "whole cycles blocked: LSQ full"},
-             {this, "frontend",
-              "backend empty: fetch stall / redirect / icache"},
-             {this, "backendExec",
-              "waiting on execution (dependences, FUs, memory)"}}
-{
-}
-
-StallBreakdown
-CycleAccounting::breakdown() const
-{
-    StallBreakdown b;
-    for (int i = 0; i < numCycleCauses; ++i)
-        b.counts[i] = static_cast<std::uint64_t>(causes[i].value());
-    return b;
-}
-
 void
 CycleAccounting::verify(std::uint64_t totalCycles) const
 {
-    const std::uint64_t attributed = breakdown().sum();
+    const std::uint64_t attributed = causes.sum();
     if (attributed != totalCycles) {
         rrs_panic("cycle accounting leak: %llu cycles attributed, "
                   "%llu simulated",

@@ -2,7 +2,8 @@
  * @file
  * Top-down-style cycle accounting: every simulated cycle is attributed
  * to exactly one cause, so "where did the cycles go" is answerable
- * directly from the stats dump instead of from printf debugging.
+ * directly from a run's Outcome (and the ledger's stall fields)
+ * instead of from printf debugging.
  *
  * Taxonomy (one cause per cycle, checked in this order):
  *
@@ -12,8 +13,8 @@
  *                 backend is finishing the tail of the run.
  *  - renameNoReg  nothing committed and rename was blocked this cycle
  *    renameRob    on the named structure (free-list exhaustion, ROB,
- *    renameIq     IQ, or LSQ full).  These refine the paper's
- *    renameLsq    renameStall* counters into whole-cycle attribution.
+ *    renameIq     IQ, or LSQ full), counted in whole cycles.
+ *    renameLsq
  *  - frontend     nothing committed and the backend was empty: the
  *                 cycle was lost to fetch (icache miss, redirect
  *                 penalty, fetch-queue starvation).
@@ -31,8 +32,6 @@
 #define RRS_OBS_STALLCAUSE_HH
 
 #include <cstdint>
-
-#include "stats/stats.hh"
 
 namespace rrs::obs {
 
@@ -55,9 +54,8 @@ constexpr int numCycleCauses = 8;
 const char *cycleCauseName(CycleCause c);
 
 /**
- * Plain copyable snapshot of a run's cycle accounting, carried in
- * harness::Outcome so sweeps and tests can reason about it without
- * touching the (non-copyable) stats objects.
+ * A run's cycle accounting: one count per cause.  The core's
+ * CycleAccounting fills one; harness::Outcome carries a copy.
  */
 struct StallBreakdown
 {
@@ -90,29 +88,27 @@ struct StallBreakdown
 };
 
 /**
- * The accounting stats group the core owns: one scalar per cause,
- * fed by attribute() exactly once per simulated cycle.
+ * The accounting the core owns, fed by attribute() exactly once per
+ * simulated cycle.
  */
-class CycleAccounting : public stats::Group
+class CycleAccounting
 {
   public:
-    explicit CycleAccounting(stats::Group *parent);
-
     /** Charge the current cycle to one cause. */
     void
     attribute(CycleCause c)
     {
-        causes[static_cast<int>(c)] += 1;
+        ++causes.counts[static_cast<int>(c)];
     }
 
     /** Copy the counters out. */
-    StallBreakdown breakdown() const;
+    StallBreakdown breakdown() const { return causes; }
 
     /** Assert the invariant: attributed cycles == total cycles. */
     void verify(std::uint64_t totalCycles) const;
 
   private:
-    stats::Scalar causes[numCycleCauses];
+    StallBreakdown causes;
 };
 
 } // namespace rrs::obs

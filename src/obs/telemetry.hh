@@ -15,9 +15,9 @@
  * index: which *worker* executed a run is scheduling noise, so baking
  * worker ids into the trace would break byte-identity.
  *
- * Threading model mirrors the stats package: each run records into its
- * own RunTelemetry buffer with no synchronisation (lock-free by
- * construction — one writer, no readers until the join), and the
+ * Threading model mirrors the sweep's result slots: each run records
+ * into its own RunTelemetry buffer with no synchronisation (lock-free
+ * by construction — one writer, no readers until the join), and the
  * writer serialises the buffers post-join in submission order.
  */
 

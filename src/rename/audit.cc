@@ -73,13 +73,6 @@ add(AuditReport &report, AuditInvariant inv, RegClass cls,
 
 } // namespace
 
-RenameAuditor::RenameAuditor(stats::Group *parent)
-    : stats::Group("audit", parent),
-      auditsRun(this, "audits", "full invariant audits executed"),
-      violationsFound(this, "violations", "invariant violations found")
-{
-}
-
 AuditReport
 RenameAuditor::audit(const Renamer &renamer)
 {
@@ -256,7 +249,7 @@ RenameAuditor::audit(const ReuseRenamer &rn)
                          static_cast<unsigned long long>(rn.nextToken)));
     }
 
-    violationsFound += static_cast<double>(report.violations.size());
+    violationsFound += report.violations.size();
     return report;
 }
 
@@ -314,7 +307,7 @@ RenameAuditor::audit(const BaselineRenamer &rn)
                          static_cast<unsigned long long>(rn.nextToken)));
     }
 
-    violationsFound += static_cast<double>(report.violations.size());
+    violationsFound += report.violations.size();
     return report;
 }
 

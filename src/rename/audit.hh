@@ -81,11 +81,9 @@ struct AuditReport
  * for its counters, so one auditor can serve any number of audits (it
  * holds no reference to the renamer it checks).
  */
-class RenameAuditor : public stats::Group
+class RenameAuditor
 {
   public:
-    explicit RenameAuditor(stats::Group *parent = nullptr);
-
     /** Audit either renamer type (dispatched on the concrete type). */
     AuditReport audit(const Renamer &renamer);
     AuditReport audit(const ReuseRenamer &renamer);
@@ -98,13 +96,16 @@ class RenameAuditor : public stats::Group
      */
     void check(const Renamer &renamer, const char *where);
 
-    /** Cumulative counters (also exported as stats). */
-    double auditCount() const { return auditsRun.value(); }
-    double violationCount() const { return violationsFound.value(); }
+    /** Cumulative counters. */
+    double auditCount() const { return static_cast<double>(auditsRun); }
+    double violationCount() const
+    {
+        return static_cast<double>(violationsFound);
+    }
 
   private:
-    stats::Scalar auditsRun;
-    stats::Scalar violationsFound;
+    std::uint64_t auditsRun = 0;
+    std::uint64_t violationsFound = 0;
 };
 
 } // namespace rrs::rename

@@ -4,14 +4,8 @@
 
 namespace rrs::rename {
 
-BaselineRenamer::BaselineRenamer(const BaselineParams &params,
-                                 stats::Group *parent)
-    : Renamer("rename", parent), params(params),
-      allocations(this, "allocations", "physical registers allocated"),
-      historyPeak(this, "historyPeak",
-                  "largest rename-history footprint (entries)"),
-      releases(this, "releases", "physical registers released"),
-      renameStalls(this, "renameStalls", "stalls due to empty free list")
+BaselineRenamer::BaselineRenamer(const BaselineParams &params)
+    : params(params)
 {
     for (int c = 0; c < numRegClasses; ++c) {
         auto cls = static_cast<RegClass>(c);
@@ -90,10 +84,8 @@ BaselineRenamer::rename(
         ++nextToken;
         if (history.size() > historyPeakSinceShrink)
             historyPeakSinceShrink = history.size();
-        if (history.size() > historyPeakCount) {
+        if (history.size() > historyPeakCount)
             historyPeakCount = history.size();
-            historyPeak = static_cast<double>(historyPeakCount);
-        }
 
         res.hasDest = true;
         res.destTag = PhysRegTag{di.si.dest.cls, fresh, 0};
@@ -117,7 +109,6 @@ BaselineRenamer::commit(const RenameResult &result)
         // The previous mapping of the redefined logical register is now
         // unreachable: release it (release-on-commit).
         state(e.cls).freeList.push_back(e.releaseAtCommit);
-        ++releases;
         history.pop_front();
         ++historyBase;
     }

@@ -30,8 +30,7 @@ struct BaselineParams
 class BaselineRenamer : public Renamer
 {
   public:
-    explicit BaselineRenamer(const BaselineParams &params,
-                             stats::Group *parent = nullptr);
+    explicit BaselineRenamer(const BaselineParams &params);
 
     RenameResult rename(
         const trace::DynInst &di,
@@ -53,8 +52,11 @@ class BaselineRenamer : public Renamer
     PhysRegTag mapping(RegClass cls, LogRegIndex reg) const override;
 
     /** Aggregate counters for reports. */
-    double allocationCount() const { return allocations.value(); }
-    double stallCount() const { return renameStalls.value(); }
+    double allocationCount() const
+    {
+        return static_cast<double>(allocations);
+    }
+    double stallCount() const { return static_cast<double>(renameStalls); }
 
     /** Largest number of history entries ever held at once. */
     std::uint64_t historyPeakEntries() const { return historyPeakCount; }
@@ -97,10 +99,8 @@ class BaselineRenamer : public Renamer
     /** Committed-storage bound; see ReuseRenamer's twin. */
     static constexpr std::size_t historyShrinkThreshold = 4096;
 
-    stats::Scalar allocations;
-    stats::Scalar historyPeak;
-    stats::Scalar releases;
-    stats::Scalar renameStalls;
+    std::uint64_t allocations = 0;    //!< physical registers allocated
+    std::uint64_t renameStalls = 0;   //!< stalls on an empty free list
 };
 
 } // namespace rrs::rename

@@ -6,13 +6,8 @@
 namespace rrs::rename {
 
 RegisterTypePredictor::RegisterTypePredictor(
-    const TypePredictorParams &params, stats::Group *parent)
-    : stats::Group("typePred", parent), table(params.entries, 0),
-      predictions(this, "predictions", "allocation-type predictions"),
-      decrements(this, "decrements", "entries decremented on release"),
-      resets(this, "resets", "entries reset on multi-use detection"),
-      increments(this, "increments",
-                 "entries incremented on shadow exhaustion")
+    const TypePredictorParams &params)
+    : table(params.entries, 0)
 {
     rrs_assert(!table.empty(), "predictor needs at least one entry");
 }
@@ -26,7 +21,6 @@ RegisterTypePredictor::indexFor(Addr pc) const
 std::uint8_t
 RegisterTypePredictor::predict(Addr pc) const
 {
-    predictions += 1;
     return table[indexFor(pc)];
 }
 
@@ -41,7 +35,6 @@ RegisterTypePredictor::trainOnRelease(std::uint32_t index,
     if (allocatedShadow > 0 && multiUseDetected) {
         // Predicted single-use, saw extra consumers: reset.
         e = 0;
-        ++resets;
         return;
     }
     if (singleUseMissed) {
@@ -51,16 +44,13 @@ RegisterTypePredictor::trainOnRelease(std::uint32_t index,
         // shadow-exhaustion rule escalates further if chains form;
         // anything more aggressive floods the shadow banks with
         // long-lived committed values.
-        if (e == 0) {
+        if (e == 0)
             e = 1;
-            ++increments;
-        }
         return;
     }
     if (actualReuses < allocatedShadow && e > 0) {
         // Shadow copies went unused: shrink the next allocation.
         --e;
-        ++decrements;
     }
 }
 
@@ -68,10 +58,8 @@ void
 RegisterTypePredictor::trainOnShadowExhausted(std::uint32_t index)
 {
     std::uint8_t &e = table[index];
-    if (e < 3) {
+    if (e < 3)
         ++e;
-        ++increments;
-    }
 }
 
 } // namespace rrs::rename

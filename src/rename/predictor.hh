@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "stats/stats.hh"
 
 namespace rrs::rename {
 
@@ -34,11 +33,10 @@ struct TypePredictorParams
 };
 
 /** The register type predictor. */
-class RegisterTypePredictor : public stats::Group
+class RegisterTypePredictor
 {
   public:
-    explicit RegisterTypePredictor(const TypePredictorParams &params,
-                                   stats::Group *parent = nullptr);
+    explicit RegisterTypePredictor(const TypePredictorParams &params);
 
     /** Table index for an instruction PC. */
     std::uint32_t indexFor(Addr pc) const;
@@ -77,11 +75,6 @@ class RegisterTypePredictor : public stats::Group
 
   private:
     std::vector<std::uint8_t> table;
-
-    mutable stats::Scalar predictions;
-    stats::Scalar decrements;
-    stats::Scalar resets;
-    stats::Scalar increments;
 };
 
 } // namespace rrs::rename

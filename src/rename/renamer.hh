@@ -19,11 +19,13 @@
 #ifndef RRS_RENAME_RENAMER_HH
 #define RRS_RENAME_RENAMER_HH
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "rename/physreg.hh"
-#include "stats/stats.hh"
 #include "trace/dyninst.hh"
 
 namespace rrs::rename {
@@ -91,11 +93,21 @@ struct PredictorBreakdown
 };
 
 /** Abstract renamer. */
-class Renamer : public stats::Group
+class Renamer
 {
   public:
-    Renamer(const std::string &name, stats::Group *parent)
-        : stats::Group(name, parent) {}
+    Renamer() = default;
+    virtual ~Renamer() = default;
+
+    Renamer(const Renamer &) = delete;
+    Renamer &operator=(const Renamer &) = delete;
+
+    /**
+     * Does nothing.  Kept only for perfbench's TimedRenamer, which
+     * still calls Renamer("timed_renamer", nullptr); ROADMAP item 10
+     * deletes it together with that call.
+     */
+    Renamer(const std::string &, std::nullptr_t) {}
 
     /**
      * Rename one instruction.

@@ -6,30 +6,8 @@
 
 namespace rrs::rename {
 
-ReuseRenamer::ReuseRenamer(const ReuseRenamerParams &params,
-                           stats::Group *parent)
-    : Renamer("rename", parent), params(params),
-      typePred(params.predictor, this),
-      allocations(this, "allocations", "fresh physical registers allocated"),
-      historyPeak(this, "historyPeak",
-                  "largest rename-history footprint (entries)"),
-      reuses(this, "reuses", "destinations renamed by register sharing"),
-      reuseDepthDist(this, "reuseDepth", "version reached by each reuse"),
-      renameStalls(this, "renameStalls",
-                   "stalls: no free register and no reuse possible"),
-      repairEvents(this, "repairEvents", "single-use misprediction repairs"),
-      repairUopsTotal(this, "repairUops", "repair move micro-ops injected"),
-      shadowExhausted(this, "shadowExhausted",
-                      "reuses blocked by exhausted shadow cells"),
-      releasesNatural(this, "releases", "registers released (non-squash)"),
-      predReuseCorrect(this, "predReuseCorrect",
-                       "released regs predicted reused and reused"),
-      predReuseWrong(this, "predReuseWrong",
-                     "released regs predicted reused but not (or multi-use)"),
-      predNoReuseCorrect(this, "predNoReuseCorrect",
-                         "released regs predicted normal, correctly"),
-      predNoReuseWrong(this, "predNoReuseWrong",
-                       "released regs predicted normal but were single-use")
+ReuseRenamer::ReuseRenamer(const ReuseRenamerParams &params)
+    : params(params), typePred(params.predictor)
 {
     rrs_assert(params.counterBits >= 1 && params.counterBits <= 4,
                "counter width must be 1..4 bits");
@@ -162,10 +140,8 @@ ReuseRenamer::pushHistory(const HistoryEntry &h)
     ++nextToken;
     if (history.size() > historyPeakSinceShrink)
         historyPeakSinceShrink = history.size();
-    if (history.size() > historyPeakCount) {
+    if (history.size() > historyPeakCount)
         historyPeakCount = history.size();
-        historyPeak = static_cast<double>(historyPeakCount);
-    }
 }
 
 void
@@ -177,7 +153,6 @@ ReuseRenamer::maybeRelease(RegClass cls, PhysRegIndex phys, bool fromSquash)
         return;
 
     if (!fromSquash) {
-        ++releasesNatural;
         // Figure 12 classification and predictor training.
         if (e.bank > 0) {
             if (e.counter > 0 && !e.multiUse)
@@ -408,10 +383,9 @@ ReuseRenamer::rename(
         if (fresh == invalidRegIndex) {
             // Unreachable via the Phase-1 feasibility check, but a
             // guarded fallback beats a panic: undo the partial work
-            // (and its stats) and report a structural stall.
+            // (and its repair count) and report a structural stall.
             squashTo(res.token);
-            repairEvents += -static_cast<double>(res.numRepairs);
-            repairUopsTotal += -static_cast<double>(res.repairUops);
+            repairEvents -= res.numRepairs;
             ++renameStalls;
             RenameResult stall;
             stall.token = res.token;
@@ -433,7 +407,6 @@ ReuseRenamer::rename(
         rep.uops = uops;
         res.repairUops = static_cast<std::uint8_t>(res.repairUops + uops);
         ++repairEvents;
-        repairUopsTotal += uops;
 
         info.cur = MapEntry{toTag, false};
         info.stale = false;
@@ -519,7 +492,6 @@ ReuseRenamer::rename(
             res.reused = true;
             res.reuseDepth = newVersion;
             ++reuses;
-            reuseDepthDist.sample(newVersion);
         } else {
             if (exhaustedSrc >= 0) {
                 const SrcInfo &info =
@@ -528,7 +500,6 @@ ReuseRenamer::rename(
                                         .prt[info.cur.tag.reg];
                 if (e.predIndex != noPred)
                     typePred.trainOnShadowExhausted(e.predIndex);
-                ++shadowExhausted;
             }
             PhysRegIndex fresh =
                 allocFromBank(cls, typePred.predict(di.pc));
@@ -536,10 +507,7 @@ ReuseRenamer::rename(
                 // See the repair-loop fallback: unwind and stall
                 // instead of panicking on an empty class.
                 squashTo(res.token);
-                repairEvents += -static_cast<double>(res.numRepairs);
-                repairUopsTotal += -static_cast<double>(res.repairUops);
-                if (exhaustedSrc >= 0)
-                    shadowExhausted += -1.0;
+                repairEvents -= res.numRepairs;
                 ++renameStalls;
                 RenameResult stall;
                 stall.token = res.token;

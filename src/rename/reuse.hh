@@ -68,8 +68,7 @@ struct ReuseRenamerParams
 class ReuseRenamer : public Renamer
 {
   public:
-    explicit ReuseRenamer(const ReuseRenamerParams &params,
-                          stats::Group *parent = nullptr);
+    explicit ReuseRenamer(const ReuseRenamerParams &params);
 
     RenameResult rename(
         const trace::DynInst &di,
@@ -115,21 +114,20 @@ class ReuseRenamer : public Renamer
     Fig12Counts
     fig12Counts() const
     {
-        return Fig12Counts{predReuseCorrect.value(),
-                           predReuseWrong.value(),
-                           predNoReuseCorrect.value(),
-                           predNoReuseWrong.value()};
+        return Fig12Counts{static_cast<double>(predReuseCorrect),
+                           static_cast<double>(predReuseWrong),
+                           static_cast<double>(predNoReuseCorrect),
+                           static_cast<double>(predNoReuseWrong)};
     }
 
     /** Aggregate counters for reports. */
-    double allocationCount() const { return allocations.value(); }
-    double reuseCount() const { return reuses.value(); }
-    double repairCount() const { return repairEvents.value(); }
-    double stallCount() const { return renameStalls.value(); }
-    const stats::Distribution &reuseDepths() const
+    double allocationCount() const
     {
-        return reuseDepthDist;
+        return static_cast<double>(allocations);
     }
+    double reuseCount() const { return static_cast<double>(reuses); }
+    double repairCount() const { return static_cast<double>(repairEvents); }
+    double stallCount() const { return static_cast<double>(renameStalls); }
 
     /**
      * Number of committed logical registers whose value would need a
@@ -279,20 +277,15 @@ class ReuseRenamer : public Renamer
      */
     static constexpr std::size_t historyShrinkThreshold = 4096;
 
-    stats::Scalar allocations;
-    stats::Scalar historyPeak;
-    stats::Scalar reuses;
-    stats::Distribution reuseDepthDist;
-    stats::Scalar renameStalls;
-    stats::Scalar repairEvents;
-    stats::Scalar repairUopsTotal;
-    stats::Scalar shadowExhausted;
-    stats::Scalar releasesNatural;
+    std::uint64_t allocations = 0;    //!< fresh registers allocated
+    std::uint64_t reuses = 0;         //!< destinations renamed by sharing
+    std::uint64_t renameStalls = 0;   //!< no free register, no reuse
+    std::uint64_t repairEvents = 0;   //!< single-use mispredict repairs
     // Figure 12 categories, classified at natural release.
-    stats::Scalar predReuseCorrect;
-    stats::Scalar predReuseWrong;
-    stats::Scalar predNoReuseCorrect;
-    stats::Scalar predNoReuseWrong;
+    std::uint64_t predReuseCorrect = 0;
+    std::uint64_t predReuseWrong = 0;
+    std::uint64_t predNoReuseCorrect = 0;
+    std::uint64_t predNoReuseWrong = 0;
 };
 
 } // namespace rrs::rename

@@ -22,11 +22,9 @@ class BaselineScheme : public RenameScheme
     }
 
     std::unique_ptr<Renamer>
-    makeRenamer(const SchemeParams &params,
-                stats::Group *parent) const override
+    makeRenamer(const SchemeParams &params) const override
     {
-        return std::make_unique<BaselineRenamer>(params.baseline,
-                                                 parent);
+        return std::make_unique<BaselineRenamer>(params.baseline);
     }
 
     void
@@ -99,10 +97,9 @@ class ReuseScheme : public RenameScheme
     }
 
     std::unique_ptr<Renamer>
-    makeRenamer(const SchemeParams &params,
-                stats::Group *parent) const override
+    makeRenamer(const SchemeParams &params) const override
     {
-        return std::make_unique<ReuseRenamer>(params.reuse, parent);
+        return std::make_unique<ReuseRenamer>(params.reuse);
     }
 
     void

@@ -98,8 +98,7 @@ class RenameScheme
 
     /** Build this scheme's renamer from its parameter block. */
     virtual std::unique_ptr<Renamer>
-    makeRenamer(const SchemeParams &params,
-                stats::Group *parent = nullptr) const = 0;
+    makeRenamer(const SchemeParams &params) const = 0;
 
     /**
      * Configure `params` so this scheme occupies the same area as a

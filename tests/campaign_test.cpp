@@ -441,4 +441,86 @@ TEST(ReportHostCostTest, NodeDriftFailsWithoutAThreshold)
     EXPECT_NE(report.find("DRIFT"), std::string::npos) << report;
 }
 
+TEST(ReportHostCostTest, UnreadableNodeIsDrift)
+{
+    // A fractional count used to read back truncated: "No drift".
+    const Ledger base = gateLedger("gate_unreadable_base", {});
+    const Ledger cur = gateLedger("gate_unreadable_cur", {});
+    harness::LedgerEntry e;
+    e.spec.workload = "int_sort";
+    e.spec.scheme = "baseline";
+    e.spec.regs = 64;
+    const std::string path = cur.nodePath(
+        harness::digestHex(harness::nodeDigest(e.spec)));
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    in.close();
+    std::string node = text.str();
+    const std::size_t at = node.find("\"cycles\": 1000");
+    ASSERT_NE(at, std::string::npos) << node;
+    node.insert(at + std::string("\"cycles\": 1000").size(), ".5");
+    std::ofstream(path) << node;
+
+    std::string report;
+    EXPECT_EQ(gate(base, cur, -1, &report), 1);
+    EXPECT_NE(report.find("unreadable-cur"), std::string::npos) << report;
+}
+
+// The sidecar's figure list becomes Table III rows and node file
+// paths, so it is read as written or refused.
+int
+reportOnFigures(const std::string &name, const std::string &figures,
+                std::string &error)
+{
+    const Ledger ledger = gateLedger(name, {});
+    std::ofstream(ledger.directory() + "/campaign.json")
+        << "{\"campaign_schema\": " << harness::campaignSchemaVersion
+        << ", \"name\": \"sidecar\", \"figures\": [" << figures << "]}\n";
+    std::string out;
+    return harness::renderCampaignReport(ledger, harness::ReportOptions{},
+                                         out, error);
+}
+
+TEST(ReportSidecarTest, RefusesSizesAndDigestsNotReadAsWritten)
+{
+    std::string error;
+    EXPECT_EQ(reportOnFigures(
+                  "sidecar_ok",
+                  "{\"figure\": \"t3\", \"kind\": \"table3\", "
+                  "\"sizes\": [48, 64]}",
+                  error),
+              0)
+        << error;
+
+    for (const char *sizes : {"[0]", "[48.5]", "[-48]", "[4294967296]"}) {
+        EXPECT_EQ(reportOnFigures("sidecar_sizes",
+                                  std::string("{\"figure\": \"t3\", "
+                                              "\"kind\": \"table3\", "
+                                              "\"sizes\": ") +
+                                      sizes + "}",
+                                  error),
+                  2)
+            << sizes;
+        EXPECT_NE(error.find("'sizes' entry must be a positive integer"),
+                  std::string::npos)
+            << error;
+    }
+
+    for (const char *node :
+         {"\"../../campaign\"", "\"0123456789ABCDEF\"", "\"abc\"", "7"}) {
+        EXPECT_EQ(reportOnFigures("sidecar_nodes",
+                                  std::string("{\"figure\": \"f\", "
+                                              "\"kind\": \"fig11\", "
+                                              "\"sizes\": [48], "
+                                              "\"nodes\": [") +
+                                      node + "]}",
+                                  error),
+                  2)
+            << node;
+        EXPECT_NE(error.find("16 lowercase hex digits"), std::string::npos)
+            << error;
+    }
+}
+
 } // namespace

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <iterator>
+#include <string>
+
 #include "harness/experiment.hh"
 #include "rename/scheme.hh"
 
@@ -132,6 +138,104 @@ TEST(Harness, RunsAreDeterministic)
     auto b = runOn(workloads::workload("int_graph"), cfg);
     EXPECT_EQ(a.sim.cycles, b.sim.cycles);
     EXPECT_EQ(a.reuses, b.reuses);
+}
+
+/**
+ * Outcome counters that neither the goldens, the ledger nor
+ * pipeline_pins_test pin exactly: the conditional-branch accuracy, the
+ * rename-history peak and the four Fig. 12 classes.  Table I shape,
+ * 56 registers, 20k instructions, on pipeline_pins_test's workloads.
+ */
+struct CounterPin
+{
+    const char *workload;
+    const char *scheme;
+    double condAccuracy;
+    std::uint64_t historyPeak;
+    std::uint64_t fig12[4];   //!< reuse ok/wrong, no-reuse ok/wrong
+};
+
+// clang-format off
+const CounterPin kCounterPins[] = {
+    {"int_sort", "baseline", 0.70802182259042235, 24,
+     {0, 0, 0, 0}},
+    {"int_sort", "reuse", 0.70099532805200082, 109,
+     {1849, 1497, 3941, 2841}},
+    {"int_hash", "baseline", 0.75883720930232557, 24,
+     {0, 0, 0, 0}},
+    {"int_hash", "reuse", 0.75497308682424524, 119,
+     {523, 4671, 2240, 4370}},
+    {"int_graph", "baseline", 0.68412698412698414, 24,
+     {0, 0, 0, 0}},
+    {"int_graph", "reuse", 0.68508412914961347, 100,
+     {1365, 2025, 4097, 3907}},
+    {"fp_fir", "baseline", 0.89838909541511769, 33,
+     {0, 0, 0, 0}},
+    {"fp_fir", "reuse", 0.89011663597298951, 111,
+     {4147, 592, 1574, 6174}},
+    {"fp_nbody", "baseline", 0.89779326364692214, 46,
+     {0, 0, 0, 0}},
+    {"fp_nbody", "reuse", 0.89583333333333337, 163,
+     {2470, 2707, 3012, 5622}},
+    {"media_adpcm", "baseline", 0.66444592493892962, 24,
+     {0, 0, 0, 0}},
+    {"media_adpcm", "reuse", 0.65791540446538765, 99,
+     {240, 3291, 3826, 4175}},
+    {"cog_knn", "baseline", 0.91849710982658961, 37,
+     {0, 0, 0, 0}},
+    {"cog_knn", "reuse", 0.91049913941480209, 149,
+     {3874, 2147, 1076, 5040}},
+};
+// clang-format on
+
+/** A pin as a kCounterPins row, for re-pinning after a deliberate change. */
+std::string
+counterRow(const CounterPin &p)
+{
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"%s\", \"%s\", %.17g, %" PRIu64 ",\n"
+                  "     {%" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                  "}},",
+                  p.workload, p.scheme, p.condAccuracy, p.historyPeak,
+                  p.fig12[0], p.fig12[1], p.fig12[2], p.fig12[3]);
+    return buf;
+}
+
+TEST(Harness, OutcomeCountersArePinned)
+{
+    const char *const workloadNames[] = {"int_sort", "int_hash",
+                                         "int_graph", "fp_fir",
+                                         "fp_nbody", "media_adpcm",
+                                         "cog_knn"};
+    std::size_t row = 0;
+    for (const char *w : workloadNames) {
+        for (const char *scheme : {"baseline", "reuse"}) {
+            RunConfig cfg = schemeConfig(scheme, 56);
+            cfg.maxInsts = 20'000;
+            const Outcome out = runOn(workloads::workload(w), cfg);
+            const CounterPin got{
+                w, scheme, out.condAccuracy,
+                static_cast<std::uint64_t>(out.historyPeak),
+                {static_cast<std::uint64_t>(out.fig12.reuseCorrect),
+                 static_cast<std::uint64_t>(out.fig12.reuseWrong),
+                 static_cast<std::uint64_t>(out.fig12.noReuseCorrect),
+                 static_cast<std::uint64_t>(out.fig12.noReuseWrong)}};
+            ASSERT_LT(row, std::size(kCounterPins))
+                << "no pin row; measured:\n" << counterRow(got);
+            const CounterPin &want = kCounterPins[row++];
+            EXPECT_STREQ(want.workload, w);
+            EXPECT_STREQ(want.scheme, scheme);
+            EXPECT_TRUE(want.condAccuracy == got.condAccuracy &&
+                        want.historyPeak == got.historyPeak &&
+                        std::equal(std::begin(want.fig12),
+                                   std::end(want.fig12),
+                                   std::begin(got.fig12)))
+                << "pinned:\n" << counterRow(want) << "\nmeasured:\n"
+                << counterRow(got);
+        }
+    }
+    EXPECT_EQ(row, std::size(kCounterPins));
 }
 
 } // namespace

@@ -237,6 +237,51 @@ TEST(LedgerEntryJson, RejectsDigestMismatch)
     EXPECT_NE(error.find("digest"), std::string::npos) << error;
 }
 
+TEST(LedgerEntryJson, RefusesFieldsNotReadAsWritten)
+{
+    // The digest covers only the spec, so the result fields are guarded
+    // by the reader alone: a count must be a whole number in its type's
+    // range, a float a JSON number, a string a JSON string.
+    struct Edit
+    {
+        const char *from;
+        const char *to;
+        const char *field;
+    };
+    const Edit edits[] = {
+        {"\"cycles\": 200000", "\"cycles\": 200000.5", "'cycles'"},
+        {"\"renameNoReg\": 50000", "\"renameNoReg\": -5",
+         "'renameNoReg'"},
+        {"\"commit\": 120000", "\"commit\": 1e30", "'commit'"},
+        // Truncation would give back the digested 64, so only the
+        // reader can refuse it.
+        {"\"regs\": 64", "\"regs\": 64.7", "'regs'"},
+        {"\"regs\": 64", "\"regs\": 4294967296", "'regs'"},
+        {"\"repairs\": 42", "\"repairs\": 42.5", "'repairs'"},
+        {"\"insts\": 150000", "\"insts\": \"150000\"", "'insts'"},
+        {"\"wall_seconds\": 0", "\"wall_seconds\": \"0\"",
+         "'wall_seconds' must be a number"},
+        {"\"label\": \"proposed\"", "\"label\": 7",
+         "'label' must be a string"},
+        {"\"stalls\": {", "\"stalls\": 5, \"unused\": {",
+         "'stalls' must be an object"},
+    };
+    const std::string good = harness::renderLedgerEntryJson(sampleEntry());
+    for (const Edit &edit : edits) {
+        std::string text = good;
+        const std::size_t pos = text.find(edit.from);
+        ASSERT_NE(pos, std::string::npos) << edit.from;
+        text.replace(pos, std::string(edit.from).size(), edit.to);
+
+        LedgerEntry back;
+        std::string error;
+        EXPECT_FALSE(harness::parseLedgerEntryJson(text, back, error))
+            << edit.to;
+        EXPECT_NE(error.find(edit.field), std::string::npos)
+            << edit.to << ": " << error;
+    }
+}
+
 TEST(LedgerEntryJson, RejectsGarbage)
 {
     LedgerEntry back;

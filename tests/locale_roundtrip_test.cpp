@@ -4,7 +4,7 @@
 // locale the host process is in.  Both paths used to sit on
 // std::strtod, which honours the global C locale: under a
 // comma-decimal locale (de_DE style) "5.72" parsed as 5 and every
-// stats-json / ledger / sweep-matrix number silently truncated.
+// ledger / sweep-matrix number silently truncated.
 //
 // The container may not ship any comma-decimal OS locale, so the C
 // half of the setup is best-effort: the C++ half (a custom numpunct

@@ -41,7 +41,7 @@ TEST(CacheExtra, WritebackOnlyForDirtyLines)
 {
     DramParams dp;
     Dram dram(dp);
-    CacheParams cp{"l", 128, 1, 64, 1, 4};   // direct mapped, 2 sets
+    CacheParams cp{128, 1, 64, 1, 4};   // direct mapped, 2 sets
     Cache c(cp, nullptr, &dram);
     Tick now = 0;
     // Clean line evicted: no writeback counted; stats via hit/miss.
@@ -59,7 +59,7 @@ TEST(CacheExtra, ContainsReflectsFillTiming)
 {
     DramParams dp;
     Dram dram(dp);
-    CacheParams cp{"l", 1024, 2, 64, 1, 4};
+    CacheParams cp{1024, 2, 64, 1, 4};
     Cache c(cp, nullptr, &dram);
     Tick done = c.access(0x200, false, 100);
     // While the fill is in flight the line is present but not usable.
@@ -72,7 +72,7 @@ TEST(CacheExtra, PrefetchDoesNotEvictPendingDemand)
 {
     DramParams dp;
     Dram dram(dp);
-    CacheParams cp{"l", 1024, 2, 64, 1, 2};   // only 2 MSHRs
+    CacheParams cp{1024, 2, 64, 1, 2};   // only 2 MSHRs
     Cache c(cp, nullptr, &dram);
     Tick d1 = c.access(0x100, false, 0);
     Tick d2 = c.access(0x900, false, 0);

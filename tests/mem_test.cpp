@@ -49,7 +49,7 @@ TEST(CacheTest, HitAfterMiss)
 {
     DramParams dp;
     Dram dram(dp);
-    CacheParams cp{"l", 1024, 2, 64, 1, 4};
+    CacheParams cp{1024, 2, 64, 1, 4};
     Cache c(cp, nullptr, &dram);
 
     Tick t1 = c.access(0x100, false, 0);
@@ -65,7 +65,7 @@ TEST(CacheTest, LruEviction)
     DramParams dp;
     Dram dram(dp);
     // 2 sets x 2 ways x 64B = 256B cache.
-    CacheParams cp{"l", 256, 2, 64, 1, 4};
+    CacheParams cp{256, 2, 64, 1, 4};
     Cache c(cp, nullptr, &dram);
 
     Tick now = 0;
@@ -80,7 +80,7 @@ TEST(CacheTest, WritebackCountsDirtyEvictions)
 {
     DramParams dp;
     Dram dram(dp);
-    CacheParams cp{"l", 128, 1, 64, 1, 4};   // direct-mapped, 2 lines
+    CacheParams cp{128, 1, 64, 1, 4};   // direct-mapped, 2 lines
     Cache c(cp, nullptr, &dram);
     Tick now = 0;
     now = c.access(0x000, true, now);    // dirty line in set 0
@@ -103,7 +103,7 @@ TEST(CacheTest, MshrMergeGivesPendingLatency)
 {
     DramParams dp;
     Dram dram(dp);
-    CacheParams cp{"l", 1024, 2, 64, 1, 4};
+    CacheParams cp{1024, 2, 64, 1, 4};
     Cache c(cp, nullptr, &dram);
     Tick done1 = c.access(0x100, false, 1000);
     // A second access to the same line while the fill is in flight

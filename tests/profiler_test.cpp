@@ -212,7 +212,7 @@ TEST(Profiler, RunTreeCountsIdenticalAcrossThreadCounts)
     }
 }
 
-TEST(Profiler, ReportAndJsonIncludeRunPhases)
+TEST(Profiler, ReportIncludesRunPhases)
 {
     ProfilerOn on;
     PhaseTree tree;
@@ -227,11 +227,7 @@ TEST(Profiler, ReportAndJsonIncludeRunPhases)
     EXPECT_NE(report.str().find("phase profile"), std::string::npos);
     EXPECT_NE(report.str().find("simulate"), std::string::npos);
     EXPECT_NE(report.str().find("p95_us"), std::string::npos);
-
-    std::ostringstream json;
-    Profiler::instance().dumpJson(json);
-    EXPECT_NE(json.str().find("\"runs_merged\": 1"), std::string::npos);
-    EXPECT_NE(json.str().find("\"simulate\""), std::string::npos);
+    EXPECT_NE(report.str().find("(1 run trees merged"), std::string::npos);
 }
 
 } // namespace

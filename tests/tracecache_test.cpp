@@ -54,11 +54,8 @@ TEST(TraceCache, MissThenHitSharesOneTrace)
     EXPECT_EQ(c.spillLoads, 0u);
     EXPECT_EQ(c.spillStores, 0u);
     // The capture packed its columns exactly once — the hit did not
-    // re-pack (decode-once invariant), and the pack cost landed on
-    // the capture side of the ledger.
+    // re-pack (decode-once invariant).
     EXPECT_EQ(c.packedRecords, kCap);
-    EXPECT_GT(c.packSecondsCapture, 0.0);
-    EXPECT_EQ(c.packSecondsLoad, 0.0);
 }
 
 TEST(TraceCache, ZeroCapAndExplicitDefaultShareAnEntry)
@@ -180,10 +177,8 @@ TEST(TraceCache, SpillStoreAndLoadRoundTrip)
     EXPECT_EQ(c.spillLoads, 1u);
     EXPECT_EQ(c.spillStores, 0u);
     EXPECT_EQ(c.capturedInsts, 0u);  // nothing was emulated
-    // The loaded trace was packed on the load side of the ledger.
+    // The loaded trace was packed once, on load.
     EXPECT_EQ(c.packedRecords, kCap);
-    EXPECT_EQ(c.packSecondsCapture, 0.0);
-    EXPECT_GT(c.packSecondsLoad, 0.0);
 
     ASSERT_TRUE(loaded);
     EXPECT_EQ(loaded->digest(), captured->digest());

@@ -28,11 +28,15 @@
  *   -o <file>           write to <file> (atomic) instead of stdout
  *
  * Exit status: 0 clean; 1 drift against the baseline (a node's result,
- * the node set, or gated host cost); 2 on a missing or unreadable
- * ledger, a baseline without nodes/, or a host-cost gate that cannot
- * compare (no baseline sidecar, different node sets, or a side that
- * did not simulate every node).  The report is written whenever it
- * rendered, so a failing gate still leaves its explanation.
+ * a node unreadable on one side, the node set, or gated host cost); 2
+ * on a missing or unreadable sidecar, a figure node that cannot be
+ * read when no drift names it, a baseline without nodes/, or a
+ * host-cost gate that cannot compare (no baseline sidecar, different
+ * node sets, or a side that did not simulate every node).  A node
+ * file is read as written or not at all: a count that is not a whole
+ * number in range, or a field of the wrong JSON type, makes it
+ * unreadable.  The report is written whenever it rendered, so a
+ * failing gate still leaves its explanation.
  */
 
 #include <cstdio>
