@@ -340,7 +340,7 @@ finish()
     if (sweeper().summary().runs > 0)
         sweepFooter();
     if (obs::Profiler::enabled())
-        obs::Profiler::instance().report(std::cout);
+        obs::Profiler::report(std::cout);
 }
 
 /** Print a bench banner. */

@@ -30,7 +30,9 @@ main(int argc, char **argv)
     t.row().cell("core").cell("ROB entries").cell(cp.robEntries)
         .cell("128");
     t.row().cell("core").cell("IQ entries").cell(cp.iqEntries).cell("40");
-    t.row().cell("core").cell("decode width").cell(cp.decodeWidth)
+    // The model has no decode stage: fetch fills the fetch queue and
+    // rename takes renameWidth instructions a cycle.
+    t.row().cell("core").cell("decode width").cell(cp.renameWidth)
         .cell("3");
     t.row().cell("core").cell("dispatch width").cell(cp.renameWidth)
         .cell("3");

@@ -40,7 +40,6 @@ struct FuParams
 struct CoreParams
 {
     std::uint32_t fetchWidth = 3;
-    std::uint32_t decodeWidth = 3;
     std::uint32_t renameWidth = 3;
     std::uint32_t issueWidth = 6;
     std::uint32_t wbWidth = 6;
@@ -52,7 +51,6 @@ struct CoreParams
     std::uint32_t loadQueueEntries = 32;
     std::uint32_t storeQueueEntries = 24;
 
-    Cycles frontEndDepth = 4;        //!< fetch-to-rename pipe stages
     Cycles mispredictPenalty = 15;   //!< redirect penalty (Table I)
     Cycles exceptionPenalty = 30;    //!< flush + handler entry overhead
     Cycles recoverCmdCycles = 1;     //!< per shadow-cell recover command

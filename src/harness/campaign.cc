@@ -171,29 +171,6 @@ currentGitSha()
 }
 
 /**
- * The profiler's merged per-run phase tree, flattened depth-first into
- * sidecar rows: "/"-joined path, count, seconds, per-run p50/p95/max.
- */
-void
-renderPhaseRows(const obs::PhaseNode &node, const std::string &prefix,
-                std::ostream &os, bool &first)
-{
-    const obs::Profiler &prof = obs::Profiler::instance();
-    for (const auto &c : node.children) {
-        const std::string path =
-            prefix.empty() ? c->name : prefix + "/" + c->name;
-        os << (first ? "\n" : ",\n") << "    {\"path\": "
-           << jsonQuoted(path) << ", \"count\": " << c->count
-           << ", \"seconds\": " << jsonNumber(c->seconds) << ", \"p50_us\": "
-           << jsonNumber(prof.runPercentileUs(path, 50)) << ", \"p95_us\": "
-           << jsonNumber(prof.runPercentileUs(path, 95)) << ", \"max_us\": "
-           << jsonNumber(prof.runPercentileUs(path, 100)) << "}";
-        first = false;
-        renderPhaseRows(*c, path, os, first);
-    }
-}
-
-/**
  * Render the campaign.json sidecar.  `sweep` is the summary of the
  * sweep that simulated the missing nodes (all zero when none were).
  */
@@ -217,12 +194,24 @@ renderCampaignJson(const CampaignManifest &m, const CampaignPlan &plan,
        << ", \"captured_insts\": " << sweep.instsCaptured
        << ", \"replayed_insts\": " << sweep.instsReplayed << "},\n"
        << "  \"phases\": [";
-    // Host-side phase profile (RRS_PROF) of that sweep: sidecar data
-    // for the report's phase table, never part of the node files.
+    // Host-side phase profile (RRS_PROF) of that sweep, one row per
+    // phase path of the merged run table, in first-entry order: sidecar
+    // data for the report's phase table, never part of the node files.
     bool firstPhase = true;
     if (result.simulated > 0 && obs::Profiler::enabled()) {
-        renderPhaseRows(obs::Profiler::instance().runTree(), "", os,
-                        firstPhase);
+        const obs::PhaseTable runs = obs::Profiler::runTable();
+        for (const obs::PhaseRow &r : runs.rows) {
+            os << (firstPhase ? "\n" : ",\n") << "    {\"path\": "
+               << jsonQuoted(r.path) << ", \"count\": " << r.count
+               << ", \"seconds\": " << jsonNumber(r.seconds)
+               << ", \"p50_us\": "
+               << jsonNumber(stats::percentile(r.perRunUs, 50))
+               << ", \"p95_us\": "
+               << jsonNumber(stats::percentile(r.perRunUs, 95))
+               << ", \"max_us\": "
+               << jsonNumber(stats::percentile(r.perRunUs, 100)) << "}";
+            firstPhase = false;
+        }
     }
     os << (firstPhase ? "" : "\n  ") << "],\n"
        << "  \"figures\": [";

@@ -3,7 +3,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "area/area.hh"
 #include "harness/campaign.hh"
@@ -25,7 +27,6 @@ struct FigureDesc
     std::string name;
     std::string kind;
     std::vector<std::uint32_t> sizes;
-    std::vector<std::string> schemeLabels;
     std::vector<std::pair<std::string, std::string>> workloads;
     std::vector<std::string> nodes;
 };
@@ -83,6 +84,46 @@ isDigestHex(const std::string &s)
 }
 
 /**
+ * Read member `key` of a sidecar object (`obj` may be null) as its
+ * writer emits it: a string, a number, or a count in the range of
+ * `out`'s integer type (readJsonInteger).  An absent member leaves
+ * `out` alone, unless `required`.
+ * @return false, with `error` naming the field, on anything else.
+ */
+template <typename T>
+bool
+readMember(const Value *obj, const std::string &where, const char *key,
+           bool required, T &out, std::string &error)
+{
+    const std::string field = "campaign sidecar: '" + where + key + "'";
+    const Value *v = obj ? obj->find(key) : nullptr;
+    if (!v) {
+        if (required)
+            error = field + " is missing";
+        return !required;
+    }
+    if constexpr (std::is_integral_v<T>) {
+        std::uint64_t n = 0;
+        if (!readJsonInteger(*v, 0, std::numeric_limits<T>::max(), field, n,
+                             error))
+            return false;
+        out = static_cast<T>(n);
+        return true;
+    } else {
+        constexpr bool text = std::is_same_v<T, std::string>;
+        if (text ? v->isString() : v->isNumber()) {
+            if constexpr (text)
+                out = v->str;
+            else
+                out = v->num;
+            return true;
+        }
+        error = field + (text ? " must be a string" : " must be a number");
+        return false;
+    }
+}
+
+/**
  * The figure descriptors of a sidecar.  Sizes must be register counts
  * (1..2^32-1) and nodes digests, since each becomes a file path.
  */
@@ -93,12 +134,13 @@ parseFigures(const Value &doc, std::vector<FigureDesc> &figures,
     const Value *figs = doc.find("figures");
     if (!figs)
         return true;
-    for (const auto &f : figs->arr) {
+    for (std::size_t i = 0; i < figs->arr.size(); ++i) {
+        const Value &f = figs->arr[i];
+        const std::string field = "figures[" + std::to_string(i) + "].";
         FigureDesc fd;
-        if (const auto *v = f.find("figure"))
-            fd.name = v->str;
-        if (const auto *v = f.find("kind"))
-            fd.kind = v->str;
+        if (!readMember(&f, field, "figure", false, fd.name, error) ||
+            !readMember(&f, field, "kind", false, fd.kind, error))
+            return false;
         const std::string where = "campaign sidecar: figure '" + fd.name + "'";
         if (const auto *v = f.find("sizes")) {
             for (const auto &e : v->arr) {
@@ -109,13 +151,26 @@ parseFigures(const Value &doc, std::vector<FigureDesc> &figures,
                 fd.sizes.push_back(static_cast<std::uint32_t>(regs));
             }
         }
+        // The report reads no scheme label, but a label that is not a
+        // string marks a sidecar not written by rrs-campaign.
         if (const auto *v = f.find("scheme_labels")) {
-            for (const auto &e : v->arr)
-                fd.schemeLabels.push_back(e.str);
+            for (const auto &e : v->arr) {
+                if (!e.isString()) {
+                    error = where + ": each 'scheme_labels' entry must be "
+                                    "a string";
+                    return false;
+                }
+            }
         }
         if (const auto *v = f.find("workloads")) {
-            for (const auto &e : v->arr)
-                fd.workloads.emplace_back(e.at("name").str, e.at("suite").str);
+            for (std::size_t w = 0; w < v->arr.size(); ++w) {
+                const std::string at =
+                    field + "workloads[" + std::to_string(w) + "].";
+                auto &[name, suite] = fd.workloads.emplace_back();
+                if (!readMember(&v->arr[w], at, "name", true, name, error) ||
+                    !readMember(&v->arr[w], at, "suite", true, suite, error))
+                    return false;
+            }
         }
         if (const auto *v = f.find("nodes")) {
             for (const auto &e : v->arr) {
@@ -132,13 +187,18 @@ parseFigures(const Value &doc, std::vector<FigureDesc> &figures,
     return true;
 }
 
-/** The host cost a sidecar records for the run that last wrote it. */
+/**
+ * The host cost a sidecar records for the run that last wrote it, in
+ * the types its writer prints.
+ */
 struct HostCost
 {
-    std::uint64_t threads = 0;    //!< 0 when the run simulated nothing
+    unsigned threads = 0;         //!< 0 when the run simulated nothing
     double wallSeconds = 0;
-    std::uint64_t nodesTotal = 0;
-    std::uint64_t nodesSimulated = 0;
+    std::size_t nodesTotal = 0;
+    std::size_t nodesCached = 0;
+    std::size_t nodesSimulated = 0;
+    std::size_t nodesDeferred = 0;
     std::uint64_t traceHits = 0;
     std::uint64_t traceMisses = 0;
     std::uint64_t instsCaptured = 0;
@@ -153,29 +213,28 @@ struct HostCost
     }
 };
 
-/** A count member of a sidecar object; 0 when absent. */
-std::uint64_t
-countAt(const Value *obj, const char *key)
+/** The host cost of a sidecar; every member is optional (0). */
+bool
+readHostCost(const Value &doc, HostCost &c, std::string &error)
 {
-    const Value *v = obj ? obj->find(key) : nullptr;
-    return v ? static_cast<std::uint64_t>(v->num) : 0;
-}
-
-HostCost
-hostCostOf(const Value &doc)
-{
-    HostCost c;
-    c.threads = countAt(&doc, "threads");
-    if (const Value *v = doc.find("wall_seconds"))
-        c.wallSeconds = v->num;
-    c.nodesTotal = countAt(&doc, "nodes_total");
-    c.nodesSimulated = countAt(&doc, "nodes_simulated");
     const Value *tc = doc.find("trace_cache");
-    c.traceHits = countAt(tc, "hits");
-    c.traceMisses = countAt(tc, "misses");
-    c.instsCaptured = countAt(tc, "captured_insts");
-    c.instsReplayed = countAt(tc, "replayed_insts");
-    return c;
+    const std::string t = "trace_cache.";
+    return readMember(&doc, "", "threads", false, c.threads, error) &&
+           readMember(&doc, "", "wall_seconds", false, c.wallSeconds,
+                      error) &&
+           readMember(&doc, "", "nodes_total", false, c.nodesTotal, error) &&
+           readMember(&doc, "", "nodes_cached", false, c.nodesCached,
+                      error) &&
+           readMember(&doc, "", "nodes_simulated", false, c.nodesSimulated,
+                      error) &&
+           readMember(&doc, "", "nodes_deferred", false, c.nodesDeferred,
+                      error) &&
+           readMember(tc, t, "hits", false, c.traceHits, error) &&
+           readMember(tc, t, "misses", false, c.traceMisses, error) &&
+           readMember(tc, t, "captured_insts", false, c.instsCaptured,
+                      error) &&
+           readMember(tc, t, "replayed_insts", false, c.instsReplayed,
+                      error);
 }
 
 /**
@@ -321,15 +380,16 @@ renderHostCostSection(const Ledger &baseline, const HostCost &cur,
 {
     const bool gate = thresholdPct >= 0;
     Value baseDoc;
+    HostCost base;
     std::string loadError;
-    if (!loadSidecar(baseline, baseDoc, loadError)) {
+    if (!loadSidecar(baseline, baseDoc, loadError) ||
+        !readHostCost(baseDoc, base, loadError)) {
         os << "Baseline host cost unavailable: " << loadError << "\n";
         if (!gate)
             return 0;
         error = "cannot gate host cost: " + loadError;
         return 2;
     }
-    const HostCost base = hostCostOf(baseDoc);
 
     stats::TextTable t({"side", "threads", "wall s", "simulated",
                         "trace hits", "trace misses", "captured insts",
@@ -441,7 +501,9 @@ renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
     }
 
     std::vector<FigureDesc> figures;
-    if (!parseFigures(doc, figures, error))
+    HostCost cost;
+    if (!parseFigures(doc, figures, error) ||
+        !readHostCost(doc, cost, error))
         return 2;
 
     std::ostringstream md;
@@ -449,13 +511,11 @@ renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
         const Value *v = doc.find(key);
         return v ? v->str : std::string();
     };
-    const HostCost cost = hostCostOf(doc);
     md << "# Campaign report: " << str("name") << "\n\n"
        << "- git sha: `" << str("git_sha") << "`\n"
-       << "- nodes: " << cost.nodesTotal << " total, "
-       << countAt(&doc, "nodes_cached") << " cached, "
-       << cost.nodesSimulated << " simulated, "
-       << countAt(&doc, "nodes_deferred") << " deferred\n";
+       << "- nodes: " << cost.nodesTotal << " total, " << cost.nodesCached
+       << " cached, " << cost.nodesSimulated << " simulated, "
+       << cost.nodesDeferred << " deferred\n";
     // threads is 0 when the last run was fully cached (no sweep ran).
     if (cost.threads) {
         char wall[32];
@@ -513,14 +573,22 @@ renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
     if (phases && !phases->arr.empty()) {
         stats::TextTable t({"phase", "count", "seconds", "p50 us",
                             "p95 us", "max us"});
-        for (const auto &p : phases->arr) {
-            t.row()
-                .cell(p.at("path").str)
-                .cell(static_cast<std::uint64_t>(p.at("count").num))
-                .cell(p.at("seconds").num, 3)
-                .cell(p.at("p50_us").num, 1)
-                .cell(p.at("p95_us").num, 1)
-                .cell(p.at("max_us").num, 1);
+        // Every member of a row is required.
+        for (std::size_t i = 0; i < phases->arr.size(); ++i) {
+            const Value *p = &phases->arr[i];
+            const std::string at = "phases[" + std::to_string(i) + "].";
+            std::string path;
+            std::uint64_t count = 0;
+            double seconds = 0, p50 = 0, p95 = 0, max = 0;
+            if (!readMember(p, at, "path", true, path, error) ||
+                !readMember(p, at, "count", true, count, error) ||
+                !readMember(p, at, "seconds", true, seconds, error) ||
+                !readMember(p, at, "p50_us", true, p50, error) ||
+                !readMember(p, at, "p95_us", true, p95, error) ||
+                !readMember(p, at, "max_us", true, max, error))
+                return 2;
+            t.row().cell(path).cell(count).cell(seconds, 3);
+            t.cell(p50, 1).cell(p95, 1).cell(max, 1);
         }
         std::ostringstream os;
         t.print(os, "Host phase profile (wall clock; sidecar data, "

@@ -38,18 +38,18 @@ SweepRunner::run(const std::vector<SweepItem> &items)
     std::vector<SweepResult> results(items.size());
 
     // Host-side phase profiling (obs/profiler.hh): the whole sweep is
-    // one phase on the calling thread; each run gets its own local
-    // tree, bound to whichever lane executes it, and the trees are
-    // merged after the join in submission order — so the profile's
+    // one phase on the calling thread; each run records into its own
+    // phase table, bound to whichever lane executes it, and the tables
+    // are merged after the join in submission order — so the profile's
     // counts, like the Outcomes, are identical for every RRS_THREADS.
     const bool prof = obs::Profiler::enabled();
     obs::ScopedPhase sweepPhase("sweep");
-    std::vector<obs::PhaseTree> runTrees(prof ? items.size() : 0);
+    std::vector<obs::PhaseTable> runTables(items.size());
 
     // Telemetry (obs/telemetry.hh): one pre-sized buffer per run —
     // same single-writer-then-merge discipline as the result slots and
-    // the profiler trees, so the exported trace is bit-identical for
-    // every thread count.
+    // the profiler's run tables, so the exported trace is bit-identical
+    // for every thread count.
     const std::string telemetryOut = obs::telemetryDir();
     std::vector<obs::RunTelemetry> runTelem(
         telemetryOut.empty() ? 0 : items.size());
@@ -64,7 +64,7 @@ SweepRunner::run(const std::vector<SweepItem> &items)
     pool.parallelFor(items.size(), [&](std::size_t i) {
         const SweepItem &item = items[i];
         rrs_assert(item.workload != nullptr, "sweep item needs a workload");
-        obs::Profiler::Bind bind(prof ? &runTrees[i] : nullptr);
+        obs::Profiler::Bind bind(&runTables[i]);
         RunConfig cfg = item.config;
         cfg.core.seed = sweepSeed(cfg.core.seed,
                                   item.seedIndex == SweepItem::autoSeedIndex
@@ -125,9 +125,9 @@ SweepRunner::run(const std::vector<SweepItem> &items)
     lastSummary.instsReplayed =
         cacheAfter.replayedInsts - cacheBefore.replayedInsts;
     if (prof) {
-        // Submission-order merge of the per-run phase trees.
-        for (const auto &t : runTrees)
-            obs::Profiler::instance().addRunTree(t);
+        // Submission-order merge of the per-run phase tables.
+        for (const auto &t : runTables)
+            obs::Profiler::addRun(t);
     }
 
     // Serialise the telemetry buffers in submission order (the trace

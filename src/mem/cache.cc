@@ -62,7 +62,7 @@ Tick
 Cache::fillFromBelow(Addr addr, Tick now)
 {
     if (below)
-        return below->access(addr, false, now);
+        return below->access(addr, now);
     return dram->access(addr / params.lineBytes, now);
 }
 
@@ -74,14 +74,13 @@ Cache::contains(Addr addr, Tick now) const
 }
 
 Tick
-Cache::access(Addr addr, bool write, Tick now)
+Cache::access(Addr addr, Tick now)
 {
     const Addr line = lineAddr(addr);
 
     Line *hitLine = findLine(line);
     if (hitLine) {
         hitLine->lru = ++lruTick;
-        hitLine->dirty = hitLine->dirty || write;
         // A line still in flight (MSHR hit) is ready at fillDone.
         if (hitLine->fillDone <= now)
             ++hits;
@@ -127,7 +126,6 @@ Cache::access(Addr addr, bool write, Tick now)
     Line &victim = victimLine(line);
     victim.valid = true;
     victim.tag = line;
-    victim.dirty = write;
     victim.lru = ++lruTick;
     victim.fillDone = done;
 
@@ -150,7 +148,6 @@ Cache::prefetch(Addr addr, Tick now)
             Line &victim = victimLine(line);
             victim.valid = true;
             victim.tag = line;
-            victim.dirty = false;
             victim.lru = ++lruTick;
             victim.fillDone = done;
             return;

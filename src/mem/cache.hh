@@ -1,9 +1,10 @@
 /**
  * @file
  * Set-associative cache timing model with LRU replacement, a bounded
- * MSHR file (miss merging + structural stalls), write-back/
- * write-allocate policy and a prefetch-insert entry point, plus the
- * stride prefetcher that mem::MemSystem drives into its L1D.
+ * MSHR file (miss merging + structural stalls) and a prefetch-insert
+ * entry point, plus the stride prefetcher that mem::MemSystem drives
+ * into its L1D.  Loads and stores look up and allocate alike; write-backs
+ * cost no time in this model, so a line keeps no dirty state.
  *
  * Caches form a linear hierarchy (L1 -> L2 -> DRAM).  The model is
  * latency-based: access() returns the absolute tick at which the
@@ -43,13 +44,12 @@ class Cache
     Cache(const CacheParams &params, Cache *below, Dram *dram);
 
     /**
-     * Demand access.
+     * Demand access (load or store: both allocate on a miss).
      * @param addr byte address
-     * @param write true for stores
      * @param now current tick
      * @return absolute tick when the data is available
      */
-    Tick access(Addr addr, bool write, Tick now);
+    Tick access(Addr addr, Tick now);
 
     /**
      * Prefetch insert: fetch the line (if absent) without a demand
@@ -69,7 +69,6 @@ class Cache
     {
         bool valid = false;
         Addr tag = 0;
-        bool dirty = false;
         std::uint64_t lru = 0;
         Tick fillDone = 0;   //!< data not usable before this tick
     };

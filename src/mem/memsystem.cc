@@ -17,11 +17,11 @@ MemSystem::MemSystem(const MemSystemParams &params) : params(params)
 Tick
 MemSystem::fetchAccess(Addr pc, Tick now)
 {
-    return l1iCache->access(pc, false, now);
+    return l1iCache->access(pc, now);
 }
 
 Tick
-MemSystem::dataAccess(Addr pc, Addr addr, bool write, Tick now)
+MemSystem::dataAccess(Addr pc, Addr addr, bool /*write*/, Tick now)
 {
     TlbResult tr = dtlb->translate(addr);
     Tick start = now + tr.latency;
@@ -29,7 +29,7 @@ MemSystem::dataAccess(Addr pc, Addr addr, bool write, Tick now)
         for (Addr pf : stride->observe(pc, addr))
             l1dCache->prefetch(pf, start);
     }
-    return l1dCache->access(addr, write, start);
+    return l1dCache->access(addr, start);
 }
 
 } // namespace rrs::mem

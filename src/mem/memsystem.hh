@@ -48,7 +48,8 @@ class MemSystem
      * the stride prefetcher, and accesses the L1D.
      * @param pc      PC of the memory instruction (prefetcher index)
      * @param addr    effective address
-     * @param write   true for stores
+     * @param write   true for stores; it does not affect timing, since
+     *                stores allocate like loads and write-backs are free
      * @return absolute tick at which the access completes
      */
     Tick dataAccess(Addr pc, Addr addr, bool write, Tick now);

@@ -20,15 +20,6 @@ Value::find(const std::string &key) const
     return nullptr;
 }
 
-const Value &
-Value::at(const std::string &key) const
-{
-    const Value *v = find(key);
-    if (!v)
-        rrs_fatal("json: missing member '%s'", key.c_str());
-    return *v;
-}
-
 namespace {
 
 /** Recursive-descent parser over a string view with a cursor. */

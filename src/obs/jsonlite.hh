@@ -44,9 +44,6 @@ class Value
     /** Object member lookup; nullptr when absent or not an object. */
     const Value *find(const std::string &key) const;
 
-    /** find() that fatals on absence (tools with known layout). */
-    const Value &at(const std::string &key) const;
-
     Kind k = Kind::Null;
 };
 

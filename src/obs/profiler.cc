@@ -4,282 +4,143 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <mutex>
+#include <utility>
 
-#include "common/logging.hh"
 #include "stats/stats.hh"
 
 namespace rrs::obs {
 
-namespace detail {
-
-bool profilerEnabled = [] {
+bool detail::profilerEnabled = [] {
     const char *env = std::getenv("RRS_PROF");
-    return env != nullptr && std::strcmp(env, "0") != 0 &&
-           std::strcmp(env, "") != 0;
+    return env != nullptr && *env != '\0' && std::string_view(env) != "0";
 }();
-
-} // namespace detail
 
 namespace {
 
-/**
- * Per-thread tree handle: registers with the profiler on the thread's
- * first profiled phase, merges its data into the retired pile when the
- * thread exits.  The profiler singleton is deliberately leaked so
- * these destructors (which run during static teardown on pool-thread
- * join) never touch a destroyed object.
- */
-struct ThreadTreeHandle
-{
-    PhaseTree tree;
-    ThreadTreeHandle() { Profiler::instance().registerThreadTree(&tree); }
-    ~ThreadTreeHandle() { Profiler::instance().unregisterThreadTree(&tree); }
-};
+std::mutex mu;
+PhaseTable host;   //!< unbound threads' phases, under mu
+PhaseTable runs;   //!< merged run tables (post-join), under mu
 
-thread_local PhaseTree *tlBound = nullptr;
+/** The table the thread records into (null: the host table) and the
+ *  path of its innermost open phase. */
+thread_local PhaseTable *tlTable = nullptr;
+thread_local std::string tlPath;
 
-PhaseTree &
-threadLocalTree()
-{
-    thread_local ThreadTreeHandle handle;
-    return handle.tree;
-}
-
+/** Charge the thread's current path in its table. */
 void
-printNode(std::ostream &os, const PhaseNode &node, int depth,
-          double parentSeconds)
+charge(std::uint64_t entries, double seconds)
 {
-    char buf[192];
-    const double pct = parentSeconds > 0
-                           ? 100.0 * node.seconds / parentSeconds
-                           : 0.0;
-    std::snprintf(buf, sizeof(buf), "  %*s%-*s %10llu x %10.3f s %5.1f%%\n",
-                  depth * 2, "",
-                  std::max(2, 24 - depth * 2), node.name.c_str(),
-                  static_cast<unsigned long long>(node.count),
-                  node.seconds, pct);
-    os << buf;
-    for (const auto &c : node.children)
-        printNode(os, *c, depth + 1, node.seconds);
+    std::unique_lock<std::mutex> lock(mu, std::defer_lock);
+    if (!tlTable)
+        lock.lock();
+    PhaseRow &r = (tlTable ? *tlTable : host).row(tlPath);
+    r.count += entries;
+    r.seconds += seconds;
 }
 
 } // namespace
 
-PhaseNode *
-PhaseNode::child(std::string_view childName)
+PhaseRow &
+PhaseTable::row(std::string_view path, std::size_t at)
 {
-    for (const auto &c : children) {
-        if (c->name == childName)
-            return c.get();
+    for (PhaseRow &r : rows) {
+        if (r.path == path)
+            return r;
     }
-    children.push_back(std::make_unique<PhaseNode>());
-    children.back()->name = std::string(childName);
-    return children.back().get();
+    const auto it = rows.emplace(rows.begin() + std::min(at, rows.size()));
+    it->path = path;
+    return *it;
 }
 
-const PhaseNode *
-PhaseNode::find(std::string_view childName) const
+Profiler::Bind::Bind(PhaseTable *table)
+    : prevTable(std::exchange(tlTable, table)),
+      prevPath(std::exchange(tlPath, std::string()))
 {
-    for (const auto &c : children) {
-        if (c->name == childName)
-            return c.get();
-    }
-    return nullptr;
-}
-
-double
-PhaseNode::childSeconds() const
-{
-    double s = 0;
-    for (const auto &c : children)
-        s += c->seconds;
-    return s;
-}
-
-void
-PhaseNode::merge(const PhaseNode &other)
-{
-    count += other.count;
-    seconds += other.seconds;
-    for (const auto &c : other.children)
-        child(c->name)->merge(*c);
-}
-
-void
-PhaseNode::clear()
-{
-    count = 0;
-    seconds = 0;
-    children.clear();
-}
-
-PhaseNode *
-PhaseTree::enter(std::string_view name)
-{
-    PhaseNode *parent = stack.empty() ? &rootNode : stack.back();
-    PhaseNode *node = parent->child(name);
-    stack.push_back(node);
-    return node;
-}
-
-void
-PhaseTree::leave(double seconds)
-{
-    rrs_assert(!stack.empty(), "phase leave without matching enter");
-    PhaseNode *node = stack.back();
-    stack.pop_back();
-    ++node->count;
-    node->seconds += seconds;
-}
-
-void
-PhaseTree::clear()
-{
-    rrs_assert(stack.empty(), "clearing a phase tree mid-phase");
-    rootNode.clear();
-}
-
-void
-Profiler::setEnabled(bool on)
-{
-    detail::profilerEnabled = on;
-}
-
-Profiler::Profiler()
-{
-    runMerged.name = "run";
-}
-
-Profiler &
-Profiler::instance()
-{
-    // Leaked on purpose: see ThreadTreeHandle.
-    static Profiler *inst = new Profiler();
-    return *inst;
-}
-
-Profiler::Bind::Bind(PhaseTree *tree)
-    : prev(nullptr), bound(tree != nullptr)
-{
-    if (bound) {
-        prev = tlBound;
-        tlBound = tree;
-    }
 }
 
 Profiler::Bind::~Bind()
 {
-    if (bound)
-        tlBound = prev;
-}
-
-PhaseTree &
-Profiler::currentTree()
-{
-    if (tlBound)
-        return *tlBound;
-    return threadLocalTree();
+    tlTable = prevTable;
+    tlPath = std::move(prevPath);
 }
 
 void
-Profiler::registerThreadTree(PhaseTree *tree)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    threadTrees.push_back(tree);
-}
-
-void
-Profiler::unregisterThreadTree(PhaseTree *tree)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    retired.merge(tree->root());
-    threadTrees.erase(
-        std::remove(threadTrees.begin(), threadTrees.end(), tree),
-        threadTrees.end());
-}
-
-void
-Profiler::collectRunAggregates(const PhaseNode &node,
-                               const std::string &prefix)
-{
-    for (const auto &c : node.children) {
-        const std::string path =
-            prefix.empty() ? c->name : prefix + "/" + c->name;
-        RunPhaseAgg &agg = runAgg[path];
-        agg.count += c->count;
-        agg.seconds += c->seconds;
-        agg.perRunUs.push_back(
-            static_cast<std::uint64_t>(std::llround(c->seconds * 1e6)));
-        collectRunAggregates(*c, path);
-    }
-}
-
-void
-Profiler::addRunTree(const PhaseTree &tree)
+Profiler::addRun(const PhaseTable &run)
 {
     // Post-join, one caller thread: the lock only guards against a
     // concurrent report() from another control thread.
     std::lock_guard<std::mutex> lock(mu);
-    runMerged.merge(tree.root());
-    ++runCount;
-    collectRunAggregates(tree.root(), "");
+    // Backwards, so the merged order keeps each run's order whichever
+    // run entered a phase first: a trace is captured by whichever run
+    // asks for it first, so which runs hold the capture rows varies.
+    std::size_t next = runs.rows.size();
+    for (auto r = run.rows.rbegin(); r != run.rows.rend(); ++r) {
+        PhaseRow &merged = runs.row(r->path, next);
+        merged.count += r->count;
+        merged.seconds += r->seconds;
+        merged.perRunUs.push_back(
+            static_cast<std::uint64_t>(std::llround(r->seconds * 1e6)));
+        next = static_cast<std::size_t>(&merged - runs.rows.data());
+    }
+    ++runs.runs;
 }
 
-double
-Profiler::runPercentileUs(const std::string &path, double p) const
+PhaseTable
+Profiler::runTable()
 {
     std::lock_guard<std::mutex> lock(mu);
-    auto it = runAgg.find(path);
-    if (it == runAgg.end())
-        return 0.0;
-    return stats::percentile(it->second.perRunUs, p);
-}
-
-PhaseNode
-Profiler::hostTree() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    PhaseNode out;
-    out.name = "host";
-    out.merge(retired);
-    for (const PhaseTree *t : threadTrees)
-        out.merge(t->root());
-    return out;
+    return runs;
 }
 
 void
-Profiler::report(std::ostream &os) const
+Profiler::report(std::ostream &os)
 {
-    const PhaseNode host = hostTree();
+    std::lock_guard<std::mutex> lock(mu);
     os << "phase profile (host wall clock, RRS_PROF):\n";
-    if (host.children.empty()) {
+    if (host.rows.empty())
         os << "  (no host phases recorded)\n";
-    } else {
-        const double total = host.childSeconds();
-        for (const auto &c : host.children)
-            printNode(os, *c, 0, total);
+    char buf[224];
+    for (const PhaseRow &r : host.rows) {
+        // A row's share is of its parent row, a top-level row's of all
+        // top-level rows together.
+        const std::size_t slash = r.path.rfind('/');
+        const bool top = slash == std::string::npos;
+        double parentSeconds = 0;
+        for (const PhaseRow &p : host.rows) {
+            if (top ? p.path.find('/') == std::string::npos
+                    : p.path == std::string_view(r.path).substr(0, slash))
+                parentSeconds += p.seconds;
+        }
+        const int depth =
+            static_cast<int>(std::count(r.path.begin(), r.path.end(), '/'));
+        std::snprintf(buf, sizeof(buf),
+                      "  %*s%-*s %10llu x %10.3f s %5.1f%%\n", depth * 2, "",
+                      std::max(2, 24 - depth * 2),
+                      r.path.c_str() + (top ? 0 : slash + 1),
+                      static_cast<unsigned long long>(r.count), r.seconds,
+                      parentSeconds > 0 ? 100.0 * r.seconds / parentSeconds
+                                        : 0.0);
+        os << buf;
     }
 
-    std::lock_guard<std::mutex> lock(mu);
-    if (runCount == 0)
+    if (runs.runs == 0)
         return;
-    char buf[224];
     std::snprintf(buf, sizeof(buf),
-                  "per-run phase latencies (%llu run trees merged "
+                  "per-run phase latencies (%llu run tables merged "
                   "post-join; deterministic across RRS_THREADS):\n"
                   "  %-24s %10s %10s %10s %10s %10s\n",
-                  static_cast<unsigned long long>(runCount), "phase",
+                  static_cast<unsigned long long>(runs.runs), "phase",
                   "count", "total_s", "p50_us", "p95_us", "max_us");
     os << buf;
-    for (const auto &[path, agg] : runAgg) {
+    for (const PhaseRow &r : runs.rows) {
         std::snprintf(buf, sizeof(buf),
                       "  %-24s %10llu %10.3f %10.0f %10.0f %10.0f\n",
-                      path.c_str(),
-                      static_cast<unsigned long long>(agg.count),
-                      agg.seconds, stats::percentile(agg.perRunUs, 50),
-                      stats::percentile(agg.perRunUs, 95),
-                      stats::percentile(agg.perRunUs, 100));
+                      r.path.c_str(),
+                      static_cast<unsigned long long>(r.count), r.seconds,
+                      stats::percentile(r.perRunUs, 50),
+                      stats::percentile(r.perRunUs, 95),
+                      stats::percentile(r.perRunUs, 100));
         os << buf;
     }
 }
@@ -288,20 +149,17 @@ void
 Profiler::reset()
 {
     std::lock_guard<std::mutex> lock(mu);
-    retired.clear();
-    for (PhaseTree *t : threadTrees)
-        t->clear();
-    runMerged.clear();
-    runMerged.name = "run";
-    runCount = 0;
-    runAgg.clear();
+    host = runs = PhaseTable{};
 }
 
 void
 ScopedPhase::begin(const char *name)
 {
-    tree = &Profiler::currentTree();
-    tree->enter(name);
+    parentLength = tlPath.size();
+    tlPath.append(parentLength > 0 ? "/" : "").append(name);
+    active = true;
+    // Create the row on entry, so a parent precedes its children.
+    charge(0, 0.0);
     t0 = std::chrono::steady_clock::now();
 }
 
@@ -310,7 +168,8 @@ ScopedPhase::end()
 {
     const std::chrono::duration<double> dt =
         std::chrono::steady_clock::now() - t0;
-    tree->leave(dt.count());
+    charge(1, dt.count());
+    tlPath.resize(parentLength);
 }
 
 } // namespace rrs::obs

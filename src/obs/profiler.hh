@@ -1,44 +1,39 @@
 /**
  * @file
  * Host-side phase profiler: where does the *simulator's own* wall
- * clock go?  The target-side instruments (pipetrace, stall
- * attribution) explain simulated cycles; this one explains host
- * seconds, the way simulator-evaluation studies report capture /
- * warmup / simulate breakdowns as first-class metrics.
+ * clock go?  Pipetrace and stall attribution explain simulated cycles;
+ * this explains host seconds, the way simulator-evaluation studies
+ * report capture / warmup / simulate breakdowns as first-class metrics.
  *
- * Usage: wrap a region in a RAII `ScopedPhase("name")`.  Phases nest
- * into a tree ("capture" > "warmup"), each node accumulating entry
- * count and monotonic-clock seconds.  Everything is off unless
- * `RRS_PROF=1` (or `--prof` on a bench, or `Profiler::setEnabled`);
- * when off, a ScopedPhase costs exactly one branch on a cached bool —
- * cheap enough to leave in the hot harness paths permanently.
+ * Usage: wrap a region in a RAII `ScopedPhase("name")`.  A phase
+ * opened inside another is recorded under the "/"-joined path
+ * ("capture/warmup"), as one row of entry count and monotonic-clock
+ * seconds.  Everything is off unless `RRS_PROF=1` (or `--prof` on a
+ * bench, or `Profiler::setEnabled`); when off, a ScopedPhase costs
+ * exactly one branch on a cached bool — cheap enough to leave in the
+ * hot harness paths permanently.
  *
  * Threading model (mirrors the sweep's merge-after-join):
  *
- *  - Phases recorded on a thread land in that thread's own tree; no
- *    phase mutation is ever shared between running threads.
- *  - A sweep lane is *bound* to a per-run tree (`Profiler::Bind`) for
- *    the duration of each run; the runner merges the run trees after
- *    the pool has joined, in submission order, so the merged counts —
- *    and the order of FP additions — are identical for every
- *    `RRS_THREADS` value, exactly like the sweep's Outcomes.
- *  - Unbound threads (the main thread, analysis pool workers) record
- *    into registered thread-local trees that report() folds together;
- *    report() must only run while no profiled work is in flight.
- *
- * Per-run latency aggregates: each merged run tree also records every
- * phase path's per-run total (in microseconds), so the report carries
- * p50/p95/max per-run latencies computed with stats::percentile().
+ *  - A sweep lane is *bound* to its run's own table (`Profiler::Bind`)
+ *    for the duration of each run, from an empty path: a run table has
+ *    one writer, and the caller's open "sweep" phase never prefixes a
+ *    run's rows.  The runner adds the run tables to the merged run
+ *    table after the pool has joined, in submission order, so the
+ *    merged counts — and the order of FP additions — are identical for
+ *    every `RRS_THREADS` value, exactly like the sweep's Outcomes.
+ *  - Unbound threads (the main thread, analysis lanes) record into one
+ *    process-wide host table under the profiler's mutex.  The host
+ *    side sees a handful of coarse phases per process, so the lock
+ *    costs nothing measurable, and report() may run at any time.
  */
 
 #ifndef RRS_OBS_PROFILER_HH
 #define RRS_OBS_PROFILER_HH
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -51,60 +46,30 @@ namespace detail {
 extern bool profilerEnabled;
 } // namespace detail
 
-/** One phase in a tree: entry count + accumulated seconds. */
-struct PhaseNode
+/** One phase path: entry count + accumulated seconds. */
+struct PhaseRow
 {
-    std::string name;
+    std::string path;   //!< "/"-joined, e.g. "capture/warmup"
     std::uint64_t count = 0;
     double seconds = 0;
-    /** Children ordered by first entry (stable within one tree). */
-    std::vector<std::unique_ptr<PhaseNode>> children;
-
-    /** Find-or-create a child (by name). */
-    PhaseNode *child(std::string_view childName);
-
-    /** Find a child; nullptr when absent (tests, reporting). */
-    const PhaseNode *find(std::string_view childName) const;
-
-    /** Sum of the direct children's seconds. */
-    double childSeconds() const;
-
-    /** Fold `other`'s counts/seconds/children into this node. */
-    void merge(const PhaseNode &other);
-
-    /** Drop all data (keeps the name). */
-    void clear();
+    /** Merged run table only: one µs total per run that entered the
+     *  path, for per-run p50/p95/max via stats::percentile(). */
+    std::vector<std::uint64_t> perRunUs;
 };
 
-/**
- * One thread's (or one sweep run's) phase tree plus its entry stack.
- * Not thread-safe: each tree belongs to exactly one running thread at
- * a time (enforced by the Bind discipline).
- */
-class PhaseTree
+/** Phase rows in first-entry order: a row is created when its phase is
+ *  entered, so a parent precedes its children. */
+struct PhaseTable
 {
-  public:
-    PhaseTree() { rootNode.name = "root"; }
+    std::vector<PhaseRow> rows;
+    std::uint64_t runs = 0;   //!< run tables merged in (Profiler::addRun)
 
-    /** Enter a phase (child of the current one). @return the node. */
-    PhaseNode *enter(std::string_view name);
-
-    /** Leave the current phase, charging it `seconds`. */
-    void leave(double seconds);
-
-    const PhaseNode &root() const { return rootNode; }
-    bool atRoot() const { return stack.empty(); }
-    void clear();
-
-  private:
-    PhaseNode rootNode;
-    std::vector<PhaseNode *> stack;
+    /** The row of `path`, inserted at index `at` (default: appended)
+     *  when absent. */
+    PhaseRow &row(std::string_view path, std::size_t at = SIZE_MAX);
 };
 
-/**
- * The process-wide profiler: owns the merged result trees and the
- * per-run latency aggregates.
- */
+/** The process-wide profile: one host table, one merged run table. */
 class Profiler
 {
   public:
@@ -113,107 +78,53 @@ class Profiler
 
     /** Flip at runtime (bench --prof, tests).  Not thread-safe: set
      *  before profiled work starts. */
-    static void setEnabled(bool on);
+    static void setEnabled(bool on) { detail::profilerEnabled = on; }
 
-    static Profiler &instance();
-
-    /**
-     * RAII binding of the calling thread's ScopedPhases to `tree`
-     * (e.g. a sweep run's own tree).  nullptr is a no-op binding.
-     * Restores the previous binding on destruction.
-     */
+    /** RAII: the calling thread records into `table` (a sweep run's
+     *  own; nullptr: the host table) from an empty path, until
+     *  destruction restores its previous table and path. */
     class Bind
     {
       public:
-        explicit Bind(PhaseTree *tree);
+        explicit Bind(PhaseTable *table);
         ~Bind();
         Bind(const Bind &) = delete;
         Bind &operator=(const Bind &) = delete;
 
       private:
-        PhaseTree *prev;
-        bool bound;
+        PhaseTable *prevTable;
+        std::string prevPath;
     };
 
-    /** The tree the calling thread currently records into. */
-    static PhaseTree &currentTree();
+    /** Fold a finished run's table into the merged run table: call
+     *  post-join, in submission order, from the sweep's caller.  A path
+     *  new to the merged table goes in front of the run's next path. */
+    static void addRun(const PhaseTable &run);
 
-    /**
-     * Merge one finished sweep-run tree: fold its structure into the
-     * run aggregate and sample each phase path's per-run seconds into
-     * the latency distributions.  Call post-join, in submission order,
-     * from one thread (the sweep caller).
-     */
-    void addRunTree(const PhaseTree &tree);
+    /** Snapshot of the merged run table. */
+    static PhaseTable runTable();
 
-    /** Merged per-run phase aggregate ("run" root). */
-    const PhaseNode &runTree() const { return runMerged; }
+    /** Print the host rows indented by depth, then the per-run table
+     *  (count, total seconds, p50/p95/max per-run µs). */
+    static void report(std::ostream &os);
 
-    /** Number of run trees merged so far. */
-    std::uint64_t runsMerged() const { return runCount; }
-
-    /** Per-run latency percentile of a phase path, microseconds. */
-    double runPercentileUs(const std::string &path, double p) const;
-
-    /**
-     * Snapshot of the host-side tree: every registered thread tree
-     * (main thread first, then registration order) folded into one.
-     * Quiescence required, as for report().
-     */
-    PhaseNode hostTree() const;
-
-    /**
-     * Print the human report: the host phase tree, then the per-run
-     * phase table (count, total seconds, p50/p95/max per-run µs).
-     */
-    void report(std::ostream &os) const;
-
-    /** Drop all recorded data (tests; not thread-safe vs recording). */
-    void reset();
-
-    // Thread-tree registry (used by the thread_local plumbing).
-    void registerThreadTree(PhaseTree *tree);
-    void unregisterThreadTree(PhaseTree *tree);
-
-  private:
-    Profiler();
-
-    struct RunPhaseAgg
-    {
-        std::uint64_t count = 0;     //!< phase entries across runs
-        double seconds = 0;          //!< total seconds across runs
-        std::vector<std::uint64_t> perRunUs;   //!< one per run tree
-    };
-
-    void collectRunAggregates(const PhaseNode &node,
-                              const std::string &prefix);
-
-    mutable std::mutex mu;
-    std::vector<PhaseTree *> threadTrees;   //!< registration order
-    PhaseNode retired;                      //!< trees of exited threads
-    PhaseNode runMerged;                    //!< per-run merge (post-join)
-    std::uint64_t runCount = 0;
-    std::map<std::string, RunPhaseAgg> runAgg;   //!< by phase path
+    /** Drop all recorded data (tests; not while phases are open). */
+    static void reset();
 };
 
-/**
- * RAII phase marker.  When the profiler is disabled the constructor is
- * one branch and the destructor another; nothing is recorded.
- * The name must outlive the scope (string literals).
- */
+/** RAII phase marker; records nothing while the profiler is off. */
 class ScopedPhase
 {
   public:
     explicit ScopedPhase(const char *name)
     {
-        if (!Profiler::enabled())
-            return;
-        begin(name);
+        if (Profiler::enabled())
+            begin(name);
     }
 
     ~ScopedPhase()
     {
-        if (tree)
+        if (active)
             end();
     }
 
@@ -224,7 +135,8 @@ class ScopedPhase
     void begin(const char *name);
     void end();
 
-    PhaseTree *tree = nullptr;
+    bool active = false;
+    std::size_t parentLength = 0;   //!< the thread's path before entry
     std::chrono::steady_clock::time_point t0;
 };
 

@@ -3,7 +3,8 @@
 // figures, the interrupt/resume contract (a ledger built in pieces is
 // byte-identical to one built in a single run, at every thread count),
 // the 100%-hit re-run, the report's figure blocks matching the direct
-// renderer output byte for byte, and the report's host-cost gate.
+// renderer output byte for byte, the report's host-cost gate, and its
+// refusal of a sidecar it cannot read as written.
 
 #include <gtest/gtest.h>
 
@@ -521,6 +522,158 @@ TEST(ReportSidecarTest, RefusesSizesAndDigestsNotReadAsWritten)
         EXPECT_NE(error.find("16 lowercase hex digits"), std::string::npos)
             << error;
     }
+}
+
+// Every member the report reads from a sidecar is checked against what
+// rrs-campaign writes: a member that is missing, of another kind or out
+// of its range makes the sidecar unreadable (status 2, the field
+// named), never a crash or a silently cast number.
+int
+reportOnSidecar(const std::string &name, const std::string &members,
+                std::string &error, const std::string &phases = "",
+                const std::string &figures = "")
+{
+    const Ledger ledger = gateLedger(name, {});
+    std::ofstream(ledger.directory() + "/campaign.json")
+        << "{\"campaign_schema\": " << harness::campaignSchemaVersion
+        << ", \"name\": \"sidecar\", " << members
+        << ", \"phases\": [" << phases << "], \"figures\": [" << figures
+        << "]}\n";
+    std::string out;
+    return harness::renderCampaignReport(ledger, harness::ReportOptions{},
+                                         out, error);
+}
+
+const char *const goodCounts =
+    "\"threads\": 2, \"wall_seconds\": 1.5, \"nodes_total\": 1, "
+    "\"nodes_cached\": 0, \"nodes_simulated\": 1, \"nodes_deferred\": 0";
+
+const char *const goodPhase =
+    "{\"path\": \"simulate\", \"count\": 1, \"seconds\": 0.5, "
+    "\"p50_us\": 1, \"p95_us\": 1, \"max_us\": 1}";
+
+TEST(ReportSidecarTest, WorkloadWithoutNameIsUnreadable)
+{
+    std::string error;
+    auto figure = [](const std::string &workload) {
+        return "{\"figure\": \"t3\", \"kind\": \"table3\", "
+               "\"sizes\": [64], \"scheme_labels\": [\"baseline\"], "
+               "\"workloads\": [" +
+               workload + "]}";
+    };
+    EXPECT_EQ(reportOnSidecar("sidecar_workload_ok", goodCounts, error, "",
+                              figure("{\"name\": \"int_sort\", "
+                                     "\"suite\": \"int\"}")),
+              0)
+        << error;
+    EXPECT_EQ(reportOnSidecar("sidecar_workload", goodCounts, error, "",
+                              figure("{\"suite\": \"int\"}")),
+              2);
+    EXPECT_NE(error.find("'figures[0].workloads[0].name' is missing"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(reportOnSidecar("sidecar_workload_suite", goodCounts, error,
+                              "",
+                              figure("{\"name\": \"int_sort\", "
+                                     "\"suite\": 3}")),
+              2);
+    EXPECT_NE(
+        error.find("'figures[0].workloads[0].suite' must be a string"),
+        std::string::npos)
+        << error;
+    EXPECT_EQ(reportOnSidecar("sidecar_labels", goodCounts, error, "",
+                              "{\"figure\": \"t3\", \"kind\": \"table3\", "
+                              "\"scheme_labels\": [7]}"),
+              2);
+    EXPECT_NE(error.find("'scheme_labels' entry must be a string"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(reportOnSidecar("sidecar_kind", goodCounts, error, "",
+                              "{\"figure\": \"t3\", \"kind\": 3}"),
+              2);
+    EXPECT_NE(error.find("'figures[0].kind' must be a string"),
+              std::string::npos)
+        << error;
+}
+
+TEST(ReportSidecarTest, PhaseRowWithoutPathIsUnreadable)
+{
+    std::string error;
+    EXPECT_EQ(reportOnSidecar("sidecar_phase_ok", goodCounts, error,
+                              goodPhase),
+              0)
+        << error;
+    EXPECT_EQ(reportOnSidecar("sidecar_phase", goodCounts, error,
+                              "{\"count\": 1, \"seconds\": 0.5, "
+                              "\"p50_us\": 1, \"p95_us\": 1, \"max_us\": 1}"),
+              2);
+    EXPECT_NE(error.find("'phases[0].path' is missing"), std::string::npos)
+        << error;
+    EXPECT_EQ(reportOnSidecar("sidecar_phase_count", goodCounts, error,
+                              std::string(goodPhase) +
+                                  ", {\"path\": \"x\", \"count\": 1.5, "
+                                  "\"seconds\": 0.5, \"p50_us\": 1, "
+                                  "\"p95_us\": 1, \"max_us\": 1}"),
+              2);
+    EXPECT_NE(error.find("'phases[1].count' must be a non-negative integer"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(reportOnSidecar("sidecar_phase_p95", goodCounts, error,
+                              "{\"path\": \"x\", \"count\": 1, "
+                              "\"seconds\": 0.5, \"p50_us\": 1, "
+                              "\"p95_us\": \"1\", \"max_us\": 1}"),
+              2);
+    EXPECT_NE(error.find("'phases[0].p95_us' must be a number"),
+              std::string::npos)
+        << error;
+}
+
+TEST(ReportSidecarTest, FractionalCountsAreUnreadable)
+{
+    std::string error;
+    EXPECT_EQ(reportOnSidecar("sidecar_fraction",
+                              "\"threads\": 2.5, \"nodes_total\": 3.7", error),
+              2);
+    EXPECT_NE(error.find("'threads' must be a non-negative integer"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(reportOnSidecar("sidecar_fraction_tc",
+                              std::string(goodCounts) +
+                                  ", \"trace_cache\": {\"hits\": 0.5}",
+                              error),
+              2);
+    EXPECT_NE(error.find("'trace_cache.hits'"), std::string::npos) << error;
+
+    // The baseline's sidecar is read the same way: the gate cannot
+    // compare against one it cannot read.
+    const Ledger base = gateLedger("sidecar_fraction_base", {});
+    const Ledger cur = gateLedger("sidecar_fraction_cur", {});
+    std::ofstream(base.directory() + "/campaign.json")
+        << "{\"campaign_schema\": " << harness::campaignSchemaVersion
+        << ", \"threads\": 1, \"wall_seconds\": 2, \"nodes_total\": 1.5, "
+        << "\"nodes_simulated\": 1}\n";
+    std::string report;
+    EXPECT_EQ(gate(base, cur, 50, &report), 2);
+    EXPECT_NE(report.find("'nodes_total' must be a non-negative integer"),
+              std::string::npos)
+        << report;
+}
+
+TEST(ReportSidecarTest, NegativeCountIsUnreadable)
+{
+    std::string error;
+    EXPECT_EQ(reportOnSidecar("sidecar_negative",
+                              "\"nodes_simulated\": -5", error),
+              2);
+    EXPECT_NE(error.find("'nodes_simulated' must be a non-negative integer"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(reportOnSidecar("sidecar_wall",
+                              "\"wall_seconds\": \"fast\"", error),
+              2);
+    EXPECT_NE(error.find("'wall_seconds' must be a number"),
+              std::string::npos)
+        << error;
 }
 
 } // namespace

@@ -37,21 +37,19 @@ TEST(DramExtra, BusSerialisesBackToBackBursts)
     EXPECT_GE(t3, t2 + dp.burst);
 }
 
-TEST(CacheExtra, WritebackOnlyForDirtyLines)
+TEST(CacheExtra, AlternatingConflictsMissEveryAccess)
 {
     DramParams dp;
     Dram dram(dp);
     CacheParams cp{128, 1, 64, 1, 4};   // direct mapped, 2 sets
     Cache c(cp, nullptr, &dram);
     Tick now = 0;
-    // Clean line evicted: no writeback counted; stats via hit/miss.
-    now = c.access(0x000, false, now);
-    now = c.access(0x080, false, now);   // evicts clean 0x000
-    std::uint64_t misses_clean = c.missCount();
-    EXPECT_EQ(misses_clean, 2u);
-    // Dirty eviction path still functions (exercised via write).
-    now = c.access(0x000, true, now);    // miss, dirty
-    now = c.access(0x080, false, now);   // evicts dirty line
+    // Two lines of one set evict each other on every access.
+    now = c.access(0x000, now);
+    now = c.access(0x080, now);   // evicts 0x000
+    EXPECT_EQ(c.missCount(), 2u);
+    now = c.access(0x000, now);   // misses again, evicts 0x080
+    now = c.access(0x080, now);   // and again
     EXPECT_EQ(c.missCount(), 4u);
 }
 
@@ -61,7 +59,7 @@ TEST(CacheExtra, ContainsReflectsFillTiming)
     Dram dram(dp);
     CacheParams cp{1024, 2, 64, 1, 4};
     Cache c(cp, nullptr, &dram);
-    Tick done = c.access(0x200, false, 100);
+    Tick done = c.access(0x200, 100);
     // While the fill is in flight the line is present but not usable.
     EXPECT_FALSE(c.contains(0x200, 101));
     EXPECT_TRUE(c.contains(0x200, done));
@@ -74,8 +72,8 @@ TEST(CacheExtra, PrefetchDoesNotEvictPendingDemand)
     Dram dram(dp);
     CacheParams cp{1024, 2, 64, 1, 2};   // only 2 MSHRs
     Cache c(cp, nullptr, &dram);
-    Tick d1 = c.access(0x100, false, 0);
-    Tick d2 = c.access(0x900, false, 0);
+    Tick d1 = c.access(0x100, 0);
+    Tick d2 = c.access(0x900, 0);
     // MSHRs are busy: a prefetch must be dropped, not stall anything.
     c.prefetch(0x2000, 1);
     EXPECT_FALSE(c.contains(0x2000, d1 + d2));

@@ -52,10 +52,10 @@ TEST(CacheTest, HitAfterMiss)
     CacheParams cp{1024, 2, 64, 1, 4};
     Cache c(cp, nullptr, &dram);
 
-    Tick t1 = c.access(0x100, false, 0);
+    Tick t1 = c.access(0x100, 0);
     EXPECT_GT(t1, 1u);   // miss went to DRAM
     EXPECT_EQ(c.missCount(), 1u);
-    Tick t2 = c.access(0x108, false, t1);   // same line
+    Tick t2 = c.access(0x108, t1);   // same line
     EXPECT_EQ(t2, t1 + 1);                  // hit latency 1
     EXPECT_EQ(c.hitCount(), 1u);
 }
@@ -69,22 +69,22 @@ TEST(CacheTest, LruEviction)
     Cache c(cp, nullptr, &dram);
 
     Tick now = 0;
-    now = c.access(0x000, false, now);   // set 0
-    now = c.access(0x080, false, now);   // set 0 (2 sets: 0x80 = set 0? line 2 % 2 = 0)
-    now = c.access(0x100, false, now);   // set 0: evicts 0x000
-    now = c.access(0x000, false, now);
+    now = c.access(0x000, now);   // set 0
+    now = c.access(0x080, now);   // set 0 (2 sets: 0x80 = set 0? line 2 % 2 = 0)
+    now = c.access(0x100, now);   // set 0: evicts 0x000
+    now = c.access(0x000, now);
     EXPECT_EQ(c.missCount(), 4u);        // re-miss after eviction
 }
 
-TEST(CacheTest, WritebackCountsDirtyEvictions)
+TEST(CacheTest, ConflictEvictionCountsMisses)
 {
     DramParams dp;
     Dram dram(dp);
     CacheParams cp{128, 1, 64, 1, 4};   // direct-mapped, 2 lines
     Cache c(cp, nullptr, &dram);
     Tick now = 0;
-    now = c.access(0x000, true, now);    // dirty line in set 0
-    now = c.access(0x080, false, now);   // evicts it (set 0 again)
+    now = c.access(0x000, now);   // line in set 0
+    now = c.access(0x080, now);   // evicts it (set 0 again)
     EXPECT_GE(c.missCount(), 2u);
 }
 
@@ -105,10 +105,10 @@ TEST(CacheTest, MshrMergeGivesPendingLatency)
     Dram dram(dp);
     CacheParams cp{1024, 2, 64, 1, 4};
     Cache c(cp, nullptr, &dram);
-    Tick done1 = c.access(0x100, false, 1000);
+    Tick done1 = c.access(0x100, 1000);
     // A second access to the same line while the fill is in flight
     // completes with the fill, not with a fresh DRAM trip.
-    Tick done2 = c.access(0x110, false, 1001);
+    Tick done2 = c.access(0x110, 1001);
     EXPECT_LE(done2, done1 + 1);
 }
 

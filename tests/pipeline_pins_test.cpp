@@ -43,7 +43,7 @@ struct Shape
 void
 setWidths(core::CoreParams &c, std::uint32_t w)
 {
-    c.fetchWidth = c.decodeWidth = c.renameWidth = w;
+    c.fetchWidth = c.renameWidth = w;
     c.issueWidth = c.wbWidth = c.commitWidth = w;
 }
 

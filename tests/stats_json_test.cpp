@@ -24,12 +24,19 @@ TEST(JsonLite, ParsesScalarsAndStructure)
         v, &err))
         << err;
     ASSERT_TRUE(v.isObject());
-    EXPECT_DOUBLE_EQ(v.at("a").num, 1.5);
-    ASSERT_EQ(v.at("b").arr.size(), 3u);
-    EXPECT_DOUBLE_EQ(v.at("b").arr[2].num, 3.0);
-    EXPECT_EQ(v.at("c").at("d").str, "x\ny");
-    EXPECT_TRUE(v.at("c").at("e").boolean);
-    EXPECT_TRUE(v.at("c").at("f").isNull());
+    const Value *a = v.find("a");
+    const Value *b = v.find("b");
+    const Value *c = v.find("c");
+    ASSERT_TRUE(a && b && c);
+    EXPECT_DOUBLE_EQ(a->num, 1.5);
+    ASSERT_EQ(b->arr.size(), 3u);
+    EXPECT_DOUBLE_EQ(b->arr[2].num, 3.0);
+    ASSERT_TRUE(c->find("d") && c->find("e") && c->find("f"));
+    EXPECT_EQ(c->find("d")->str, "x\ny");
+    EXPECT_TRUE(c->find("e")->boolean);
+    EXPECT_TRUE(c->find("f")->isNull());
+    EXPECT_EQ(v.find("g"), nullptr);
+    EXPECT_EQ(a->find("a"), nullptr);   // not an object
 }
 
 TEST(JsonLite, RejectsMalformedInput)
@@ -53,10 +60,11 @@ TEST(StatsJson, FullPrecisionAndNonFinite)
         v));
 
     // %.17g round-trips doubles exactly.
-    EXPECT_EQ(v.at("pi").num, 3.14159265358979312);
+    ASSERT_TRUE(v.find("pi") && v.find("inf"));
+    EXPECT_EQ(v.find("pi")->num, 3.14159265358979312);
     // Non-finite values must emit valid JSON (null), not bare inf/nan
     // tokens.
-    EXPECT_TRUE(v.at("inf").isNull());
+    EXPECT_TRUE(v.find("inf")->isNull());
 
     // The number writer every JSON emitter shares (ledger, campaign
     // sidecar, telemetry).

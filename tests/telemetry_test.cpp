@@ -32,6 +32,16 @@ slurp(const std::string &path)
     return buf.str();
 }
 
+/** A member the document must carry: absent fails the test, reads Null. */
+const obs::json::Value &
+member(const obs::json::Value &v, const char *key)
+{
+    static const obs::json::Value missing;
+    const obs::json::Value *m = v.find(key);
+    EXPECT_NE(m, nullptr) << "missing member '" << key << "'";
+    return m ? *m : missing;
+}
+
 /** A small two-run telemetry payload built by hand. */
 std::vector<RunTelemetry>
 sampleRuns()
@@ -113,18 +123,18 @@ TEST(Telemetry, RenderedTraceIsValidChromeJson)
         const auto *name = ev.find("name");
         if (name && name->str == "capture") {
             sawCapture = true;
-            EXPECT_EQ(ev.at("tid").num, 2.0);
-            EXPECT_EQ(ev.at("dur").num, 1234.0);
+            EXPECT_EQ(member(ev, "tid").num, 2.0);
+            EXPECT_EQ(member(ev, "dur").num, 1234.0);
         }
         if (name && name->str == "pack") {
             sawPack = true;
-            EXPECT_EQ(ev.at("tid").num, 2.0);
-            EXPECT_EQ(ev.at("ts").num, 1234.0);
-            EXPECT_EQ(ev.at("dur").num, 777.0);
+            EXPECT_EQ(member(ev, "tid").num, 2.0);
+            EXPECT_EQ(member(ev, "ts").num, 1234.0);
+            EXPECT_EQ(member(ev, "dur").num, 777.0);
         }
         if (name && name->str == "stats-merge") {
             sawMerge = true;
-            EXPECT_EQ(ev.at("ts").num, 1234.0 + 777.0);
+            EXPECT_EQ(member(ev, "ts").num, 1234.0 + 777.0);
         }
     }
     EXPECT_TRUE(sawCapture);
@@ -150,11 +160,11 @@ TEST(Telemetry, HostileNamesAreEscaped)
     // The hostile strings must round-trip exactly through the parser.
     // Only tid 0 is the run's track; tid 1 is the sweep track.
     bool sawTitle = false;
-    for (const auto &ev : doc.at("traceEvents").arr) {
+    for (const auto &ev : member(doc, "traceEvents").arr) {
         const auto *name = ev.find("name");
         if (name && name->str == "thread_name" &&
-            ev.at("tid").num == 0.0) {
-            const std::string got = ev.at("args").at("name").str;
+            member(ev, "tid").num == 0.0) {
+            const std::string got = member(member(ev, "args"), "name").str;
             EXPECT_EQ(got, "run 0: quote\" backslash\\ newline\n end");
             sawTitle = true;
         }
@@ -178,15 +188,15 @@ TEST(Telemetry, NullAndEmptyBuffersKeepTids)
     // Run 2's span keeps tid 2 even though runs 0/1 emitted nothing,
     // and the sweep track stays at tid 3.
     bool sawRunSpan = false;
-    for (const auto &ev : doc.at("traceEvents").arr) {
+    for (const auto &ev : member(doc, "traceEvents").arr) {
         const auto *name = ev.find("name");
         const auto *ph = ev.find("ph");
         if (name && ph && ph->str == "X" && name->str == "run") {
-            EXPECT_EQ(ev.at("tid").num, 2.0);
+            EXPECT_EQ(member(ev, "tid").num, 2.0);
             sawRunSpan = true;
         }
         if (name && name->str == "stats-merge") {
-            EXPECT_EQ(ev.at("tid").num, 3.0);
+            EXPECT_EQ(member(ev, "tid").num, 3.0);
         }
     }
     EXPECT_TRUE(sawRunSpan);

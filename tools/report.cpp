@@ -33,10 +33,11 @@
  * read when no drift names it, a baseline without nodes/, or a
  * host-cost gate that cannot compare (no baseline sidecar, different
  * node sets, or a side that did not simulate every node).  A node
- * file is read as written or not at all: a count that is not a whole
- * number in range, or a field of the wrong JSON type, makes it
- * unreadable.  The report is written whenever it rendered, so a
- * failing gate still leaves its explanation.
+ * file or a sidecar is read as written or not at all: a count that is
+ * not a whole number in range, a field of the wrong JSON type, or a
+ * missing member the sidecar must carry makes it unreadable, and the
+ * error names the field.  The report is written whenever it rendered,
+ * so a failing gate still leaves its explanation.
  */
 
 #include <cstdio>
