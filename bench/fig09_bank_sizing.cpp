@@ -55,12 +55,11 @@ main(int argc, char **argv)
 
     std::vector<std::uint32_t> s1, s2, s3;
     for (const auto &out : outs) {
-        s1.insert(s1.end(), out.sharedAtLeast1.begin(),
-                  out.sharedAtLeast1.end());
-        s2.insert(s2.end(), out.sharedAtLeast2.begin(),
-                  out.sharedAtLeast2.end());
-        s3.insert(s3.end(), out.sharedAtLeast3.begin(),
-                  out.sharedAtLeast3.end());
+        for (const harness::OccupancySample &s : out.occupancy) {
+            s1.push_back(s.sharedAtLeast[0]);
+            s2.push_back(s.sharedAtLeast[1]);
+            s3.push_back(s.sharedAtLeast[2]);
+        }
     }
 
     stats::TextTable t({"coverage", ">=1 shadow", ">=2 shadow",

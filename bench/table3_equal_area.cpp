@@ -5,8 +5,8 @@
  * Prints the paper's rows, this repository's tuned rows (bank shapes
  * from our Fig. 9 study), and the area-model verification of both.
  *
- * The per-size equal-area solves run through the parallel sizing loop
- * (harness::solveEqualAreaTable).
+ * Each size's solver column is one closed-form equal-area solve
+ * (harness::solveEqualAreaBanks).
  */
 
 #include "area/area.hh"

@@ -6,7 +6,6 @@
 
 #include "common/logging.hh"
 #include "common/strutils.hh"
-#include "common/threadpool.hh"
 #include "core/o3core.hh"
 #include "harness/sampling.hh"
 #include "harness/tracecache.hh"
@@ -14,7 +13,6 @@
 #include "obs/observer.hh"
 #include "obs/pipetrace.hh"
 #include "obs/profiler.hh"
-#include "obs/telemetry.hh"
 #include "rename/audit.hh"
 
 namespace rrs::harness {
@@ -90,7 +88,7 @@ resolveFlightRecDepth(const ObsOptions &obs, bool auditingOn)
 // --- Core observers (obs/observer.hh) that read the renamer or the
 // core.  runOn is their only wiring point.
 
-/** The Fig. 9 series and the telemetry occupancy track's cadence. */
+/** The occupancy sampler's cadence. */
 constexpr Cycles samplePeriod = 128;
 
 /**
@@ -192,48 +190,17 @@ class AuditTriggers : public obs::CoreObserver
     Cycles interval;
 };
 
-/** Fig. 9: registers shared at depth >= 1, 2, 3, every 128 cycles. */
-class SharingSeries : public obs::CoreObserver
-{
-  public:
-    SharingSeries(Outcome &out, const rename::Renamer &ren)
-        : out(out), ren(ren)
-    {
-    }
-
-    void
-    sample(Tick now) override
-    {
-        if (now % samplePeriod != 0)
-            return;
-        out.sharedAtLeast1.push_back(atLeast(1));
-        out.sharedAtLeast2.push_back(atLeast(2));
-        out.sharedAtLeast3.push_back(atLeast(3));
-    }
-
-  private:
-    std::uint32_t
-    atLeast(std::uint8_t k) const
-    {
-        return ren.sharedAtLeast(RegClass::Int, k) +
-               ren.sharedAtLeast(RegClass::Float, k);
-    }
-
-    Outcome &out;
-    const rename::Renamer &ren;
-};
-
 /**
- * The telemetry occupancy track: free int / fp registers, shared
- * registers, ROB, IQ and LSQ every 128 cycles.  Cycle-stamped, so the
- * exported trace is identical for every thread count.
+ * The occupancy series behind Fig. 9 and the telemetry trace: free
+ * registers, registers shared at >= 1, 2 and 3 versions, and ROB, IQ
+ * and LSQ occupancy, every 128 cycles.
  */
-class OccupancyTrack : public obs::CoreObserver
+class OccupancySampler : public obs::CoreObserver
 {
   public:
-    OccupancyTrack(obs::RunTelemetry &telem, const rename::Renamer &ren,
-                   const core::O3Core &core)
-        : telem(telem), ren(ren), core(core)
+    OccupancySampler(std::vector<OccupancySample> &out,
+                     const rename::Renamer &ren, const core::O3Core &core)
+        : out(out), ren(ren), core(core)
     {
     }
 
@@ -242,21 +209,20 @@ class OccupancyTrack : public obs::CoreObserver
     {
         if (now % samplePeriod != 0)
             return;
-        const std::uint32_t shared = ren.sharedRegs(RegClass::Int) +
-                                     ren.sharedRegs(RegClass::Float);
-        telem.counter(
-            "occupancy", now,
-            {{"freeInt", static_cast<double>(ren.freeRegs(RegClass::Int))},
-             {"freeFp",
-              static_cast<double>(ren.freeRegs(RegClass::Float))},
-             {"shared", static_cast<double>(shared)},
-             {"rob", static_cast<double>(core.robSize())},
-             {"iq", static_cast<double>(core.iqSize())},
-             {"lsq", static_cast<double>(core.lsqSize())}});
+        OccupancySample &s = out.emplace_back();
+        s.tick = now;
+        s.freeInt = ren.freeRegs(RegClass::Int);
+        s.freeFp = ren.freeRegs(RegClass::Float);
+        for (std::uint8_t k = 1; k <= 3; ++k)
+            s.sharedAtLeast[k - 1] = ren.sharedAtLeast(RegClass::Int, k) +
+                                     ren.sharedAtLeast(RegClass::Float, k);
+        s.rob = core.robSize();
+        s.iq = core.iqSize();
+        s.lsq = core.lsqSize();
     }
 
   private:
-    obs::RunTelemetry &telem;
+    std::vector<OccupancySample> &out;
     const rename::Renamer &ren;
     const core::O3Core &core;
 };
@@ -265,7 +231,7 @@ class OccupancyTrack : public obs::CoreObserver
 
 Outcome
 runOn(const workloads::Workload &w, const RunConfig &config,
-      bool sampleSharing)
+      bool sampleOccupancy)
 {
     // Capture-once / replay-many: the functional emulation of
     // (workload, cap) happens at most once per process; every run —
@@ -326,14 +292,9 @@ runOn(const workloads::Workload &w, const RunConfig &config,
         core.addObserver(*tracer);
     }
 
-    std::optional<SharingSeries> sharing;
-    if (sampleSharing)
-        core.addObserver(sharing.emplace(out, *renamer));
-
-    obs::RunTelemetry *telem = config.obs.telemetry;
-    std::optional<OccupancyTrack> occupancy;
-    if (telem)
-        core.addObserver(occupancy.emplace(*telem, *renamer, core));
+    std::optional<OccupancySampler> occupancy;
+    if (sampleOccupancy)
+        core.addObserver(occupancy.emplace(out.occupancy, *renamer, core));
 
     {
         // The timing-model phase of the run; capture/warmup time is
@@ -366,33 +327,7 @@ runOn(const workloads::Workload &w, const RunConfig &config,
         out.auditsRun = auditor->auditCount();
         out.auditViolations = auditor->violationCount();
     }
-    if (telem) {
-        // The run's spans, in the simulated-time domain (ts/dur are
-        // cycles): a "run" umbrella with the identifying args, and the
-        // "simulate" phase nested inside it.  Everything recorded here
-        // is an Outcome-class quantity, so the trace inherits the
-        // sweep's bit-identical-across-thread-counts contract.
-        telem->setTitle(w.name + " x " + config.scheme);
-        obs::TelemetrySpan &run = telem->span("run", 0, out.sim.cycles);
-        obs::argStr(run, "workload", w.name);
-        obs::argStr(run, "scheme", config.scheme);
-        obs::argInt(run, "seed", config.core.seed);
-        obs::argInt(run, "insts", out.sim.committedInsts);
-        obs::argInt(run, "cycles", out.sim.cycles);
-        obs::argNum(run, "ipc", out.sim.ipc());
-        obs::TelemetrySpan &sim =
-            telem->span("simulate", 0, out.sim.cycles);
-        obs::argInt(sim, "insts", out.sim.committedInsts);
-        obs::argNum(sim, "rename_stalls", out.renameStalls);
-        obs::argNum(sim, "mispredicts", out.mispredicts);
-    }
     return out;
-}
-
-rename::BankConfig
-equalAreaBanks(std::uint32_t baselineRegs, bool paperPreset)
-{
-    return rename::reuseEqualAreaBanks(baselineRegs, paperPreset);
 }
 
 rename::BankConfig
@@ -400,7 +335,7 @@ solveEqualAreaBanks(const area::AreaModel &model,
                     std::uint32_t baselineRegs, std::uint32_t bits,
                     bool chargeOverheads)
 {
-    rename::BankConfig banks = equalAreaBanks(baselineRegs);
+    rename::BankConfig banks = rename::reuseEqualAreaBanks(baselineRegs);
     double overhead = 0;
     if (chargeOverheads) {
         std::uint32_t total =
@@ -415,22 +350,6 @@ solveEqualAreaBanks(const area::AreaModel &model,
                                             overhead, 0);
     banks[0] = n0;
     return banks;
-}
-
-std::vector<rename::BankConfig>
-solveEqualAreaTable(const area::AreaModel &model,
-                    const std::vector<std::uint32_t> &baselineSizes,
-                    std::uint32_t bits, bool chargeOverheads,
-                    unsigned threads)
-{
-    std::vector<rename::BankConfig> out(baselineSizes.size());
-    ThreadPool pool(threads);
-    // The model is read-only here; every task writes only its slot.
-    pool.parallelFor(baselineSizes.size(), [&](std::size_t i) {
-        out[i] = solveEqualAreaBanks(model, baselineSizes[i], bits,
-                                     chargeOverheads);
-    });
-    return out;
 }
 
 RunConfig

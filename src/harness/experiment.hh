@@ -4,9 +4,9 @@
  * branch predictor + workload), runs it, and extracts the numbers the
  * paper's tables and figures report.  runOn is also the one place
  * that wires core observers (obs/observer.hh): the pipe tracer, the
- * flight recorder, the rename auditor's trigger points, the Fig. 9
- * sharing series and the telemetry occupancy track.  Also owns the
- * equal-area sizing logic (Table III) that maps a baseline
+ * flight recorder, the rename auditor's trigger points and the
+ * occupancy sampler that feeds Fig. 9 and the telemetry trace.  Also
+ * owns the equal-area sizing logic (Table III) that maps a baseline
  * register-file size to the proposed 4-bank organisation of the same
  * total area.
  */
@@ -14,6 +14,7 @@
 #ifndef RRS_HARNESS_EXPERIMENT_HH
 #define RRS_HARNESS_EXPERIMENT_HH
 
+#include <array>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,10 +28,6 @@
 #include "rename/scheme.hh"
 #include "workloads/workloads.hh"
 
-namespace rrs::obs {
-class RunTelemetry;
-}
-
 namespace rrs::harness {
 
 /**
@@ -42,9 +39,8 @@ struct ObsOptions
 {
     /**
      * Non-empty: write an O3PipeView pipeline trace (Konata-loadable)
-     * of the run to this path.  In a sweep this acts as a prefix: the
-     * runner appends "_run<index>.trace" so parallel runs never share
-     * a file (see SweepRunner::setTracePrefix / RRS_PIPETRACE).
+     * of the run to this path.  A sweep under RRS_PIPETRACE sets it to
+     * "<prefix>_run<index>.trace" for each run (harness/sweep.hh).
      */
     std::string pipeTracePath;
 
@@ -62,16 +58,6 @@ struct ObsOptions
 
     /** Force auditing off even if RRS_AUDIT / the debug default set it. */
     bool auditDisabled = false;
-
-    /**
-     * Telemetry event buffer (obs/telemetry.hh).  Non-null: the run
-     * records its spans ("run", "simulate") and the occupancy track
-     * (free int/fp, shared, ROB, IQ, LSQ every 128 cycles) into the
-     * buffer; the sweep runner owns one buffer per submission index
-     * and serialises them post-join (RRS_TELEMETRY).
-     * Null (the default): no telemetry work at all.
-     */
-    obs::RunTelemetry *telemetry = nullptr;
 
     /**
      * Crash-time flight recorder depth (obs/flightrec.hh): how many
@@ -111,6 +97,25 @@ struct RunConfig
     SamplingParams sampling;
 };
 
+/**
+ * One occupancy sample, taken at the end of every cycle with
+ * cycle % 128 == 0.  Fig. 9 reads the sharing counts; the telemetry
+ * trace plots every field.
+ */
+struct OccupancySample
+{
+    Tick tick = 0;
+    std::uint32_t freeInt = 0;     //!< free physical int registers
+    std::uint32_t freeFp = 0;      //!< free physical fp registers
+    /** Registers of both classes whose version counter is >= k, k = 1..3. */
+    std::array<std::uint32_t, 3> sharedAtLeast{};
+    std::uint32_t rob = 0;         //!< occupied ROB entries
+    std::uint32_t iq = 0;          //!< occupied issue-queue entries
+    std::uint32_t lsq = 0;         //!< occupied load/store-queue entries
+
+    bool operator==(const OccupancySample &) const = default;
+};
+
 /** Everything a run reports. */
 struct Outcome
 {
@@ -141,13 +146,10 @@ struct Outcome
     obs::StallBreakdown stalls;
 
     /**
-     * Time series of shared-register occupancy (Fig. 9 sampling): one
-     * point per cycle with cycle % 128 == 0, filled only when runOn's
-     * sampleSharing is set.
+     * The occupancy series: one sample per cycle with cycle % 128 ==
+     * 0, filled only when runOn's sampleOccupancy is set.
      */
-    std::vector<std::uint32_t> sharedAtLeast1;
-    std::vector<std::uint32_t> sharedAtLeast2;
-    std::vector<std::uint32_t> sharedAtLeast3;
+    std::vector<OccupancySample> occupancy;
 
     /**
      * Sampled-run statistics (enabled only when RunConfig::sampling
@@ -164,17 +166,12 @@ struct Outcome
     }
 };
 
-/** Run one workload under one configuration. */
-Outcome runOn(const workloads::Workload &w, const RunConfig &config,
-              bool sampleSharing = false);
-
 /**
- * Bank configuration for a given baseline size.
- * @param paperPreset true: the paper's Table III row; false (default):
- *        this repository's tuned row.
+ * Run one workload under one configuration.
+ * @param sampleOccupancy fill Outcome::occupancy.
  */
-rename::BankConfig equalAreaBanks(std::uint32_t baselineRegs,
-                                  bool paperPreset = false);
+Outcome runOn(const workloads::Workload &w, const RunConfig &config,
+              bool sampleOccupancy = false);
 
 /**
  * Recompute Table III with the area model: fixed shadow banks as in
@@ -186,18 +183,6 @@ rename::BankConfig solveEqualAreaBanks(const area::AreaModel &model,
                                        std::uint32_t baselineRegs,
                                        std::uint32_t bits,
                                        bool chargeOverheads);
-
-/**
- * The Table III sizing loop: solve the equal-area bank configuration
- * for a whole column of baseline sizes at once, fanned out across the
- * thread pool (each size's solve is independent).  Results come back
- * in input order and are identical for every thread count.
- * @param threads execution lanes; 0 picks RRS_THREADS / hardware.
- */
-std::vector<rename::BankConfig> solveEqualAreaTable(
-    const area::AreaModel &model,
-    const std::vector<std::uint32_t> &baselineSizes, std::uint32_t bits,
-    bool chargeOverheads, unsigned threads = 0);
 
 /**
  * RunConfig for any registered scheme at the baseline-equivalent size

@@ -286,25 +286,20 @@ renderFig10(const std::vector<workloads::Workload> &ws,
 
 std::string
 renderTable3(const area::AreaModel &model,
-             const std::vector<std::uint32_t> &sizes, unsigned threads)
+             const std::vector<std::uint32_t> &sizes)
 {
     std::ostringstream os;
-    auto solvedAll = solveEqualAreaTable(model, sizes, 64, false,
-                                         threads);
-
     stats::TextTable t({"baseline", "paper banks", "paper area%",
                         "tuned banks", "tuned area%", "solver bank0"});
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-        std::uint32_t n = sizes[i];
+    for (std::uint32_t n : sizes) {
         double budget = model.regFileArea(n, 64);
         auto fmt = [](const rename::BankConfig &b) {
             return std::to_string(b[0]) + "+" + std::to_string(b[1]) +
                    "+" + std::to_string(b[2]) + "+" +
                    std::to_string(b[3]);
         };
-        rename::BankConfig paper = equalAreaBanks(n, true);
-        rename::BankConfig tuned = equalAreaBanks(n, false);
-        const rename::BankConfig &solved = solvedAll[i];
+        rename::BankConfig paper = rename::reuseEqualAreaBanks(n, true);
+        rename::BankConfig tuned = rename::reuseEqualAreaBanks(n, false);
         t.row()
             .cell(n)
             .cell(fmt(paper))
@@ -313,7 +308,7 @@ renderTable3(const area::AreaModel &model,
             .cell(fmt(tuned))
             .cell(100.0 * model.bankedRegFileArea(tuned, 64) / budget,
                   1)
-            .cell(solved[0]);
+            .cell(solveEqualAreaBanks(model, n, 64, false)[0]);
     }
     t.print(os, "Equal-area configurations (area% = fraction of the "
                 "baseline file's area used)");

@@ -85,11 +85,9 @@ std::string renderFig10(const std::vector<workloads::Workload> &ws,
  * Table III's deterministic block: the equal-area configuration table
  * (paper rows, tuned rows, area-model verification, solver check) and
  * the shape-check note.
- * @param threads lanes for the equal-area solver; 0: RRS_THREADS.
  */
 std::string renderTable3(const area::AreaModel &model,
-                         const std::vector<std::uint32_t> &sizes,
-                         unsigned threads = 0);
+                         const std::vector<std::uint32_t> &sizes);
 
 } // namespace rrs::harness
 

@@ -1,15 +1,44 @@
 #include "sweep.hh"
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <sstream>
 
+#include "common/atomicfile.hh"
 #include "common/logging.hh"
 #include "harness/tracecache.hh"
 #include "obs/profiler.hh"
 #include "obs/progress.hh"
 #include "obs/telemetry.hh"
+#include "stats/stats.hh"
 
 namespace rrs::harness {
+
+namespace {
+
+/** Process-wide sweep sequence number for telemetry file names. */
+std::atomic<std::uint64_t> telemetrySeq{0};
+
+void
+writeThreadName(std::ostream &os, std::size_t tid, const std::string &name)
+{
+    os << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
+       << ",\"name\":\"thread_name\",\"args\":{\"name\":"
+       << stats::jsonQuoted(name) << "}}";
+}
+
+/** A complete ("X") event on its own line; `args` is rendered JSON members. */
+void
+writeSpan(std::ostream &os, std::size_t tid, const char *name,
+          std::uint64_t ts, std::uint64_t dur, const std::string &args)
+{
+    os << ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":" << tid
+       << ",\"name\":\"" << name << "\",\"ts\":" << ts
+       << ",\"dur\":" << dur << ",\"args\":{" << args << "}}";
+}
+
+} // namespace
 
 std::uint64_t
 sweepSeed(std::uint64_t base, std::size_t index)
@@ -22,6 +51,13 @@ sweepSeed(std::uint64_t base, std::size_t index)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
+}
+
+std::uint64_t
+SweepItem::runSeed(std::size_t index) const
+{
+    return sweepSeed(config.core.seed,
+                     seedIndex == autoSeedIndex ? index : seedIndex);
 }
 
 SweepRunner::SweepRunner(unsigned threads) : pool(threads)
@@ -46,13 +82,10 @@ SweepRunner::run(const std::vector<SweepItem> &items)
     obs::ScopedPhase sweepPhase("sweep");
     std::vector<obs::PhaseTable> runTables(items.size());
 
-    // Telemetry (obs/telemetry.hh): one pre-sized buffer per run —
-    // same single-writer-then-merge discipline as the result slots and
-    // the profiler's run tables, so the exported trace is bit-identical
-    // for every thread count.
+    // Telemetry (RRS_TELEMETRY): every run samples its occupancy into
+    // its Outcome, and the trace is rendered from the results after
+    // the join.
     const std::string telemetryOut = obs::telemetryDir();
-    std::vector<obs::RunTelemetry> runTelem(
-        telemetryOut.empty() ? 0 : items.size());
 
     // Live heartbeat (obs/progress.hh): stderr only, so stdout tables
     // and the footer stay byte-identical with progress on or off.
@@ -66,27 +99,20 @@ SweepRunner::run(const std::vector<SweepItem> &items)
         rrs_assert(item.workload != nullptr, "sweep item needs a workload");
         obs::Profiler::Bind bind(&runTables[i]);
         RunConfig cfg = item.config;
-        cfg.core.seed = sweepSeed(cfg.core.seed,
-                                  item.seedIndex == SweepItem::autoSeedIndex
-                                      ? i
-                                      : item.seedIndex);
-        if (!runTelem.empty())
-            cfg.obs.telemetry = &runTelem[i];
+        cfg.core.seed = item.runSeed(i);
         progress.beginRun(i, item.workload->name + " x " + cfg.scheme);
 
-        // Per-run trace files, named by submission index so the set of
+        // Per-run pipe traces, named by submission index so the set of
         // files depends only on the sweep, never on the schedule.
-        const std::string &prefix = cfg.obs.pipeTracePath.empty()
-                                        ? tracePrefix
-                                        : cfg.obs.pipeTracePath;
-        if (!prefix.empty()) {
+        if (!tracePrefix.empty()) {
             cfg.obs.pipeTracePath =
-                prefix + "_run" + std::to_string(i) + ".trace";
+                tracePrefix + "_run" + std::to_string(i) + ".trace";
         }
 
         const auto t0 = Clock::now();
-        results[i].outcome = runOn(*item.workload, cfg,
-                                   item.sampleSharing);
+        results[i].outcome =
+            runOn(*item.workload, cfg,
+                  item.sampleSharing || !telemetryOut.empty());
         const std::chrono::duration<double> dt = Clock::now() - t0;
         results[i].wallSeconds = dt.count();
         progress.endRun(i, results[i].outcome.sim.committedInsts);
@@ -104,15 +130,9 @@ SweepRunner::run(const std::vector<SweepItem> &items)
     lastSummary.threads = pool.numThreads();
     lastSummary.runs = items.size();
     lastSummary.wallSeconds = sweepDt.count();
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const SweepResult &r = results[i];
+    for (const SweepResult &r : results) {
         lastSummary.runSecondsTotal += r.wallSeconds;
-        if (i == 0 || r.wallSeconds < lastSummary.runSecondsMin)
-            lastSummary.runSecondsMin = r.wallSeconds;
-        if (i == 0 || r.wallSeconds > lastSummary.runSecondsMax)
-            lastSummary.runSecondsMax = r.wallSeconds;
         lastSummary.instsCommitted += r.outcome.sim.committedInsts;
-        lastSummary.cyclesSimulated += r.outcome.sim.cycles;
         lastSummary.auditsRun +=
             static_cast<std::uint64_t>(r.outcome.auditsRun);
         lastSummary.auditViolations +=
@@ -124,29 +144,31 @@ SweepRunner::run(const std::vector<SweepItem> &items)
         cacheAfter.capturedInsts - cacheBefore.capturedInsts;
     lastSummary.instsReplayed =
         cacheAfter.replayedInsts - cacheBefore.replayedInsts;
+    lastSummary.recordsPacked =
+        cacheAfter.packedRecords - cacheBefore.packedRecords;
     if (prof) {
         // Submission-order merge of the per-run phase tables.
         for (const auto &t : runTables)
             obs::Profiler::addRun(t);
     }
 
-    // Serialise the telemetry buffers in submission order (the trace
-    // tid is the run index) — post-join, like every other merge here,
-    // so the file bytes never depend on the execution schedule.
+    // The trace is written post-join from the results, in submission
+    // order (tid = run index), so its bytes never depend on the
+    // schedule.  An empty sweep writes no file.
     telemetryPath.clear();
-    if (!runTelem.empty()) {
-        obs::TelemetrySweepInfo info;
-        info.label = telemetryLabel;
-        info.runs = items.size();
-        info.capturedInsts = lastSummary.instsCaptured;
-        info.replayedInsts = lastSummary.instsReplayed;
-        info.packedRecords =
-            cacheAfter.packedRecords - cacheBefore.packedRecords;
-        std::vector<const obs::RunTelemetry *> buffers;
-        buffers.reserve(runTelem.size());
-        for (const obs::RunTelemetry &rt : runTelem)
-            buffers.push_back(&rt);
-        telemetryPath = obs::writeSweepTrace(telemetryOut, info, buffers);
+    if (!telemetryOut.empty() && !items.empty()) {
+        const std::string path =
+            telemetryOut + "/" + telemetryLabel + "_sweep" +
+            std::to_string(telemetrySeq.fetch_add(1)) + ".trace.json";
+        std::string error;
+        if (tryWriteFileAtomic(path,
+                               renderSweepTrace(telemetryLabel, items,
+                                                results, lastSummary),
+                               error))
+            telemetryPath = path;
+        else
+            rrs_warn("telemetry: could not write trace '%s': %s",
+                     path.c_str(), error.c_str());
     }
     return results;
 }
@@ -160,6 +182,81 @@ SweepRunner::outcomes(const std::vector<SweepItem> &items)
     for (auto &r : results)
         out.push_back(std::move(r.outcome));
     return out;
+}
+
+std::string
+renderSweepTrace(const std::string &label,
+                 const std::vector<SweepItem> &items,
+                 const std::vector<SweepResult> &results,
+                 const SweepSummary &summary)
+{
+    std::ostringstream os;
+    // One event per line: the file diffs cleanly and stays one valid
+    // JSON document ("traceEvents" array form, which Perfetto and
+    // chrome://tracing both load).  1 trace microsecond is 1 cycle.
+    os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+    os << "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\","
+          "\"args\":{\"name\":"
+       << stats::jsonQuoted("rrsim " + label +
+                            " (simulated time: 1us = 1 cycle)")
+       << "}}";
+
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        const std::string &workload = items[i].workload->name;
+        const std::string &scheme = items[i].config.scheme;
+        const Outcome &out = results[i].outcome;
+        const std::string insts = std::to_string(out.sim.committedInsts);
+        os << ",\n";
+        writeThreadName(os, i,
+                        "run " + std::to_string(i) + ": " + workload +
+                            " x " + scheme);
+        writeSpan(os, i, "run", 0, out.sim.cycles,
+                  "\"workload\":" + stats::jsonQuoted(workload) +
+                      ",\"scheme\":" + stats::jsonQuoted(scheme) +
+                      ",\"seed\":" + std::to_string(items[i].runSeed(i)) +
+                      ",\"insts\":" + insts + ",\"cycles\":" +
+                      std::to_string(out.sim.cycles) + ",\"ipc\":" +
+                      stats::jsonNumber(out.sim.ipc()));
+        writeSpan(os, i, "simulate", 0, out.sim.cycles,
+                  "\"insts\":" + insts + ",\"rename_stalls\":" +
+                      stats::jsonNumber(out.renameStalls) +
+                      ",\"mispredicts\":" +
+                      stats::jsonNumber(out.mispredicts));
+        // Chrome keys counter tracks by (pid, name), not tid, so the
+        // run index goes into the track name.
+        for (const OccupancySample &s : out.occupancy) {
+            os << ",\n{\"ph\":\"C\",\"pid\":1,\"tid\":" << i
+               << ",\"name\":\"occupancy (run " << i
+               << ")\",\"ts\":" << s.tick << ",\"args\":{\"freeInt\":"
+               << s.freeInt << ",\"freeFp\":" << s.freeFp
+               << ",\"shared\":" << s.sharedAtLeast[0]
+               << ",\"rob\":" << s.rob << ",\"iq\":" << s.iq
+               << ",\"lsq\":" << s.lsq << "}}";
+        }
+    }
+
+    // The sweep track rides above the runs (tid = run count).  Capture
+    // work has no cycle clock and which run captures depends on the
+    // schedule, so the track is denominated in instructions and shows
+    // the sweep's trace-cache traffic: capture, then column packing
+    // (in records), then the merge.
+    const std::size_t sweepTid = items.size();
+    os << ",\n";
+    writeThreadName(os, sweepTid, "sweep (1us = 1 emulated inst)");
+    writeSpan(os, sweepTid, "capture", 0, summary.instsCaptured,
+              "\"captured_insts\":" +
+                  std::to_string(summary.instsCaptured) +
+                  ",\"replayed_insts\":" +
+                  std::to_string(summary.instsReplayed));
+    writeSpan(os, sweepTid, "pack", summary.instsCaptured,
+              summary.recordsPacked,
+              "\"packed_records\":" +
+                  std::to_string(summary.recordsPacked));
+    writeSpan(os, sweepTid, "stats-merge",
+              summary.instsCaptured + summary.recordsPacked, 0,
+              "\"runs\":" + std::to_string(summary.runs));
+    os << "\n]}\n";
+    return os.str();
 }
 
 std::string

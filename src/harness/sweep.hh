@@ -45,7 +45,7 @@ struct SweepItem
 {
     const workloads::Workload *workload = nullptr;
     RunConfig config;
-    bool sampleSharing = false;   //!< collect the Fig. 9 series
+    bool sampleSharing = false;   //!< fill Outcome::occupancy (Fig. 9)
 
     /**
      * Index the run's RNG seed derives from (sweepSeed(seed, index)).
@@ -58,6 +58,9 @@ struct SweepItem
      */
     static constexpr std::size_t autoSeedIndex = ~static_cast<std::size_t>(0);
     std::size_t seedIndex = autoSeedIndex;
+
+    /** The core seed the item runs with at submission index `index`. */
+    std::uint64_t runSeed(std::size_t index) const;
 };
 
 /** One entry's result: the run outcome plus its own wall clock. */
@@ -74,10 +77,7 @@ struct SweepSummary
     std::size_t runs = 0;
     double wallSeconds = 0;        //!< whole-sweep wall clock
     double runSecondsTotal = 0;    //!< sum of per-run wall clocks
-    double runSecondsMin = 0;
-    double runSecondsMax = 0;
     std::uint64_t instsCommitted = 0;
-    std::uint64_t cyclesSimulated = 0;
 
     // Trace-cache traffic attributable to this sweep.  Captured
     // instructions are functional-emulation work paid at most once per
@@ -88,6 +88,7 @@ struct SweepSummary
     std::uint64_t traceMisses = 0;
     std::uint64_t instsCaptured = 0;
     std::uint64_t instsReplayed = 0;
+    std::uint64_t recordsPacked = 0;   //!< captured records sealed into columns
 
     // Rename invariant auditing across the sweep's runs (rename/audit
     // + RRS_AUDIT).  Zero audits means auditing was off; violations
@@ -133,6 +134,20 @@ std::uint64_t sweepSeed(std::uint64_t base, std::size_t index);
 std::string formatSweepFooter(const SweepSummary &s);
 
 /**
+ * The sweep's Chrome trace-event JSON (RRS_TELEMETRY), rendered after
+ * the join from what the sweep returns: run i's track (tid i) carries
+ * a "run" and a "simulate" span from results[i] and an "occupancy"
+ * counter track from its occupancy series; a final "sweep" track
+ * carries the trace-cache traffic.  Everything is an Outcome-class
+ * quantity stamped in simulated time, so the bytes are identical for
+ * every thread count.
+ */
+std::string renderSweepTrace(const std::string &label,
+                             const std::vector<SweepItem> &items,
+                             const std::vector<SweepResult> &results,
+                             const SweepSummary &summary);
+
+/**
  * Fans RunConfigs out across a thread pool and returns Outcomes in
  * submission order.  Reusable: each run() call produces a fresh
  * summary.
@@ -143,28 +158,16 @@ class SweepRunner
     /**
      * @param threads execution lanes; 0 picks RRS_THREADS or the
      *        hardware concurrency (ThreadPool::defaultThreadCount).
+     *
+     * With RRS_PIPETRACE=<prefix> set at construction, run `i` of
+     * every sweep writes an O3PipeView trace to "<prefix>_run<i>.trace":
+     * the name depends only on the submission index, so parallel lanes
+     * never share a file and the set is the same at any thread count.
      */
     explicit SweepRunner(unsigned threads = 0);
 
     /** Run every item; results come back in submission order. */
     std::vector<SweepResult> run(const std::vector<SweepItem> &items);
-
-    /**
-     * Enable pipeline tracing for every run of subsequent sweeps: run
-     * `i` writes an O3PipeView trace to "<prefix>_run<i>.trace", so
-     * parallel lanes never share a file and the trace set is stable
-     * across thread counts (the name depends only on the submission
-     * index).  An item whose config already names a trace path keeps
-     * it as its own prefix.  Empty string disables.
-     *
-     * The constructor seeds this from the RRS_PIPETRACE environment
-     * variable, so any bench can be traced without a code change.
-     */
-    void setTracePrefix(std::string prefix)
-    {
-        tracePrefix = std::move(prefix);
-    }
-    const std::string &getTracePrefix() const { return tracePrefix; }
 
     /**
      * Label for telemetry trace files: sweeps export to

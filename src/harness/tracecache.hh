@@ -76,7 +76,6 @@ class TraceCache
 
     /** Override the spill directory; empty string disables spilling. */
     void setSpillDir(std::string dir);
-    const std::string &spillDir() const { return dir; }
 
   private:
     using Key = std::pair<std::string, std::uint64_t>;

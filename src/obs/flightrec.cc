@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <sstream>
 
 #include "common/atomicfile.hh"
@@ -13,10 +12,6 @@
 namespace rrs::obs {
 
 namespace {
-
-std::mutex dumpDirMutex;
-std::string dumpDirOverride;
-bool dumpDirOverridden = false;
 
 /** Process-wide dump file counter (several cores may dump). */
 std::atomic<std::uint64_t> dumpSeq{0};
@@ -110,7 +105,7 @@ FlightRecorder::dump(std::ostream &os) const
 std::string
 FlightRecorder::dumpToFile() const
 {
-    const std::string dir = flightRecDumpDir();
+    const std::string dir = telemetryDir();
     const std::uint64_t n =
         dumpSeq.fetch_add(1, std::memory_order_relaxed);
     const std::string path = (dir.empty() ? std::string(".") : dir) +
@@ -126,25 +121,6 @@ FlightRecorder::dumpToFile() const
         return "";
     }
     return path;
-}
-
-std::string
-flightRecDumpDir()
-{
-    {
-        std::lock_guard<std::mutex> lock(dumpDirMutex);
-        if (dumpDirOverridden)
-            return dumpDirOverride;
-    }
-    return telemetryDir();
-}
-
-void
-setFlightRecDumpDir(std::string dir, bool reset)
-{
-    std::lock_guard<std::mutex> lock(dumpDirMutex);
-    dumpDirOverridden = !reset;
-    dumpDirOverride = reset ? std::string() : std::move(dir);
 }
 
 } // namespace rrs::obs

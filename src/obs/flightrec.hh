@@ -105,9 +105,9 @@ class FlightRecorder
     void dump(std::ostream &os) const;
 
     /**
-     * Dump to `<dir>/flightrec_<n>.dump` where dir is the flight-
-     * recorder dump directory (see setFlightRecDumpDir) and n a
-     * process-wide counter.  Returns the path, or "" on failure.
+     * Dump to `<dir>/flightrec_<n>.dump`, where dir is telemetryDir()
+     * (obs/telemetry.hh; the working directory when that is empty) and
+     * n a process-wide counter.  Returns the path, or "" on failure.
      * Called by the crash hook; also usable directly from tests.
      */
     std::string dumpToFile() const;
@@ -120,14 +120,6 @@ class FlightRecorder
     std::uint64_t hookId = 0;
     bool armed = false;
 };
-
-/**
- * Where crash dumps land: an explicit override (tests), else
- * RRS_TELEMETRY when set (crash forensics belong next to the traces),
- * else the working directory.
- */
-std::string flightRecDumpDir();
-void setFlightRecDumpDir(std::string dir, bool reset = false);
 
 } // namespace rrs::obs
 

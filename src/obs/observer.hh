@@ -2,12 +2,12 @@
  * @file
  * The O3 core's one observer seam.
  *
- * Everything that watches a timing run without being part of its
- * result — the O3PipeView tracer, the crash flight recorder, the
- * rename invariant auditor, the Fig. 9 sharing series and the
- * telemetry occupancy track — is a CoreObserver registered with
- * O3Core::addObserver.  The core keeps one list; with it empty every
- * hook site costs one never-taken emptiness check.
+ * Everything that watches a timing run — the O3PipeView tracer, the
+ * crash flight recorder, the rename invariant auditor and the
+ * occupancy sampler behind Fig. 9 and the telemetry trace — is a
+ * CoreObserver registered with O3Core::addObserver.  The core keeps
+ * one list; with it empty every hook site costs one never-taken
+ * emptiness check.
  *
  * Contract (DESIGN.md §4g):
  *  - Per instruction, events arrive in pipeline order — fetch, rename,
@@ -95,8 +95,8 @@ class CoreObserver
 
     /**
      * End of every simulated cycle, after all stages.  Observers keep
-     * their own cadence (`now % period == 0`): the Fig. 9 series and
-     * telemetry sample every 128 cycles, periodic audits every N.
+     * their own cadence (`now % period == 0`): the occupancy sampler
+     * every 128 cycles, periodic audits every N.
      */
     virtual void sample(Tick) {}
 

@@ -25,21 +25,19 @@ ProgressReporter::enabledByEnv()
 std::size_t
 ProgressReporter::laneIndex()
 {
-    // Thread-local lane slot keyed on the reporter: the pool's lanes
-    // (and the participating caller) each claim an index on first use.
-    // Called with mtx held.
-    struct Slot
-    {
-        const void *owner = nullptr;
-        std::size_t lane = 0;
-    };
-    thread_local Slot slot;
-    if (slot.owner != this) {
-        slot.owner = this;
-        slot.lane = lanes.size();
-        lanes.emplace_back();
+    // Each thread that reports (the pool's lanes and the participating
+    // caller) claims a lane on first use.  The key is the thread id,
+    // kept in the reporter: a reporter of a later sweep can take this
+    // one's address, so a per-thread slot keyed on `this` would hand it
+    // a lane it never created.  Called with mtx held.
+    const std::thread::id self = std::this_thread::get_id();
+    for (std::size_t i = 0; i < laneThreads.size(); ++i) {
+        if (laneThreads[i] == self)
+            return i;
     }
-    return slot.lane;
+    laneThreads.push_back(self);
+    lanes.emplace_back();
+    return lanes.size() - 1;
 }
 
 void

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace rrs::obs {
@@ -87,6 +88,7 @@ class ProgressReporter
     std::size_t completed = 0;
     std::uint64_t instsDone = 0;
     std::vector<std::string> lanes;
+    std::vector<std::thread::id> laneThreads;   //!< the thread of each lane
     Clock::time_point lastPrint;
     bool printedAnything = false;
     std::size_t lastLineLen = 0;

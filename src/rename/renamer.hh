@@ -158,14 +158,15 @@ class Renamer
 
     /**
      * Physical registers currently holding more than one value
-     * (version counter >= 1).  Always 0 for the baseline; the
-     * telemetry occupancy track records it every 128 cycles.
+     * (version counter >= 1), i.e. sharedAtLeast(cls, 1).  Always 0
+     * for the baseline.  Nothing in the library calls it; it stays
+     * while perfbench's TimedRenamer overrides it (ROADMAP item 10).
      */
     virtual std::uint32_t sharedRegs(RegClass) const { return 0; }
 
     /**
-     * Registers whose current version counter is >= k (the Fig. 9
-     * sampling series).  Always 0 for schemes without sharing.
+     * Registers whose current version counter is >= k (the occupancy
+     * sampler's Fig. 9 counts).  Always 0 for schemes without sharing.
      */
     virtual std::uint32_t sharedAtLeast(RegClass, std::uint8_t) const
     {

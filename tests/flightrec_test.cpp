@@ -13,6 +13,7 @@
 
 #include "harness/experiment.hh"
 #include "obs/flightrec.hh"
+#include "obs/telemetry.hh"
 #include "rename/audit.hh"
 #include "rename/reuse.hh"
 #include "workloads/workloads.hh"
@@ -110,12 +111,12 @@ TEST(FlightRecorder, DumpToFileHonoursDirOverride)
 {
     const std::string dir = testing::TempDir() + "flightrec_unit";
     fs::create_directories(dir);
-    obs::setFlightRecDumpDir(dir);
+    obs::setTelemetryDir(dir);
     FlightRecorder fr(2);
     fr.setContext("workload", "unit");
     fr.record(ev(1, FlightEventKind::Commit));
     const std::string path = fr.dumpToFile();
-    obs::setFlightRecDumpDir("", true);
+    obs::setTelemetryDir("", true);
     ASSERT_FALSE(path.empty());
     EXPECT_EQ(path.rfind(dir, 0), 0u) << path;
     std::ifstream is(path);
@@ -179,11 +180,11 @@ TEST(FlightRecorderDeathTest, AuditFaultDumpsFlightRecording)
     const std::string dir = testing::TempDir() + "flightrec_crash";
     fs::remove_all(dir);
     fs::create_directories(dir);
-    obs::setFlightRecDumpDir(dir);
+    obs::setTelemetryDir(dir);
 
     EXPECT_DEATH(crashWithArmedRecorder(),
                  "rename audit failed at flightrec-test");
-    obs::setFlightRecDumpDir("", true);
+    obs::setTelemetryDir("", true);
 
     // The child wrote its dump before dying; find and inspect it.
     std::vector<std::string> dumps;

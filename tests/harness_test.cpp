@@ -59,11 +59,13 @@ TEST(Harness, TunedRowsFitEqualArea)
 
 TEST(Harness, EqualAreaLookupExactAndNearest)
 {
-    EXPECT_EQ(equalAreaBanks(48, true), (rename::BankConfig{28, 4, 4, 4}));
-    EXPECT_EQ(equalAreaBanks(48, false),
+    EXPECT_EQ(rename::reuseEqualAreaBanks(48, true),
+              (rename::BankConfig{28, 4, 4, 4}));
+    EXPECT_EQ(rename::reuseEqualAreaBanks(48, false),
               rename::reuseEqualAreaPresets(false)[0].banks);
     // Nearest row for a non-preset size.
-    EXPECT_EQ(equalAreaBanks(50, true), (rename::BankConfig{28, 4, 4, 4}));
+    EXPECT_EQ(rename::reuseEqualAreaBanks(50, true),
+              (rename::BankConfig{28, 4, 4, 4}));
 }
 
 TEST(Harness, SolveEqualAreaTracksPreset)
@@ -73,7 +75,7 @@ TEST(Harness, SolveEqualAreaTracksPreset)
         solveEqualAreaBanks(model, 64, 64, false);
     // Shadow banks follow the preset shape; bank0 is solver-derived
     // and must be close to the stored row.
-    rename::BankConfig stored = equalAreaBanks(64, false);
+    rename::BankConfig stored = rename::reuseEqualAreaBanks(64, false);
     EXPECT_EQ(solved[1], stored[1]);
     EXPECT_NEAR(static_cast<double>(solved[0]),
                 static_cast<double>(stored[0]), 2.0);
@@ -105,21 +107,24 @@ TEST(Harness, SharingSamplerCollectsSeries)
     auto cfg = reuseConfig(64);
     cfg.maxInsts = 30'000;
     auto out = runOn(workloads::workload("fp_horner"), cfg, true);
-    EXPECT_FALSE(out.sharedAtLeast1.empty());
-    // sharedAtLeast is monotone in depth at every sample.
-    for (std::size_t i = 0; i < out.sharedAtLeast1.size(); ++i) {
-        EXPECT_GE(out.sharedAtLeast1[i], out.sharedAtLeast2[i]);
-        EXPECT_GE(out.sharedAtLeast2[i], out.sharedAtLeast3[i]);
+    ASSERT_FALSE(out.occupancy.empty());
+    std::vector<std::uint32_t> s1, s2, s3;
+    for (std::size_t i = 0; i < out.occupancy.size(); ++i) {
+        const OccupancySample &s = out.occupancy[i];
+        // One sample per simulated cycle with now % 128 == 0.
+        EXPECT_EQ(s.tick, 128 * i);
+        // sharedAtLeast is monotone in depth at every sample.
+        EXPECT_GE(s.sharedAtLeast[0], s.sharedAtLeast[1]);
+        EXPECT_GE(s.sharedAtLeast[1], s.sharedAtLeast[2]);
+        s1.push_back(s.sharedAtLeast[0]);
+        s2.push_back(s.sharedAtLeast[1]);
+        s3.push_back(s.sharedAtLeast[2]);
     }
-    // One point per simulated cycle with now % 128 == 0, and the exact
-    // series pinned: the Fig. 9 bank sizing is read off these values.
-    EXPECT_EQ(out.sharedAtLeast1.size(), (out.sim.cycles + 127) / 128);
-    EXPECT_EQ(out.sharedAtLeast2.size(), out.sharedAtLeast1.size());
-    EXPECT_EQ(out.sharedAtLeast3.size(), out.sharedAtLeast1.size());
-    EXPECT_EQ(out.sharedAtLeast1.size(), 143u);
-    EXPECT_EQ(fnv1a(out.sharedAtLeast3,
-                    fnv1a(out.sharedAtLeast2, fnv1a(out.sharedAtLeast1))),
-              0xb1caca9c117a0e7cULL);
+    // The exact series pinned: the Fig. 9 bank sizing is read off
+    // these values.
+    EXPECT_EQ(out.occupancy.size(), (out.sim.cycles + 127) / 128);
+    EXPECT_EQ(out.occupancy.size(), 143u);
+    EXPECT_EQ(fnv1a(s3, fnv1a(s2, fnv1a(s1))), 0xb1caca9c117a0e7cULL);
 }
 
 TEST(Harness, GeomeanBasics)

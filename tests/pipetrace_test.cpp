@@ -1,9 +1,15 @@
 // Tests for the O3PipeView pipeline event tracer: a golden trace of a
 // tiny straight-line program, structural invariants of the format on
-// larger runs, and the squash marking on wrong-path work.
+// larger runs, the squash marking on wrong-path work, and the sweep's
+// RRS_PIPETRACE path (one file per run, the same bytes at any lane
+// count).
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -11,6 +17,7 @@
 
 #include "core/o3core.hh"
 #include "emu/emulator.hh"
+#include "harness/sweep.hh"
 #include "isa/assembler.hh"
 #include "obs/pipetrace.hh"
 #include "rename/baseline.hh"
@@ -223,6 +230,76 @@ TEST(PipeTrace, RetiredStagesAllReached)
             EXPECT_GT(t, 0u) << ls[i + j];
         }
     }
+}
+
+/** Every file in `dir`, by name, with its bytes. */
+std::map<std::string, std::string>
+readDir(const std::string &dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &e : std::filesystem::directory_iterator(dir)) {
+        std::ifstream is(e.path(), std::ios::binary);
+        std::ostringstream buf;
+        buf << is.rdbuf();
+        files[e.path().filename().string()] = buf.str();
+    }
+    return files;
+}
+
+/**
+ * Run a 4-item sweep on `lanes` lanes with RRS_PIPETRACE set to
+ * `prefix` (unset when empty) while the runner is built, into an empty
+ * `dir`, and return what the sweep left there.
+ */
+std::map<std::string, std::string>
+sweepWithPipeTrace(const std::string &dir, const std::string &prefix,
+                   unsigned lanes)
+{
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::vector<harness::SweepItem> items;
+    for (const char *name : {"int_crc", "fp_fir"}) {
+        for (const char *scheme : {"baseline", "reuse"}) {
+            harness::RunConfig cfg = harness::schemeConfig(scheme, 64);
+            cfg.maxInsts = 2000;
+            items.push_back(
+                harness::sweepItem(workloads::workload(name), cfg));
+        }
+    }
+    if (prefix.empty())
+        unsetenv("RRS_PIPETRACE");
+    else
+        setenv("RRS_PIPETRACE", prefix.c_str(), 1);
+    harness::SweepRunner runner(lanes);
+    unsetenv("RRS_PIPETRACE");
+    runner.run(items);
+    return readDir(dir);
+}
+
+TEST(PipeTraceSweep, OneFilePerRunIdenticalAcrossLaneCounts)
+{
+    const char *saved = std::getenv("RRS_PIPETRACE");
+    const std::string savedValue = saved ? saved : "";
+    const std::string dir = testing::TempDir() + "pipetrace_sweep";
+
+    const auto one = sweepWithPipeTrace(dir, dir + "/p", 1);
+    const auto four = sweepWithPipeTrace(dir, dir + "/p", 4);
+    std::vector<std::string> names;
+    for (const auto &[name, bytes] : one) {
+        names.push_back(name);
+        EXPECT_EQ(bytes.rfind("O3PipeView:fetch:", 0), 0u) << name;
+    }
+    EXPECT_EQ(names, (std::vector<std::string>{"p_run0.trace",
+                                               "p_run1.trace",
+                                               "p_run2.trace",
+                                               "p_run3.trace"}));
+    EXPECT_TRUE(one == four) << "1 vs 4 lanes";
+
+    // Unset when the runner is built: no trace anywhere.
+    EXPECT_TRUE(sweepWithPipeTrace(dir, "", 4).empty());
+
+    if (saved)
+        setenv("RRS_PIPETRACE", savedValue.c_str(), 1);
 }
 
 } // namespace

@@ -1,13 +1,15 @@
-// Tests for the progress heartbeat's line renderer
-// (obs/progress.hh formatLine): the counters-to-text mapping is a pure
-// function, so the ETA guards — no estimate from a sub-second elapsed
-// time, from zero completed runs, or past the end of the sweep, and
-// never a negative ETA — pin down exactly.  The first heartbeat of a
-// sweep used to divide by a near-zero elapsed time and print "ETA
-// 9223372036854775807s"-class garbage.
+// Tests for the progress heartbeat (obs/progress.hh).  The line
+// renderer, formatLine, is a pure function, so the ETA guards — no
+// estimate from a sub-second elapsed time, from zero completed runs,
+// or past the end of the sweep, and never a negative ETA — pin down
+// exactly.  The first heartbeat of a sweep used to divide by a
+// near-zero elapsed time and print "ETA 9223372036854775807s"-class
+// garbage.  The reporter itself must give each reporter its own lanes
+// even when a later one reuses an earlier one's address.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 #include "obs/progress.hh"
@@ -89,6 +91,34 @@ TEST(ProgressFormat, LaneWorkAppended)
     EXPECT_NE(line.find(" | int_sort x reuse, fp_fir x baseline"),
               std::string::npos)
         << line;
+}
+
+/**
+ * One sweep's worth of progress calls on this thread, with the
+ * reporter built in `slot`: every call places its reporter at the same
+ * address, as a sweep's stack-allocated reporter is in consecutive
+ * sweeps from one frame.
+ */
+void
+reportOneSweep(std::optional<ProgressReporter> &slot)
+{
+    slot.emplace(2, true);
+    slot->beginRun(0, "int_crc x baseline");
+    slot->endRun(0, 1000);
+    slot->beginRun(1, "int_crc x reuse");
+    slot->endRun(1, 1000);
+    slot->finish();
+    slot.reset();
+}
+
+// A lane slot kept in the thread and keyed on the reporter's address
+// made the second reporter index the first one's lane in its own empty
+// lane list (a crash, or a libstdc++ assertion failure).
+TEST(ProgressReporter, ReportersBuiltInTurnKeepTheirOwnLanes)
+{
+    std::optional<ProgressReporter> slot;
+    reportOneSweep(slot);
+    reportOneSweep(slot);
 }
 
 } // namespace

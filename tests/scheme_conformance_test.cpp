@@ -280,9 +280,7 @@ expectOutcomeEq(const harness::Outcome &a, const harness::Outcome &b,
     EXPECT_EQ(a.repairs, b.repairs);
     EXPECT_EQ(a.renameStalls, b.renameStalls);
     EXPECT_EQ(a.fig12.total(), b.fig12.total());
-    EXPECT_EQ(a.sharedAtLeast1, b.sharedAtLeast1);
-    EXPECT_EQ(a.sharedAtLeast2, b.sharedAtLeast2);
-    EXPECT_EQ(a.sharedAtLeast3, b.sharedAtLeast3);
+    EXPECT_EQ(a.occupancy, b.occupancy);
 }
 
 TEST_P(SchemeConformance, BitIdenticalAcrossThreadCounts)

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "harness/sweep.hh"
+#include "obs/telemetry.hh"
 
 namespace {
 
@@ -56,9 +57,7 @@ expectOutcomeEq(const Outcome &a, const Outcome &b, std::size_t idx)
     EXPECT_EQ(a.fig12.reuseWrong, b.fig12.reuseWrong);
     EXPECT_EQ(a.fig12.noReuseCorrect, b.fig12.noReuseCorrect);
     EXPECT_EQ(a.fig12.noReuseWrong, b.fig12.noReuseWrong);
-    EXPECT_EQ(a.sharedAtLeast1, b.sharedAtLeast1);
-    EXPECT_EQ(a.sharedAtLeast2, b.sharedAtLeast2);
-    EXPECT_EQ(a.sharedAtLeast3, b.sharedAtLeast3);
+    EXPECT_EQ(a.occupancy, b.occupancy);
 }
 
 TEST(SweepDeterminism, BitIdenticalAcrossThreadCounts)
@@ -101,11 +100,14 @@ TEST(SweepDeterminism, MatchesSerialRunWithDerivedSeed)
     SweepRunner runner(4);
     auto swept = runner.run(items);
 
+    // The sweep samples occupancy for Fig. 9 items and, while
+    // RRS_TELEMETRY is set, for every run; the serial run asks alike.
+    const bool telemetry = !obs::telemetryDir().empty();
     for (std::size_t i : {std::size_t{0}, std::size_t{5}}) {
         auto cfg = items[i].config;
         cfg.core.seed = harness::sweepSeed(cfg.core.seed, i);
-        auto serial =
-            harness::runOn(*items[i].workload, cfg, items[i].sampleSharing);
+        auto serial = harness::runOn(*items[i].workload, cfg,
+                                     items[i].sampleSharing || telemetry);
         expectOutcomeEq(serial, swept[i].outcome, i);
     }
 }
@@ -140,7 +142,6 @@ TEST(SweepSummary, CountsAndThroughput)
     }
     EXPECT_EQ(s.instsCommitted, insts);
     EXPECT_NEAR(s.runSecondsTotal, wall, 1e-9);
-    EXPECT_GE(s.runSecondsMax, s.runSecondsMin);
 }
 
 } // namespace

@@ -1,7 +1,8 @@
-// Tests for the telemetry spine (obs/telemetry.hh): the trace-event
-// renderer's exact output, JSON validity via the jsonlite parser,
-// escaping of hostile names, and the sweep-level determinism contract —
-// the exported trace file must be byte-identical for every RRS_THREADS
+// Tests for the sweep's telemetry trace (harness/sweep.hh
+// renderSweepTrace, obs/telemetry.hh): the rendered document's
+// structure, JSON validity via the jsonlite parser, escaping of
+// hostile names, and the sweep-level determinism contract — the
+// exported trace file must be byte-identical for every RRS_THREADS
 // value, verified by running the same sweep at 1, 2 and 4 lanes.
 
 #include <gtest/gtest.h>
@@ -19,8 +20,6 @@
 namespace {
 
 using namespace rrs;
-using obs::RunTelemetry;
-using obs::TelemetrySweepInfo;
 
 std::string
 slurp(const std::string &path)
@@ -42,101 +41,114 @@ member(const obs::json::Value &v, const char *key)
     return m ? *m : missing;
 }
 
-/** A small two-run telemetry payload built by hand. */
-std::vector<RunTelemetry>
-sampleRuns()
+/** The parsed "traceEvents" array of a rendered trace. */
+std::vector<obs::json::Value>
+traceEvents(const std::string &body)
 {
-    std::vector<RunTelemetry> runs(2);
-    runs[0].setTitle("int_crc x baseline");
-    auto &s = runs[0].span("run", 0, 1000);
-    obs::argStr(s, "workload", "int_crc");
-    obs::argInt(s, "insts", 500);
-    obs::argNum(s, "ipc", 0.5);
-    runs[0].counter("occupancy", 128, {{"freeInt", 12}, {"rob", 30}});
-    runs[0].counter("occupancy", 256, {{"freeInt", 10}, {"rob", 32}});
-    runs[1].setTitle("fp_fir x reuse");
-    runs[1].span("run", 0, 800);
-    return runs;
+    obs::json::Value doc;
+    std::string error;
+    EXPECT_TRUE(obs::json::parse(body, doc, &error)) << error;
+    return member(doc, "traceEvents").arr;
 }
 
-TelemetrySweepInfo
-sampleInfo()
+/** Two finished runs built by hand: run 0 with two occupancy samples. */
+struct SampleSweep
 {
-    TelemetrySweepInfo info;
-    info.label = "unit";
-    info.runs = 2;
-    info.capturedInsts = 1234;
-    info.replayedInsts = 5678;
-    info.packedRecords = 777;
-    return info;
-}
+    std::vector<harness::SweepItem> items;
+    std::vector<harness::SweepResult> results;
+    harness::SweepSummary summary;
 
-std::vector<const RunTelemetry *>
-ptrs(const std::vector<RunTelemetry> &runs)
-{
-    std::vector<const RunTelemetry *> out;
-    for (const auto &r : runs)
-        out.push_back(&r);
-    return out;
-}
+    SampleSweep()
+    {
+        items.push_back(harness::sweepItem(workloads::workload("int_crc"),
+                                           harness::baselineConfig(64)));
+        items.push_back(harness::sweepItem(workloads::workload("fp_fir"),
+                                           harness::reuseConfig(64)));
+        results.resize(2);
+        harness::Outcome &o0 = results[0].outcome;
+        o0.sim.cycles = 1000;
+        o0.sim.committedInsts = 500;
+        o0.occupancy.push_back({0, 12, 20, {3, 1, 0}, 30, 10, 4});
+        o0.occupancy.push_back({128, 10, 19, {4, 2, 1}, 32, 11, 5});
+        results[1].outcome.sim.cycles = 800;
+        summary.runs = 2;
+        summary.instsCaptured = 1234;
+        summary.instsReplayed = 5678;
+        summary.recordsPacked = 777;
+    }
 
-TEST(Telemetry, RenderIsDeterministic)
-{
-    auto runs = sampleRuns();
-    const std::string a = obs::renderSweepTrace(sampleInfo(), ptrs(runs));
-    const std::string b = obs::renderSweepTrace(sampleInfo(), ptrs(runs));
-    EXPECT_EQ(a, b);
-    EXPECT_FALSE(a.empty());
-}
+    std::string
+    render(const std::string &label = "unit") const
+    {
+        return harness::renderSweepTrace(label, items, results, summary);
+    }
+};
 
 TEST(Telemetry, RenderedTraceIsValidChromeJson)
 {
-    auto runs = sampleRuns();
-    const std::string body =
-        obs::renderSweepTrace(sampleInfo(), ptrs(runs));
+    const SampleSweep sweep;
+    const std::vector<obs::json::Value> events =
+        traceEvents(sweep.render());
 
-    obs::json::Value doc;
-    std::string error;
-    ASSERT_TRUE(obs::json::parse(body, doc, &error)) << error;
-    const obs::json::Value *events = doc.find("traceEvents");
-    ASSERT_NE(events, nullptr);
-    ASSERT_TRUE(events->isArray());
-
-    // process_name metadata + 2 thread names + 2 spans + 2 counters on
-    // run 0, 1 span on run 1, sweep thread name + 3 sweep spans
-    // (capture, pack, stats-merge).
-    EXPECT_EQ(events->arr.size(), 11u);
+    // process_name metadata; per run a thread name, a run and a
+    // simulate span, plus run 0's two counter samples; the sweep
+    // thread name and its three spans (capture, pack, stats-merge).
+    EXPECT_EQ(events.size(), 13u);
 
     // Every event is on pid 1 (constant by design: worker identity is
     // scheduling noise and must not reach the trace).
-    for (const auto &ev : events->arr) {
-        const auto *pid = ev.find("pid");
-        ASSERT_NE(pid, nullptr);
-        EXPECT_EQ(pid->num, 1.0);
-    }
+    for (const auto &ev : events)
+        EXPECT_EQ(member(ev, "pid").num, 1.0);
 
-    // The sweep track rides at tid == run count: capture, then the
-    // pack span (record-denominated) starting where capture ends, then
-    // stats-merge after both.
+    bool sawRun = false, sawCounter = false;
     bool sawCapture = false, sawPack = false, sawMerge = false;
-    for (const auto &ev : events->arr) {
-        const auto *name = ev.find("name");
-        if (name && name->str == "capture") {
+    for (const auto &ev : events) {
+        const std::string &name = member(ev, "name").str;
+        const obs::json::Value *args = ev.find("args");
+        if (name == "run" && member(ev, "tid").num == 0.0) {
+            // The run span carries the seed the run's lane used.
+            sawRun = true;
+            EXPECT_EQ(member(ev, "dur").num, 1000.0);
+            EXPECT_EQ(member(*args, "workload").str, "int_crc");
+            EXPECT_EQ(member(*args, "scheme").str, "baseline");
+            EXPECT_EQ(member(*args, "seed").num,
+                      static_cast<double>(sweep.items[0].runSeed(0)));
+            EXPECT_EQ(member(*args, "ipc").num, 0.5);
+        }
+        if (name == "occupancy (run 0)" && member(ev, "ts").num == 128) {
+            // `shared` is the count at >= 1 version.
+            sawCounter = true;
+            EXPECT_EQ(member(ev, "tid").num, 0.0);
+            EXPECT_EQ(member(*args, "freeInt").num, 10.0);
+            EXPECT_EQ(member(*args, "freeFp").num, 19.0);
+            EXPECT_EQ(member(*args, "shared").num, 4.0);
+            EXPECT_EQ(member(*args, "rob").num, 32.0);
+            EXPECT_EQ(member(*args, "iq").num, 11.0);
+            EXPECT_EQ(member(*args, "lsq").num, 5.0);
+        }
+        // The sweep track rides at tid == run count: capture, then the
+        // pack span (record-denominated) starting where capture ends,
+        // then stats-merge after both.
+        if (name == "capture") {
             sawCapture = true;
             EXPECT_EQ(member(ev, "tid").num, 2.0);
             EXPECT_EQ(member(ev, "dur").num, 1234.0);
+            EXPECT_EQ(member(*args, "replayed_insts").num, 5678.0);
         }
-        if (name && name->str == "pack") {
+        if (name == "pack") {
             sawPack = true;
             EXPECT_EQ(member(ev, "tid").num, 2.0);
             EXPECT_EQ(member(ev, "ts").num, 1234.0);
             EXPECT_EQ(member(ev, "dur").num, 777.0);
         }
-        if (name && name->str == "stats-merge") {
+        if (name == "stats-merge") {
             sawMerge = true;
             EXPECT_EQ(member(ev, "ts").num, 1234.0 + 777.0);
+            EXPECT_EQ(member(*args, "runs").num, 2.0);
         }
     }
+    EXPECT_TRUE(sawRun);
+    EXPECT_TRUE(sawCounter);
     EXPECT_TRUE(sawCapture);
     EXPECT_TRUE(sawPack);
     EXPECT_TRUE(sawMerge);
@@ -144,62 +156,40 @@ TEST(Telemetry, RenderedTraceIsValidChromeJson)
 
 TEST(Telemetry, HostileNamesAreEscaped)
 {
-    std::vector<RunTelemetry> runs(1);
-    runs[0].setTitle("quote\" backslash\\ newline\n end");
-    auto &s = runs[0].span("span \"x\"", 0, 1);
-    obs::argStr(s, "key\n", "tab\there");
-    TelemetrySweepInfo info;
-    info.label = "evil \"label\"";
-    info.runs = 1;
-
-    const std::string body = obs::renderSweepTrace(info, ptrs(runs));
-    obs::json::Value doc;
-    std::string error;
-    ASSERT_TRUE(obs::json::parse(body, doc, &error)) << error;
+    SampleSweep sweep;
+    const workloads::Workload hostile{"quote\" backslash\\ newline\n end",
+                                      "specint", "", 0};
+    sweep.items[0].workload = &hostile;
+    sweep.items[0].config.scheme = "tab\there";
+    const std::string label = "evil \"label\"";
+    const std::vector<obs::json::Value> events =
+        traceEvents(sweep.render(label));
 
     // The hostile strings must round-trip exactly through the parser.
-    // Only tid 0 is the run's track; tid 1 is the sweep track.
-    bool sawTitle = false;
-    for (const auto &ev : member(doc, "traceEvents").arr) {
-        const auto *name = ev.find("name");
-        if (name && name->str == "thread_name" &&
-            member(ev, "tid").num == 0.0) {
-            const std::string got = member(member(ev, "args"), "name").str;
-            EXPECT_EQ(got, "run 0: quote\" backslash\\ newline\n end");
+    // Only tid 0 is the hostile run's track.
+    bool sawProcess = false, sawTitle = false, sawRun = false;
+    for (const auto &ev : events) {
+        const std::string &name = member(ev, "name").str;
+        if (name == "process_name") {
+            EXPECT_EQ(member(member(ev, "args"), "name").str,
+                      "rrsim " + label + " (simulated time: 1us = 1 cycle)");
+            sawProcess = true;
+        }
+        if (name == "thread_name" && member(ev, "tid").num == 0.0) {
+            EXPECT_EQ(member(member(ev, "args"), "name").str,
+                      "run 0: quote\" backslash\\ newline\n end x tab\there");
             sawTitle = true;
         }
+        if (name == "run" && member(ev, "tid").num == 0.0) {
+            const obs::json::Value &args = member(ev, "args");
+            EXPECT_EQ(member(args, "workload").str, hostile.name);
+            EXPECT_EQ(member(args, "scheme").str, "tab\there");
+            sawRun = true;
+        }
     }
+    EXPECT_TRUE(sawProcess);
     EXPECT_TRUE(sawTitle);
-}
-
-TEST(Telemetry, NullAndEmptyBuffersKeepTids)
-{
-    std::vector<RunTelemetry> runs(3);
-    runs[2].span("run", 0, 10);   // only run 2 has events
-    std::vector<const RunTelemetry *> p = {nullptr, &runs[1], &runs[2]};
-    TelemetrySweepInfo info;
-    info.label = "gaps";
-    info.runs = 3;
-    const std::string body = obs::renderSweepTrace(info, p);
-
-    obs::json::Value doc;
-    std::string error;
-    ASSERT_TRUE(obs::json::parse(body, doc, &error)) << error;
-    // Run 2's span keeps tid 2 even though runs 0/1 emitted nothing,
-    // and the sweep track stays at tid 3.
-    bool sawRunSpan = false;
-    for (const auto &ev : member(doc, "traceEvents").arr) {
-        const auto *name = ev.find("name");
-        const auto *ph = ev.find("ph");
-        if (name && ph && ph->str == "X" && name->str == "run") {
-            EXPECT_EQ(member(ev, "tid").num, 2.0);
-            sawRunSpan = true;
-        }
-        if (name && name->str == "stats-merge") {
-            EXPECT_EQ(member(ev, "tid").num, 3.0);
-        }
-    }
-    EXPECT_TRUE(sawRunSpan);
+    EXPECT_TRUE(sawRun);
 }
 
 TEST(Telemetry, DirOverrideBeatsEnvironment)
@@ -264,9 +254,8 @@ TEST(TelemetrySweep, TraceBytesIdenticalAcrossThreadCounts)
     EXPECT_EQ(bodies[0], bodies[1]) << "1 vs 2 threads";
     EXPECT_EQ(bodies[0], bodies[2]) << "1 vs 4 threads";
 
-    // The body itself is pinned (length and FNV-1a digest): the spans
-    // and the 128-cycle occupancy track are observer outputs that no
-    // exact table covers.
+    // The body itself is pinned (length and FNV-1a digest): the spans'
+    // args and the 128-cycle occupancy series reach no exact table.
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (unsigned char c : bodies[0]) {
         h ^= c;
