@@ -1,7 +1,7 @@
 // Golden-table regression lock: the deterministic text blocks of the
 // paper artifacts — the Figure 11 geomean-IPC table and the Table III
 // equal-area table — must reproduce the committed goldens under
-// tests/goldens/ byte-for-byte, fig11 at every thread count.  A refactor
+// tests/goldens/ byte-for-byte, at every thread count.  A refactor
 // that changes one digit (a seed, a sweep order, a solver tweak) or
 // one space (a renderer or TextTable change) fails here instead of
 // silently republishing a different result.
@@ -17,7 +17,10 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/threadpool.hh"
 #include "harness/figures.hh"
 
 namespace {
@@ -59,20 +62,31 @@ TEST_P(GoldenTables, Fig11MatchesGolden)
            "(threads=" << GetParam() << ")";
 }
 
+// Table III solves its sizes inline, so the lane count here is how
+// many renders run at once: each lane renders the whole table and
+// every copy must match the golden, which fails if the area model or
+// the solver keeps state that concurrent renders share.
+TEST_P(GoldenTables, Table3MatchesGolden)
+{
+    const area::AreaModel model;
+    const std::vector<std::uint32_t> sizes = {48, 56, 64, 72,
+                                              80, 96, 112};
+    const ThreadPool pool(GetParam());
+    std::vector<std::string> blocks(pool.numThreads());
+    pool.parallelFor(blocks.size(), [&](std::size_t i) {
+        blocks[i] = harness::renderTable3(model, sizes);
+    });
+    const std::string want = golden("table3.txt");
+    for (std::size_t i = 0; i < blocks.size(); ++i)
+        EXPECT_EQ(blocks[i], want)
+            << "table3 block diverged from tests/goldens/table3.txt "
+               "(threads=" << GetParam() << ", render " << i << ")";
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, GoldenTables,
                          ::testing::Values(1u, 2u, 4u),
                          [](const auto &info) {
                              return "t" + std::to_string(info.param);
                          });
-
-// Table III runs no sweep, so it needs no thread-count instances.
-TEST(GoldenTables, Table3MatchesGolden)
-{
-    const area::AreaModel model;
-    const std::vector<std::uint32_t> sizes = {48, 56, 64, 72,
-                                              80, 96, 112};
-    EXPECT_EQ(harness::renderTable3(model, sizes), golden("table3.txt"))
-        << "table3 block diverged from tests/goldens/table3.txt";
-}
 
 } // namespace
