@@ -315,7 +315,7 @@ O3Core::flushAll(Cycles extraPenalty)
     lastFetchLine = invalidAddr;
 }
 
-void
+bool
 O3Core::commitStage()
 {
     committedThisCycle = 0;
@@ -325,8 +325,10 @@ O3Core::commitStage()
             ++interruptsTaken;
             flushAll(params.exceptionPenalty +
                      params.interruptServiceCycles);
-            return;
         }
+        // Otherwise the pipeline is empty and nothing can commit; the
+        // schedule moved on, so the cycle is not quiet either way.
+        return true;
     }
 
     std::uint32_t n = 0;
@@ -380,9 +382,10 @@ O3Core::commitStage()
             break;
         }
     }
+    return committedThisCycle > 0;
 }
 
-void
+bool
 O3Core::writebackStage()
 {
     // Oldest first, at most wbWidth completions; ready entries past the
@@ -406,15 +409,16 @@ O3Core::writebackStage()
             // Everything after it is younger and gets squashed.
             executing.resize(kept);
             resolveBranch(pos);
-            return;
+            return true;
         }
         if (inst.meta.isControl())
             resolveBranch(pos);
     }
     executing.erase(executing.begin() + kept, executing.begin() + i);
+    return n > 0;
 }
 
-void
+bool
 O3Core::issueStage()
 {
     // Oldest first, at most issueWidth issues.  Compacts the IQ in
@@ -434,12 +438,14 @@ O3Core::issueStage()
         notify([&](obs::CoreObserver &o) { o.issue(at(pos).di.seq, now); });
     }
     iq.erase(iq.begin() + kept, iq.begin() + i);
+    return budget < params.issueWidth;
 }
 
-void
+bool
 O3Core::renameStage()
 {
     renameBlock = RenameBlock::None;
+    const std::uint64_t firstPos = robTail;
     std::uint32_t width = params.renameWidth;
     while (width > 0 && !fetchQueueEmpty()) {
         // Rename works on the fetch queue's head slot in place; a
@@ -468,7 +474,10 @@ O3Core::renameStage()
         inst.rr = renamer.rename(inst.di, tagProduced);
         const rename::RenameResult &rr = inst.rr;
         if (!rr.success) {
+            // A failed rename changes nothing, so the core counts the
+            // stalled cycle itself (and skipped ones in bulk).
             renameBlock = RenameBlock::NoReg;
+            ++renameStalls;
             break;
         }
 
@@ -486,6 +495,10 @@ O3Core::renameStage()
         else
             width -= rr.repairUops;
 
+        // The watchdog times commit-less cycles with work in the ROB,
+        // so the first instruction into an empty ROB restarts it.
+        if (robEmpty())
+            lastCommitTick = now;
         const std::uint64_t pos = robTail++;
         if (rr.hasDest)
             setTagPending(rr.destTag);
@@ -508,15 +521,17 @@ O3Core::renameStage()
         }
         --width;
     }
+    return robTail != firstPos;
 }
 
-void
+bool
 O3Core::fetchStage()
 {
     if (now < fetchBlockedUntil)
-        return;
+        return false;
 
     std::uint32_t fetched = 0;
+    bool pulled = false;   // a pull moves the stream even when it ends
     while (fetched < params.fetchWidth &&
            fetchTail - robTail < params.fetchQueueEntries) {
         // Pick the next instruction: wrong path, replay, or stream.
@@ -533,6 +548,7 @@ O3Core::fetchStage()
             if (!pendingInst && !streamDone) {
                 pendingInst = stream.next();
                 streamDone = !pendingInst;
+                pulled = true;
             }
             if (!pendingInst)
                 break;
@@ -548,7 +564,7 @@ O3Core::fetchStage()
             lastFetchLine = line;
             if (done > now + 1) {
                 fetchBlockedUntil = done;
-                break;   // line arrives later; retry then
+                return true;   // line arrives later; retry then
             }
         }
 
@@ -622,9 +638,10 @@ O3Core::fetchStage()
         if (group_ends)
             break;
     }
+    return fetched > 0 || pulled;
 }
 
-void
+obs::CycleCause
 O3Core::accountCycle()
 {
     using obs::CycleCause;
@@ -650,6 +667,66 @@ O3Core::accountCycle()
         cause = CycleCause::BackendExec;
     }
     cycleCauses.attribute(cause);
+    return cause;
+}
+
+Tick
+O3Core::nextEventTick() const
+{
+    // After a quiet cycle the pipeline is what it was when the cycle
+    // began, so the next cycle that can differ is the first one at
+    // which a stage's test against `now` flips.  Each term below is
+    // such a tick; a term before `now` flipped already.  Nothing found
+    // (pending forever) leaves the clock alone.
+    Tick next = ~Tick{0};
+    auto consider = [&](Tick t) {
+        if (t >= now && t < next)
+            next = t;
+    };
+    for (std::uint64_t pos : executing)
+        consider(at(pos).readyAt);   // writeback
+    for (const std::vector<Tick> *pool :
+         {&fuIntAlu, &fuIntMulDiv, &fuFpAlu, &fuFpMulDiv, &fuMem}) {
+        for (Tick busy : *pool)
+            consider(busy);          // a ready entry refused a unit
+    }
+    consider(fetchBlockedUntil);
+    if (params.interruptInterval > 0)
+        consider(nextInterrupt);
+    if (!robEmpty())   // the watchdog panics on the same cycle as ever
+        consider(lastCommitTick + params.deadlockThreshold + 1);
+    if (next == now)
+        return next;
+    for (std::uint64_t pos : iq) {
+        // An entry whose sources are all known is ready at the latest
+        // of their ticks (a repair move sets future ones).  A pending
+        // source reads ~0, which never wins: its producer's own issue
+        // or completion comes first.
+        const InFlight &inst = at(pos);
+        Tick ready = 0;
+        for (int s = 0; s < inst.rr.numSrcTags; ++s) {
+            const rename::PhysRegTag &tag =
+                inst.rr.srcTags[static_cast<std::size_t>(s)];
+            if (tag.valid())
+                ready = std::max(ready, regReadyAt[tagIndex(tag)]);
+        }
+        consider(ready);
+    }
+    return next == ~Tick{0} ? now : next;
+}
+
+void
+O3Core::skipQuietCycles(obs::CycleCause cause)
+{
+    // Every cycle before the next event would repeat the quiet one:
+    // the same cause, the same failed rename retry.
+    const Tick k = nextEventTick() - now;
+    now += k;
+    cycles += k;
+    skipped += k;
+    cycleCauses.attribute(cause, k);
+    if (renameBlock == RenameBlock::NoReg)
+        renameStalls += k;
 }
 
 SimResult
@@ -663,25 +740,29 @@ O3Core::run()
     lastCommitTick = now;
 
     while (!finished) {
-        commitStage();
+        bool active = commitStage();
         if (finished)
             break;
-        writebackStage();
-        issueStage();
-        renameStage();
-        fetchStage();
+        active |= writebackStage();
+        active |= issueStage();
+        active |= renameStage();
+        active |= fetchStage();
 
-        accountCycle();
+        const obs::CycleCause cause = accountCycle();
         notify([&](obs::CoreObserver &o) { o.sample(now); });
 
         ++now;
         ++cycles;
-        simResult.cycles = now;
 
         if (streamDone && robHead == fetchTail &&
             replayBuffer.empty() && !pendingInst) {
             finished = true;
         }
+        // A cycle that changed nothing repeats until the next event.
+        // Observers see every cycle, so skip only with none attached.
+        if (!active && !finished && observers.empty())
+            skipQuietCycles(cause);
+        simResult.cycles = now;
         if (!robEmpty() &&
             now - lastCommitTick > params.deadlockThreshold) {
             rrs_panic("core deadlock: no commit for %llu cycles; head %s",

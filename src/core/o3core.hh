@@ -101,7 +101,9 @@ class O3Core
      * attach here.  Observers are called in registration order; the
      * core does not own them and they never change the simulated
      * result.  With none registered every hook site is one never-taken
-     * emptiness check.  Call before run().
+     * emptiness check.  While any is registered the core skips no
+     * quiet cycle, so `sample` arrives once per simulated cycle.  Call
+     * before run().
      */
     void addObserver(obs::CoreObserver &o) { observers.push_back(&o); }
 
@@ -145,6 +147,17 @@ class O3Core
     {
         return static_cast<double>(recoveryCycles);
     }
+    /** Cycles in which rename stalled for lack of a free register. */
+    double renameStallCount() const
+    {
+        return static_cast<double>(renameStalls);
+    }
+
+    /**
+     * Quiet cycles charged in bulk instead of run one by one (DESIGN
+     * §4k); the loop ran `cycles - skippedCycles()` iterations.
+     */
+    std::uint64_t skippedCycles() const { return skipped; }
 
   private:
     /**
@@ -166,15 +179,18 @@ class O3Core
         Tick readyAt = 0;            //!< completion (writeback) tick
     };
 
-    // --- pipeline stages, called once per cycle ---
-    void commitStage();
-    void writebackStage();
-    void issueStage();
-    void renameStage();
-    void fetchStage();
+    // --- pipeline stages, called once per cycle; each returns whether
+    // it changed any pipeline state ---
+    bool commitStage();
+    bool writebackStage();
+    bool issueStage();
+    bool renameStage();
+    bool fetchStage();
 
     // --- helpers ---
-    void accountCycle();
+    obs::CycleCause accountCycle();
+    Tick nextEventTick() const;
+    void skipQuietCycles(obs::CycleCause cause);
     bool srcsReady(const InFlight &inst) const;
     bool loadMayIssue(std::uint64_t pos, Tick *forwardReady) const;
     bool scheduleCompletion(std::uint64_t pos);
@@ -258,6 +274,8 @@ class O3Core
     std::vector<Tick> fuIntAlu, fuIntMulDiv, fuFpAlu, fuFpMulDiv, fuMem;
 
     Tick nextInterrupt = 0;
+    /** The deadlock watchdog's watermark: the last commit, or the tick
+     *  an instruction entered an empty ROB, whichever is later. */
     Tick lastCommitTick = 0;
 
     // Observability: the registered observers (empty = no hook does
@@ -277,6 +295,8 @@ class O3Core
     std::uint64_t recoveryCycles = 0;   //!< charged to recover commands
     std::uint64_t exceptionsTaken = 0;
     std::uint64_t interruptsTaken = 0;
+    std::uint64_t renameStalls = 0;     //!< cycles rename stalled on NoReg
+    std::uint64_t skipped = 0;          //!< quiet cycles charged in bulk
     obs::CycleAccounting cycleCauses;
 };
 

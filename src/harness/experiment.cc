@@ -316,11 +316,11 @@ runOn(const workloads::Workload &w, const RunConfig &config,
     out.condAccuracy = bp.condAccuracy();
     out.mispredicts = core.mispredictCount();
     out.exceptions = core.exceptionCount();
+    out.renameStalls = core.renameStallCount();
     const rename::SchemeCounters counters = scheme.counters(*renamer);
     out.allocations = counters.allocations;
     out.reuses = counters.reuses;
     out.repairs = counters.repairs;
-    out.renameStalls = counters.renameStalls;
     out.historyPeak = counters.historyPeak;
     out.fig12 = counters.fig12;
     if (auditor) {

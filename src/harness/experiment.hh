@@ -128,7 +128,7 @@ struct Outcome
     double allocations = 0;
     double reuses = 0;           //!< reuse scheme
     double repairs = 0;          //!< reuse scheme
-    double renameStalls = 0;
+    double renameStalls = 0;     //!< cycles rename found no register
     double historyPeak = 0;      //!< peak rename-history entries
     rename::PredictorBreakdown fig12;          //!< reuse scheme
 

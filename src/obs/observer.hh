@@ -94,9 +94,11 @@ class CoreObserver
     virtual void flush(FlushScope, std::uint64_t, Tick) {}
 
     /**
-     * End of every simulated cycle, after all stages.  Observers keep
-     * their own cadence (`now % period == 0`): the occupancy sampler
-     * every 128 cycles, periodic audits every N.
+     * End of every simulated cycle, after all stages: once per cycle,
+     * because the core skips no quiet cycle while any observer is
+     * attached.  Observers keep their own cadence (`now % period ==
+     * 0`): the occupancy sampler every 128 cycles, periodic audits
+     * every N.
      */
     virtual void sample(Tick) {}
 

@@ -88,17 +88,17 @@ struct StallBreakdown
 };
 
 /**
- * The accounting the core owns, fed by attribute() exactly once per
- * simulated cycle.
+ * The accounting the core owns, fed by attribute() once per simulated
+ * cycle, or once per stretch of quiet cycles it skips.
  */
 class CycleAccounting
 {
   public:
-    /** Charge the current cycle to one cause. */
+    /** Charge `n` cycles (the current one by default) to one cause. */
     void
-    attribute(CycleCause c)
+    attribute(CycleCause c, std::uint64_t n = 1)
     {
-        ++causes.counts[static_cast<int>(c)];
+        causes.counts[static_cast<int>(c)] += n;
     }
 
     /** Copy the counters out. */

@@ -52,7 +52,6 @@ BaselineRenamer::rename(
     if (writes) {
         ClassState &st = state(di.si.dest.cls);
         if (st.freeList.empty()) {
-            ++renameStalls;
             res.success = false;
             res.endToken = nextToken;
             return res;

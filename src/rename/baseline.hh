@@ -56,7 +56,6 @@ class BaselineRenamer : public Renamer
     {
         return static_cast<double>(allocations);
     }
-    double stallCount() const { return static_cast<double>(renameStalls); }
 
     /** Largest number of history entries ever held at once. */
     std::uint64_t historyPeakEntries() const { return historyPeakCount; }
@@ -100,7 +99,6 @@ class BaselineRenamer : public Renamer
     static constexpr std::size_t historyShrinkThreshold = 4096;
 
     std::uint64_t allocations = 0;    //!< physical registers allocated
-    std::uint64_t renameStalls = 0;   //!< stalls on an empty free list
 };
 
 } // namespace rrs::rename

@@ -6,8 +6,10 @@
  * Protocol with the core:
  *  - rename() is called once per instruction in program order.  On a
  *    structural stall (no free register and no reuse) it returns
- *    success == false with NO side effects; the core retries next
- *    cycle.
+ *    success == false and changes no state at all.  The core counts
+ *    the stalled cycle itself and retries later: next cycle, or, when
+ *    nothing else in the pipeline moved, at the next event that could
+ *    free a register (DESIGN §4k).
  *  - The returned RenameResult is stored in the instruction's ROB entry
  *    and handed back verbatim to commit() or used for squashes.
  *  - squashTo(token) undoes every rename action with history position

@@ -337,7 +337,6 @@ ReuseRenamer::rename(
 
     for (int c = 0; c < numRegClasses; ++c) {
         if (needAlloc[c] > freeRegs(static_cast<RegClass>(c))) {
-            ++renameStalls;
             res.success = false;
             return res;
         }
@@ -386,7 +385,6 @@ ReuseRenamer::rename(
             // (and its repair count) and report a structural stall.
             squashTo(res.token);
             repairEvents -= res.numRepairs;
-            ++renameStalls;
             RenameResult stall;
             stall.token = res.token;
             stall.endToken = res.token;
@@ -508,7 +506,6 @@ ReuseRenamer::rename(
                 // instead of panicking on an empty class.
                 squashTo(res.token);
                 repairEvents -= res.numRepairs;
-                ++renameStalls;
                 RenameResult stall;
                 stall.token = res.token;
                 stall.endToken = res.token;

@@ -127,7 +127,6 @@ class ReuseRenamer : public Renamer
     }
     double reuseCount() const { return static_cast<double>(reuses); }
     double repairCount() const { return static_cast<double>(repairEvents); }
-    double stallCount() const { return static_cast<double>(renameStalls); }
 
     /**
      * Number of committed logical registers whose value would need a
@@ -279,7 +278,6 @@ class ReuseRenamer : public Renamer
 
     std::uint64_t allocations = 0;    //!< fresh registers allocated
     std::uint64_t reuses = 0;         //!< destinations renamed by sharing
-    std::uint64_t renameStalls = 0;   //!< no free register, no reuse
     std::uint64_t repairEvents = 0;   //!< single-use mispredict repairs
     // Figure 12 categories, classified at natural release.
     std::uint64_t predReuseCorrect = 0;

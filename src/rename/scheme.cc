@@ -52,7 +52,6 @@ class BaselineScheme : public RenameScheme
                        "renamer it did not build");
         SchemeCounters c;
         c.allocations = rn->allocationCount();
-        c.renameStalls = rn->stallCount();
         c.historyPeak = static_cast<double>(rn->historyPeakEntries());
         return c;
     }
@@ -137,7 +136,6 @@ class ReuseScheme : public RenameScheme
         c.allocations = rn->allocationCount();
         c.reuses = rn->reuseCount();
         c.repairs = rn->repairCount();
-        c.renameStalls = rn->stallCount();
         c.historyPeak = static_cast<double>(rn->historyPeakEntries());
         c.fig12 = rn->fig12Counts();
         return c;

@@ -56,7 +56,6 @@ struct SchemeCounters
     double allocations = 0;
     double reuses = 0;       //!< 0 for schemes without sharing
     double repairs = 0;      //!< 0 for schemes without repair
-    double renameStalls = 0;
     double historyPeak = 0;  //!< peak rename-history entries
     PredictorBreakdown fig12;
 };

@@ -19,79 +19,19 @@
 #include <string>
 
 #include "harness/experiment.hh"
+#include "pipeline_shapes.hh"
 #include "workloads/workloads.hh"
 
 namespace {
 
 using namespace rrs;
 using harness::RunConfig;
+using test::Shape;
 
 constexpr std::uint64_t kCap = 20'000;
 constexpr std::uint32_t kRegs = 56;
 
-const char *const kWorkloads[] = {"int_sort",    "int_hash", "int_graph",
-                                  "fp_fir",      "fp_nbody", "media_adpcm",
-                                  "cog_knn"};
 const char *const kSchemes[] = {"baseline", "reuse"};
-
-struct Shape
-{
-    const char *name;
-    void (*apply)(core::CoreParams &);
-};
-
-void
-setWidths(core::CoreParams &c, std::uint32_t w)
-{
-    c.fetchWidth = c.renameWidth = w;
-    c.issueWidth = c.wbWidth = c.commitWidth = w;
-}
-
-const Shape kShapes[] = {
-    {"table1", [](core::CoreParams &) {}},
-    {"narrow1_wb1", [](core::CoreParams &c) { setWidths(c, 1); }},
-    {"wb1", [](core::CoreParams &c) { c.wbWidth = 1; }},
-    {"wb2_issue8",
-     [](core::CoreParams &c) {
-         c.wbWidth = 2;
-         c.issueWidth = 8;
-     }},
-    {"rob100_iq13_lq5_sq3",
-     [](core::CoreParams &c) {
-         c.robEntries = 100;
-         c.iqEntries = 13;
-         c.loadQueueEntries = 5;
-         c.storeQueueEntries = 3;
-     }},
-    {"rob7_iq3_lq2_sq1_fq4",
-     [](core::CoreParams &c) {
-         c.robEntries = 7;
-         c.iqEntries = 3;
-         c.loadQueueEntries = 2;
-         c.storeQueueEntries = 1;
-         c.fetchQueueEntries = 4;
-     }},
-    {"wide8_iq96_rob192",
-     [](core::CoreParams &c) {
-         setWidths(c, 8);
-         c.iqEntries = 96;
-         c.robEntries = 192;
-     }},
-    {"faults_interrupts",
-     [](core::CoreParams &c) {
-         c.loadFaultProbability = 0.03;
-         c.interruptInterval = 700;
-     }},
-    {"no_wrong_path", [](core::CoreParams &c) { c.modelWrongPath = false; }},
-};
-
-// gtest_discover_tests copies the printed parameter into the ctest
-// name, e.g. "Shapes/PipelinePins.ExactTiming/wb1".
-void
-PrintTo(const Shape &s, std::ostream *os)
-{
-    *os << s.name;
-}
 
 /** One run's pinned numbers; stalls are indexed by obs::CycleCause. */
 struct Pin
@@ -431,7 +371,7 @@ class PipelinePins : public ::testing::TestWithParam<Shape>
 TEST_P(PipelinePins, ExactTiming)
 {
     const Shape &shape = GetParam();
-    for (const char *workload : kWorkloads) {
+    for (const char *workload : test::kShapeWorkloads) {
         for (const char *scheme : kSchemes) {
             const Pin got = measure(shape, workload, scheme);
             const Pin *want = findPin(shape.name, workload, scheme);
@@ -447,6 +387,6 @@ TEST_P(PipelinePins, ExactTiming)
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, PipelinePins,
-                         ::testing::ValuesIn(kShapes));
+                         ::testing::ValuesIn(test::kShapes));
 
 } // namespace
