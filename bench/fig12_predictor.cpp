@@ -42,7 +42,8 @@ main(int argc, char **argv)
                 continue;
             const auto &out = outs[wi];
             auto f = out.fig12;
-            double total = f.total() > 0 ? f.total() : 1;
+            const double total =
+                f.total() > 0 ? static_cast<double>(f.total()) : 1.0;
             t.row()
                 .cell(all[wi].name)
                 .cell(100.0 * f.reuseCorrect / total, 1)

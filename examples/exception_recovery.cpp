@@ -68,11 +68,13 @@ main()
         bpred::BranchPredictor bp{bpred::BPredParams{}};
         core::O3Core core(cp, renamer, mem, bp, stream);
         auto res = core.run();
-        std::printf("%-28s %8llu cycles, %4.0f exceptions, "
-                    "%3.0f interrupts, %4.0f recovery cycles\n",
+        std::printf("%-28s %8llu cycles, %4llu exceptions, "
+                    "%3llu interrupts, %4llu recovery cycles\n",
                     label, static_cast<unsigned long long>(res.cycles),
-                    core.exceptionCount(), core.interruptCount(),
-                    core.recoveryCycleCount());
+                    static_cast<unsigned long long>(core.exceptionCount()),
+                    static_cast<unsigned long long>(core.interruptCount()),
+                    static_cast<unsigned long long>(
+                        core.recoveryCycleCount()));
         return res;
     };
 
@@ -85,9 +87,9 @@ main()
     rename::ReuseRenamer reuse(rp);
     runWith(reuse, "proposed (shadow cells)");
 
-    std::printf("\nproposed scheme: %.0f values shared; committed "
+    std::printf("\nproposed scheme: %llu values shared; committed "
                 "state recovered precisely through every flush.\n",
-                reuse.reuseCount());
+                static_cast<unsigned long long>(reuse.reuseCount()));
     std::printf("(The timing model charges one recover command per "
                 "shadow-resident value at each flush, per the paper's "
                 "Section IV-C2.)\n");

@@ -87,10 +87,11 @@ main()
                 static_cast<double>(base.cycles) /
                     static_cast<double>(prop.cycles),
                 100.0 * 46.0 / 48.0);
-    std::printf("registers shared %0.f times; fresh allocations "
+    std::printf("registers shared %llu times; fresh allocations "
                 "avoided: %.1f%%\n",
-                reuse.reuseCount(),
-                100.0 * reuse.reuseCount() /
-                    (reuse.reuseCount() + reuse.allocationCount()));
+                static_cast<unsigned long long>(reuse.reuseCount()),
+                100.0 * static_cast<double>(reuse.reuseCount()) /
+                    static_cast<double>(reuse.reuseCount() +
+                                        reuse.allocationCount()));
     return 0;
 }

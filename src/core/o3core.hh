@@ -131,27 +131,12 @@ class O3Core
     }
 
     /** Aggregate counters for reports. */
-    double mispredictCount() const
-    {
-        return static_cast<double>(branchMispredicts);
-    }
-    double exceptionCount() const
-    {
-        return static_cast<double>(exceptionsTaken);
-    }
-    double interruptCount() const
-    {
-        return static_cast<double>(interruptsTaken);
-    }
-    double recoveryCycleCount() const
-    {
-        return static_cast<double>(recoveryCycles);
-    }
+    std::uint64_t mispredictCount() const { return branchMispredicts; }
+    std::uint64_t exceptionCount() const { return exceptionsTaken; }
+    std::uint64_t interruptCount() const { return interruptsTaken; }
+    std::uint64_t recoveryCycleCount() const { return recoveryCycles; }
     /** Cycles in which rename stalled for lack of a free register. */
-    double renameStallCount() const
-    {
-        return static_cast<double>(renameStalls);
-    }
+    std::uint64_t renameStallCount() const { return renameStalls; }
 
     /**
      * Quiet cycles charged in bulk instead of run one by one (DESIGN

@@ -459,10 +459,10 @@ runCampaign(const CampaignManifest &manifest, const Ledger &ledger,
         sweep = runner.summary();
         for (std::size_t i = 0; i < toRun; ++i) {
             const std::string &hex = *missing[i];
-            const LedgerEntry entry = makeLedgerEntry(
-                plan.nodes.at(hex).spec, results[i].outcome);
             std::string error;
-            if (!ledger.store(hex, entry, error))
+            if (!ledger.store(hex,
+                              {plan.nodes.at(hex).spec, results[i].outcome},
+                              error))
                 rrs_fatal("cannot store ledger node %s: %s",
                           hex.c_str(), error.c_str());
         }

@@ -116,27 +116,30 @@ struct OccupancySample
     bool operator==(const OccupancySample &) const = default;
 };
 
-/** Everything a run reports. */
+/**
+ * Everything a run reports.  A ledger node stores its deterministic
+ * results (harness/ledger.hh) and parses back into the same type.
+ */
 struct Outcome
 {
     core::SimResult sim;
     double condAccuracy = 0;
-    double mispredicts = 0;
-    double exceptions = 0;
+    std::uint64_t mispredicts = 0;
+    std::uint64_t exceptions = 0;
 
     // Renamer-side numbers (reuse scheme only where marked).
-    double allocations = 0;
-    double reuses = 0;           //!< reuse scheme
-    double repairs = 0;          //!< reuse scheme
-    double renameStalls = 0;     //!< cycles rename found no register
-    double historyPeak = 0;      //!< peak rename-history entries
-    rename::PredictorBreakdown fig12;          //!< reuse scheme
+    std::uint64_t allocations = 0;
+    std::uint64_t reuses = 0;           //!< reuse scheme
+    std::uint64_t repairs = 0;          //!< reuse scheme
+    std::uint64_t renameStalls = 0;     //!< cycles rename found no register
+    std::uint64_t historyPeak = 0;      //!< peak rename-history entries
+    rename::PredictorBreakdown fig12;   //!< reuse scheme
 
     // Invariant auditing (0 audits when auditing is off; violations
     // can only be non-zero transiently in tests — the harness check()
     // path panics on the first one).
-    double auditsRun = 0;
-    double auditViolations = 0;
+    std::uint64_t auditsRun = 0;
+    std::uint64_t auditViolations = 0;
 
     /**
      * Full-cycle stall attribution: every cycle of the run charged to

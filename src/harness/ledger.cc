@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <type_traits>
 
 #include "common/atomicfile.hh"
@@ -38,74 +39,109 @@ fnv1a(const std::string &s)
 
 using obs::json::Value;
 
-// Node fields are read as written or refused.  Each reader leaves
-// `out` alone when `obj` has no member `key`, and returns false with
-// `error` set when the member is of the wrong JSON type or, for a
-// count, not a whole number in the range of `out`'s type
-// (readJsonInteger).
-
-/** A count; a double `out` holds a count Outcome keeps as double. */
+/**
+ * Read member `key` of `obj` as the writer emits it: a string, an
+ * object (`out` a `const Value *`), a JSON number, or a count, a whole
+ * number in the range of `out`'s integer type (readJsonInteger).  Every
+ * member is required.
+ * @return false, with `error` naming the field, on anything else.
+ */
 template <typename T>
 bool
-readCount(const Value &obj, const char *key, T &out, std::string &error)
+readField(const Value &obj, const char *key, T &out, std::string &error)
 {
+    const std::string field = std::string("ledger entry: '") + key + "'";
     const Value *v = obj.find(key);
-    if (!v)
+    if (!v) {
+        error = field + " is missing";
+        return false;
+    }
+    if constexpr (std::is_integral_v<T>) {
+        std::uint64_t n = 0;
+        if (!readJsonInteger(*v, 0, std::numeric_limits<T>::max(), field, n,
+                             error))
+            return false;
+        out = static_cast<T>(n);
         return true;
-    std::uint64_t hi = std::numeric_limits<std::uint64_t>::max();
+    } else if constexpr (std::is_same_v<T, double>) {
+        if (v->isNumber()) {
+            out = v->num;
+            return true;
+        }
+        error = field + " must be a number";
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        if (v->isString()) {
+            out = v->str;
+            return true;
+        }
+        error = field + " must be a string";
+    } else {
+        if (v->isObject()) {
+            out = v;
+            return true;
+        }
+        error = field + " must be an object";
+    }
+    return false;
+}
+
+/**
+ * Every result a node stores, in file order: the JSON object it sits
+ * in, its name there, and the Outcome member that holds it.  Rendering,
+ * parsing and diffing all walk this one list, so storing a new result
+ * is one Outcome member plus one line here.  `visit(object, name,
+ * member...)` receives that member of each outcome passed.
+ */
+template <typename Visit, typename... O>
+void
+forEachResult(Visit &&visit, O &...o)
+{
+    visit("run", "insts", o.sim.committedInsts...);
+    visit("run", "cycles", o.sim.cycles...);
+    visit("sampled", "windows", o.sampled.windows...);
+    visit("sampled", "mean_ipc", o.sampled.meanIpc...);
+    visit("sampled", "stddev_ipc", o.sampled.stddevIpc...);
+    visit("sampled", "ci95_ipc", o.sampled.ci95Ipc...);
+    visit("sampled", "median_ipc", o.sampled.medianIpc...);
+    visit("sampled", "detailed_insts", o.sampled.detailedInsts...);
+    visit("sampled", "detailed_cycles", o.sampled.detailedCycles...);
+    visit("sampled", "warm_insts", o.sampled.warmInsts...);
+    visit("sampled", "skipped_insts", o.sampled.skippedInsts...);
+    for (int i = 0; i < obs::numCycleCauses; ++i) {
+        visit("stalls", obs::cycleCauseName(static_cast<obs::CycleCause>(i)),
+              o.stalls.counts[i]...);
+    }
+    visit("rename", "allocations", o.allocations...);
+    visit("rename", "reuses", o.reuses...);
+    visit("rename", "repairs", o.repairs...);
+    visit("rename", "rename_stalls", o.renameStalls...);
+}
+
+/** A stored result as its JSON text. */
+template <typename T>
+std::string
+resultText(T v)
+{
     if constexpr (std::is_integral_v<T>)
-        hi = std::numeric_limits<T>::max();
-    std::uint64_t n = 0;
-    if (!readJsonInteger(*v, 0, hi,
-                         std::string("ledger entry: '") + key + "'", n,
-                         error))
-        return false;
-    out = static_cast<T>(n);
-    return true;
+        return std::to_string(v);
+    else
+        return jsonNumber(v);
 }
 
-bool
-readNumber(const Value &obj, const char *key, double &out,
-           std::string &error)
+/** The `"name": value` members of one object of the field list. */
+std::string
+renderResults(const Outcome &o, std::string_view object)
 {
-    const Value *v = obj.find(key);
-    if (!v)
-        return true;
-    if (!v->isNumber()) {
-        error = std::string("ledger entry: '") + key + "' must be a number";
-        return false;
-    }
-    out = v->num;
-    return true;
-}
-
-bool
-readString(const Value &obj, const char *key, std::string &out,
-           std::string &error)
-{
-    const Value *v = obj.find(key);
-    if (!v)
-        return true;
-    if (!v->isString()) {
-        error = std::string("ledger entry: '") + key + "' must be a string";
-        return false;
-    }
-    out = v->str;
-    return true;
-}
-
-/** An optional member that must be an object when present. */
-bool
-readObject(const Value &obj, const char *key, const Value *&out,
-           std::string &error)
-{
-    out = obj.find(key);
-    if (out && !out->isObject()) {
-        error = std::string("ledger entry: '") + key +
-                "' must be an object";
-        return false;
-    }
-    return true;
+    std::string out;
+    forEachResult(
+        [&](std::string_view in, const char *name, auto v) {
+            if (in != object)
+                return;
+            out += (out.empty() ? "" : ", ") + jsonQuoted(name) + ": " +
+                   resultText(v);
+        },
+        o);
+    return out;
 }
 
 /**
@@ -130,59 +166,6 @@ parseHex64(const std::string &s, std::uint64_t &out)
     }
     out = v;
     return true;
-}
-
-/** The "run" object of a node file. */
-std::string
-renderRunRecordJson(const RunRecord &run)
-{
-    std::ostringstream os;
-    os << "{\"workload\": " << jsonQuoted(run.workload) << ", \"scheme\": "
-       << jsonQuoted(run.scheme) << ", \"insts\": " << run.insts
-       << ", \"cycles\": " << run.cycles
-       << ", \"ipc\": " << jsonNumber(run.ipc())
-       << ", \"wall_seconds\": " << jsonNumber(run.wallSeconds);
-    if (run.sampled.enabled) {
-        const SampledSummary &sm = run.sampled;
-        os << ", \"sampled\": {\"windows\": " << sm.windows
-           << ", \"mean_ipc\": " << jsonNumber(sm.meanIpc)
-           << ", \"stddev_ipc\": " << jsonNumber(sm.stddevIpc)
-           << ", \"ci95_ipc\": " << jsonNumber(sm.ci95Ipc)
-           << ", \"median_ipc\": " << jsonNumber(sm.medianIpc)
-           << ", \"detailed_insts\": " << sm.detailedInsts
-           << ", \"detailed_cycles\": " << sm.detailedCycles
-           << ", \"warm_insts\": " << sm.warmInsts
-           << ", \"skipped_insts\": " << sm.skippedInsts << "}";
-    }
-    os << "}";
-    return os.str();
-}
-
-bool
-parseRunRecordJson(const Value &e, RunRecord &run, std::string &error)
-{
-    const Value *sampled = nullptr;
-    if (!readString(e, "workload", run.workload, error) ||
-        !readString(e, "scheme", run.scheme, error) ||
-        !readCount(e, "insts", run.insts, error) ||
-        !readCount(e, "cycles", run.cycles, error) ||
-        !readNumber(e, "wall_seconds", run.wallSeconds, error) ||
-        !readObject(e, "sampled", sampled, error))
-        return false;
-    if (!sampled)
-        return true;
-    SampledSummary &sm = run.sampled;
-    sm.enabled = true;
-    return readCount(*sampled, "windows", sm.windows, error) &&
-           readNumber(*sampled, "mean_ipc", sm.meanIpc, error) &&
-           readNumber(*sampled, "stddev_ipc", sm.stddevIpc, error) &&
-           readNumber(*sampled, "ci95_ipc", sm.ci95Ipc, error) &&
-           readNumber(*sampled, "median_ipc", sm.medianIpc, error) &&
-           readCount(*sampled, "detailed_insts", sm.detailedInsts, error) &&
-           readCount(*sampled, "detailed_cycles", sm.detailedCycles,
-                     error) &&
-           readCount(*sampled, "warm_insts", sm.warmInsts, error) &&
-           readCount(*sampled, "skipped_insts", sm.skippedInsts, error);
 }
 
 /**
@@ -236,28 +219,10 @@ nodeDigest(const NodeSpec &spec)
     return fnv1a(nodeKey(spec));
 }
 
-LedgerEntry
-makeLedgerEntry(NodeSpec spec, const Outcome &outcome)
-{
-    LedgerEntry e;
-    e.run.workload = spec.workload;
-    e.run.scheme = spec.scheme;
-    e.run.insts = outcome.sim.committedInsts;
-    e.run.cycles = outcome.sim.cycles;
-    e.run.wallSeconds = 0;       // host data never enters a node file
-    e.run.sampled = outcome.sampled;
-    e.stalls = outcome.stalls;
-    e.allocations = outcome.allocations;
-    e.reuses = outcome.reuses;
-    e.repairs = outcome.repairs;
-    e.renameStalls = outcome.renameStalls;
-    e.spec = std::move(spec);
-    return e;
-}
-
 std::string
 renderLedgerEntryJson(const LedgerEntry &e)
 {
+    const Outcome &o = e.outcome;
     std::ostringstream os;
     os << "{\n"
        << "  \"ledger_schema\": " << ledgerSchemaVersion << ",\n"
@@ -288,19 +253,17 @@ renderLedgerEntryJson(const LedgerEntry &e)
        << "},\n"
        << "    \"seed\": " << jsonQuoted(digestHex(e.spec.seed)) << "\n"
        << "  },\n"
-       << "  \"run\": " << renderRunRecordJson(e.run) << ",\n"
-       << "  \"stalls\": {";
-    for (int i = 0; i < obs::numCycleCauses; ++i) {
-        os << (i ? ", " : "")
-           << jsonQuoted(obs::cycleCauseName(
-                  static_cast<obs::CycleCause>(i)))
-           << ": " << e.stalls.counts[i];
-    }
+       << "  \"run\": {\"workload\": " << jsonQuoted(e.spec.workload)
+       << ", \"scheme\": " << jsonQuoted(e.spec.scheme) << ", "
+       << renderResults(o, "run")
+       << ", \"ipc\": " << jsonNumber(o.sim.ipc())
+       << ", \"wall_seconds\": 0";
+    // A sampled node's run row carries its estimate (parse requires it).
+    if (e.spec.sampling.enabled())
+        os << ", \"sampled\": {" << renderResults(o, "sampled") << "}";
     os << "},\n"
-       << "  \"rename\": {\"allocations\": " << jsonNumber(e.allocations)
-       << ", \"reuses\": " << jsonNumber(e.reuses) << ", \"repairs\": "
-       << jsonNumber(e.repairs) << ", \"rename_stalls\": "
-       << jsonNumber(e.renameStalls) << "}\n"
+       << "  \"stalls\": {" << renderResults(o, "stalls") << "},\n"
+       << "  \"rename\": {" << renderResults(o, "rename") << "}\n"
        << "}\n";
     return os.str();
 }
@@ -326,86 +289,111 @@ parseLedgerEntryJson(const std::string &text, LedgerEntry &out,
                 "(expected " + std::to_string(ledgerSchemaVersion) + ")";
         return false;
     }
-    const Value *node = doc.find("node");
-    const Value *run = doc.find("run");
-    if (!node || !node->isObject() || !run || !run->isObject()) {
-        error = "ledger entry: missing node/run objects";
-        return false;
-    }
 
     LedgerEntry e;
-    std::string sourceHash, seed, digest;
-    const Value *params = nullptr, *sampling = nullptr, *stalls = nullptr,
-                *rename = nullptr;
-    if (!readString(*node, "workload", e.spec.workload, error) ||
-        !readString(*node, "suite", e.spec.suite, error) ||
-        !readString(*node, "source_hash", sourceHash, error) ||
-        !readString(*node, "scheme", e.spec.scheme, error) ||
-        !readString(*node, "label", e.spec.label, error) ||
-        !readObject(*node, "params", params, error) ||
-        !readCount(*node, "regs", e.spec.regs, error) ||
-        !readCount(*node, "cap", e.spec.cap, error) ||
-        !readObject(*node, "sampling", sampling, error) ||
-        !readString(*node, "seed", seed, error) ||
-        !readString(doc, "digest", digest, error) ||
-        !readObject(doc, "stalls", stalls, error) ||
-        !readObject(doc, "rename", rename, error))
+    NodeSpec &spec = e.spec;
+    std::string digest, key, sourceHash, seed, runWorkload, runScheme;
+    double ipc = 0, wallSeconds = 0;
+    const Value *node = nullptr, *params = nullptr, *sampling = nullptr,
+                *run = nullptr, *stalls = nullptr, *rename = nullptr;
+    if (!readField(doc, "digest", digest, error) ||
+        !readField(doc, "key", key, error) ||
+        !readField(doc, "node", node, error) ||
+        !readField(*node, "workload", spec.workload, error) ||
+        !readField(*node, "suite", spec.suite, error) ||
+        !readField(*node, "source_hash", sourceHash, error) ||
+        !readField(*node, "scheme", spec.scheme, error) ||
+        !readField(*node, "label", spec.label, error) ||
+        !readField(*node, "params", params, error) ||
+        !readField(*node, "regs", spec.regs, error) ||
+        !readField(*node, "cap", spec.cap, error) ||
+        !readField(*node, "sampling", sampling, error) ||
+        !readField(*sampling, "warm", spec.sampling.warm, error) ||
+        !readField(*sampling, "detailed", spec.sampling.detailed, error) ||
+        !readField(*sampling, "period", spec.sampling.period, error) ||
+        !readField(*sampling, "fill", spec.sampling.fillInsts, error) ||
+        !readField(*sampling, "ci_floor_pct", spec.sampling.ciFloorPct,
+                   error) ||
+        !readField(*node, "seed", seed, error) ||
+        !readField(doc, "run", run, error) ||
+        !readField(*run, "workload", runWorkload, error) ||
+        !readField(*run, "scheme", runScheme, error) ||
+        !readField(*run, "ipc", ipc, error) ||
+        !readField(*run, "wall_seconds", wallSeconds, error) ||
+        !readField(doc, "stalls", stalls, error) ||
+        !readField(doc, "rename", rename, error))
         return false;
-    if (node->find("source_hash") &&
-        !parseHex64(sourceHash, e.spec.sourceHash)) {
+    if (!parseHex64(sourceHash, spec.sourceHash)) {
         error = "ledger entry: bad source_hash";
         return false;
     }
-    if (node->find("seed") && !parseHex64(seed, e.spec.seed)) {
+    if (!parseHex64(seed, spec.seed)) {
         error = "ledger entry: bad seed";
         return false;
     }
-    if (params) {
-        for (const auto &[k, pv] : params->members) {
-            double v = 0;
-            if (!readNumber(*params, k.c_str(), v, error))
-                return false;
-            e.spec.params.emplace_back(k, v);
-        }
-    }
-    if (sampling) {
-        SamplingParams &sp = e.spec.sampling;
-        if (!readCount(*sampling, "warm", sp.warm, error) ||
-            !readCount(*sampling, "detailed", sp.detailed, error) ||
-            !readCount(*sampling, "period", sp.period, error) ||
-            !readCount(*sampling, "fill", sp.fillInsts, error) ||
-            !readNumber(*sampling, "ci_floor_pct", sp.ciFloorPct, error))
+    for (const auto &[k, pv] : params->members) {
+        double v = 0;
+        if (!readField(*params, k.c_str(), v, error))
             return false;
+        spec.params.emplace_back(k, v);
     }
 
-    if (!parseRunRecordJson(*run, e.run, error))
+    // The stored digest and key must match the spec just parsed: a
+    // mismatch means the file was hand-edited or the key grammar
+    // changed without a schema bump, and trusting it would poison
+    // every consumer.
+    if (digest != digestHex(nodeDigest(spec)) || key != nodeKey(spec)) {
+        error = "ledger entry: digest or key does not match its node "
+                "spec (corrupt or hand-edited entry)";
         return false;
-
-    if (stalls) {
-        for (int i = 0; i < obs::numCycleCauses; ++i) {
-            if (!readCount(*stalls,
-                           obs::cycleCauseName(
-                               static_cast<obs::CycleCause>(i)),
-                           e.stalls.counts[i], error))
-                return false;
-        }
     }
-    if (rename &&
-        (!readCount(*rename, "allocations", e.allocations, error) ||
-         !readCount(*rename, "reuses", e.reuses, error) ||
-         !readCount(*rename, "repairs", e.repairs, error) ||
-         !readCount(*rename, "rename_stalls", e.renameStalls, error)))
+    // The run row repeats the node's identity and carries no host
+    // data; neither has anywhere else to go.
+    if (runWorkload != spec.workload || runScheme != spec.scheme) {
+        error = "ledger entry: the run row's workload or scheme disagrees "
+                "with the node";
         return false;
+    }
+    if (wallSeconds != 0) {
+        error = "ledger entry: 'wall_seconds' must be 0 (a node stores "
+                "no host time)";
+        return false;
+    }
+    // A sampled node's run row carries its estimate; an exact node's
+    // does not.
+    Outcome &o = e.outcome;
+    o.sampled.enabled = spec.sampling.enabled();
+    const Value *sampled = nullptr;
+    if (o.sampled.enabled && !readField(*run, "sampled", sampled, error))
+        return false;
+    if (!o.sampled.enabled && run->find("sampled")) {
+        error = "ledger entry: an exact node's run row carries 'sampled'";
+        return false;
+    }
 
-    // The stored digest must match the spec we just parsed: a mismatch
-    // means the file was hand-edited or the key grammar changed without
-    // a schema bump, and trusting it would poison every consumer.
-    if (doc.find("digest")) {
-        if (digest != digestHex(nodeDigest(e.spec))) {
-            error = "ledger entry: digest does not match its node spec "
-                    "(corrupt or hand-edited entry)";
-            return false;
-        }
+    bool ok = true;
+    forEachResult(
+        [&](std::string_view in, const char *name, auto &v) {
+            const Value *obj = in == "run"       ? run
+                               : in == "sampled" ? sampled
+                               : in == "stalls"  ? stalls
+                                                 : rename;
+            if (ok && obj)
+                ok = readField(*obj, name, v, error);
+        },
+        o);
+    if (!ok)
+        return false;
+    // Every figure divides by cycles and takes a geomean of IPCs.
+    if (o.sim.committedInsts == 0 || o.sim.cycles == 0) {
+        error = std::string("ledger entry: '") +
+                (o.sim.committedInsts == 0 ? "insts" : "cycles") +
+                "' must be positive";
+        return false;
+    }
+    if (ipc != o.sim.ipc()) {
+        error = "ledger entry: 'ipc' is not insts / cycles";
+        return false;
     }
     out = std::move(e);
     return true;
@@ -479,7 +467,6 @@ diffLedgers(const Ledger &base, const Ledger &cur)
                           curNodes.begin(), curNodes.end(),
                           std::back_inserter(shared));
 
-    auto u64 = [](std::uint64_t v) { return std::to_string(v); };
     for (const std::string &hex : shared) {
         LedgerEntry b, c;
         std::string error;
@@ -499,40 +486,23 @@ diffLedgers(const Ledger &base, const Ledger &cur)
             d.drift.push_back({hex, b.spec.workload, b.spec.label,
                                b.spec.regs, metric, baseVal, curVal});
         };
-        if (b.run.sampled.enabled || c.run.sampled.enabled) {
-            // Same digest, so the sampling schedule matched; gate the
-            // estimates on CI overlap.
-            if (b.run.sampled.enabled != c.run.sampled.enabled) {
-                row("sampled", b.run.sampled.enabled ? "yes" : "no",
-                    c.run.sampled.enabled ? "yes" : "no");
-            } else if (!sampledCiOverlap(b.run.sampled, c.run.sampled)) {
-                row("mean_ipc", jsonNumber(b.run.sampled.meanIpc),
-                    jsonNumber(c.run.sampled.meanIpc));
-            }
+        if (b.outcome.sampled.enabled) {
+            // Same digest, so both ran the same sampling schedule;
+            // gate the estimates on CI overlap.
+            const SampledSummary &bs = b.outcome.sampled;
+            const SampledSummary &cs = c.outcome.sampled;
+            if (!sampledCiOverlap(bs, cs))
+                row("mean_ipc", jsonNumber(bs.meanIpc),
+                    jsonNumber(cs.meanIpc));
             continue;
         }
-        if (b.run.insts != c.run.insts)
-            row("insts", u64(b.run.insts), u64(c.run.insts));
-        if (b.run.cycles != c.run.cycles)
-            row("cycles", u64(b.run.cycles), u64(c.run.cycles));
-        for (int i = 0; i < obs::numCycleCauses; ++i) {
-            if (b.stalls.counts[i] != c.stalls.counts[i]) {
-                row(std::string("stall.") +
-                        obs::cycleCauseName(
-                            static_cast<obs::CycleCause>(i)),
-                    u64(b.stalls.counts[i]), u64(c.stalls.counts[i]));
-            }
-        }
-        const std::pair<const char *, double LedgerEntry::*> counters[] = {
-            {"allocations", &LedgerEntry::allocations},
-            {"reuses", &LedgerEntry::reuses},
-            {"repairs", &LedgerEntry::repairs},
-            {"rename_stalls", &LedgerEntry::renameStalls},
-        };
-        for (const auto &[name, field] : counters) {
-            if (b.*field != c.*field)
-                row(name, jsonNumber(b.*field), jsonNumber(c.*field));
-        }
+        forEachResult(
+            [&](std::string_view in, const char *name, auto bv, auto cv) {
+                if (bv != cv)
+                    row((in == "stalls" ? "stall." : "") + std::string(name),
+                        resultText(bv), resultText(cv));
+            },
+            b.outcome, c.outcome);
     }
     return d;
 }

@@ -19,8 +19,8 @@
  * for one simulation.
  *
  * Entries live at `<dir>/nodes/<16-hex-digest>.json` and contain only
- * deterministic simulation results: the run row (wall clock
- * zeroed), the full-cycle stall attribution, and the rename counters.
+ * deterministic simulation results: the run row (wall clock written
+ * as zero), the full-cycle stall attribution, and the rename counters.
  * No timestamps, no git sha, no host data — so a ledger built in two
  * interrupted halves is byte-identical to one built in a single run,
  * and ledgers from different machines diff clean.  Host-side context
@@ -75,64 +75,28 @@ std::uint64_t nodeDigest(const NodeSpec &spec);
 std::string digestHex(std::uint64_t digest);
 
 /**
- * A node's run row: what it committed in how many cycles.  insts and
- * cycles are exact (bit-identical across thread counts, like every
- * Outcome field).
+ * One stored node: the spec and its run's results.  A node file stores
+ * only the deterministic results in ledger.cc's field list (the run
+ * row's insts and cycles, a sampled node's summary, the stall
+ * attribution and the rename counters); every other Outcome member
+ * parses back as zero.  No host data (wall clock, threads) is stored.
  */
-struct RunRecord
-{
-    std::string workload;
-    std::string scheme;          //!< rename-scheme registry key
-    std::uint64_t insts = 0;
-    std::uint64_t cycles = 0;
-    double wallSeconds = 0;      //!< always zero in a stored node
-
-    /**
-     * Sampled-run statistics (harness/sampling.hh); enabled only for
-     * sampled nodes.  For those rows insts/cycles are the
-     * detailed-portion aggregates, the mean/CI here are the headline,
-     * and diffLedgers gates on CI overlap instead of exact equality.
-     */
-    SampledSummary sampled;
-
-    double
-    ipc() const
-    {
-        return cycles ? static_cast<double>(insts) /
-                            static_cast<double>(cycles)
-                      : 0.0;
-    }
-};
-
-/** One stored node: the spec plus its deterministic results. */
 struct LedgerEntry
 {
     NodeSpec spec;
-
-    /**
-     * The run row.  wallSeconds is always zero in stored entries: wall
-     * clock is host data, and entries must be byte-stable across
-     * machines and interruptions.
-     */
-    RunRecord run;
-
-    /** Full-cycle stall attribution (sums to run.cycles in exact mode). */
-    obs::StallBreakdown stalls;
-
-    // Rename-side counters (exact simulation results).
-    double allocations = 0;
-    double reuses = 0;
-    double repairs = 0;
-    double renameStalls = 0;
+    Outcome outcome;
 };
-
-/** Build the stored entry for a finished run (zeroes the wall clock). */
-LedgerEntry makeLedgerEntry(NodeSpec spec, const Outcome &outcome);
 
 /** Render an entry as its node-file JSON document. */
 std::string renderLedgerEntryJson(const LedgerEntry &e);
 
-/** Parse a node file back; false + error on malformed input. */
+/**
+ * Parse a node file back; false + error on malformed input.  Every
+ * field the writer emits is required and read as written: a run row
+ * that disagrees with its node block, a nonzero wall clock, zero insts
+ * or cycles, or a digest or key that does not match the spec is
+ * refused.
+ */
 bool parseLedgerEntryJson(const std::string &text, LedgerEntry &out,
                           std::string &error);
 
@@ -175,7 +139,7 @@ class Ledger
 /**
  * The drift report between two ledgers (the report's "vs baseline"
  * section).  Exact nodes gate on every stored result field: insts,
- * cycles, each stall cause and the four rename counters.  Sampled
+ * cycles, each stall cause and the rename counters.  Sampled
  * nodes gate on 95% CI overlap: two estimates agree when
  * |mean_a - mean_b| does not exceed the sum of their reported CIs.
  */

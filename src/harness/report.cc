@@ -84,19 +84,19 @@ isDigestHex(const std::string &s)
 }
 
 /**
- * Read member `key` of a sidecar object (`obj` may be null) as its
- * writer emits it: a string, a number, or a count in the range of
- * `out`'s integer type (readJsonInteger).  An absent member leaves
- * `out` alone, unless `required`.
+ * Read member `key` of a sidecar object as its writer emits it: a
+ * string, a number, or a count in the range of `out`'s integer type
+ * (readJsonInteger).  An absent member leaves `out` alone, unless
+ * `required`.
  * @return false, with `error` naming the field, on anything else.
  */
 template <typename T>
 bool
-readMember(const Value *obj, const std::string &where, const char *key,
+readMember(const Value &obj, const std::string &where, const char *key,
            bool required, T &out, std::string &error)
 {
     const std::string field = "campaign sidecar: '" + where + key + "'";
-    const Value *v = obj ? obj->find(key) : nullptr;
+    const Value *v = obj.find(key);
     if (!v) {
         if (required)
             error = field + " is missing";
@@ -124,6 +124,26 @@ readMember(const Value *obj, const std::string &where, const char *key,
 }
 
 /**
+ * Member `key` of a sidecar object, which must be of `kind` (an array
+ * or an object) when present; an absent member reads as an empty one.
+ * @return false, with `error` naming the member, on another kind.
+ */
+bool
+readNested(const Value &obj, const std::string &where, const char *key,
+           Value::Kind kind, const Value *&out, std::string &error)
+{
+    static const Value empty;
+    out = obj.find(key);
+    if (!out)
+        out = &empty;
+    if (out == &empty || out->kind() == kind)
+        return true;
+    error = "campaign sidecar: '" + where + key + "' must be " +
+            (kind == Value::Kind::Array ? "an array" : "an object");
+    return false;
+}
+
+/**
  * The figure descriptors of a sidecar.  Sizes must be register counts
  * (1..2^32-1) and nodes digests, since each becomes a file path.
  */
@@ -131,56 +151,56 @@ bool
 parseFigures(const Value &doc, std::vector<FigureDesc> &figures,
              std::string &error)
 {
-    const Value *figs = doc.find("figures");
-    if (!figs)
-        return true;
+    constexpr Value::Kind array = Value::Kind::Array;
+    const Value *figs = nullptr;
+    if (!readNested(doc, "", "figures", array, figs, error))
+        return false;
     for (std::size_t i = 0; i < figs->arr.size(); ++i) {
         const Value &f = figs->arr[i];
         const std::string field = "figures[" + std::to_string(i) + "].";
         FigureDesc fd;
-        if (!readMember(&f, field, "figure", false, fd.name, error) ||
-            !readMember(&f, field, "kind", false, fd.kind, error))
+        const Value *sizes = nullptr, *labels = nullptr,
+                    *workloads = nullptr, *nodes = nullptr;
+        if (!readMember(f, field, "figure", false, fd.name, error) ||
+            !readMember(f, field, "kind", false, fd.kind, error) ||
+            !readNested(f, field, "sizes", array, sizes, error) ||
+            !readNested(f, field, "scheme_labels", array, labels, error) ||
+            !readNested(f, field, "workloads", array, workloads, error) ||
+            !readNested(f, field, "nodes", array, nodes, error))
             return false;
         const std::string where = "campaign sidecar: figure '" + fd.name + "'";
-        if (const auto *v = f.find("sizes")) {
-            for (const auto &e : v->arr) {
-                std::uint64_t regs = 0;
-                if (!readJsonInteger(e, 1, 0xffffffffULL,
-                                     where + " 'sizes' entry", regs, error))
-                    return false;
-                fd.sizes.push_back(static_cast<std::uint32_t>(regs));
-            }
+        for (const auto &e : sizes->arr) {
+            std::uint64_t regs = 0;
+            if (!readJsonInteger(e, 1, 0xffffffffULL,
+                                 where + " 'sizes' entry", regs, error))
+                return false;
+            fd.sizes.push_back(static_cast<std::uint32_t>(regs));
         }
         // The report reads no scheme label, but a label that is not a
         // string marks a sidecar not written by rrs-campaign.
-        if (const auto *v = f.find("scheme_labels")) {
-            for (const auto &e : v->arr) {
-                if (!e.isString()) {
-                    error = where + ": each 'scheme_labels' entry must be "
-                                    "a string";
-                    return false;
-                }
+        for (const auto &e : labels->arr) {
+            if (!e.isString()) {
+                error = where + ": each 'scheme_labels' entry must be "
+                                "a string";
+                return false;
             }
         }
-        if (const auto *v = f.find("workloads")) {
-            for (std::size_t w = 0; w < v->arr.size(); ++w) {
-                const std::string at =
-                    field + "workloads[" + std::to_string(w) + "].";
-                auto &[name, suite] = fd.workloads.emplace_back();
-                if (!readMember(&v->arr[w], at, "name", true, name, error) ||
-                    !readMember(&v->arr[w], at, "suite", true, suite, error))
-                    return false;
-            }
+        for (std::size_t w = 0; w < workloads->arr.size(); ++w) {
+            const Value &wv = workloads->arr[w];
+            const std::string at =
+                field + "workloads[" + std::to_string(w) + "].";
+            auto &[name, suite] = fd.workloads.emplace_back();
+            if (!readMember(wv, at, "name", true, name, error) ||
+                !readMember(wv, at, "suite", true, suite, error))
+                return false;
         }
-        if (const auto *v = f.find("nodes")) {
-            for (const auto &e : v->arr) {
-                if (!e.isString() || !isDigestHex(e.str)) {
-                    error = where + ": each 'nodes' entry must be 16 "
-                                    "lowercase hex digits";
-                    return false;
-                }
-                fd.nodes.push_back(e.str);
+        for (const auto &e : nodes->arr) {
+            if (!e.isString() || !isDigestHex(e.str)) {
+                error = where + ": each 'nodes' entry must be 16 "
+                                "lowercase hex digits";
+                return false;
             }
+            fd.nodes.push_back(e.str);
         }
         figures.push_back(std::move(fd));
     }
@@ -188,53 +208,43 @@ parseFigures(const Value &doc, std::vector<FigureDesc> &figures,
 }
 
 /**
- * The host cost a sidecar records for the run that last wrote it, in
- * the types its writer prints.
+ * The host cost a sidecar records for the run that last wrote it, read
+ * back into the types rrs-campaign wrote it from; every member is
+ * optional (0).
  */
-struct HostCost
-{
-    unsigned threads = 0;         //!< 0 when the run simulated nothing
-    double wallSeconds = 0;
-    std::size_t nodesTotal = 0;
-    std::size_t nodesCached = 0;
-    std::size_t nodesSimulated = 0;
-    std::size_t nodesDeferred = 0;
-    std::uint64_t traceHits = 0;
-    std::uint64_t traceMisses = 0;
-    std::uint64_t instsCaptured = 0;
-    std::uint64_t instsReplayed = 0;
-
-    bool
-    sameTraffic(const HostCost &o) const
-    {
-        return traceHits == o.traceHits && traceMisses == o.traceMisses &&
-               instsCaptured == o.instsCaptured &&
-               instsReplayed == o.instsReplayed;
-    }
-};
-
-/** The host cost of a sidecar; every member is optional (0). */
 bool
-readHostCost(const Value &doc, HostCost &c, std::string &error)
+readHostCost(const Value &doc, CampaignResult &nodes, SweepSummary &sweep,
+             std::string &error)
 {
-    const Value *tc = doc.find("trace_cache");
+    const Value *tc = nullptr;
     const std::string t = "trace_cache.";
-    return readMember(&doc, "", "threads", false, c.threads, error) &&
-           readMember(&doc, "", "wall_seconds", false, c.wallSeconds,
+    return readNested(doc, "", "trace_cache", Value::Kind::Object, tc,
                       error) &&
-           readMember(&doc, "", "nodes_total", false, c.nodesTotal, error) &&
-           readMember(&doc, "", "nodes_cached", false, c.nodesCached,
+           readMember(doc, "", "threads", false, sweep.threads, error) &&
+           readMember(doc, "", "wall_seconds", false, sweep.wallSeconds,
                       error) &&
-           readMember(&doc, "", "nodes_simulated", false, c.nodesSimulated,
+           readMember(doc, "", "nodes_total", false, nodes.totalNodes,
                       error) &&
-           readMember(&doc, "", "nodes_deferred", false, c.nodesDeferred,
+           readMember(doc, "", "nodes_cached", false, nodes.hits, error) &&
+           readMember(doc, "", "nodes_simulated", false, nodes.simulated,
                       error) &&
-           readMember(tc, t, "hits", false, c.traceHits, error) &&
-           readMember(tc, t, "misses", false, c.traceMisses, error) &&
-           readMember(tc, t, "captured_insts", false, c.instsCaptured,
+           readMember(doc, "", "nodes_deferred", false, nodes.remaining,
                       error) &&
-           readMember(tc, t, "replayed_insts", false, c.instsReplayed,
+           readMember(*tc, t, "hits", false, sweep.traceHits, error) &&
+           readMember(*tc, t, "misses", false, sweep.traceMisses, error) &&
+           readMember(*tc, t, "captured_insts", false, sweep.instsCaptured,
+                      error) &&
+           readMember(*tc, t, "replayed_insts", false, sweep.instsReplayed,
                       error);
+}
+
+/** Did two sweeps move the same trace-cache traffic? */
+bool
+sameTraffic(const SweepSummary &a, const SweepSummary &b)
+{
+    return a.traceHits == b.traceHits && a.traceMisses == b.traceMisses &&
+           a.instsCaptured == b.instsCaptured &&
+           a.instsReplayed == b.instsReplayed;
 }
 
 /**
@@ -264,8 +274,8 @@ loadPairGrid(const Ledger &ledger, const FigureDesc &fig,
             if (!ledger.tryLoad(fig.nodes[k], base, error) ||
                 !ledger.tryLoad(fig.nodes[k + 1], prop, error))
                 return false;
-            grid[wi][si].base = outcomeFromEntry(base);
-            grid[wi][si].prop = outcomeFromEntry(prop);
+            grid[wi][si].base = base.outcome;
+            grid[wi][si].prop = prop.outcome;
             entries[wi].push_back(std::move(base));
             entries[wi].push_back(std::move(prop));
             k += 2;
@@ -289,15 +299,16 @@ renderStallTable(const std::vector<std::vector<LedgerEntry>> &entries)
     stats::TextTable t(headers);
     for (const auto &row : entries) {
         for (const auto &e : row) {
-            const std::uint64_t cycles = e.stalls.sum();
+            const obs::StallBreakdown &stalls = e.outcome.stalls;
+            const std::uint64_t cycles = stalls.sum();
             t.row()
                 .cell(shortDigest(digestHex(nodeDigest(e.spec))))
                 .cell(e.spec.workload)
                 .cell(e.spec.label)
                 .cell(e.spec.regs)
-                .cell(e.run.cycles);
+                .cell(e.outcome.sim.cycles);
             for (int c = 0; c < obs::numCycleCauses; ++c)
-                t.cell(pct(e.stalls.counts[c], cycles), 1);
+                t.cell(pct(stalls.counts[c], cycles), 1);
         }
     }
     std::ostringstream os;
@@ -374,16 +385,18 @@ renderDriftSection(const Ledger &baseline, const LedgerDiff &d)
  *         cannot compare (`error` says why).
  */
 int
-renderHostCostSection(const Ledger &baseline, const HostCost &cur,
-                      bool sameNodes, double thresholdPct,
-                      std::ostream &os, std::string &error)
+renderHostCostSection(const Ledger &baseline, const CampaignResult &curNodes,
+                      const SweepSummary &cur, bool sameNodes,
+                      double thresholdPct, std::ostream &os,
+                      std::string &error)
 {
     const bool gate = thresholdPct >= 0;
     Value baseDoc;
-    HostCost base;
+    CampaignResult baseNodes;
+    SweepSummary base;
     std::string loadError;
     if (!loadSidecar(baseline, baseDoc, loadError) ||
-        !readHostCost(baseDoc, base, loadError)) {
+        !readHostCost(baseDoc, baseNodes, base, loadError)) {
         os << "Baseline host cost unavailable: " << loadError << "\n";
         if (!gate)
             return 0;
@@ -394,20 +407,21 @@ renderHostCostSection(const Ledger &baseline, const HostCost &cur,
     stats::TextTable t({"side", "threads", "wall s", "simulated",
                         "trace hits", "trace misses", "captured insts",
                         "replayed insts"});
-    auto row = [&t](const char *side, const HostCost &c) {
+    auto row = [&t](const char *side, const CampaignResult &n,
+                    const SweepSummary &c) {
         t.row()
             .cell(side)
             .cell(c.threads)
             .cell(c.wallSeconds, 3)
-            .cell(std::to_string(c.nodesSimulated) + "/" +
-                  std::to_string(c.nodesTotal))
+            .cell(std::to_string(n.simulated) + "/" +
+                  std::to_string(n.totalNodes))
             .cell(c.traceHits)
             .cell(c.traceMisses)
             .cell(c.instsCaptured)
             .cell(c.instsReplayed);
     };
-    row("baseline", base);
-    row("current", cur);
+    row("baseline", baseNodes, base);
+    row("current", curNodes, cur);
     t.print(os);
     if (!gate) {
         os << "Not gated (no --throughput-threshold).\n";
@@ -420,9 +434,9 @@ renderHostCostSection(const Ledger &baseline, const HostCost &cur,
     std::string reason;
     if (!sameNodes)
         reason = "the node sets differ";
-    else if (base.nodesSimulated != base.nodesTotal)
+    else if (baseNodes.simulated != baseNodes.totalNodes)
         reason = "the baseline run did not simulate every node";
-    else if (cur.nodesSimulated != cur.nodesTotal)
+    else if (curNodes.simulated != curNodes.totalNodes)
         reason = "the current run did not simulate every node";
     if (!reason.empty()) {
         os << "Cannot gate host cost: " << reason << ".\n";
@@ -438,15 +452,15 @@ renderHostCostSection(const Ledger &baseline, const HostCost &cur,
                   base.wallSeconds
             : 0.0;
     const bool slower = deltaPct > thresholdPct;
-    const bool sameTraffic = base.sameTraffic(cur);
+    const bool trafficSame = sameTraffic(base, cur);
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "wall clock: %+.1f%% vs baseline (gate: slowdown over "
                   "%g%%): %s\n",
                   deltaPct, thresholdPct, slower ? "REGRESSION" : "OK");
     os << buf << "trace-cache traffic: "
-       << (sameTraffic ? "identical" : "DIFFERS") << "\n";
-    return slower || !sameTraffic ? 1 : 0;
+       << (trafficSame ? "identical" : "DIFFERS") << "\n";
+    return slower || !trafficSame ? 1 : 0;
 }
 
 std::string
@@ -467,21 +481,6 @@ htmlEscape(const std::string &s)
 
 } // namespace
 
-Outcome
-outcomeFromEntry(const LedgerEntry &e)
-{
-    Outcome o;
-    o.sim.committedInsts = e.run.insts;
-    o.sim.cycles = e.run.cycles;
-    o.sampled = e.run.sampled;
-    o.stalls = e.stalls;
-    o.allocations = e.allocations;
-    o.reuses = e.reuses;
-    o.repairs = e.repairs;
-    o.renameStalls = e.renameStalls;
-    return o;
-}
-
 int
 renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
                      std::string &out, std::string &error)
@@ -501,9 +500,12 @@ renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
     }
 
     std::vector<FigureDesc> figures;
-    HostCost cost;
+    CampaignResult nodes;
+    SweepSummary sweep;
+    const Value *phases = nullptr;
     if (!parseFigures(doc, figures, error) ||
-        !readHostCost(doc, cost, error))
+        !readHostCost(doc, nodes, sweep, error) ||
+        !readNested(doc, "", "phases", Value::Kind::Array, phases, error))
         return 2;
 
     std::ostringstream md;
@@ -513,18 +515,18 @@ renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
     };
     md << "# Campaign report: " << str("name") << "\n\n"
        << "- git sha: `" << str("git_sha") << "`\n"
-       << "- nodes: " << cost.nodesTotal << " total, " << cost.nodesCached
-       << " cached, " << cost.nodesSimulated << " simulated, "
-       << cost.nodesDeferred << " deferred\n";
+       << "- nodes: " << nodes.totalNodes << " total, " << nodes.hits
+       << " cached, " << nodes.simulated << " simulated, "
+       << nodes.remaining << " deferred\n";
     // threads is 0 when the last run was fully cached (no sweep ran).
-    if (cost.threads) {
+    if (sweep.threads) {
         char wall[32];
-        std::snprintf(wall, sizeof(wall), "%.3f", cost.wallSeconds);
-        md << "- last run: " << cost.threads << " thread(s), " << wall
+        std::snprintf(wall, sizeof(wall), "%.3f", sweep.wallSeconds);
+        md << "- last run: " << sweep.threads << " thread(s), " << wall
            << " s wall clock\n"
-           << "- trace cache: " << cost.traceHits << " hits / "
-           << cost.traceMisses << " misses, " << cost.instsCaptured
-           << " insts captured, " << cost.instsReplayed
+           << "- trace cache: " << sweep.traceHits << " hits / "
+           << sweep.traceMisses << " misses, " << sweep.instsCaptured
+           << " insts captured, " << sweep.instsReplayed
            << " replayed\n";
     }
     md << "\n";
@@ -569,13 +571,12 @@ renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
     }
 
     md << "## Phase profile\n\n";
-    const Value *phases = doc.find("phases");
-    if (phases && !phases->arr.empty()) {
+    if (!phases->arr.empty()) {
         stats::TextTable t({"phase", "count", "seconds", "p50 us",
                             "p95 us", "max us"});
         // Every member of a row is required.
         for (std::size_t i = 0; i < phases->arr.size(); ++i) {
-            const Value *p = &phases->arr[i];
+            const Value &p = phases->arr[i];
             const std::string at = "phases[" + std::to_string(i) + "].";
             std::string path;
             std::uint64_t count = 0;
@@ -606,7 +607,7 @@ renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
            << "```\n" << renderDriftSection(baseline, d) << "```\n\n"
            << "## Host cost vs baseline\n\n```\n";
         status = renderHostCostSection(
-            baseline, cost, d.onlyBase.empty() && d.onlyCur.empty(),
+            baseline, nodes, sweep, d.onlyBase.empty() && d.onlyCur.empty(),
             opts.throughputThresholdPct, md, error);
         md << "```\n";
         if (status == 0 && !d.clean())

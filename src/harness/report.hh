@@ -9,7 +9,7 @@
  *     threads, wall clock and trace-cache traffic.
  *  2. One block per declared figure, rendered by the *same*
  *     harness/figures renderers the bench binaries print through, fed
- *     from outcomes reconstructed out of ledger nodes — so each fenced
+ *     from the outcomes the ledger nodes store — so each fenced
  *     block is byte-identical to the direct bench output (sampled
  *     grids included: CI columns and whiskers appear in both).
  *  3. Per-node stall attribution — every simulated node's full-cycle
@@ -70,9 +70,6 @@ struct ReportOptions
  */
 int renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
                          std::string &out, std::string &error);
-
-/** Rebuild a figure-renderer Outcome from a stored ledger node. */
-Outcome outcomeFromEntry(const LedgerEntry &e);
 
 } // namespace rrs::harness
 

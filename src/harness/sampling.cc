@@ -86,13 +86,18 @@ SamplingController::run(core::SimResult &aggregate)
         std::min<std::uint64_t>(params.fillInsts, params.detailed);
     const std::uint64_t measured = params.detailed - fill;
 
+    // A trace that ends inside the first warm span would run no window
+    // and report IPC 0: warm only what leaves one detailed window.
+    const std::uint64_t warm =
+        n > params.warm ? params.warm
+                        : (n > params.detailed ? n - params.detailed : 0);
+
     std::size_t pos = 0;
     while (pos < n) {
         const std::size_t periodStart = pos;
 
         // 1. Functional warm.
-        const std::size_t warmEnd =
-            std::min<std::size_t>(pos + params.warm, n);
+        const std::size_t warmEnd = std::min<std::size_t>(pos + warm, n);
         if (warmEnd > pos) {
             warmSpan(pos, warmEnd);
             out.warmInsts += warmEnd - pos;

@@ -112,7 +112,9 @@ class SamplingController
                        mem::MemSystem &mem, bpred::BranchPredictor &bp);
 
     /**
-     * Run the whole trace through the schedule.
+     * Run the whole trace through the schedule.  A trace of n <= warm
+     * records warms only its first n - detailed (none when n <=
+     * detailed), so it still measures one window.
      * @param aggregate filled with the detailed-portion totals
      *        (committed insts/ops, window-cycle sum) so existing
      *        Outcome consumers keep seeing consistent numbers.

@@ -133,10 +133,8 @@ SweepRunner::run(const std::vector<SweepItem> &items)
     for (const SweepResult &r : results) {
         lastSummary.runSecondsTotal += r.wallSeconds;
         lastSummary.instsCommitted += r.outcome.sim.committedInsts;
-        lastSummary.auditsRun +=
-            static_cast<std::uint64_t>(r.outcome.auditsRun);
-        lastSummary.auditViolations +=
-            static_cast<std::uint64_t>(r.outcome.auditViolations);
+        lastSummary.auditsRun += r.outcome.auditsRun;
+        lastSummary.auditViolations += r.outcome.auditViolations;
     }
     lastSummary.traceHits = cacheAfter.hits - cacheBefore.hits;
     lastSummary.traceMisses = cacheAfter.misses - cacheBefore.misses;
@@ -219,9 +217,9 @@ renderSweepTrace(const std::string &label,
                       stats::jsonNumber(out.sim.ipc()));
         writeSpan(os, i, "simulate", 0, out.sim.cycles,
                   "\"insts\":" + insts + ",\"rename_stalls\":" +
-                      stats::jsonNumber(out.renameStalls) +
+                      std::to_string(out.renameStalls) +
                       ",\"mispredicts\":" +
-                      stats::jsonNumber(out.mispredicts));
+                      std::to_string(out.mispredicts));
         // Chrome keys counter tracks by (pid, name), not tid, so the
         // run index goes into the track name.
         for (const OccupancySample &s : out.occupancy) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -315,6 +316,36 @@ tryParseSweepMatrix(const Value &root, SweepMatrix &out,
     if (!sawSizes || m.rfSizes.empty()) {
         error = "sweep matrix: 'rf_sizes' must be a non-empty array";
         return false;
+    }
+    // Every column must leave each register class more physical
+    // registers than logical ones at every size: with exactly
+    // isa::numLogRegs, all are mapped at reset and the first register
+    // write stalls forever.
+    for (const SchemeSpec &spec : m.schemes) {
+        const rename::RenameScheme &scheme =
+            rename::renameScheme(spec.scheme);
+        for (std::uint32_t n : m.rfSizes) {
+            const rename::SchemeAreaDescriptor d =
+                scheme.areaDescriptor(matrixConfig(spec, n, m, 0).rename);
+            for (const auto &[cls, banks] :
+                 {std::pair{"int", d.intBanks}, {"fp", d.fpBanks}}) {
+                const std::uint64_t regs = std::accumulate(
+                    banks.begin(), banks.end(), std::uint64_t{0});
+                if (regs > isa::numLogRegs)
+                    continue;
+                error = "sweep matrix: scheme '" + spec.scheme + "'" +
+                        (spec.label == spec.scheme
+                             ? ""
+                             : " (column '" + spec.label + "')") +
+                        " at size " + std::to_string(n) + " has " +
+                        std::to_string(regs) + " " + cls +
+                        " registers; each class needs at least " +
+                        std::to_string(isa::numLogRegs + 1) +
+                        " (one per logical register, plus one to "
+                        "rename into)";
+                return false;
+            }
+        }
     }
     out = std::move(m);
     return true;

@@ -97,11 +97,8 @@ class RenameAuditor
     void check(const Renamer &renamer, const char *where);
 
     /** Cumulative counters. */
-    double auditCount() const { return static_cast<double>(auditsRun); }
-    double violationCount() const
-    {
-        return static_cast<double>(violationsFound);
-    }
+    std::uint64_t auditCount() const { return auditsRun; }
+    std::uint64_t violationCount() const { return violationsFound; }
 
   private:
     std::uint64_t auditsRun = 0;

@@ -10,8 +10,10 @@ BaselineRenamer::BaselineRenamer(const BaselineParams &params)
     for (int c = 0; c < numRegClasses; ++c) {
         auto cls = static_cast<RegClass>(c);
         std::uint32_t total = totalRegs(cls);
-        rrs_assert(total >= isa::numLogRegs,
-                   "need at least as many physical as logical registers");
+        // With only numLogRegs registers every one is mapped at reset
+        // and the first register write stalls forever.
+        rrs_assert(total > isa::numLogRegs,
+                   "need more physical than logical registers");
         ClassState &st = classes[c];
         st.map.resize(isa::numLogRegs);
         // Identity initial mapping; the rest go to the free list.

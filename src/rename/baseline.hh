@@ -52,10 +52,7 @@ class BaselineRenamer : public Renamer
     PhysRegTag mapping(RegClass cls, LogRegIndex reg) const override;
 
     /** Aggregate counters for reports. */
-    double allocationCount() const
-    {
-        return static_cast<double>(allocations);
-    }
+    std::uint64_t allocationCount() const { return allocations; }
 
     /** Largest number of history entries ever held at once. */
     std::uint64_t historyPeakEntries() const { return historyPeakCount; }

@@ -83,11 +83,11 @@ struct RenameResult
  */
 struct PredictorBreakdown
 {
-    double reuseCorrect = 0;
-    double reuseWrong = 0;
-    double noReuseCorrect = 0;
-    double noReuseWrong = 0;
-    double total() const
+    std::uint64_t reuseCorrect = 0;
+    std::uint64_t reuseWrong = 0;
+    std::uint64_t noReuseCorrect = 0;
+    std::uint64_t noReuseWrong = 0;
+    std::uint64_t total() const
     {
         return reuseCorrect + reuseWrong + noReuseCorrect +
                noReuseWrong;

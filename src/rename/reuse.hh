@@ -114,19 +114,14 @@ class ReuseRenamer : public Renamer
     Fig12Counts
     fig12Counts() const
     {
-        return Fig12Counts{static_cast<double>(predReuseCorrect),
-                           static_cast<double>(predReuseWrong),
-                           static_cast<double>(predNoReuseCorrect),
-                           static_cast<double>(predNoReuseWrong)};
+        return Fig12Counts{predReuseCorrect, predReuseWrong,
+                           predNoReuseCorrect, predNoReuseWrong};
     }
 
     /** Aggregate counters for reports. */
-    double allocationCount() const
-    {
-        return static_cast<double>(allocations);
-    }
-    double reuseCount() const { return static_cast<double>(reuses); }
-    double repairCount() const { return static_cast<double>(repairEvents); }
+    std::uint64_t allocationCount() const { return allocations; }
+    std::uint64_t reuseCount() const { return reuses; }
+    std::uint64_t repairCount() const { return repairEvents; }
 
     /**
      * Number of committed logical registers whose value would need a

@@ -52,7 +52,7 @@ class BaselineScheme : public RenameScheme
                        "renamer it did not build");
         SchemeCounters c;
         c.allocations = rn->allocationCount();
-        c.historyPeak = static_cast<double>(rn->historyPeakEntries());
+        c.historyPeak = rn->historyPeakEntries();
         return c;
     }
 
@@ -77,10 +77,11 @@ class BaselineScheme : public RenameScheme
     std::vector<SchemeParamRange>
     paramRanges() const override
     {
-        // Each class needs a physical register per logical one.
-        return {{"regs", isa::numLogRegs, u32Max},
-                {"int_regs", isa::numLogRegs, u32Max},
-                {"fp_regs", isa::numLogRegs, u32Max}};
+        // Each class needs a physical register per logical one, plus
+        // one free to rename into.
+        return {{"regs", isa::numLogRegs + 1, u32Max},
+                {"int_regs", isa::numLogRegs + 1, u32Max},
+                {"fp_regs", isa::numLogRegs + 1, u32Max}};
     }
 };
 
@@ -136,7 +137,7 @@ class ReuseScheme : public RenameScheme
         c.allocations = rn->allocationCount();
         c.reuses = rn->reuseCount();
         c.repairs = rn->repairCount();
-        c.historyPeak = static_cast<double>(rn->historyPeakEntries());
+        c.historyPeak = rn->historyPeakEntries();
         c.fig12 = rn->fig12Counts();
         return c;
     }

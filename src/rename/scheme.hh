@@ -53,10 +53,10 @@ struct SchemeParams
 /** Generic per-run counters a scheme reports into the Outcome. */
 struct SchemeCounters
 {
-    double allocations = 0;
-    double reuses = 0;       //!< 0 for schemes without sharing
-    double repairs = 0;      //!< 0 for schemes without repair
-    double historyPeak = 0;  //!< peak rename-history entries
+    std::uint64_t allocations = 0;
+    std::uint64_t reuses = 0;       //!< 0 for schemes without sharing
+    std::uint64_t repairs = 0;      //!< 0 for schemes without repair
+    std::uint64_t historyPeak = 0;  //!< peak rename-history entries
     PredictorBreakdown fig12;
 };
 

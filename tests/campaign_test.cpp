@@ -334,11 +334,11 @@ gateLedger(const std::string &name, const Sidecar &car,
 {
     const Ledger ledger(tempDir(name));
     harness::LedgerEntry e;
-    e.spec.workload = e.run.workload = "int_sort";
-    e.spec.scheme = e.run.scheme = "baseline";
+    e.spec.workload = "int_sort";
+    e.spec.scheme = "baseline";
     e.spec.regs = 64;
-    e.run.insts = 800;
-    e.run.cycles = cycles;
+    e.outcome.sim.committedInsts = 800;
+    e.outcome.sim.cycles = cycles;
     std::string error;
     EXPECT_TRUE(ledger.store(
         harness::digestHex(harness::nodeDigest(e.spec)), e, error))
@@ -413,7 +413,9 @@ TEST(ReportHostCostTest, IncomparableRunsCannotPass)
     // Different node sets.
     const Ledger other = gateLedger("gate_cmp_other", {});
     harness::LedgerEntry extra;
-    extra.spec.workload = extra.run.workload = "fp_fir";
+    extra.spec.workload = "fp_fir";
+    extra.outcome.sim.committedInsts = 800;
+    extra.outcome.sim.cycles = 1000;
     std::string error;
     ASSERT_TRUE(other.store(
         harness::digestHex(harness::nodeDigest(extra.spec)), extra,
@@ -468,19 +470,27 @@ TEST(ReportHostCostTest, UnreadableNodeIsDrift)
     EXPECT_NE(report.find("unreadable-cur"), std::string::npos) << report;
 }
 
+/** The report's status on a sidecar of `members` next to one node. */
+int
+reportOnDocument(const std::string &name, const std::string &members,
+                 std::string &error)
+{
+    const Ledger ledger = gateLedger(name, {});
+    std::ofstream(ledger.directory() + "/campaign.json")
+        << "{\"campaign_schema\": " << harness::campaignSchemaVersion
+        << ", \"name\": \"sidecar\", " << members << "}\n";
+    std::string out;
+    return harness::renderCampaignReport(ledger, harness::ReportOptions{},
+                                         out, error);
+}
+
 // The sidecar's figure list becomes Table III rows and node file
 // paths, so it is read as written or refused.
 int
 reportOnFigures(const std::string &name, const std::string &figures,
                 std::string &error)
 {
-    const Ledger ledger = gateLedger(name, {});
-    std::ofstream(ledger.directory() + "/campaign.json")
-        << "{\"campaign_schema\": " << harness::campaignSchemaVersion
-        << ", \"name\": \"sidecar\", \"figures\": [" << figures << "]}\n";
-    std::string out;
-    return harness::renderCampaignReport(ledger, harness::ReportOptions{},
-                                         out, error);
+    return reportOnDocument(name, "\"figures\": [" + figures + "]", error);
 }
 
 TEST(ReportSidecarTest, RefusesSizesAndDigestsNotReadAsWritten)
@@ -533,15 +543,10 @@ reportOnSidecar(const std::string &name, const std::string &members,
                 std::string &error, const std::string &phases = "",
                 const std::string &figures = "")
 {
-    const Ledger ledger = gateLedger(name, {});
-    std::ofstream(ledger.directory() + "/campaign.json")
-        << "{\"campaign_schema\": " << harness::campaignSchemaVersion
-        << ", \"name\": \"sidecar\", " << members
-        << ", \"phases\": [" << phases << "], \"figures\": [" << figures
-        << "]}\n";
-    std::string out;
-    return harness::renderCampaignReport(ledger, harness::ReportOptions{},
-                                         out, error);
+    return reportOnDocument(name,
+                            members + ", \"phases\": [" + phases +
+                                "], \"figures\": [" + figures + "]",
+                            error);
 }
 
 const char *const goodCounts =
@@ -657,6 +662,67 @@ TEST(ReportSidecarTest, FractionalCountsAreUnreadable)
     EXPECT_NE(report.find("'nodes_total' must be a non-negative integer"),
               std::string::npos)
         << report;
+}
+
+TEST(ReportSidecarTest, RefusesMembersOfAnotherKind)
+{
+    // An object where rrs-campaign writes an array used to read as an
+    // empty one, and a trace_cache that is not an object as zero
+    // traffic: a report with no figures, or "Not recorded" phases,
+    // that exited 0.
+    const std::string figure =
+        "\"figures\": [{\"figure\": \"t3\", \"kind\": \"table3\", ";
+    const std::pair<std::string, const char *> cases[] = {
+        {"\"figures\": {}", "'figures' must be an array"},
+        {"\"phases\": {}", "'phases' must be an array"},
+        {"\"trace_cache\": 7", "'trace_cache' must be an object"},
+        {figure + "\"sizes\": {}}]", "'figures[0].sizes' must be an array"},
+        {figure + "\"scheme_labels\": \"base\"}]",
+         "'figures[0].scheme_labels' must be an array"},
+        {figure + "\"workloads\": {}}]",
+         "'figures[0].workloads' must be an array"},
+        {figure + "\"nodes\": 7}]", "'figures[0].nodes' must be an array"},
+    };
+    for (const auto &[members, diagnostic] : cases) {
+        std::string error;
+        EXPECT_EQ(reportOnDocument("sidecar_kind_of", members, error), 2)
+            << members;
+        EXPECT_NE(error.find(diagnostic), std::string::npos)
+            << members << ": " << error;
+    }
+}
+
+TEST(ReportSidecarTest, NodeWithoutCyclesCannotRender)
+{
+    // A figure node that stores no cycle has no IPC: the report used
+    // to abort in the figure's geomean.
+    const Ledger ledger(tempDir("report_zero_cycles"));
+    std::string nodes, error;
+    for (const std::string scheme : {"baseline", "reuse"}) {
+        harness::LedgerEntry e;
+        e.spec.workload = "int_sort";
+        e.spec.scheme = scheme;
+        e.spec.regs = 64;
+        e.outcome.sim.committedInsts = 800;
+        e.outcome.sim.cycles = scheme == "baseline" ? 0 : 1000;
+        const std::string hex =
+            harness::digestHex(harness::nodeDigest(e.spec));
+        ASSERT_TRUE(ledger.store(hex, e, error)) << error;
+        nodes += (nodes.empty() ? "\"" : ", \"") + hex + "\"";
+    }
+    std::ofstream(ledger.directory() + "/campaign.json")
+        << "{\"campaign_schema\": " << harness::campaignSchemaVersion
+        << ", \"name\": \"zero\", \"figures\": [{\"figure\": \"f\", "
+        << "\"kind\": \"fig11\", \"sizes\": [64], \"workloads\": "
+        << "[{\"name\": \"int_sort\", \"suite\": \"specint\"}], "
+        << "\"nodes\": [" << nodes << "]}]}\n";
+    std::string out;
+    EXPECT_EQ(harness::renderCampaignReport(ledger, harness::ReportOptions{},
+                                            out, error),
+              2);
+    EXPECT_NE(error.find("'cycles' must be positive"), std::string::npos)
+        << error;
+    EXPECT_NE(out.find("Cannot render"), std::string::npos) << out;
 }
 
 TEST(ReportSidecarTest, NegativeCountIsUnreadable)

@@ -88,7 +88,7 @@ TEST(PipelineStress, FaultStormStillExact)
         cfg.core.loadFaultProbability = 0.05;
         auto out = harness::runOn(w, cfg);
         EXPECT_EQ(out.sim.committedInsts, expected);
-        EXPECT_GT(out.exceptions, 10);
+        EXPECT_GT(out.exceptions, 10u);
     }
 }
 

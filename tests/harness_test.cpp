@@ -88,8 +88,8 @@ TEST(Harness, RunOnProducesConsistentOutcome)
     auto out = runOn(workloads::workload("int_crc"), cfg);
     EXPECT_EQ(out.sim.committedInsts, 30'000u);
     EXPECT_GT(out.sim.ipc(), 0.1);
-    EXPECT_GT(out.allocations, 0);
-    EXPECT_EQ(out.reuses, 0);   // baseline never reuses
+    EXPECT_GT(out.allocations, 0u);
+    EXPECT_EQ(out.reuses, 0u);   // baseline never reuses
 }
 
 TEST(Harness, ReuseConfigActuallyReuses)
@@ -98,8 +98,8 @@ TEST(Harness, ReuseConfigActuallyReuses)
     cfg.maxInsts = 30'000;
     auto out = runOn(workloads::workload("fp_horner"), cfg);
     EXPECT_EQ(out.sim.committedInsts, 30'000u);
-    EXPECT_GT(out.reuses, 1000);
-    EXPECT_GT(out.fig12.total(), 0);
+    EXPECT_GT(out.reuses, 1000u);
+    EXPECT_GT(out.fig12.total(), 0u);
 }
 
 TEST(Harness, SharingSamplerCollectsSeries)
@@ -220,12 +220,9 @@ TEST(Harness, OutcomeCountersArePinned)
             cfg.maxInsts = 20'000;
             const Outcome out = runOn(workloads::workload(w), cfg);
             const CounterPin got{
-                w, scheme, out.condAccuracy,
-                static_cast<std::uint64_t>(out.historyPeak),
-                {static_cast<std::uint64_t>(out.fig12.reuseCorrect),
-                 static_cast<std::uint64_t>(out.fig12.reuseWrong),
-                 static_cast<std::uint64_t>(out.fig12.noReuseCorrect),
-                 static_cast<std::uint64_t>(out.fig12.noReuseWrong)}};
+                w, scheme, out.condAccuracy, out.historyPeak,
+                {out.fig12.reuseCorrect, out.fig12.reuseWrong,
+                 out.fig12.noReuseCorrect, out.fig12.noReuseWrong}};
             ASSERT_LT(row, std::size(kCounterPins))
                 << "no pin row; measured:\n" << counterRow(got);
             const CounterPin &want = kCounterPins[row++];

@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,18 +45,51 @@ sampleEntry()
 {
     LedgerEntry e;
     e.spec = sampleSpec();
-    e.run.workload = e.spec.workload;
-    e.run.scheme = e.spec.scheme;
-    e.run.insts = 150'000;
-    e.run.cycles = 200'000;
-    e.stalls.counts[0] = 120'000;
-    e.stalls.counts[2] = 50'000;
-    e.stalls.counts[6] = 30'000;
-    e.allocations = 90'000;
-    e.reuses = 12'000;
-    e.repairs = 42;
-    e.renameStalls = 1'000;
+    harness::Outcome &o = e.outcome;
+    o.sim.committedInsts = 150'000;
+    o.sim.cycles = 200'000;
+    o.stalls.counts[0] = 120'000;
+    o.stalls.counts[2] = 50'000;
+    o.stalls.counts[6] = 30'000;
+    o.allocations = 90'000;
+    o.reuses = 12'000;
+    o.repairs = 42;
+    o.renameStalls = 1'000;
     return e;
+}
+
+/** `text` with its one occurrence of `from` replaced by `to`. */
+std::string
+edited(std::string text, const std::string &from, const std::string &to)
+{
+    const std::size_t pos = text.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    if (pos != std::string::npos)
+        text.replace(pos, from.size(), to);
+    return text;
+}
+
+/** One hand edit of a rendered node and the diagnostic it must draw. */
+struct Edit
+{
+    const char *from;
+    const char *to;
+    const char *field;
+};
+
+/** Each edit of `good` alone makes the parser refuse it, naming why. */
+void
+expectRefused(const std::string &good, const std::vector<Edit> &edits)
+{
+    for (const Edit &edit : edits) {
+        LedgerEntry back;
+        std::string error;
+        EXPECT_FALSE(harness::parseLedgerEntryJson(
+            edited(good, edit.from, edit.to), back, error))
+            << edit.to;
+        EXPECT_NE(error.find(edit.field), std::string::npos)
+            << edit.to << ": " << error;
+    }
 }
 
 std::string
@@ -159,12 +193,16 @@ TEST(LedgerEntryJson, RoundTrip)
     EXPECT_EQ(back.spec.regs, e.spec.regs);
     EXPECT_EQ(back.spec.cap, e.spec.cap);
     EXPECT_EQ(back.spec.seed, e.spec.seed);
-    EXPECT_EQ(back.run.insts, e.run.insts);
-    EXPECT_EQ(back.run.cycles, e.run.cycles);
+    const harness::Outcome &bo = back.outcome, &eo = e.outcome;
+    EXPECT_EQ(bo.sim.committedInsts, eo.sim.committedInsts);
+    EXPECT_EQ(bo.sim.cycles, eo.sim.cycles);
     for (int c = 0; c < obs::numCycleCauses; ++c)
-        EXPECT_EQ(back.stalls.counts[c], e.stalls.counts[c]) << c;
-    EXPECT_EQ(back.reuses, e.reuses);
-    EXPECT_EQ(back.repairs, e.repairs);
+        EXPECT_EQ(bo.stalls.counts[c], eo.stalls.counts[c]) << c;
+    EXPECT_EQ(bo.allocations, eo.allocations);
+    EXPECT_EQ(bo.reuses, eo.reuses);
+    EXPECT_EQ(bo.repairs, eo.repairs);
+    EXPECT_EQ(bo.renameStalls, eo.renameStalls);
+    EXPECT_FALSE(bo.sampled.enabled);
 
     // Rendering the parsed entry reproduces the bytes: the node files
     // are canonical, so ledger diffs can compare bytes.
@@ -176,7 +214,7 @@ TEST(LedgerEntryJson, RoundTrip)
     sampled.spec.sampling.warm = 2048;
     sampled.spec.sampling.detailed = 1024;
     sampled.spec.sampling.period = 8192;
-    harness::SampledSummary &sm = sampled.run.sampled;
+    harness::SampledSummary &sm = sampled.outcome.sampled;
     sm.enabled = true;
     sm.windows = 16;
     sm.meanIpc = 0.83;
@@ -190,7 +228,7 @@ TEST(LedgerEntryJson, RoundTrip)
     const std::string sampledText = harness::renderLedgerEntryJson(sampled);
     ASSERT_TRUE(harness::parseLedgerEntryJson(sampledText, back, error))
         << error;
-    const harness::SampledSummary &bs = back.run.sampled;
+    const harness::SampledSummary &bs = back.outcome.sampled;
     ASSERT_TRUE(bs.enabled);
     EXPECT_EQ(bs.windows, sm.windows);
     EXPECT_EQ(bs.meanIpc, sm.meanIpc);
@@ -206,20 +244,16 @@ TEST(LedgerEntryJson, RoundTrip)
 
 TEST(LedgerEntryJson, WallClockIsNeverStored)
 {
-    // Entries must be byte-stable across machines; a wall-clock field
-    // with a real value would break that.
-    LedgerEntry e = sampleEntry();
-    e.run.wallSeconds = 1.5;   // pretend a caller forgot to zero it
-    harness::Outcome o;
-    o.sim.committedInsts = e.run.insts;
-    o.sim.cycles = e.run.cycles;
-    const LedgerEntry built = harness::makeLedgerEntry(e.spec, o);
-    EXPECT_EQ(built.run.wallSeconds, 0.0);
-
-    const std::string text = harness::renderLedgerEntryJson(built);
-    EXPECT_NE(text.find("\"wall_seconds\": 0"), std::string::npos);
+    // Entries must be byte-stable across machines: the run row's wall
+    // clock is always written as zero, and a node that claims host time
+    // is refused.
+    const std::string text = harness::renderLedgerEntryJson(sampleEntry());
+    EXPECT_NE(text.find("\"wall_seconds\": 0}"), std::string::npos);
     EXPECT_EQ(text.find("git_sha"), std::string::npos);
     EXPECT_EQ(text.find("timestamp"), std::string::npos);
+
+    expectRefused(text, {{"\"wall_seconds\": 0", "\"wall_seconds\": 1.5",
+                           "'wall_seconds' must be 0"}});
 }
 
 TEST(LedgerEntryJson, RejectsDigestMismatch)
@@ -242,13 +276,7 @@ TEST(LedgerEntryJson, RefusesFieldsNotReadAsWritten)
     // The digest covers only the spec, so the result fields are guarded
     // by the reader alone: a count must be a whole number in its type's
     // range, a float a JSON number, a string a JSON string.
-    struct Edit
-    {
-        const char *from;
-        const char *to;
-        const char *field;
-    };
-    const Edit edits[] = {
+    expectRefused(harness::renderLedgerEntryJson(sampleEntry()), {
         {"\"cycles\": 200000", "\"cycles\": 200000.5", "'cycles'"},
         {"\"renameNoReg\": 50000", "\"renameNoReg\": -5",
          "'renameNoReg'"},
@@ -265,20 +293,68 @@ TEST(LedgerEntryJson, RefusesFieldsNotReadAsWritten)
          "'label' must be a string"},
         {"\"stalls\": {", "\"stalls\": 5, \"unused\": {",
          "'stalls' must be an object"},
-    };
-    const std::string good = harness::renderLedgerEntryJson(sampleEntry());
-    for (const Edit &edit : edits) {
-        std::string text = good;
-        const std::size_t pos = text.find(edit.from);
-        ASSERT_NE(pos, std::string::npos) << edit.from;
-        text.replace(pos, std::string(edit.from).size(), edit.to);
+    });
+}
 
-        LedgerEntry back;
+TEST(LedgerEntryJson, RequiresEveryWrittenFieldAndARun)
+{
+    // Every field the writer emits is required, the run row has no
+    // second copy of the node's identity to disagree with, and a node
+    // with no committed instruction or no cycle has no IPC: reading any
+    // of these used to yield zeros, and a zero-cycle node aborted
+    // rrs-report in its geomean.
+    expectRefused(harness::renderLedgerEntryJson(sampleEntry()), {
+        {"\"cycles\": 200000, ", "", "'cycles' is missing"},
+        {"\"cycles\": 200000", "\"cycles\": 0",
+         "'cycles' must be positive"},
+        {"\"insts\": 150000", "\"insts\": 0", "'insts' must be positive"},
+        {", \"rename_stalls\": 1000", "", "'rename_stalls' is missing"},
+        {", \"backendExec\": 0", "", "'backendExec' is missing"},
+        {"\"key\": ", "\"unused\": ", "'key' is missing"},
+        {"\"key\": \"ledger=1;", "\"key\": \"ledger=9;",
+         "digest or key does not match"},
+        {"\"label\": \"proposed\",\n", "", "'label' is missing"},
+        {"\"ipc\": 0.75", "\"ipc\": 0.5", "'ipc' is not insts / cycles"},
+        {"{\"workload\": \"int_sort\", \"scheme\": \"reuse\", \"insts",
+         "{\"workload\": \"fp_fir\", \"scheme\": \"reuse\", \"insts",
+         "run row's workload or scheme disagrees"},
+        {"\"scheme\": \"reuse\", \"insts",
+         "\"scheme\": \"baseline\", \"insts",
+         "run row's workload or scheme disagrees"},
+        {"\"wall_seconds\": 0}",
+         "\"wall_seconds\": 0, \"sampled\": {\"windows\": 1}}",
+         "an exact node's run row carries 'sampled'"},
+    });
+
+    // A sampled node must carry its estimate.
+    LedgerEntry sampled = sampleEntry();
+    sampled.spec.sampling.warm = 256;
+    sampled.spec.sampling.detailed = 128;
+    sampled.spec.sampling.period = 512;
+    const std::string text = harness::renderLedgerEntryJson(sampled);
+    const std::size_t at = text.find(", \"sampled\": {");
+    ASSERT_NE(at, std::string::npos) << text;
+    const std::string block = text.substr(at, text.find('}', at) + 1 - at);
+    expectRefused(text, {{block.c_str(), "", "'sampled' is missing"}});
+}
+
+TEST(LedgerEntryJson, SnapshotNodesRenderBackToTheirBytes)
+{
+    // The committed snapshot's nodes lock the node format without a
+    // simulation: each parses, and rendering the parsed entry gives
+    // back the file byte for byte.
+    const Ledger snapshot(RRS_LEDGER_SNAPSHOT);
+    const std::vector<std::string> nodes = snapshot.listNodes();
+    EXPECT_EQ(nodes.size(), 636u);
+    for (const std::string &hex : nodes) {
+        std::ifstream in(snapshot.nodePath(hex), std::ios::binary);
+        std::ostringstream text;
+        text << in.rdbuf();
+        LedgerEntry e;
         std::string error;
-        EXPECT_FALSE(harness::parseLedgerEntryJson(text, back, error))
-            << edit.to;
-        EXPECT_NE(error.find(edit.field), std::string::npos)
-            << edit.to << ": " << error;
+        ASSERT_TRUE(harness::parseLedgerEntryJson(text.str(), e, error))
+            << hex << ": " << error;
+        EXPECT_EQ(harness::renderLedgerEntryJson(e), text.str()) << hex;
     }
 }
 
@@ -306,7 +382,7 @@ TEST(LedgerStore, StoreLoadList)
 
     LedgerEntry back;
     ASSERT_TRUE(ledger.tryLoad(hex, back, error)) << error;
-    EXPECT_EQ(back.run.cycles, e.run.cycles);
+    EXPECT_EQ(back.outcome.sim.cycles, e.outcome.sim.cycles);
 
     // A second, different node; listNodes returns both, sorted.
     LedgerEntry e2 = sampleEntry();
@@ -336,8 +412,8 @@ TEST(LedgerDiffTest, ExactNodesGateBitForBit)
     // One cycle of drift in an exact node fails the gate, and the
     // stall row names where the cycles went.
     LedgerEntry drifted = e;
-    drifted.run.cycles += 1;
-    drifted.stalls.counts[2] += 1;
+    drifted.outcome.sim.cycles += 1;
+    drifted.outcome.stalls.counts[2] += 1;
     ASSERT_TRUE(cur.store(hex, drifted, error)) << error;
     const LedgerDiff d = harness::diffLedgers(base, cur);
     ASSERT_FALSE(d.clean());
@@ -368,17 +444,18 @@ TEST(LedgerDiffTest, EveryStoredFieldGates)
         edit(c);
         cases.emplace_back(metric, c);
     };
-    change("insts", [](LedgerEntry &c) { c.run.insts += 1; });
-    change("cycles", [](LedgerEntry &c) { c.run.cycles += 1; });
+    change("insts", [](LedgerEntry &c) { c.outcome.sim.committedInsts += 1; });
+    change("cycles", [](LedgerEntry &c) { c.outcome.sim.cycles += 1; });
     for (int i = 0; i < obs::numCycleCauses; ++i) {
         change(std::string("stall.") +
                    obs::cycleCauseName(static_cast<obs::CycleCause>(i)),
-               [i](LedgerEntry &c) { c.stalls.counts[i] += 1; });
+               [i](LedgerEntry &c) { c.outcome.stalls.counts[i] += 1; });
     }
-    change("allocations", [](LedgerEntry &c) { c.allocations += 1; });
-    change("reuses", [](LedgerEntry &c) { c.reuses += 1; });
-    change("repairs", [](LedgerEntry &c) { c.repairs += 1; });
-    change("rename_stalls", [](LedgerEntry &c) { c.renameStalls += 1; });
+    change("allocations", [](LedgerEntry &c) { c.outcome.allocations += 1; });
+    change("reuses", [](LedgerEntry &c) { c.outcome.reuses += 1; });
+    change("repairs", [](LedgerEntry &c) { c.outcome.repairs += 1; });
+    change("rename_stalls",
+           [](LedgerEntry &c) { c.outcome.renameStalls += 1; });
 
     for (const auto &[metric, changed] : cases) {
         ASSERT_TRUE(cur.store(hex, changed, error)) << error;
@@ -396,10 +473,10 @@ TEST(LedgerDiffTest, SampledNodesGateOnCiOverlap)
     e.spec.sampling.warm = 256;
     e.spec.sampling.detailed = 128;
     e.spec.sampling.period = 512;
-    e.run.sampled.enabled = true;
-    e.run.sampled.windows = 16;
-    e.run.sampled.meanIpc = 0.80;
-    e.run.sampled.ci95Ipc = 0.05;
+    e.outcome.sampled.enabled = true;
+    e.outcome.sampled.windows = 16;
+    e.outcome.sampled.meanIpc = 0.80;
+    e.outcome.sampled.ci95Ipc = 0.05;
     const std::string hex =
         harness::digestHex(harness::nodeDigest(e.spec));
     std::string error;
@@ -407,13 +484,13 @@ TEST(LedgerDiffTest, SampledNodesGateOnCiOverlap)
 
     // Within the summed CI: noise, not drift.
     LedgerEntry within = e;
-    within.run.sampled.meanIpc = 0.86;
+    within.outcome.sampled.meanIpc = 0.86;
     ASSERT_TRUE(cur.store(hex, within, error)) << error;
     EXPECT_TRUE(harness::diffLedgers(base, cur).clean());
 
     // Beyond it: drift on the mean-IPC metric.
     LedgerEntry far = e;
-    far.run.sampled.meanIpc = 1.00;
+    far.outcome.sampled.meanIpc = 1.00;
     ASSERT_TRUE(cur.store(hex, far, error)) << error;
     const LedgerDiff d = harness::diffLedgers(base, cur);
     ASSERT_EQ(d.drift.size(), 1u);

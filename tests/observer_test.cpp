@@ -174,9 +174,9 @@ struct ObservedRun
 {
     core::SimResult result;
     obs::StallBreakdown stalls;
-    double mispredicts = 0;
-    double exceptions = 0;
-    double interrupts = 0;
+    std::uint64_t mispredicts = 0;
+    std::uint64_t exceptions = 0;
+    std::uint64_t interrupts = 0;
     std::vector<Event> log;
 };
 
@@ -324,13 +324,13 @@ TEST(CoreObserver, EventsFollowThePipelineContract)
         EXPECT_GT(squashes, 0u);
         EXPECT_GT(flushYounger, 0u);
         if (c.interruptInterval > 0) {
-            EXPECT_GT(run.exceptions, 0.0);
-            EXPECT_GT(run.interrupts, 0.0);
+            EXPECT_GT(run.exceptions, 0u);
+            EXPECT_GT(run.interrupts, 0u);
             EXPECT_GT(flushAll, 0u);
         } else {
             // Without faults every rollback is a mispredict squash.
             EXPECT_EQ(flushAll, 0u);
-            EXPECT_EQ(static_cast<double>(flushYounger), run.mispredicts);
+            EXPECT_EQ(flushYounger, run.mispredicts);
         }
     }
 }

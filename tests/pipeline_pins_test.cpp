@@ -310,9 +310,7 @@ measure(const Shape &shape, const char *workload, const char *scheme)
         harness::runOn(workloads::workload(workload), cfg);
 
     Pin p{shape.name, workload, scheme, out.sim.cycles,
-          out.sim.committedOps,
-          static_cast<std::uint64_t>(out.mispredicts),
-          static_cast<std::uint64_t>(out.exceptions), {}};
+          out.sim.committedOps, out.mispredicts, out.exceptions, {}};
     for (int c = 0; c < obs::numCycleCauses; ++c)
         p.stalls[c] = out.stalls.counts[c];
     return p;

@@ -76,11 +76,11 @@ struct Result
 {
     core::SimResult sim;
     obs::StallBreakdown stalls;
-    double mispredicts = 0;
-    double exceptions = 0;
-    double interrupts = 0;
-    double recoveryCycles = 0;
-    double renameStalls = 0;
+    std::uint64_t mispredicts = 0;
+    std::uint64_t exceptions = 0;
+    std::uint64_t interrupts = 0;
+    std::uint64_t recoveryCycles = 0;
+    std::uint64_t renameStalls = 0;
     rename::SchemeCounters counters;
     harness::SampledSummary sampled;
     std::uint64_t skipped = 0;

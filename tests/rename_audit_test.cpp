@@ -76,8 +76,8 @@ TEST(RenameAuditor, CleanAfterConstruction)
     BaselineRenamer base(BaselineParams{64, 64});
     expectClean(auditor, reuse, "fresh reuse renamer");
     expectClean(auditor, base, "fresh baseline renamer");
-    EXPECT_EQ(auditor.auditCount(), 2.0);
-    EXPECT_EQ(auditor.violationCount(), 0.0);
+    EXPECT_EQ(auditor.auditCount(), 2u);
+    EXPECT_EQ(auditor.violationCount(), 0u);
 }
 
 TEST(RenameAuditor, CleanAfterMixedActivity)
@@ -119,7 +119,7 @@ TEST(RenameAuditor, CatchesFlippedReadBit)
     EXPECT_FALSE(report.clean());
     EXPECT_TRUE(report.names(AuditInvariant::ReadBitUses))
         << report.toString();
-    EXPECT_GT(auditor.violationCount(), 0.0);
+    EXPECT_GT(auditor.violationCount(), 0u);
 }
 
 TEST(RenameAuditor, CatchesLeakedFreeRegister)
@@ -444,8 +444,8 @@ TEST(RenameAuditProperty, RandomizedInterleavingAllWorkloads)
         if (HasFailure())
             FAIL() << "baseline renamer, workload " << w.name;
     }
-    EXPECT_GT(auditor.auditCount(), 0.0);
-    EXPECT_EQ(auditor.violationCount(), 0.0);
+    EXPECT_GT(auditor.auditCount(), 0u);
+    EXPECT_EQ(auditor.violationCount(), 0u);
 }
 
 // ---- Harness integration: the O3 core's audit trigger points.
@@ -458,9 +458,9 @@ TEST(HarnessAudit, EveryCommitAuditingReportsThroughOutcome)
         cfg.maxInsts = 20000;
         cfg.obs.auditInterval = 1;   // audit after every commit
         auto out = harness::runOn(w, cfg);
-        EXPECT_GT(out.auditsRun, 0.0) << "scheme " << scheme;
-        EXPECT_EQ(out.auditViolations, 0.0);
-        EXPECT_GT(out.historyPeak, 0.0);
+        EXPECT_GT(out.auditsRun, 0u) << "scheme " << scheme;
+        EXPECT_EQ(out.auditViolations, 0u);
+        EXPECT_GT(out.historyPeak, 0u);
     }
 }
 
@@ -471,8 +471,8 @@ TEST(HarnessAudit, DisabledAuditingRunsNoChecks)
     cfg.maxInsts = 5000;
     cfg.obs.auditDisabled = true;   // overrides RRS_AUDIT and defaults
     auto out = harness::runOn(w, cfg);
-    EXPECT_EQ(out.auditsRun, 0.0);
-    EXPECT_EQ(out.auditViolations, 0.0);
+    EXPECT_EQ(out.auditsRun, 0u);
+    EXPECT_EQ(out.auditViolations, 0u);
 }
 
 TEST(HarnessAudit, PeriodicAuditingAuditsLessOften)
@@ -485,10 +485,10 @@ TEST(HarnessAudit, PeriodicAuditingAuditsLessOften)
     sparse.obs.auditInterval = 1000;   // every 1000 cycles + squashes
     auto outEvery = harness::runOn(w, every);
     auto outSparse = harness::runOn(w, sparse);
-    EXPECT_GT(outSparse.auditsRun, 0.0);
+    EXPECT_GT(outSparse.auditsRun, 0u);
     EXPECT_LT(outSparse.auditsRun, outEvery.auditsRun);
-    EXPECT_EQ(outEvery.auditViolations, 0.0);
-    EXPECT_EQ(outSparse.auditViolations, 0.0);
+    EXPECT_EQ(outEvery.auditViolations, 0u);
+    EXPECT_EQ(outSparse.auditViolations, 0u);
     // Auditing is pure observation: the simulated outcome is
     // bit-identical at any interval.
     EXPECT_EQ(outEvery.sim.cycles, outSparse.sim.cycles);
@@ -511,10 +511,10 @@ TEST(HarnessAudit, TriggerCountsArePinned)
     EXPECT_EQ(outEvery.sim.cycles, 28773u);
     EXPECT_EQ(outSparse.sim.cycles, 28773u);
     // Interval 1000: cycles 0, 1000, ..., 28000 (29) + 1,350.
-    EXPECT_EQ(outSparse.auditsRun, 1379.0);
+    EXPECT_EQ(outSparse.auditsRun, 1379u);
     // Interval 1 (RRS_AUDIT=1) audits after every commit (10,000)
     // + 1,350, and never per cycle.
-    EXPECT_EQ(outEvery.auditsRun, 11350.0);
+    EXPECT_EQ(outEvery.auditsRun, 11350u);
 }
 
 } // namespace

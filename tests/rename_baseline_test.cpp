@@ -170,6 +170,16 @@ TEST(BaselineRenamer, LongRenameCommitStream)
               48u + (renamed - committed - rob.size()));
 }
 
+TEST(BaselineRenamerDeath, NeedsARegisterBeyondTheArchitectedOnes)
+{
+    // With 32 registers per class every one is mapped at reset, so the
+    // first register write would stall forever.
+    EXPECT_DEATH(BaselineRenamer(BaselineParams{32, 64}),
+                 "assertion failed: total > isa::numLogRegs");
+    EXPECT_DEATH(BaselineRenamer(BaselineParams{64, 32}),
+                 "assertion failed: total > isa::numLogRegs");
+}
+
 TEST(BaselineRenamer, MaxVersionsIsOne)
 {
     BaselineRenamer rn(BaselineParams{40, 40});

@@ -375,8 +375,8 @@ TEST(SchemeRegistry, HotSwapBetweenRunsIsStateless)
 
     // The two schemes really ran as themselves: reuse shares, the
     // baseline never does.
-    EXPECT_GT(prop1.reuses, 0.0);
-    EXPECT_EQ(base1.reuses, 0.0);
+    EXPECT_GT(prop1.reuses, 0u);
+    EXPECT_EQ(base1.reuses, 0u);
 }
 
 } // namespace

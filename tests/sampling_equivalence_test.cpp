@@ -208,4 +208,30 @@ TEST(Sampling, SampledRunIsRepeatable)
     EXPECT_EQ(a.sim.committedInsts, b.sim.committedInsts);
 }
 
+// A trace that ends inside the first warm span used to run no detailed
+// window and report IPC 0, which aborted every geomean above it.  The
+// controller now warms only what leaves one window, so the rest runs in
+// detail.
+TEST(Sampling, TraceShorterThanWarmStillMeasuresAWindow)
+{
+    SamplingParams smoke;
+    smoke.warm = 2048;
+    smoke.detailed = 1024;
+    smoke.period = 8192;
+
+    for (const char *scheme : {"baseline", "reuse"}) {
+        RunConfig cfg = configFor(scheme);
+        cfg.maxInsts = 2'000;
+        cfg.sampling = smoke;
+        const Outcome out = runOn(workloadNamed("int_sort"), cfg);
+        ASSERT_TRUE(out.sampled.enabled);
+        EXPECT_GT(out.sampled.detailedInsts, 0u) << scheme;
+        EXPECT_GT(out.sampled.meanIpc, 0.0) << scheme;
+        EXPECT_EQ(out.sampled.warmInsts + out.sampled.detailedInsts +
+                      out.sampled.skippedInsts,
+                  2'000u)
+            << scheme;
+    }
+}
+
 } // namespace

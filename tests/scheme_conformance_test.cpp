@@ -235,8 +235,8 @@ TEST_P(SchemeConformance, AuditCleanAtEveryCommit)
     cfg.maxInsts = 15'000;
     cfg.obs.auditInterval = 1;
     auto out = harness::runOn(w, cfg);
-    EXPECT_GT(out.auditsRun, 0.0);
-    EXPECT_EQ(out.auditViolations, 0.0);
+    EXPECT_GT(out.auditsRun, 0u);
+    EXPECT_EQ(out.auditViolations, 0u);
     EXPECT_GT(out.sim.committedInsts, 0u);
 }
 
@@ -246,11 +246,11 @@ TEST_P(SchemeConformance, CountersAreSelfConsistent)
     harness::RunConfig cfg = harness::schemeConfig(GetParam(), 64);
     cfg.maxInsts = 15'000;
     auto out = harness::runOn(w, cfg);
-    EXPECT_GT(out.allocations, 0.0);
-    EXPECT_GE(out.reuses, 0.0);
-    EXPECT_GE(out.repairs, 0.0);
-    EXPECT_GT(out.historyPeak, 0.0);
-    EXPECT_GE(out.fig12.total(), 0.0);
+    EXPECT_GT(out.allocations, 0u);
+    EXPECT_GE(out.reuses, 0u);
+    EXPECT_GE(out.repairs, 0u);
+    EXPECT_GT(out.historyPeak, 0u);
+    EXPECT_GE(out.fig12.total(), 0u);
 }
 
 /** The scheme's two-workload, two-size reference sweep. */

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <utility>
 
+#include "harness/campaign.hh"
 #include "harness/sweepmatrix.hh"
 #include "rename/scheme.hh"
 
@@ -178,11 +179,66 @@ TEST(SweepMatrixErrors, ProbeReportsWithoutDying)
                           "params": {"regs": 16}}],
              "rf_sizes": [64]})",
          "parameter 'regs' of scheme 'baseline' must be an integer in "
-         "32..4294967295"},
+         "33..4294967295"},
     };
     for (const auto &[doc, diagnostic] : unfit)
         EXPECT_NE(probeError(doc).find(diagnostic), std::string::npos)
             << doc;
+}
+
+TEST(SweepMatrixErrors, RegisterFileFloorIsCheckedAtParseTime)
+{
+    // A column that leaves a register class no register beyond the 32
+    // architected ones cannot rename: at 32 the run used to hang, below
+    // it the renamer's constructor aborted mid-sweep.  The parser now
+    // builds every column at every size and refuses such a file.
+    const std::pair<const char *, const char *> tooSmall[] = {
+        {R"({"schemes": ["baseline", "reuse"], "rf_sizes": [64, 32]})",
+         "scheme 'baseline' at size 32 has 32 int registers; each class "
+         "needs at least 33"},
+        {R"({"schemes": ["baseline"], "rf_sizes": [16]})",
+         "scheme 'baseline' at size 16 has 16 int registers"},
+        {R"({"schemes": [{"scheme": "reuse", "label": "bank0 only",
+                          "params": {"bank0": 20, "bank1": 0,
+                                     "bank2": 0, "bank3": 0}}],
+             "rf_sizes": [64]})",
+         "scheme 'reuse' (column 'bank0 only') at size 64 has 20 int "
+         "registers"},
+        {R"({"schemes": [{"scheme": "baseline",
+                          "params": {"int_regs": 64}}],
+             "rf_sizes": [32]})",
+         "scheme 'baseline' at size 32 has 32 fp registers"},
+    };
+    for (const auto &[doc, diagnostic] : tooSmall)
+        EXPECT_NE(probeError(doc).find(diagnostic), std::string::npos)
+            << doc << "\n" << probeError(doc);
+
+    // One register to rename into is enough to parse.
+    SweepMatrix m;
+    std::string error;
+    EXPECT_TRUE(harness::tryParseSweepMatrix(
+        R"({"schemes": ["baseline"], "rf_sizes": [33]})", m, error))
+        << error;
+    EXPECT_TRUE(harness::tryParseSweepMatrix(
+        R"({"schemes": [{"scheme": "reuse",
+                         "params": {"bank0": 33, "bank1": 0,
+                                    "bank2": 0, "bank3": 0}}],
+            "rf_sizes": [48]})",
+        m, error))
+        << error;
+
+    // A campaign manifest embeds matrices, so it is refused the same way.
+    harness::CampaignManifest manifest;
+    EXPECT_FALSE(harness::tryParseCampaignManifest(
+        R"({"name": "floor", "figures": [
+              {"figure": "f", "kind": "fig11",
+               "matrix": {"schemes": ["baseline", "reuse"],
+                          "rf_sizes": [32]}}]})",
+        manifest, error));
+    EXPECT_NE(error.find("figure 'f': sweep matrix: scheme 'baseline' at "
+                         "size 32 has 32 int registers"),
+              std::string::npos)
+        << error;
 }
 
 TEST(SweepMatrixErrors, OutputUntouchedOnFailure)
