@@ -2,11 +2,11 @@
  * @file
  * Google-benchmark microbenchmarks of the hot simulator structures:
  * rename/commit throughput for both renamers, squash cost, cache
- * access, emulation speed, trace analysis, and the whole O3 core loop
- * over captured and synthetic streams.  These guard the
- * simulator's own performance (the sweeps run hundreds of timing
- * simulations) and document the relative cost of the proposed
- * renamer's extra bookkeeping.
+ * access, emulation speed, trace capture and digesting, trace
+ * analysis, and the whole O3 core loop over captured and synthetic
+ * streams.  These guard the simulator's own performance (the sweeps
+ * run hundreds of timing simulations) and document the relative cost
+ * of the proposed renamer's extra bookkeeping.
  */
 
 #include <benchmark/benchmark.h>
@@ -116,6 +116,35 @@ BM_EmulatorThroughput(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_EmulatorThroughput);
+
+/** Capture of int_sort's 20k-record stream; items are records. */
+void
+BM_CaptureTrace(benchmark::State &state)
+{
+    const auto &w = workloads::workload("int_sort");
+    std::int64_t records = 0;
+    for (auto _ : state) {
+        const trace::TracePtr t = workloads::captureTrace(w, 20'000);
+        records += static_cast<std::int64_t>(t->size());
+    }
+    state.SetItemsProcessed(records);
+}
+BENCHMARK(BM_CaptureTrace)->Unit(benchmark::kMillisecond);
+
+/** Both digests of that capture, the codec's cost; items are records. */
+void
+BM_TraceDigest(benchmark::State &state)
+{
+    const trace::TracePtr t =
+        workloads::captureTrace(workloads::workload("int_sort"), 20'000);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(t->digest());
+        benchmark::DoNotOptimize(t->packed().digest());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(t->size()));
+}
+BENCHMARK(BM_TraceDigest)->Unit(benchmark::kMillisecond);
 
 void
 BM_UsageAnalysis(benchmark::State &state)

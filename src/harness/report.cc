@@ -161,7 +161,7 @@ parseFigures(const Value &doc, std::vector<FigureDesc> &figures,
         FigureDesc fd;
         const Value *sizes = nullptr, *labels = nullptr,
                     *workloads = nullptr, *nodes = nullptr;
-        if (!readMember(f, field, "figure", false, fd.name, error) ||
+        if (!readMember(f, field, "figure", true, fd.name, error) ||
             !readMember(f, field, "kind", false, fd.kind, error) ||
             !readNested(f, field, "sizes", array, sizes, error) ||
             !readNested(f, field, "scheme_labels", array, labels, error) ||
@@ -499,22 +499,21 @@ renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
         return 2;
     }
 
+    std::string name, gitSha;
     std::vector<FigureDesc> figures;
     CampaignResult nodes;
     SweepSummary sweep;
     const Value *phases = nullptr;
-    if (!parseFigures(doc, figures, error) ||
+    if (!readMember(doc, "", "name", true, name, error) ||
+        !readMember(doc, "", "git_sha", true, gitSha, error) ||
+        !parseFigures(doc, figures, error) ||
         !readHostCost(doc, nodes, sweep, error) ||
         !readNested(doc, "", "phases", Value::Kind::Array, phases, error))
         return 2;
 
     std::ostringstream md;
-    auto str = [&doc](const char *key) {
-        const Value *v = doc.find(key);
-        return v ? v->str : std::string();
-    };
-    md << "# Campaign report: " << str("name") << "\n\n"
-       << "- git sha: `" << str("git_sha") << "`\n"
+    md << "# Campaign report: " << name << "\n\n"
+       << "- git sha: `" << gitSha << "`\n"
        << "- nodes: " << nodes.totalNodes << " total, " << nodes.hits
        << " cached, " << nodes.simulated << " simulated, "
        << nodes.remaining << " deferred\n";
@@ -624,7 +623,7 @@ renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
     }
     std::ostringstream html;
     html << "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n"
-         << "<title>Campaign report: " << htmlEscape(str("name"))
+         << "<title>Campaign report: " << htmlEscape(name)
          << "</title>\n"
          << "<style>body{font-family:monospace;max-width:110ch;"
          << "margin:2em auto;white-space:pre-wrap;}</style>\n"

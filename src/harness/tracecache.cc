@@ -77,7 +77,7 @@ TraceCache::get(const workloads::Workload &w, std::uint64_t maxInsts)
     }
 
     // A trace is born packed: captureTrace and tryReadTraceFile both
-    // seal the columns before they return.
+    // append straight into its columns, and nothing runs after them.
     lock.lock();
     if (loaded) {
         ++counts.spillLoads;

@@ -50,7 +50,7 @@ class TraceCache
         std::uint64_t replayedInsts = 0;     //!< fed to timing runs
         std::uint64_t spillLoads = 0;        //!< read from RRS_TRACE_DIR
         std::uint64_t spillStores = 0;       //!< written to RRS_TRACE_DIR
-        std::uint64_t packedRecords = 0;     //!< sealed into columns
+        std::uint64_t packedRecords = 0;     //!< stored as columns
     };
 
     /** Spill directory defaults to the RRS_TRACE_DIR environment. */

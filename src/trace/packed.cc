@@ -1,31 +1,9 @@
 #include "packed.hh"
 
-#include <chrono>
-
 #include "common/logging.hh"
+#include "trace/fnv.hh"
 
 namespace rrs::trace {
-
-namespace {
-
-constexpr std::uint64_t fnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t fnvPrime = 0x100000001b3ULL;
-
-void
-foldU8(std::uint64_t &h, std::uint8_t v)
-{
-    h ^= v;
-    h *= fnvPrime;
-}
-
-void
-foldU64(std::uint64_t &h, std::uint64_t v)
-{
-    for (unsigned b = 0; b < 8; ++b)
-        foldU8(h, static_cast<std::uint8_t>(v >> (8 * b)));
-}
-
-} // namespace
 
 bool
 PackedTrace::regBytePackable(const isa::RegId &r)
@@ -122,10 +100,11 @@ PackedTrace::record(std::size_t i) const
     return di;
 }
 
-void
-PackedTrace::finish()
+std::uint64_t
+PackedTrace::digest() const
 {
-    const auto t0 = std::chrono::steady_clock::now();
+    using fnv::foldU64;
+    using fnv::foldU8;
 
     // The digest's definition is frozen, since codec v2 stores it:
     // meta, seq, pc, nextPc, effAddr, dest, sources, source counts.
@@ -134,7 +113,7 @@ PackedTrace::finish()
     // tables agree — exactly the property codec v2 checks on load.  The
     // record digest covers op, imm, fimm and target.
     const std::size_t n = size();
-    std::uint64_t h = fnvOffset;
+    std::uint64_t h = fnv::offset;
     foldU64(h, n);
     for (const isa::PackedMeta &m : metaCol) {
         foldU8(h, m.attrs);
@@ -159,11 +138,7 @@ PackedTrace::finish()
     }
     for (isa::Opcode op : opCol)
         foldU8(h, isa::opInfo(op).numSrcs);
-    packedDigest = h;
-
-    packSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    return h;
 }
 
 } // namespace rrs::trace

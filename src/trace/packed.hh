@@ -19,9 +19,9 @@
  * That is every field of a DynInst except seq: captured streams are
  * dense, so seq(i) is the first record's seq plus i.  record(i)
  * rebuilds the DynInst, so replay hands the core exactly the record
- * capture saw.  finish() seals the columns and computes their FNV-1a
- * digest, which codec v2 stores so a load can prove the classifier
- * still derives the same meta column.
+ * capture saw.  Appending is all capture does: digest() folds the
+ * columns only when a caller asks (the codec v2 writer stores it so a
+ * load can prove the classifier still derives the same meta column).
  */
 
 #ifndef RRS_TRACE_PACKED_HH
@@ -43,20 +43,20 @@ class PackedTrace
     /** Append one record; seqs must continue densely from the first. */
     void append(const DynInst &di);
 
-    /**
-     * Seal the columns: compute digest().  buildSeconds() is the host
-     * time this step took.
-     */
-    void finish();
-
     std::size_t size() const { return metaCol.size(); }
     bool empty() const { return metaCol.empty(); }
 
-    /** Host seconds finish() took (the pack cost). */
-    double buildSeconds() const { return packSeconds; }
+    /**
+     * Host seconds spent packing after capture: always 0, since append
+     * is the whole of packing.
+     */
+    double buildSeconds() const { return 0.0; }
 
-    /** FNV-1a digest of the columns; its definition is in finish(). */
-    std::uint64_t digest() const { return packedDigest; }
+    /**
+     * FNV-1a digest of the columns, folded anew on every call (a pass
+     * over the whole trace); its frozen definition is in packed.cc.
+     */
+    std::uint64_t digest() const;
 
     // --- per-record columns ------------------------------------------
     const isa::PackedMeta &meta(std::size_t i) const { return metaCol[i]; }
@@ -94,8 +94,6 @@ class PackedTrace
 
   private:
     InstSeqNum firstSeq = 0;
-    double packSeconds = 0.0;
-    std::uint64_t packedDigest = 0;
 
     std::vector<isa::PackedMeta> metaCol;
     std::vector<isa::Opcode> opCol;

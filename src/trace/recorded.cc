@@ -8,23 +8,8 @@ namespace rrs::trace {
 
 namespace {
 
-constexpr std::uint64_t fnvPrime = 0x100000001b3ULL;
-
-void
-foldU64(std::uint64_t &h, std::uint64_t v)
-{
-    for (unsigned b = 0; b < 8; ++b) {
-        h ^= static_cast<std::uint8_t>(v >> (8 * b));
-        h *= fnvPrime;
-    }
-}
-
-void
-foldU8(std::uint64_t &h, std::uint8_t v)
-{
-    h ^= v;
-    h *= fnvPrime;
-}
+using fnv::foldU64;
+using fnv::foldU8;
 
 void
 foldReg(std::uint64_t &h, const isa::RegId &r)
@@ -55,27 +40,34 @@ RecordedTrace::foldInst(std::uint64_t &h, const DynInst &di)
 }
 
 RecordedTrace::RecordedTrace(std::string workload, std::uint64_t cap,
-                             std::uint64_t sourceHash, Builder records)
+                             std::uint64_t sourceHash, PackedTrace records)
     : workloadName(std::move(workload)),
       streamCap(cap),
       srcHash(sourceHash),
-      cols(std::move(records.cols)),
-      contentDigest(records.recordDigest)
+      cols(std::move(records))
 {
-    cols.finish();
 }
 
 RecordedTrace::RecordedTrace(std::string workload, std::uint64_t cap,
                              std::uint64_t sourceHash,
                              const std::vector<DynInst> &insts)
     : RecordedTrace(std::move(workload), cap, sourceHash, [&insts] {
-          Builder records;
+          PackedTrace records;
           records.reserve(insts.size());
           for (const DynInst &di : insts)
               records.append(di);
           return records;
       }())
 {
+}
+
+std::uint64_t
+RecordedTrace::digest() const
+{
+    std::uint64_t h = digestSeed;
+    for (std::size_t i = 0; i < cols.size(); ++i)
+        foldInst(h, cols.record(i));
+    return h;
 }
 
 ReplayStream::ReplayStream(TracePtr trace) : src(std::move(trace))

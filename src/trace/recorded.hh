@@ -6,8 +6,11 @@
  * sequence: the exact DynInst records a live emulator stream would
  * produce for one (workload, cap) pair, held only as PackedTrace
  * columns, plus the identity needed to validate reuse (workload name,
- * stream cap, a hash of the workload's assembly source) and an FNV-1a
- * content digest over every field of every record.
+ * stream cap, a hash of the workload's assembly source).  Its FNV-1a
+ * content digest over every field of every record is not stored:
+ * digest() folds it from the columns for the callers that check it
+ * (the trace-file codec, rrs-tracetool, tests), and capture pays
+ * nothing for it.
  *
  * A ReplayStream is a cheap cursor over a shared RecordedTrace: many
  * sweep lanes replay the same read-only trace concurrently, each with
@@ -27,6 +30,7 @@
 #include <vector>
 
 #include "trace/dyninst.hh"
+#include "trace/fnv.hh"
 #include "trace/packed.hh"
 
 namespace rrs::trace {
@@ -36,36 +40,15 @@ class RecordedTrace
 {
   public:
     /**
-     * Collects the records of a trace: append() folds each one into
-     * the record digest and stores it in the columns, in one pass.
-     */
-    class Builder
-    {
-      public:
-        void reserve(std::size_t records) { cols.reserve(records); }
-        void append(const DynInst &di)
-        {
-            foldInst(recordDigest, di);
-            cols.append(di);
-        }
-
-      private:
-        friend class RecordedTrace;
-        PackedTrace cols;
-        std::uint64_t recordDigest = digestSeed;
-    };
-
-    /**
      * @param workload workload name the trace was captured from
      * @param cap stream-length cap used at capture (post-warmup,
      *        already normalised: never 0)
      * @param sourceHash hash of the workload's assembly source, used
      *        to invalidate spilled traces when kernels change
-     * @param records the captured records; construction seals the
-     *        columns (PackedTrace::finish)
+     * @param records the captured records' columns
      */
     RecordedTrace(std::string workload, std::uint64_t cap,
-                  std::uint64_t sourceHash, Builder records);
+                  std::uint64_t sourceHash, PackedTrace records);
 
     /** A trace of hand-built records, numbered densely. */
     RecordedTrace(std::string workload, std::uint64_t cap,
@@ -76,8 +59,12 @@ class RecordedTrace
     std::uint64_t cap() const { return streamCap; }
     std::uint64_t sourceHash() const { return srcHash; }
 
-    /** FNV-1a digest over every field of every record. */
-    std::uint64_t digest() const { return contentDigest; }
+    /**
+     * FNV-1a digest over every field of every record: foldInst over
+     * record(0..size-1) from digestSeed, computed on every call.  The
+     * trace is immutable, so any number of threads may call it at once.
+     */
+    std::uint64_t digest() const;
 
     std::size_t size() const { return cols.size(); }
     bool empty() const { return cols.empty(); }
@@ -89,7 +76,7 @@ class RecordedTrace
     const PackedTrace &packed() const { return cols; }
 
     /** FNV-1a offset basis: the digest of an empty trace. */
-    static constexpr std::uint64_t digestSeed = 0xcbf29ce484222325ULL;
+    static constexpr std::uint64_t digestSeed = fnv::offset;
 
     /** Fold one record's fields into a running FNV-1a state. */
     static void foldInst(std::uint64_t &h, const DynInst &di);
@@ -99,7 +86,6 @@ class RecordedTrace
     std::uint64_t streamCap;
     std::uint64_t srcHash;
     PackedTrace cols;
-    std::uint64_t contentDigest;
 };
 
 /** Shared-ownership handle to an immutable trace. */

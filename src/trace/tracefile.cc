@@ -359,7 +359,7 @@ tryReadTraceFile(const std::string &path, std::string &error,
 
     // Every cursor now stays inside the file: decode record by record
     // straight into the columns.
-    RecordedTrace::Builder records;
+    PackedTrace records;
     records.reserve(n);
     InstSeqNum seq = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -409,18 +409,20 @@ tryReadTraceFile(const std::string &path, std::string &error,
 
     auto trace = std::make_shared<RecordedTrace>(
         std::move(name), cap, sourceHash, std::move(records));
-    if (trace->digest() != storedDigest) {
+    const std::uint64_t recordDigest = trace->digest();
+    if (recordDigest != storedDigest) {
         error = "digest mismatch in trace file '" + path +
                 "': stored " + std::to_string(storedDigest) +
-                ", computed " + std::to_string(trace->digest());
+                ", computed " + std::to_string(recordDigest);
         return nullptr;
     }
     // The stored packed digest proves the rebuilt columns match the
     // writer's, i.e. that this build's classifier agrees.
-    if (trace->packed().digest() != storedPackedDigest) {
+    const std::uint64_t columnDigest = trace->packed().digest();
+    if (columnDigest != storedPackedDigest) {
         error = "packed digest mismatch in trace file '" + path +
                 "': stored " + std::to_string(storedPackedDigest) +
-                ", computed " + std::to_string(trace->packed().digest());
+                ", computed " + std::to_string(columnDigest);
         return nullptr;
     }
     return trace;

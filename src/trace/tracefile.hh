@@ -21,6 +21,8 @@
  *             u64 packed-column digest (PackedTrace::digest)
  *
  * The reader decodes straight into the columns, one cursor per column.
+ * Neither digest is stored in memory: the writer folds both from the
+ * trace it writes, the reader folds both once after decoding.
  * It reads version 2 only: any other version, including the row-major
  * version 1 of older builds, fails with the version number and path in
  * the message, and the trace cache recaptures such a spill.
@@ -68,8 +70,8 @@ bool tryWriteTraceFile(const std::string &path, const RecordedTrace &trace,
  * Read a trace file; returns nullptr and sets `error` on any problem
  * (missing file, bad magic, unsupported version, truncation, corrupt
  * record, sequence gap, digest mismatch) instead of terminating.  On
- * success the returned trace's columns are sealed and verified against
- * the stored packed digest.  When `fileVersion` is non-null it
+ * success the returned trace's records and columns match both stored
+ * digests.  When `fileVersion` is non-null it
  * receives the version field of the file header whenever the header
  * was readable, even if the read then fails.
  */

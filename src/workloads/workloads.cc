@@ -140,14 +140,12 @@ captureTrace(const Workload &w, std::uint64_t maxInsts)
     obs::ScopedPhase phase("capture");
     const std::uint64_t cap = resolvedCap(w, maxInsts);
     auto e = makeEmulator(w, maxInsts);
-    trace::RecordedTrace::Builder records;
+    trace::PackedTrace records;
     records.reserve(static_cast<std::size_t>(
         std::min<std::uint64_t>(cap, 1'000'000)));
     trace::DynInst di;
     while (e->step(di))
         records.append(di);
-    // Sealing the columns is the pack step; the cycle loop never packs.
-    obs::ScopedPhase packPhase("pack");
     return std::make_shared<trace::RecordedTrace>(
         w.name, cap, sourceHash(w), std::move(records));
 }

@@ -470,15 +470,21 @@ TEST(ReportHostCostTest, UnreadableNodeIsDrift)
     EXPECT_NE(report.find("unreadable-cur"), std::string::npos) << report;
 }
 
-/** The report's status on a sidecar of `members` next to one node. */
+/**
+ * The report's status on a sidecar of `members` next to one node; with
+ * `identity`, the sidecar also names its campaign and commit, as
+ * rrs-campaign always does.
+ */
 int
 reportOnDocument(const std::string &name, const std::string &members,
-                 std::string &error)
+                 std::string &error, bool identity = true)
 {
     const Ledger ledger = gateLedger(name, {});
     std::ofstream(ledger.directory() + "/campaign.json")
         << "{\"campaign_schema\": " << harness::campaignSchemaVersion
-        << ", \"name\": \"sidecar\", " << members << "}\n";
+        << (identity ? ", \"name\": \"sidecar\", \"git_sha\": \"abc\""
+                     : "")
+        << ", " << members << "}\n";
     std::string out;
     return harness::renderCampaignReport(ledger, harness::ReportOptions{},
                                          out, error);
@@ -692,6 +698,53 @@ TEST(ReportSidecarTest, RefusesMembersOfAnotherKind)
     }
 }
 
+TEST(ReportSidecarTest, RefusesIdentityMissingOrOfAnotherKind)
+{
+    // The campaign's name and commit used to render whatever was there:
+    // `# Campaign report: ` and an empty sha, with exit 0.
+    const std::string figures = "\"figures\": []";
+    const std::pair<std::string, const char *> cases[] = {
+        {"\"name\": 7, \"git_sha\": \"abc\"", "'name' must be a string"},
+        {"\"name\": \"c\", \"git_sha\": [\"x\"]",
+         "'git_sha' must be a string"},
+        {"\"git_sha\": \"abc\"", "'name' is missing"},
+        {"\"name\": \"c\"", "'git_sha' is missing"},
+    };
+    for (const auto &[identity, diagnostic] : cases) {
+        std::string error;
+        EXPECT_EQ(reportOnDocument("sidecar_identity",
+                                   identity + ", " + figures, error,
+                                   /*identity=*/false),
+                  2)
+            << identity;
+        EXPECT_NE(error.find(diagnostic), std::string::npos)
+            << identity << ": " << error;
+    }
+    std::string error;
+    EXPECT_EQ(reportOnDocument("sidecar_identity_ok", figures, error), 0)
+        << error;
+}
+
+TEST(ReportSidecarTest, FigureWithoutNameIsUnreadable)
+{
+    // A figure without its name used to render as `##  (table3)`.
+    std::string error;
+    EXPECT_EQ(reportOnFigures("sidecar_figure",
+                              "{\"kind\": \"table3\", \"sizes\": [64]}",
+                              error),
+              2);
+    EXPECT_NE(error.find("'figures[0].figure' is missing"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(reportOnFigures("sidecar_figure_kind",
+                              "{\"figure\": 7, \"kind\": \"table3\"}",
+                              error),
+              2);
+    EXPECT_NE(error.find("'figures[0].figure' must be a string"),
+              std::string::npos)
+        << error;
+}
+
 TEST(ReportSidecarTest, NodeWithoutCyclesCannotRender)
 {
     // A figure node that stores no cycle has no IPC: the report used
@@ -712,7 +765,8 @@ TEST(ReportSidecarTest, NodeWithoutCyclesCannotRender)
     }
     std::ofstream(ledger.directory() + "/campaign.json")
         << "{\"campaign_schema\": " << harness::campaignSchemaVersion
-        << ", \"name\": \"zero\", \"figures\": [{\"figure\": \"f\", "
+        << ", \"name\": \"zero\", \"git_sha\": \"abc\", "
+        << "\"figures\": [{\"figure\": \"f\", "
         << "\"kind\": \"fig11\", \"sizes\": [64], \"workloads\": "
         << "[{\"name\": \"int_sort\", \"suite\": \"specint\"}], "
         << "\"nodes\": [" << nodes << "]}]}\n";

@@ -193,11 +193,10 @@ TEST(Profiler, MergeFoldsCountsAndChildren)
     PhaseTable simulateOnly;
     simulateOnly.row("simulate").count = 1;
     PhaseTable captures;
-    for (const char *path :
-         {"capture", "capture/warmup", "capture/pack", "simulate"})
+    for (const char *path : {"capture", "capture/warmup", "simulate"})
         captures.row(path).count = 1;
     const std::vector<std::string> want = {"capture", "capture/warmup",
-                                           "capture/pack", "simulate"};
+                                           "simulate"};
     for (bool captureFirst : {true, false}) {
         Profiler::reset();
         Profiler::addRun(captureFirst ? captures : simulateOnly);

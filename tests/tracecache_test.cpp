@@ -8,8 +8,10 @@
 #include <filesystem>
 #include <fstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/threadpool.hh"
 #include "harness/experiment.hh"
 #include "harness/tracecache.hh"
 #include "trace/tracefile.hh"
@@ -114,6 +116,28 @@ TEST(TraceCache, ConcurrentMissesCaptureOnce)
     EXPECT_EQ(c.misses, 1u);
     EXPECT_EQ(c.hits, got.size() - 1);
     EXPECT_EQ(c.capturedInsts, kCap);
+}
+
+TEST(TraceCache, SharedTraceDigestsAgreeAcrossLanes)
+{
+    // Neither digest is stored: every caller folds the columns itself,
+    // so lanes sharing one cached trace must all fold the same values.
+    TraceCache cache;
+    cache.setSpillDir("");
+    const trace::TracePtr t = cache.get(workloads::workload("fp_fir"), kCap);
+    const std::uint64_t record = t->digest();
+    const std::uint64_t packed = t->packed().digest();
+
+    const ThreadPool pool;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> got(
+        2 * pool.numThreads());
+    pool.parallelFor(got.size(), [&](std::size_t i) {
+        got[i] = {t->digest(), t->packed().digest()};
+    });
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].first, record) << i;
+        EXPECT_EQ(got[i].second, packed) << i;
+    }
 }
 
 TEST(TraceCache, ClearResetsEntriesAndCounters)
