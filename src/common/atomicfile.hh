@@ -2,7 +2,7 @@
  * @file
  * Atomic file writes: the tmp+rename idiom the trace codec introduced,
  * factored out so every writer of machine-readable artifacts (trace
- * spills, ledger nodes, telemetry traces) shares one
+ * files, ledger nodes, telemetry traces) shares one
  * implementation.  A crash or concurrent writer can never leave a
  * half-written file at the destination path, and missing parent
  * directories are created instead of failing.
@@ -30,8 +30,8 @@ bool ensureParentDir(const std::string &path, std::string &error);
  * one, never a prefix.
  * @param createParents true: create missing parent directories first
  *        (the JSON exporters); false: a missing directory is a write
- *        failure (the trace-cache spill path, where a missing
- *        RRS_TRACE_DIR deliberately disables spilling).
+ *        failure (trace::writeTraceFile, which refuses to materialise
+ *        a mistyped directory).
  * @return false with `error` set on any failure (the temp file may be
  *         left behind; the destination is untouched).
  */

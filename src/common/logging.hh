@@ -12,15 +12,12 @@
  *
  * All of them accept printf-style formatting.  Every message goes
  * through one mutex-guarded sink, so lines stay whole when sweep
- * worker threads log concurrently; rrs_warn_once() additionally
- * deduplicates a call site that would otherwise fire once per run of
- * a parallel sweep.
+ * worker threads log concurrently.
  */
 
 #ifndef RRS_COMMON_LOGGING_HH
 #define RRS_COMMON_LOGGING_HH
 
-#include <atomic>
 #include <cstdarg>
 #include <cstdint>
 #include <functional>
@@ -67,19 +64,6 @@ std::string formatString(const char *fmt, ...)
 #define rrs_panic(...) ::rrs::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define rrs_fatal(...) ::rrs::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define rrs_warn(...) ::rrs::warnImpl(__VA_ARGS__)
-
-/**
- * Warn at most once per process from this call site, even when many
- * sweep worker threads hit it at once (e.g. the same model warning in
- * every run of a sweep).  The test-and-set is relaxed: winning the
- * race matters, ordering does not.
- */
-#define rrs_warn_once(...)                                                  \
-    do {                                                                    \
-        static std::atomic_flag rrs_warned_once_ = ATOMIC_FLAG_INIT;        \
-        if (!rrs_warned_once_.test_and_set(std::memory_order_relaxed))      \
-            ::rrs::warnImpl(__VA_ARGS__);                                   \
-    } while (0)
 
 /**
  * Invariant check that stays on in release builds.  Use for simulator

@@ -428,9 +428,10 @@ renderHostCostSection(const Ledger &baseline, const CampaignResult &curNodes,
         return 0;
     }
 
-    // Wall clock compares only equal work: the same node set, every
-    // node simulated on both sides.  A partly cached run would pass
-    // any threshold, so it must not count as a pass.
+    // Wall clock compares only equal work on an equal number of lanes:
+    // the same node set, every node simulated on both sides.  A partly
+    // cached run, or one spread over more lanes, would pass any
+    // threshold, so it must not count as a pass.
     std::string reason;
     if (!sameNodes)
         reason = "the node sets differ";
@@ -438,6 +439,10 @@ renderHostCostSection(const Ledger &baseline, const CampaignResult &curNodes,
         reason = "the baseline run did not simulate every node";
     else if (curNodes.simulated != curNodes.totalNodes)
         reason = "the current run did not simulate every node";
+    else if (base.threads != cur.threads)
+        reason = "the thread counts differ (baseline " +
+                 std::to_string(base.threads) + ", current " +
+                 std::to_string(cur.threads) + ")";
     if (!reason.empty()) {
         os << "Cannot gate host cost: " << reason << ".\n";
         error = "cannot gate host cost: " + reason;

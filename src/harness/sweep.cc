@@ -142,8 +142,6 @@ SweepRunner::run(const std::vector<SweepItem> &items)
         cacheAfter.capturedInsts - cacheBefore.capturedInsts;
     lastSummary.instsReplayed =
         cacheAfter.replayedInsts - cacheBefore.replayedInsts;
-    lastSummary.recordsPacked =
-        cacheAfter.packedRecords - cacheBefore.packedRecords;
     if (prof) {
         // Submission-order merge of the per-run phase tables.
         for (const auto &t : runTables)
@@ -237,21 +235,18 @@ renderSweepTrace(const std::string &label,
     // work has no cycle clock and which run captures depends on the
     // schedule, so the track is denominated in instructions and shows
     // the sweep's trace-cache traffic: capture, then column packing
-    // (in records), then the merge.
+    // (one record per captured instruction), then the merge.
     const std::size_t sweepTid = items.size();
+    const std::string captured = std::to_string(summary.instsCaptured);
     os << ",\n";
     writeThreadName(os, sweepTid, "sweep (1us = 1 emulated inst)");
     writeSpan(os, sweepTid, "capture", 0, summary.instsCaptured,
-              "\"captured_insts\":" +
-                  std::to_string(summary.instsCaptured) +
+              "\"captured_insts\":" + captured +
                   ",\"replayed_insts\":" +
                   std::to_string(summary.instsReplayed));
     writeSpan(os, sweepTid, "pack", summary.instsCaptured,
-              summary.recordsPacked,
-              "\"packed_records\":" +
-                  std::to_string(summary.recordsPacked));
-    writeSpan(os, sweepTid, "stats-merge",
-              summary.instsCaptured + summary.recordsPacked, 0,
+              summary.instsCaptured, "\"packed_records\":" + captured);
+    writeSpan(os, sweepTid, "stats-merge", 2 * summary.instsCaptured, 0,
               "\"runs\":" + std::to_string(summary.runs));
     os << "\n]}\n";
     return os.str();

@@ -88,7 +88,6 @@ struct SweepSummary
     std::uint64_t traceMisses = 0;
     std::uint64_t instsCaptured = 0;
     std::uint64_t instsReplayed = 0;
-    std::uint64_t recordsPacked = 0;   //!< records stored as columns
 
     // Rename invariant auditing across the sweep's runs (rename/audit
     // + RRS_AUDIT).  Zero audits means auditing was off; violations

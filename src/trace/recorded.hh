@@ -43,8 +43,9 @@ class RecordedTrace
      * @param workload workload name the trace was captured from
      * @param cap stream-length cap used at capture (post-warmup,
      *        already normalised: never 0)
-     * @param sourceHash hash of the workload's assembly source, used
-     *        to invalidate spilled traces when kernels change
+     * @param sourceHash hash of the workload's assembly source, kept
+     *        in trace files so `rrs-tracetool verify` can tell a file
+     *        captured from since-changed kernel sources
      * @param records the captured records' columns
      */
     RecordedTrace(std::string workload, std::uint64_t cap,

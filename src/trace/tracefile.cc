@@ -186,15 +186,8 @@ class Reader
 
 } // namespace
 
-std::string
-traceFileName(const std::string &workload, std::uint64_t cap)
-{
-    return workload + "_" + std::to_string(cap) + ".rrstrace";
-}
-
-bool
-tryWriteTraceFile(const std::string &path, const RecordedTrace &trace,
-                  std::string &error)
+void
+writeTraceFile(const std::string &path, const RecordedTrace &trace)
 {
     // v2 is column-major: one full column at a time, mirroring the
     // PackedTrace columns so like values compress together.
@@ -253,21 +246,15 @@ tryWriteTraceFile(const std::string &path, const RecordedTrace &trace,
     putU64(buf, p.digest());
 
     // Temp-file + rename keeps concurrent writers of one path atomic
-    // (common/atomicfile.hh, shared with the JSON exporters).
-    // No parent creation: a missing RRS_TRACE_DIR disables spilling
-    // rather than silently materialising directories.
-    return tryWriteFileAtomic(
-        path,
-        std::string_view(reinterpret_cast<const char *>(buf.data()),
-                         buf.size()),
-        error, /*createParents=*/false);
-}
-
-void
-writeTraceFile(const std::string &path, const RecordedTrace &trace)
-{
+    // (common/atomicfile.hh, shared with the JSON exporters).  No
+    // parent creation: a mistyped directory fails the write rather
+    // than silently materialising directories.
     std::string error;
-    if (!tryWriteTraceFile(path, trace, error))
+    if (!tryWriteFileAtomic(
+            path,
+            std::string_view(reinterpret_cast<const char *>(buf.data()),
+                             buf.size()),
+            error, /*createParents=*/false))
         rrs_fatal("cannot write trace file '%s': %s", path.c_str(),
                   error.c_str());
 }

@@ -25,12 +25,13 @@
  * trace it writes, the reader folds both once after decoding.
  * It reads version 2 only: any other version, including the row-major
  * version 1 of older builds, fails with the version number and path in
- * the message, and the trace cache recaptures such a spill.
+ * the message.
  *
  * The reader validates the magic, version, sequence density and both
- * digests; the fatal-on-error entry points are for tools and tests,
- * the try* variant lets the trace cache fall back to a fresh capture
- * when a spilled file is stale, truncated or corrupt.
+ * digests.  rrs-tracetool and the tests are the codec's only callers:
+ * the harness trace cache captures every trace it needs and never
+ * touches disk.  readTraceFile is fatal on error; tryReadTraceFile
+ * returns the diagnostic (and the header's version) instead.
  */
 
 #ifndef RRS_TRACE_TRACEFILE_HH
@@ -48,23 +49,12 @@ constexpr std::uint32_t traceFileMagic = 0x54535252u;
 /** The one format version this build writes and reads. */
 constexpr std::uint32_t traceFileVersion = 2;
 
-/** Canonical spill file name for a (workload, cap) pair. */
-std::string traceFileName(const std::string &workload, std::uint64_t cap);
-
 /**
  * Write a trace to `path` (via a temp file + rename, so concurrent
- * writers of the same path never expose a torn file).  Fatal on I/O
- * error.
+ * writers of the same path never expose a torn file).  Missing parent
+ * directories are not created.  Fatal on I/O error.
  */
 void writeTraceFile(const std::string &path, const RecordedTrace &trace);
-
-/**
- * Like writeTraceFile, but returns false and sets `error` on I/O
- * failure — for best-effort spilling where a read-only or missing
- * directory must not kill the run.
- */
-bool tryWriteTraceFile(const std::string &path, const RecordedTrace &trace,
-                       std::string &error);
 
 /**
  * Read a trace file; returns nullptr and sets `error` on any problem

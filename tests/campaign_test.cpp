@@ -326,6 +326,7 @@ struct Sidecar
     double wallSeconds = 2.0;
     int simulated = 1;          // of nodes_total = 1
     int traceHits = 3;
+    unsigned threads = 1;
 };
 
 Ledger
@@ -345,8 +346,8 @@ gateLedger(const std::string &name, const Sidecar &car,
         << error;
     std::ofstream(ledger.directory() + "/campaign.json")
         << "{\"campaign_schema\": " << harness::campaignSchemaVersion
-        << ", \"name\": \"gate\", \"git_sha\": \"x\", \"threads\": 1, "
-        << "\"wall_seconds\": " << car.wallSeconds
+        << ", \"name\": \"gate\", \"git_sha\": \"x\", \"threads\": "
+        << car.threads << ", \"wall_seconds\": " << car.wallSeconds
         << ", \"nodes_total\": 1, \"nodes_cached\": "
         << 1 - car.simulated << ", \"nodes_simulated\": " << car.simulated
         << ", \"nodes_deferred\": 0, \"trace_cache\": {\"hits\": "
@@ -433,6 +434,25 @@ TEST(ReportHostCostTest, IncomparableRunsCannotPass)
     std::filesystem::remove(base.directory() + "/campaign.json");
     EXPECT_EQ(gate(base, cur), 2);
     EXPECT_EQ(gate(base, cur, -1), 0);    // nothing to gate without one
+}
+
+TEST(ReportHostCostTest, DifferentThreadCountsCannotGate)
+{
+    // Four lanes finish a one-lane snapshot's work in about a quarter
+    // of its wall clock, so a 50% gate would let a per-run slowdown of
+    // several times pass.
+    const Ledger base = gateLedger("gate_lanes_base", {2.0, 1, 3, 1});
+    const Ledger wide = gateLedger("gate_lanes_wide", {0.5, 1, 3, 4});
+    std::string report;
+    EXPECT_EQ(gate(base, wide, 50, &report), 2);
+    EXPECT_NE(report.find("Cannot gate host cost: the thread counts "
+                          "differ (baseline 1, current 4)."),
+              std::string::npos)
+        << report;
+    EXPECT_EQ(gate(wide, base, 50, &report), 2);
+    EXPECT_NE(report.find("(baseline 4, current 1)"), std::string::npos)
+        << report;
+    EXPECT_EQ(gate(base, wide, -1), 0);   // no threshold: reported only
 }
 
 TEST(ReportHostCostTest, NodeDriftFailsWithoutAThreshold)

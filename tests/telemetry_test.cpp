@@ -74,7 +74,6 @@ struct SampleSweep
         summary.runs = 2;
         summary.instsCaptured = 1234;
         summary.instsReplayed = 5678;
-        summary.recordsPacked = 777;
     }
 
     std::string
@@ -127,8 +126,8 @@ TEST(Telemetry, RenderedTraceIsValidChromeJson)
             EXPECT_EQ(member(*args, "lsq").num, 5.0);
         }
         // The sweep track rides at tid == run count: capture, then the
-        // pack span (record-denominated) starting where capture ends,
-        // then stats-merge after both.
+        // pack span (one record per captured instruction) starting
+        // where capture ends, then stats-merge after both.
         if (name == "capture") {
             sawCapture = true;
             EXPECT_EQ(member(ev, "tid").num, 2.0);
@@ -139,11 +138,12 @@ TEST(Telemetry, RenderedTraceIsValidChromeJson)
             sawPack = true;
             EXPECT_EQ(member(ev, "tid").num, 2.0);
             EXPECT_EQ(member(ev, "ts").num, 1234.0);
-            EXPECT_EQ(member(ev, "dur").num, 777.0);
+            EXPECT_EQ(member(ev, "dur").num, 1234.0);
+            EXPECT_EQ(member(*args, "packed_records").num, 1234.0);
         }
         if (name == "stats-merge") {
             sawMerge = true;
-            EXPECT_EQ(member(ev, "ts").num, 1234.0 + 777.0);
+            EXPECT_EQ(member(ev, "ts").num, 1234.0 + 1234.0);
             EXPECT_EQ(member(*args, "runs").num, 2.0);
         }
     }

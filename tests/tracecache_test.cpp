@@ -1,12 +1,9 @@
 // Tests for the harness trace cache: hit/miss accounting, sharing of
-// one immutable trace across requesters, cached-vs-fresh timing
-// determinism, and the RRS_TRACE_DIR spill path including stale and
-// corrupt file recovery.
+// one immutable trace across requesters, and cached-vs-fresh timing
+// determinism.
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -14,7 +11,6 @@
 #include "common/threadpool.hh"
 #include "harness/experiment.hh"
 #include "harness/tracecache.hh"
-#include "trace/tracefile.hh"
 #include "workloads/workloads.hh"
 
 namespace {
@@ -24,21 +20,9 @@ using harness::TraceCache;
 
 constexpr std::uint64_t kCap = 10'000;
 
-// A spill directory that is empty even when a previous run of this
-// binary left files behind (TempDir is not per-invocation).
-std::string
-freshSpillDir(const char *name)
-{
-    const std::string dir = ::testing::TempDir() + name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-}
-
 TEST(TraceCache, MissThenHitSharesOneTrace)
 {
     TraceCache cache;
-    cache.setSpillDir("");  // in-memory only for this test
     const auto &w = workloads::workload("int_hash");
 
     trace::TracePtr first = cache.get(w, kCap);
@@ -52,18 +36,13 @@ TEST(TraceCache, MissThenHitSharesOneTrace)
     auto c = cache.counters();
     EXPECT_EQ(c.misses, 1u);
     EXPECT_EQ(c.hits, 1u);
+    // Only the miss emulated: the hit captured nothing.
     EXPECT_EQ(c.capturedInsts, kCap);
-    EXPECT_EQ(c.spillLoads, 0u);
-    EXPECT_EQ(c.spillStores, 0u);
-    // The capture packed its columns exactly once — the hit did not
-    // re-pack (decode-once invariant).
-    EXPECT_EQ(c.packedRecords, kCap);
 }
 
 TEST(TraceCache, ZeroCapAndExplicitDefaultShareAnEntry)
 {
     TraceCache cache;
-    cache.setSpillDir("");
     const auto &w = workloads::workload("int_hash");
 
     trace::TracePtr byDefault = cache.get(w, 0);
@@ -78,7 +57,6 @@ TEST(TraceCache, ZeroCapAndExplicitDefaultShareAnEntry)
 TEST(TraceCache, DistinctKeysCaptureSeparately)
 {
     TraceCache cache;
-    cache.setSpillDir("");
     const auto &w = workloads::workload("int_hash");
     const auto &v = workloads::workload("fp_fir");
 
@@ -97,7 +75,6 @@ TEST(TraceCache, DistinctKeysCaptureSeparately)
 TEST(TraceCache, ConcurrentMissesCaptureOnce)
 {
     TraceCache cache;
-    cache.setSpillDir("");
     const auto &w = workloads::workload("media_g711");
 
     std::vector<trace::TracePtr> got(8);
@@ -123,7 +100,6 @@ TEST(TraceCache, SharedTraceDigestsAgreeAcrossLanes)
     // Neither digest is stored: every caller folds the columns itself,
     // so lanes sharing one cached trace must all fold the same values.
     TraceCache cache;
-    cache.setSpillDir("");
     const trace::TracePtr t = cache.get(workloads::workload("fp_fir"), kCap);
     const std::uint64_t record = t->digest();
     const std::uint64_t packed = t->packed().digest();
@@ -138,24 +114,6 @@ TEST(TraceCache, SharedTraceDigestsAgreeAcrossLanes)
         EXPECT_EQ(got[i].first, record) << i;
         EXPECT_EQ(got[i].second, packed) << i;
     }
-}
-
-TEST(TraceCache, ClearResetsEntriesAndCounters)
-{
-    TraceCache cache;
-    cache.setSpillDir("");
-    const auto &w = workloads::workload("int_hash");
-    cache.get(w, kCap);
-    cache.get(w, kCap);
-    cache.clear();
-
-    auto c = cache.counters();
-    EXPECT_EQ(c.hits, 0u);
-    EXPECT_EQ(c.misses, 0u);
-    EXPECT_EQ(c.capturedInsts, 0u);
-
-    cache.get(w, kCap);
-    EXPECT_EQ(cache.counters().misses, 1u);  // entry was really dropped
 }
 
 TEST(TraceCache, CachedRunMatchesFreshRun)
@@ -179,131 +137,6 @@ TEST(TraceCache, CachedRunMatchesFreshRun)
     EXPECT_EQ(fresh.mispredicts, cached.mispredicts);
     EXPECT_EQ(fresh.allocations, cached.allocations);
     EXPECT_EQ(fresh.renameStalls, cached.renameStalls);
-}
-
-TEST(TraceCache, SpillStoreAndLoadRoundTrip)
-{
-    const std::string dir = freshSpillDir("rrs_spill_rt");
-    const auto &w = workloads::workload("int_sieve");
-
-    TraceCache writer;
-    writer.setSpillDir(dir);
-    trace::TracePtr captured = writer.get(w, kCap);
-    EXPECT_EQ(writer.counters().spillStores, 1u);
-    EXPECT_EQ(writer.counters().spillLoads, 0u);
-
-    // A second cache (≈ a later process) with the same dir loads the
-    // spill instead of emulating.
-    TraceCache reader;
-    reader.setSpillDir(dir);
-    trace::TracePtr loaded = reader.get(w, kCap);
-    auto c = reader.counters();
-    EXPECT_EQ(c.spillLoads, 1u);
-    EXPECT_EQ(c.spillStores, 0u);
-    EXPECT_EQ(c.capturedInsts, 0u);  // nothing was emulated
-    // The loaded trace was packed once, on load.
-    EXPECT_EQ(c.packedRecords, kCap);
-
-    ASSERT_TRUE(loaded);
-    EXPECT_EQ(loaded->digest(), captured->digest());
-    EXPECT_EQ(loaded->size(), captured->size());
-    EXPECT_EQ(loaded->sourceHash(), captured->sourceHash());
-}
-
-TEST(TraceCache, StaleSpillIsRecapturedNotTrusted)
-{
-    const std::string dir = freshSpillDir("rrs_spill_stale");
-    const auto &w = workloads::workload("int_sieve");
-
-    // Plant a file under the right name whose source hash doesn't
-    // match the registry (as if the workload's assembly changed).
-    trace::TracePtr real = workloads::captureTrace(w, kCap);
-    std::vector<trace::DynInst> insts;
-    for (std::size_t i = 0; i < real->size(); ++i)
-        insts.push_back((*real)[i]);
-    trace::RecordedTrace forged(w.name, kCap,
-                                workloads::sourceHash(w) ^ 1, insts);
-    const std::string path =
-        dir + "/" + trace::traceFileName(w.name, kCap);
-    trace::writeTraceFile(path, forged);
-
-    TraceCache cache;
-    cache.setSpillDir(dir);
-    trace::TracePtr t = cache.get(w, kCap);
-    ASSERT_TRUE(t);
-    EXPECT_EQ(t->sourceHash(), workloads::sourceHash(w));
-
-    auto c = cache.counters();
-    EXPECT_EQ(c.spillLoads, 0u);        // the stale file was not trusted
-    EXPECT_EQ(c.capturedInsts, kCap);   // it recaptured instead
-}
-
-TEST(TraceCache, CorruptSpillIsRecapturedNotFatal)
-{
-    const auto &w = workloads::workload("int_sieve");
-    const std::string name = trace::traceFileName(w.name, kCap);
-
-    // Plain garbage, and a version-1 header (the row-major format of
-    // older builds): both are recaptured with the reader's diagnostic
-    // on stderr.
-    std::string v1Bytes;
-    {
-        const std::string dir = freshSpillDir("rrs_spill_v1_src");
-        trace::writeTraceFile(dir + "/" + name,
-                              *workloads::captureTrace(w, kCap));
-        std::ifstream in(dir + "/" + name, std::ios::binary);
-        v1Bytes.assign(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-        v1Bytes[4] = 1;  // the version field follows the 4-byte magic
-    }
-    const std::pair<std::string, std::string> inputs[] = {
-        {"this is not a trace file", "is too short"},
-        {v1Bytes, "unsupported trace version 1"},
-    };
-    for (const auto &[bytes, diagnostic] : inputs) {
-        const std::string dir = freshSpillDir("rrs_spill_corrupt");
-        const std::string path = dir + "/" + name;
-        {
-            std::ofstream out(path, std::ios::binary | std::ios::trunc);
-            out << bytes;
-        }
-
-        TraceCache cache;
-        cache.setSpillDir(dir);
-        ::testing::internal::CaptureStderr();
-        trace::TracePtr t = cache.get(w, kCap);  // must not fatal
-        const std::string warned = ::testing::internal::GetCapturedStderr();
-        ASSERT_TRUE(t);
-        EXPECT_EQ(t->size(), kCap);
-        EXPECT_EQ(cache.counters().spillLoads, 0u);
-        EXPECT_EQ(cache.counters().capturedInsts, kCap);
-        EXPECT_NE(warned.find(diagnostic), std::string::npos) << warned;
-        EXPECT_NE(warned.find(path), std::string::npos) << warned;
-        EXPECT_NE(warned.find("recapturing"), std::string::npos) << warned;
-    }
-}
-
-TEST(TraceCache, MissingSpillIsCapturedSilently)
-{
-    const std::string dir = freshSpillDir("rrs_spill_missing");
-    TraceCache cache;
-    cache.setSpillDir(dir);
-    ::testing::internal::CaptureStderr();
-    trace::TracePtr t = cache.get(workloads::workload("int_sieve"), kCap);
-    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
-    ASSERT_TRUE(t);
-    EXPECT_EQ(cache.counters().spillStores, 1u);
-}
-
-TEST(TraceCache, UnwritableSpillDirDisablesSpillNotFatal)
-{
-    TraceCache cache;
-    cache.setSpillDir("/nonexistent-spill-dir");
-    const auto &w = workloads::workload("int_sieve");
-    trace::TracePtr t = cache.get(w, kCap);  // must not fatal
-    ASSERT_TRUE(t);
-    EXPECT_EQ(cache.counters().spillStores, 0u);
-    EXPECT_EQ(cache.counters().capturedInsts, kCap);
 }
 
 } // namespace

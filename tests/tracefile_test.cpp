@@ -149,14 +149,14 @@ expectPinnedV2(const trace::RecordedTrace &t, const char *file,
                const V2Pin &pin)
 {
     const std::string path = tmpPath(file);
-    std::string error;
-    ASSERT_TRUE(trace::tryWriteTraceFile(path, t, error)) << error;
+    trace::writeTraceFile(path, t);
     const std::vector<char> bytes = slurp(path);
     EXPECT_EQ(bytes.size(), pin.bytes);
     EXPECT_EQ(fnv1a(bytes), pin.fileFnv);
     EXPECT_EQ(t.digest(), pin.recordDigest);
     EXPECT_EQ(t.packed().digest(), pin.packedDigest);
 
+    std::string error;
     trace::TracePtr back = trace::tryReadTraceFile(path, error);
     ASSERT_TRUE(back) << error;
     EXPECT_EQ(back->digest(), pin.recordDigest);
@@ -245,12 +245,6 @@ TEST(TraceFile, ReadReportsCurrentVersion)
         trace::tryReadTraceFile(path, error, &fileVersion);
     ASSERT_TRUE(back) << error;
     EXPECT_EQ(fileVersion, trace::traceFileVersion);
-}
-
-TEST(TraceFile, FileNameEncodesKey)
-{
-    EXPECT_EQ(trace::traceFileName("fp_fir", 150'000),
-              "fp_fir_150000.rrstrace");
 }
 
 TEST(TraceFile, TryReadReportsMissingFile)
@@ -414,15 +408,6 @@ TEST(TraceFileDeath, FatalWriteToUnwritablePath)
     EXPECT_EXIT(
         { trace::writeTraceFile("/nonexistent-dir/x.rrstrace", *t); },
         ::testing::ExitedWithCode(1), "trace file");
-}
-
-TEST(TraceFile, TryWriteReportsUnwritablePath)
-{
-    trace::TracePtr t = sampleTrace();
-    std::string error;
-    EXPECT_FALSE(
-        trace::tryWriteTraceFile("/nonexistent-dir/x.rrstrace", *t, error));
-    EXPECT_FALSE(error.empty());
 }
 
 } // namespace

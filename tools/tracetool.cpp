@@ -1,8 +1,8 @@
 /**
  * @file
  * rrs-tracetool: inspect, capture and verify binary trace files
- * (trace/tracefile.hh, the format the harness trace cache spills via
- * RRS_TRACE_DIR).
+ * (trace/tracefile.hh; besides the tests, this tool is the codec's
+ * only caller).
  *
  *   rrs-tracetool capture <workload> <file> [maxInsts]
  *       Functionally emulate a workload (post-warmup, capped) and
@@ -18,11 +18,13 @@
  *       the file replays bit-identically to a live emulation of the
  *       current sources.  Exit status 0 only if everything matches.
  *
- *   rrs-tracetool mix <workload|file> [maxInsts]
+ *   rrs-tracetool mix <workload> [maxInsts]
+ *   rrs-tracetool mix <file>
  *       Print the instruction-class mix (loads / stores / branches /
  *       ALU, taken and dest-writer fractions), counted from the packed
  *       meta column.  A registry workload name captures fresh;
- *       anything else is read as a trace file.
+ *       anything else is read as a trace file, whose length was fixed
+ *       at capture, so a maxInsts after a file is refused.
  *
  * maxInsts must be a positive integer (decimal or 0x-hex); without it
  * the workload's default cap applies.
@@ -54,7 +56,7 @@ usage()
                  "and digests\n"
                  "  verify <file>                         validate, then "
                  "compare against a fresh capture\n"
-                 "  mix <workload|file> [maxInsts]        instruction-"
+                 "  mix <workload> [maxInsts] | <file>    instruction-"
                  "class mix from the packed meta column\n"
                  "workloads: every name from the registry, e.g. "
                  "int_sort, fp_matmul, media_dct, cog_gmm\n");
@@ -181,16 +183,19 @@ cmdMix(int argc, char **argv)
 {
     if (argc < 3 || argc > 4)
         return usage();
-    const std::uint64_t maxInsts = argc == 4 ? parseCap(argv[3]) : 0;
 
     // A registry workload name captures fresh; anything else is a
-    // trace-file path.
+    // trace-file path, whose length its capture already fixed.
     trace::TracePtr t;
     if (const workloads::Workload *w = findWorkload(argv[2])) {
-        t = workloads::captureTrace(*w, maxInsts);
+        t = workloads::captureTrace(*w, argc == 4 ? parseCap(argv[3]) : 0);
         std::printf("mix of workload '%s' (fresh capture)\n",
                     w->name.c_str());
     } else {
+        if (argc == 4)
+            rrs_fatal("maxInsts '%s' applies only to a workload; trace "
+                      "file '%s' keeps the cap it was captured with",
+                      argv[3], argv[2]);
         t = trace::readTraceFile(argv[2]);
         std::printf("mix of trace file %s (workload '%s')\n", argv[2],
                     t->workload().c_str());
