@@ -57,18 +57,16 @@
 
 namespace rrs::bench {
 
-/** Default timing-run length per workload (post-warmup). */
-constexpr std::uint64_t timingInsts = 150'000;
-
 /**
- * The timing-run length this invocation actually uses: timingInsts
- * unless `--cap <insts>` shortened it (CI smoke runs trade table
- * fidelity for wall clock; the results stay deterministic per cap).
+ * The timing-run length this invocation actually uses:
+ * harness::defaultTimingInsts unless `--cap <insts>` shortened it (CI
+ * smoke runs trade table fidelity for wall clock; the results stay
+ * deterministic per cap).
  */
 inline std::uint64_t &
 capInsts()
 {
-    static std::uint64_t insts = timingInsts;
+    static std::uint64_t insts = harness::defaultTimingInsts;
     return insts;
 }
 

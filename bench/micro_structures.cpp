@@ -131,16 +131,14 @@ BM_CaptureTrace(benchmark::State &state)
 }
 BENCHMARK(BM_CaptureTrace)->Unit(benchmark::kMillisecond);
 
-/** Both digests of that capture, the codec's cost; items are records. */
+/** The record digest of that capture; items are records. */
 void
 BM_TraceDigest(benchmark::State &state)
 {
     const trace::TracePtr t =
         workloads::captureTrace(workloads::workload("int_sort"), 20'000);
-    for (auto _ : state) {
+    for (auto _ : state)
         benchmark::DoNotOptimize(t->digest());
-        benchmark::DoNotOptimize(t->packed().digest());
-    }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(t->size()));
 }

@@ -1,11 +1,10 @@
 /**
  * @file
- * Atomic file writes: the tmp+rename idiom the trace codec introduced,
- * factored out so every writer of machine-readable artifacts (trace
- * files, ledger nodes, telemetry traces) shares one
- * implementation.  A crash or concurrent writer can never leave a
- * half-written file at the destination path, and missing parent
- * directories are created instead of failing.
+ * Atomic file writes: the tmp+rename idiom every writer of
+ * machine-readable artifacts (ledger nodes, campaign sidecars,
+ * telemetry traces, reports) shares.  A crash or concurrent writer can
+ * never leave a half-written file at the destination path, and missing
+ * parent directories are created instead of failing.
  */
 
 #ifndef RRS_COMMON_ATOMICFILE_HH
@@ -28,10 +27,9 @@ bool ensureParentDir(const std::string &path, std::string &error);
  * the temp file is renamed over the destination only after a complete
  * write.  Readers therefore see either the old file or the whole new
  * one, never a prefix.
- * @param createParents true: create missing parent directories first
- *        (the JSON exporters); false: a missing directory is a write
- *        failure (trace::writeTraceFile, which refuses to materialise
- *        a mistyped directory).
+ * @param createParents true: create missing parent directories first;
+ *        false: a missing directory is a write failure, so a mistyped
+ *        directory is never materialised.
  * @return false with `error` set on any failure (the temp file may be
  *         left behind; the destination is untouched).
  */

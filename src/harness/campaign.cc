@@ -20,14 +20,6 @@ using obs::json::Value;
 using stats::jsonNumber;
 using stats::jsonQuoted;
 
-/**
- * Per-run timing length when neither the manifest nor a matrix sets
- * one: the same 150k-instruction default the bench binaries use
- * (bench::timingInsts), so a manifest with no "cap" reproduces the
- * published tables.
- */
-constexpr std::uint64_t defaultCampaignCap = 150'000;
-
 bool
 checkNoDuplicateKeys(const Value &obj, const std::string &where,
                      std::string &error)
@@ -350,7 +342,7 @@ planCampaign(const CampaignManifest &manifest,
 {
     CampaignPlan plan;
     const std::uint64_t capDefault =
-        manifest.cap ? manifest.cap : defaultCampaignCap;
+        manifest.cap ? manifest.cap : defaultTimingInsts;
     for (const auto &fig : manifest.figures) {
         CampaignPlan::FigurePlan fp;
         fp.figure = &fig;

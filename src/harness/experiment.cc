@@ -65,25 +65,8 @@ resolveAuditInterval(const ObsOptions &obs)
 #endif
 }
 
-/**
- * The process-wide flight-recorder default from RRS_FLIGHTREC_DEPTH:
- * -1 when unset, otherwise the ring depth (0 disables).
- */
-const std::int64_t envFlightRecDepth = envCount(
-    "RRS_FLIGHTREC_DEPTH", std::numeric_limits<std::uint32_t>::max());
-
-/** Resolve a run's flight-recorder depth (0 = recorder off). */
-std::uint32_t
-resolveFlightRecDepth(const ObsOptions &obs, bool auditingOn)
-{
-    if (obs.flightRecDepth > 0)
-        return obs.flightRecDepth;
-    if (envFlightRecDepth >= 0)
-        return static_cast<std::uint32_t>(envFlightRecDepth);
-    // Auditing on with no explicit depth: keep forensics for the
-    // violation the auditor might find.
-    return auditingOn ? 256u : 0u;
-}
+/** Events the flight recorder keeps for an auditing run's crash dump. */
+constexpr std::uint32_t flightRecEvents = 256;
 
 // --- Core observers (obs/observer.hh) that read the renamer or the
 // core.  runOn is their only wiring point.
@@ -258,15 +241,14 @@ runOn(const workloads::Workload &w, const RunConfig &config,
     const Cycles auditEvery = resolveAuditInterval(config.obs);
     const bool auditing = auditEvery > 0;
 
-    // Crash-time forensics: keep the last N rename/pipeline events so
-    // a panic (e.g. an audit violation) or fatal dumps what the rename
-    // stage just did, along with the run's identity.
+    // Crash-time forensics for an auditing run: keep the last
+    // flightRecEvents rename/pipeline events so a panic (e.g. an audit
+    // violation) or fatal dumps what the rename stage just did, along
+    // with the run's identity.
     std::unique_ptr<obs::FlightRecorder> flightRec;
     std::optional<FlightFeed> flightFeed;
-    const std::uint32_t frDepth =
-        resolveFlightRecDepth(config.obs, auditing);
-    if (frDepth > 0) {
-        flightRec = std::make_unique<obs::FlightRecorder>(frDepth);
+    if (auditing) {
+        flightRec = std::make_unique<obs::FlightRecorder>(flightRecEvents);
         flightRec->setContext("workload", w.name);
         flightRec->setContext("scheme", config.scheme);
         flightRec->setContext("sweep_seed",

@@ -52,22 +52,14 @@ struct ObsOptions
      * committed instruction, N > 1 audits every N cycles.  Post-squash
      * and post-flush audits always run whenever auditing is on.  Any
      * violation panics with the structured report, so it can never
-     * silently skew a published table.
+     * silently skew a published table.  An auditing run also keeps a
+     * flight recorder (obs/flightrec.hh) of its last 256 rename and
+     * pipeline events, which the panic dumps.
      */
     Cycles auditInterval = 0;
 
     /** Force auditing off even if RRS_AUDIT / the debug default set it. */
     bool auditDisabled = false;
-
-    /**
-     * Crash-time flight recorder depth (obs/flightrec.hh): how many
-     * recent rename/pipeline events to keep for the crash dump.
-     * 0 defers to RRS_FLIGHTREC_DEPTH — and when that is unset too,
-     * auditing (RRS_AUDIT) being on implies a default depth of 256,
-     * so an audit violation always dumps forensics.  Any positive
-     * value forces the recorder on at that depth.
-     */
-    std::uint32_t flightRecDepth = 0;
 };
 
 /** One timing-run configuration. */

@@ -234,19 +234,16 @@ renderSweepTrace(const std::string &label,
     // The sweep track rides above the runs (tid = run count).  Capture
     // work has no cycle clock and which run captures depends on the
     // schedule, so the track is denominated in instructions and shows
-    // the sweep's trace-cache traffic: capture, then column packing
-    // (one record per captured instruction), then the merge.
+    // the sweep's trace-cache traffic: capture, then the merge.
     const std::size_t sweepTid = items.size();
-    const std::string captured = std::to_string(summary.instsCaptured);
     os << ",\n";
     writeThreadName(os, sweepTid, "sweep (1us = 1 emulated inst)");
     writeSpan(os, sweepTid, "capture", 0, summary.instsCaptured,
-              "\"captured_insts\":" + captured +
+              "\"captured_insts\":" +
+                  std::to_string(summary.instsCaptured) +
                   ",\"replayed_insts\":" +
                   std::to_string(summary.instsReplayed));
-    writeSpan(os, sweepTid, "pack", summary.instsCaptured,
-              summary.instsCaptured, "\"packed_records\":" + captured);
-    writeSpan(os, sweepTid, "stats-merge", 2 * summary.instsCaptured, 0,
+    writeSpan(os, sweepTid, "stats-merge", summary.instsCaptured, 0,
               "\"runs\":" + std::to_string(summary.runs));
     os << "\n]}\n";
     return os.str();

@@ -43,6 +43,13 @@ class Value;
 
 namespace rrs::harness {
 
+/**
+ * Per-run timing length (post-warmup instructions) when nothing sets
+ * one: the bench binaries without `--cap` and a campaign manifest
+ * without "cap" both run it, so both reproduce the published tables.
+ */
+constexpr std::uint64_t defaultTimingInsts = 150'000;
+
 /** One scheme column of a sweep matrix. */
 struct SchemeSpec
 {

@@ -184,9 +184,6 @@ isControl(Opcode op)
  * (trace::PackedTrace) and the timing model's hot loop.  The first
  * four are static per-opcode properties stamped by the classifier;
  * the last two are per-record facts stamped in at trace-pack time.
- *
- * The bit positions are serialized indirectly (they shape the packed
- * digest) — treat them as frozen.
  */
 namespace instattr {
 constexpr std::uint8_t load = 1u << 0;       //!< InstClass::Load
@@ -223,17 +220,6 @@ struct PackedMeta
  * single table load; the table is built once from opInfo().
  */
 const PackedMeta &packedMeta(Opcode op);
-
-// The compact class / branch-kind bytes are part of the packed-trace
-// digest (and derived from the opcode bytes stored by trace codec v2),
-// so their numeric values are frozen: appending new enumerators is
-// fine, renumbering existing ones is a format break.
-static_assert(static_cast<int>(InstClass::IntAlu) == 0 &&
-                  static_cast<int>(InstClass::Nop) == 9,
-              "InstClass encoding is frozen by the packed-trace format");
-static_assert(static_cast<int>(BranchKind::None) == 0 &&
-                  static_cast<int>(BranchKind::Indirect) == 5,
-              "BranchKind encoding is frozen by the packed-trace format");
 
 /**
  * A decoded static instruction.  This is the single in-memory

@@ -62,8 +62,8 @@ struct FlightEvent
 
 /**
  * The per-core ring.  Construct with the depth (number of events kept;
- * RRS_FLIGHTREC_DEPTH picks it for env-driven runs), fill in context
- * strings identifying the run, then arm() to hook the crash path.
+ * an auditing harness run keeps 256), fill in context strings
+ * identifying the run, then arm() to hook the crash path.
  */
 class FlightRecorder
 {

@@ -1,7 +1,6 @@
 #include "packed.hh"
 
 #include "common/logging.hh"
-#include "trace/fnv.hh"
 
 namespace rrs::trace {
 
@@ -98,47 +97,6 @@ PackedTrace::record(std::size_t i) const
     di.taken = taken(i);
     di.effAddr = effAddrCol[i];
     return di;
-}
-
-std::uint64_t
-PackedTrace::digest() const
-{
-    using fnv::foldU64;
-    using fnv::foldU8;
-
-    // The digest's definition is frozen, since codec v2 stores it:
-    // meta, seq, pc, nextPc, effAddr, dest, sources, source counts.
-    // The meta column and the source counts are classifier output, so
-    // two builds only agree when both the records *and* the classifier
-    // tables agree — exactly the property codec v2 checks on load.  The
-    // record digest covers op, imm, fimm and target.
-    const std::size_t n = size();
-    std::uint64_t h = fnv::offset;
-    foldU64(h, n);
-    for (const isa::PackedMeta &m : metaCol) {
-        foldU8(h, m.attrs);
-        foldU8(h, static_cast<std::uint8_t>(m.cls));
-        foldU8(h, static_cast<std::uint8_t>(m.branch));
-        foldU8(h, m.memBytes);
-    }
-    for (std::size_t i = 0; i < n; ++i)
-        foldU64(h, seq(i));
-    for (Addr v : pcCol)
-        foldU64(h, v);
-    for (Addr v : nextPcCol)
-        foldU64(h, v);
-    for (Addr v : effAddrCol)
-        foldU64(h, v);
-    for (std::uint8_t v : destCol)
-        foldU8(h, v);
-    for (const auto &s : srcCol) {
-        foldU8(h, s[0]);
-        foldU8(h, s[1]);
-        foldU8(h, s[2]);
-    }
-    for (isa::Opcode op : opCol)
-        foldU8(h, isa::opInfo(op).numSrcs);
-    return h;
 }
 
 } // namespace rrs::trace

@@ -3,10 +3,10 @@
  * PackedTrace: the columns a captured instruction stream is stored in
  * (DESIGN §4h).  A RecordedTrace holds its records only in this form.
  *
- * Records are appended one at a time, at capture or while a trace file
- * is read, and every DynInst property question (is this a load? what
- * class? which registers?) is answered once, at append, and stored in
- * flat structure-of-arrays columns:
+ * Records are appended one at a time, at capture, and every DynInst
+ * property question (is this a load? what class? which registers?) is
+ * answered once, at append, and stored in flat structure-of-arrays
+ * columns:
  *
  *  - a 4-byte isa::PackedMeta per record (attribute bits + compact
  *    InstClass / BranchKind bytes + memory access size, with the
@@ -19,9 +19,7 @@
  * That is every field of a DynInst except seq: captured streams are
  * dense, so seq(i) is the first record's seq plus i.  record(i)
  * rebuilds the DynInst, so replay hands the core exactly the record
- * capture saw.  Appending is all capture does: digest() folds the
- * columns only when a caller asks (the codec v2 writer stores it so a
- * load can prove the classifier still derives the same meta column).
+ * capture saw.  Appending is all capture does.
  */
 
 #ifndef RRS_TRACE_PACKED_HH
@@ -52,12 +50,6 @@ class PackedTrace
      */
     double buildSeconds() const { return 0.0; }
 
-    /**
-     * FNV-1a digest of the columns, folded anew on every call (a pass
-     * over the whole trace); its frozen definition is in packed.cc.
-     */
-    std::uint64_t digest() const;
-
     // --- per-record columns ------------------------------------------
     const isa::PackedMeta &meta(std::size_t i) const { return metaCol[i]; }
     InstSeqNum seq(std::size_t i) const { return firstSeq + i; }
@@ -84,7 +76,7 @@ class PackedTrace
     /** The DynInst record i was appended from. */
     DynInst record(std::size_t i) const;
 
-    // --- register byte codec (shared with trace codec v2) -------------
+  private:
     // A logical register fits one byte: bit 6 is the class, bits 0..5
     // the index (< isa::numLogRegs).  An invalid (absent) register is
     // 0x80 | class so absence round-trips with its class preserved.
@@ -92,7 +84,6 @@ class PackedTrace
     static std::uint8_t packRegByte(const isa::RegId &r);
     static isa::RegId unpackRegByte(std::uint8_t b);
 
-  private:
     InstSeqNum firstSeq = 0;
 
     std::vector<isa::PackedMeta> metaCol;

@@ -9,7 +9,7 @@
  * stream cap, a hash of the workload's assembly source).  Its FNV-1a
  * content digest over every field of every record is not stored:
  * digest() folds it from the columns for the callers that check it
- * (the trace-file codec, rrs-tracetool, tests), and capture pays
+ * (the tests and the benchmark's input check), and capture pays
  * nothing for it.
  *
  * A ReplayStream is a cheap cursor over a shared RecordedTrace: many
@@ -43,9 +43,9 @@ class RecordedTrace
      * @param workload workload name the trace was captured from
      * @param cap stream-length cap used at capture (post-warmup,
      *        already normalised: never 0)
-     * @param sourceHash hash of the workload's assembly source, kept
-     *        in trace files so `rrs-tracetool verify` can tell a file
-     *        captured from since-changed kernel sources
+     * @param sourceHash hash of the workload's assembly source
+     *        (workloads::sourceHash), naming the kernel version the
+     *        records came from
      * @param records the captured records' columns
      */
     RecordedTrace(std::string workload, std::uint64_t cap,

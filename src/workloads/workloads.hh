@@ -57,9 +57,8 @@ const isa::Program &program(const Workload &w);
 
 /**
  * Hash of a workload's assembly source (FNV-1a).  Stamped into every
- * RecordedTrace (and so into trace files) and into every ledger node's
- * identity, so results and files from a changed kernel source are told
- * apart from current ones.
+ * RecordedTrace and into every ledger node's identity, so results from
+ * a changed kernel source are told apart from current ones.
  */
 std::uint64_t sourceHash(const Workload &w);
 

@@ -134,12 +134,11 @@ TEST(FlightRecorder, HarnessRunRecordsRenameTraffic)
     harness::RunConfig cfg = harness::reuseConfig(64);
     cfg.maxInsts = 5000;
     cfg.obs.auditInterval = 1;
-    cfg.obs.flightRecDepth = 64;
-    // runOn owns the recorder; this test only proves the run completes
-    // with the hooks live and stays bit-identical to a hook-free run.
+    // runOn owns the recorder, which runs whenever auditing does; this
+    // test only proves the run completes with the hooks live and stays
+    // bit-identical to a hook-free run.
     auto withRec = harness::runOn(w, cfg);
     harness::RunConfig bare = cfg;
-    bare.obs.flightRecDepth = 0;
     bare.obs.auditDisabled = true;
     auto without = harness::runOn(w, bare);
     EXPECT_EQ(withRec.sim.cycles, without.sim.cycles);

@@ -151,6 +151,18 @@ TEST(ReplayStream, FreshEmulatorsAgreeWithCapture)
     expectSameSequence(first, records(*t), "capture");
 }
 
+TEST(ReplayStream, CaptureRecordDigestIsPinned)
+{
+    // The capture's output pinned to a constant: every field of every
+    // record fp_fir emits up to the cap, folded by foldInst.  A change
+    // to the emulator, the kernel source, the warmup or the packed
+    // columns that alters any record moves it.
+    trace::TracePtr t =
+        workloads::captureTrace(workloads::workload("fp_fir"), 2'000);
+    EXPECT_EQ(t->size(), 2'000u);
+    EXPECT_EQ(t->digest(), 0x5a3158740d65b040ULL);
+}
+
 TEST(ReplayStream, CaptureSeesOnlyEmittedInstructions)
 {
     // Capture must not record warmup (fast-forwarded) instructions:

@@ -91,8 +91,8 @@ TEST(Telemetry, RenderedTraceIsValidChromeJson)
 
     // process_name metadata; per run a thread name, a run and a
     // simulate span, plus run 0's two counter samples; the sweep
-    // thread name and its three spans (capture, pack, stats-merge).
-    EXPECT_EQ(events.size(), 13u);
+    // thread name and its two spans (capture, stats-merge).
+    EXPECT_EQ(events.size(), 12u);
 
     // Every event is on pid 1 (constant by design: worker identity is
     // scheduling noise and must not reach the trace).
@@ -100,7 +100,7 @@ TEST(Telemetry, RenderedTraceIsValidChromeJson)
         EXPECT_EQ(member(ev, "pid").num, 1.0);
 
     bool sawRun = false, sawCounter = false;
-    bool sawCapture = false, sawPack = false, sawMerge = false;
+    bool sawCapture = false, sawMerge = false;
     for (const auto &ev : events) {
         const std::string &name = member(ev, "name").str;
         const obs::json::Value *args = ev.find("args");
@@ -125,32 +125,24 @@ TEST(Telemetry, RenderedTraceIsValidChromeJson)
             EXPECT_EQ(member(*args, "iq").num, 11.0);
             EXPECT_EQ(member(*args, "lsq").num, 5.0);
         }
-        // The sweep track rides at tid == run count: capture, then the
-        // pack span (one record per captured instruction) starting
-        // where capture ends, then stats-merge after both.
+        // The sweep track rides at tid == run count: capture, then
+        // stats-merge starting where capture ends.
         if (name == "capture") {
             sawCapture = true;
             EXPECT_EQ(member(ev, "tid").num, 2.0);
             EXPECT_EQ(member(ev, "dur").num, 1234.0);
             EXPECT_EQ(member(*args, "replayed_insts").num, 5678.0);
         }
-        if (name == "pack") {
-            sawPack = true;
-            EXPECT_EQ(member(ev, "tid").num, 2.0);
-            EXPECT_EQ(member(ev, "ts").num, 1234.0);
-            EXPECT_EQ(member(ev, "dur").num, 1234.0);
-            EXPECT_EQ(member(*args, "packed_records").num, 1234.0);
-        }
         if (name == "stats-merge") {
             sawMerge = true;
-            EXPECT_EQ(member(ev, "ts").num, 1234.0 + 1234.0);
+            EXPECT_EQ(member(ev, "tid").num, 2.0);
+            EXPECT_EQ(member(ev, "ts").num, 1234.0);
             EXPECT_EQ(member(*args, "runs").num, 2.0);
         }
     }
     EXPECT_TRUE(sawRun);
     EXPECT_TRUE(sawCounter);
     EXPECT_TRUE(sawCapture);
-    EXPECT_TRUE(sawPack);
     EXPECT_TRUE(sawMerge);
 }
 
@@ -261,8 +253,8 @@ TEST(TelemetrySweep, TraceBytesIdenticalAcrossThreadCounts)
         h ^= c;
         h *= 0x100000001b3ULL;
     }
-    EXPECT_EQ(bodies[0].size(), 147232u);
-    EXPECT_EQ(h, 0xdc1b0440870dd4b0ULL);
+    EXPECT_EQ(bodies[0].size(), 147147u);
+    EXPECT_EQ(h, 0xa8cb7488fff42a6dULL);
 
     // And the trace is a valid Chrome trace-event document.
     obs::json::Value doc;
