@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <system_error>
 
 namespace rrs {
@@ -48,6 +49,18 @@ tryWriteFileAtomic(const std::string &path, std::string_view contents,
         error = "cannot rename '" + tmp + "' to '" + path + "'";
         return false;
     }
+    return true;
+}
+
+bool
+tryReadFile(const std::string &path, std::string &contents)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return false;
+    std::ostringstream text;
+    text << in.rdbuf();
+    contents = text.str();
     return true;
 }
 

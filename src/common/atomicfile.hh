@@ -1,10 +1,12 @@
 /**
  * @file
- * Atomic file writes: the tmp+rename idiom every writer of
+ * Whole-file I/O.  Writes use the tmp+rename idiom every writer of
  * machine-readable artifacts (ledger nodes, campaign sidecars,
- * telemetry traces, reports) shares.  A crash or concurrent writer can
+ * telemetry traces, reports) shares: a crash or concurrent writer can
  * never leave a half-written file at the destination path, and missing
- * parent directories are created instead of failing.
+ * parent directories are created instead of failing.  Reads of those
+ * artifacts and of hand-written inputs (sweep matrices, manifests) go
+ * through tryReadFile.
  */
 
 #ifndef RRS_COMMON_ATOMICFILE_HH
@@ -35,6 +37,13 @@ bool ensureParentDir(const std::string &path, std::string &error);
  */
 bool tryWriteFileAtomic(const std::string &path, std::string_view contents,
                         std::string &error, bool createParents = true);
+
+/**
+ * Read the whole of `path` into `contents`.
+ * @return false when the file cannot be opened; each caller words its
+ *         own diagnostic.
+ */
+bool tryReadFile(const std::string &path, std::string &contents);
 
 } // namespace rrs
 

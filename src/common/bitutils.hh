@@ -1,7 +1,7 @@
 /**
  * @file
- * Small bit-manipulation helpers used across the simulator: power-of-two
- * checks, integer log2, alignment, and field extraction.
+ * Small bit-manipulation helpers used across the simulator: a
+ * power-of-two check and a 64-bit hash mix.
  */
 
 #ifndef RRS_COMMON_BITUTILS_HH
@@ -18,44 +18,6 @@ constexpr bool
 isPowerOf2(std::uint64_t x)
 {
     return x != 0 && (x & (x - 1)) == 0;
-}
-
-/** Floor of log2(x); x must be non-zero. */
-constexpr unsigned
-floorLog2(std::uint64_t x)
-{
-    unsigned r = 0;
-    while (x >>= 1)
-        ++r;
-    return r;
-}
-
-/** Ceiling of log2(x); x must be non-zero. */
-constexpr unsigned
-ceilLog2(std::uint64_t x)
-{
-    return floorLog2(x) + (isPowerOf2(x) ? 0 : 1);
-}
-
-/** Round x down to a multiple of align (a power of two). */
-constexpr std::uint64_t
-alignDown(std::uint64_t x, std::uint64_t align)
-{
-    return x & ~(align - 1);
-}
-
-/** Round x up to a multiple of align (a power of two). */
-constexpr std::uint64_t
-alignUp(std::uint64_t x, std::uint64_t align)
-{
-    return (x + align - 1) & ~(align - 1);
-}
-
-/** Extract bits [lo, hi] (inclusive) of x. */
-constexpr std::uint64_t
-bits(std::uint64_t x, unsigned hi, unsigned lo)
-{
-    return (x >> lo) & ((hi - lo == 63) ? ~0ULL : ((1ULL << (hi - lo + 1)) - 1));
 }
 
 /**

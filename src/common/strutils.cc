@@ -7,6 +7,8 @@
 #include <locale>
 #include <sstream>
 
+#include "common/logging.hh"
+
 namespace rrs {
 
 std::string_view
@@ -109,6 +111,18 @@ parseDouble(std::string_view s)
     if (parseDoublePrefix(first, last, v) != last)
         return std::nullopt;
     return v;
+}
+
+bool
+envFlag(const char *name)
+{
+    const char *env = std::getenv(name);
+    const std::string_view v = env ? env : "";
+    if (v.empty() || v == "0")
+        return false;
+    if (v != "1")
+        rrs_fatal("%s must be 0 or 1, got '%s'", name, env);
+    return true;
 }
 
 } // namespace rrs

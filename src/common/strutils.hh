@@ -49,6 +49,14 @@ std::optional<double> parseDouble(std::string_view s);
 const char *parseDoublePrefix(const char *first, const char *last,
                               double &out);
 
+/**
+ * The on/off grammar of a switch variable (`RRS_PROF`, `RRS_PROGRESS`):
+ * unset, empty or `0` is off and `1` is on.  Any other value is an
+ * rrs_fatal naming the variable and the value, so call it during
+ * static initialisation, before any sweep lane starts.
+ */
+bool envFlag(const char *name);
+
 } // namespace rrs
 
 #endif // RRS_COMMON_STRUTILS_HH

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "trace/fnv.hh"
 
 namespace rrs::emu {
 
@@ -63,11 +64,7 @@ SparseMemory::digest() const
         pageNums.push_back(num);
     std::sort(pageNums.begin(), pageNums.end());
 
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto fold = [&h](std::uint8_t byte) {
-        h ^= byte;
-        h *= 0x100000001b3ULL;
-    };
+    std::uint64_t h = trace::fnv::offset;
     for (Addr num : pageNums) {
         const Page &page = *pages.at(num);
         // An all-zero page is indistinguishable from an unmapped one
@@ -81,10 +78,9 @@ SparseMemory::digest() const
         }
         if (allZero)
             continue;
-        for (unsigned b = 0; b < 8; ++b)
-            fold(static_cast<std::uint8_t>(num >> (8 * b)));
+        trace::fnv::foldU64(h, num);
         for (std::uint8_t byte : page)
-            fold(byte);
+            trace::fnv::foldU8(h, byte);
     }
     return h;
 }
@@ -92,12 +88,6 @@ SparseMemory::digest() const
 Emulator::Emulator(const isa::Program &prog, std::string name,
                    std::uint64_t maxInsts)
     : prog(prog), label(std::move(name)), maxInsts(maxInsts)
-{
-    loadImage();
-}
-
-void
-Emulator::loadImage()
 {
     xregs.fill(0);
     fregs.fill(0.0);
@@ -110,13 +100,6 @@ Emulator::loadImage()
         for (std::size_t i = 0; i < chunk.bytes.size(); ++i)
             mem.write(chunk.addr + i, chunk.bytes[i], 1);
     }
-}
-
-void
-Emulator::reset()
-{
-    mem = SparseMemory();
-    loadImage();
 }
 
 std::uint64_t

@@ -58,9 +58,7 @@ class SparseMemory
 
 /**
  * The architectural execution engine.  Also implements InstStream so a
- * timing simulation can pull the dynamic trace directly; reset()
- * restores the initial architectural state so the same workload can be
- * replayed for every configuration of a sweep.
+ * timing simulation can pull the dynamic trace directly.
  */
 class Emulator : public trace::InstStream
 {
@@ -82,7 +80,6 @@ class Emulator : public trace::InstStream
 
     // InstStream interface.
     std::optional<trace::DynInst> next() override;
-    void reset() override;
     const std::string &name() const override { return label; }
 
     /** True once a Halt has executed or the cap was reached. */
@@ -117,7 +114,6 @@ class Emulator : public trace::InstStream
 
   private:
     void writeIntReg(LogRegIndex idx, std::uint64_t value);
-    void loadImage();
 
     const isa::Program &prog;
     std::string label;

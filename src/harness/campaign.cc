@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <sstream>
 
@@ -16,20 +15,14 @@ namespace rrs::harness {
 
 namespace {
 
+using obs::json::checkNoDuplicateKeys;
+using obs::json::readInteger;
 using obs::json::Value;
 using stats::jsonNumber;
 using stats::jsonQuoted;
 
-bool
-checkNoDuplicateKeys(const Value &obj, const std::string &where,
-                     std::string &error)
-{
-    if (!checkNoDuplicateJsonKeys(obj, where, error)) {
-        error = "campaign manifest: " + error;
-        return false;
-    }
-    return true;
-}
+/** The document label of every duplicate-key diagnostic. */
+constexpr const char *doc = "campaign manifest";
 
 bool
 parseKind(const std::string &s, CampaignFigure::Kind &out)
@@ -52,7 +45,7 @@ parseFigure(const Value &v, CampaignFigure &fig, std::string &error)
         error = "campaign manifest: each figure must be an object";
         return false;
     }
-    if (!checkNoDuplicateKeys(v, "a figure entry", error))
+    if (!checkNoDuplicateKeys(v, doc, "a figure entry", error))
         return false;
     const Value *name = v.find("figure");
     if (!name || !name->isString() || name->str.empty()) {
@@ -89,11 +82,11 @@ parseFigure(const Value &v, CampaignFigure &fig, std::string &error)
             }
             for (const auto &entry : val.arr) {
                 std::uint64_t n = 0;
-                if (!readJsonInteger(entry, 1,
-                                     std::numeric_limits<std::uint32_t>::max(),
-                                     "campaign manifest: " + where +
-                                         ": each 'sizes' entry",
-                                     n, error))
+                if (!readInteger(entry, 1,
+                                 std::numeric_limits<std::uint32_t>::max(),
+                                 "campaign manifest: " + where +
+                                     ": each 'sizes' entry",
+                                 n, error))
                     return false;
                 fig.sizes.push_back(static_cast<std::uint32_t>(n));
             }
@@ -127,16 +120,6 @@ parseFigure(const Value &v, CampaignFigure &fig, std::string &error)
                 "columns (base, proposed); the matrix has " +
                 std::to_string(fig.matrix.schemes.size());
         return false;
-    }
-    if (!fig.matrix.suite.empty()) {
-        bool known = false;
-        for (const auto &s : workloads::suiteNames())
-            known = known || s == fig.matrix.suite;
-        if (!known) {
-            error = "campaign manifest: " + where + ": unknown suite '" +
-                    fig.matrix.suite + "'";
-            return false;
-        }
     }
     return true;
 }
@@ -266,7 +249,7 @@ tryParseCampaignManifest(const std::string &text, CampaignManifest &out,
         error = "campaign manifest: the document root must be an object";
         return false;
     }
-    if (!checkNoDuplicateKeys(root, "the manifest", error))
+    if (!checkNoDuplicateKeys(root, doc, "the manifest", error))
         return false;
 
     CampaignManifest m;
@@ -280,9 +263,9 @@ tryParseCampaignManifest(const std::string &text, CampaignManifest &out,
             }
             m.name = val.str;
         } else if (key == "cap") {
-            if (!readJsonInteger(val, 1,
-                                 std::numeric_limits<std::uint64_t>::max(),
-                                 "campaign manifest: 'cap'", m.cap, error))
+            if (!readInteger(val, 1,
+                             std::numeric_limits<std::uint64_t>::max(),
+                             "campaign manifest: 'cap'", m.cap, error))
                 return false;
         } else if (key == "figures") {
             sawFigures = true;
@@ -324,14 +307,12 @@ tryParseCampaignManifest(const std::string &text, CampaignManifest &out,
 CampaignManifest
 loadCampaignManifestFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::string text;
+    if (!tryReadFile(path, text))
         rrs_fatal("cannot open campaign manifest '%s'", path.c_str());
-    std::ostringstream text;
-    text << in.rdbuf();
     CampaignManifest m;
     std::string error;
-    if (!tryParseCampaignManifest(text.str(), m, error))
+    if (!tryParseCampaignManifest(text, m, error))
         rrs_fatal("%s: %s", path.c_str(), error.c_str());
     return m;
 }

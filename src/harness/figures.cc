@@ -214,7 +214,7 @@ renderFig11(const std::vector<std::uint32_t> &sizes,
 }
 
 std::string
-renderFig10(const std::vector<workloads::Workload> &ws,
+renderFig10(const std::vector<std::pair<std::string, std::string>> &rows,
             const std::vector<std::uint32_t> &sizes,
             const std::vector<std::vector<OutcomePair>> &grid)
 {
@@ -224,8 +224,8 @@ renderFig10(const std::vector<workloads::Workload> &ws,
         // Under --suite / --workload filtering some suites may have no
         // selected members; an unfiltered run always has rows here.
         bool any = false;
-        for (const auto &w : ws)
-            any = any || w.suite == suite;
+        for (const auto &row : rows)
+            any = any || row.second == suite;
         if (!any)
             continue;
         std::vector<std::string> headers = {"workload"};
@@ -235,10 +235,10 @@ renderFig10(const std::vector<workloads::Workload> &ws,
 
         std::vector<std::vector<double>> perSize(sizes.size());
         std::vector<std::vector<double>> perSizeRel(sizes.size());
-        for (std::size_t wi = 0; wi < ws.size(); ++wi) {
-            if (ws[wi].suite != suite)
+        for (std::size_t wi = 0; wi < rows.size(); ++wi) {
+            if (rows[wi].second != suite)
                 continue;
-            t.row().cell(ws[wi].name);
+            t.row().cell(rows[wi].first);
             for (std::size_t i = 0; i < sizes.size(); ++i) {
                 const OutcomePair &pair = grid[wi][i];
                 if (sampled) {

@@ -16,6 +16,7 @@
 #define RRS_HARNESS_FIGURES_HH
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "area/area.hh"
@@ -72,14 +73,18 @@ std::string renderFig11(const std::vector<std::uint32_t> &sizes,
  * Figure 10's deterministic block: one speedup table per workload
  * suite (baseline cycles / proposed cycles per cell, GEOMEAN row) plus
  * the shape-check note — exactly the bytes the fig10 bench prints.
+ * `rows` names the grid's workloads as (name, suite) pairs in grid
+ * order, as the campaign sidecar stores them, so a stored figure
+ * renders without the workload registry.
  *
  * Sampled grids switch each cell to "speedup±ci" derived from the
  * reported (mean) IPC ratio, with the two runs' relative CIs summed —
  * the conservative error for a ratio of independent estimates.
  */
-std::string renderFig10(const std::vector<workloads::Workload> &ws,
-                        const std::vector<std::uint32_t> &sizes,
-                        const std::vector<std::vector<OutcomePair>> &grid);
+std::string renderFig10(
+    const std::vector<std::pair<std::string, std::string>> &rows,
+    const std::vector<std::uint32_t> &sizes,
+    const std::vector<std::vector<OutcomePair>> &grid);
 
 /**
  * Table III's deterministic block: the equal-area configuration table

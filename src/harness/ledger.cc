@@ -4,85 +4,35 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <limits>
 #include <sstream>
 #include <string_view>
 #include <type_traits>
 
 #include "common/atomicfile.hh"
-#include "harness/sweepmatrix.hh"
 #include "obs/jsonlite.hh"
 #include "obs/stallcause.hh"
 #include "stats/stats.hh"
+#include "trace/fnv.hh"
 
 namespace rrs::harness {
 
 namespace {
 
+using obs::json::Value;
 using stats::jsonNumber;
 using stats::jsonQuoted;
 
-constexpr std::uint64_t fnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t fnvPrime = 0x100000001b3ULL;
-
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = fnvOffset;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= fnvPrime;
-    }
-    return h;
-}
-
-using obs::json::Value;
-
 /**
- * Read member `key` of `obj` as the writer emits it: a string, an
- * object (`out` a `const Value *`), a JSON number, or a count, a whole
- * number in the range of `out`'s integer type (readJsonInteger).  Every
- * member is required.
- * @return false, with `error` naming the field, on anything else.
+ * Read member `key` of a node object as the writer emits it
+ * (obs::json::readMember); every member is required.
  */
 template <typename T>
 bool
 readField(const Value &obj, const char *key, T &out, std::string &error)
 {
-    const std::string field = std::string("ledger entry: '") + key + "'";
-    const Value *v = obj.find(key);
-    if (!v) {
-        error = field + " is missing";
-        return false;
-    }
-    if constexpr (std::is_integral_v<T>) {
-        std::uint64_t n = 0;
-        if (!readJsonInteger(*v, 0, std::numeric_limits<T>::max(), field, n,
-                             error))
-            return false;
-        out = static_cast<T>(n);
-        return true;
-    } else if constexpr (std::is_same_v<T, double>) {
-        if (v->isNumber()) {
-            out = v->num;
-            return true;
-        }
-        error = field + " must be a number";
-    } else if constexpr (std::is_same_v<T, std::string>) {
-        if (v->isString()) {
-            out = v->str;
-            return true;
-        }
-        error = field + " must be a string";
-    } else {
-        if (v->isObject()) {
-            out = v;
-            return true;
-        }
-        error = field + " must be an object";
-    }
-    return false;
+    return obs::json::readMember(
+        obj, key, std::string("ledger entry: '") + key + "'", true, out,
+        error);
 }
 
 /**
@@ -216,7 +166,7 @@ nodeKey(const NodeSpec &spec)
 std::uint64_t
 nodeDigest(const NodeSpec &spec)
 {
-    return fnv1a(nodeKey(spec));
+    return trace::fnv::hashBytes(nodeKey(spec));
 }
 
 std::string
@@ -283,8 +233,9 @@ parseLedgerEntryJson(const std::string &text, LedgerEntry &out,
     std::uint64_t version = 0;
     std::string schemaError;
     if (!schema ||
-        !readJsonInteger(*schema, ledgerSchemaVersion, ledgerSchemaVersion,
-                         "ledger_schema", version, schemaError)) {
+        !obs::json::readInteger(*schema, ledgerSchemaVersion,
+                                ledgerSchemaVersion, "ledger_schema",
+                                version, schemaError)) {
         error = "ledger entry: missing or unsupported ledger_schema "
                 "(expected " + std::to_string(ledgerSchemaVersion) + ")";
         return false;
@@ -410,14 +361,12 @@ bool
 Ledger::tryLoad(const std::string &hex, LedgerEntry &out,
                 std::string &error) const
 {
-    std::ifstream in(nodePath(hex), std::ios::binary);
-    if (!in) {
+    std::string text;
+    if (!tryReadFile(nodePath(hex), text)) {
         error = "cannot open ledger node " + nodePath(hex);
         return false;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
-    if (!parseLedgerEntryJson(text.str(), out, error)) {
+    if (!parseLedgerEntryJson(text, out, error)) {
         error = nodePath(hex) + ": " + error;
         return false;
     }

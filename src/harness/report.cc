@@ -1,25 +1,25 @@
 #include "report.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <limits>
 #include <sstream>
-#include <type_traits>
 
 #include "area/area.hh"
+#include "common/atomicfile.hh"
 #include "harness/campaign.hh"
 #include "harness/figures.hh"
-#include "harness/sweepmatrix.hh"
 #include "obs/jsonlite.hh"
 #include "obs/stallcause.hh"
 #include "stats/table.hh"
+#include "workloads/workloads.hh"
 
 namespace rrs::harness {
 
 namespace {
 
 using obs::json::Value;
+using Array = std::vector<Value>;
 
 /** One figure descriptor out of the campaign.json sidecar. */
 struct FigureDesc
@@ -50,15 +50,13 @@ bool
 loadSidecar(const Ledger &ledger, Value &doc, std::string &error)
 {
     const std::string path = ledger.directory() + "/campaign.json";
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::string text;
+    if (!tryReadFile(path, text)) {
         error = "no campaign sidecar at " + path +
                 " (run rrs-campaign first)";
         return false;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
-    if (!obs::json::parse(text.str(), doc, &error)) {
+    if (!obs::json::parse(text, doc, &error)) {
         error = path + ": " + error;
         return false;
     }
@@ -66,9 +64,9 @@ loadSidecar(const Ledger &ledger, Value &doc, std::string &error)
     std::uint64_t version = 0;
     std::string schemaError;
     if (!schema ||
-        !readJsonInteger(*schema, campaignSchemaVersion,
-                         campaignSchemaVersion, "campaign_schema", version,
-                         schemaError)) {
+        !obs::json::readInteger(*schema, campaignSchemaVersion,
+                                campaignSchemaVersion, "campaign_schema",
+                                version, schemaError)) {
         error = path + ": missing or unsupported campaign_schema";
         return false;
     }
@@ -84,63 +82,18 @@ isDigestHex(const std::string &s)
 }
 
 /**
- * Read member `key` of a sidecar object as its writer emits it: a
- * string, a number, or a count in the range of `out`'s integer type
- * (readJsonInteger).  An absent member leaves `out` alone, unless
- * `required`.
- * @return false, with `error` naming the field, on anything else.
+ * Read member `key` of a sidecar object as its writer emits it
+ * (obs::json::readMember), named by its path in the sidecar (`where`
+ * is the enclosing path, "" at the root).
  */
 template <typename T>
 bool
-readMember(const Value &obj, const std::string &where, const char *key,
-           bool required, T &out, std::string &error)
+sidecarMember(const Value &obj, const std::string &where, const char *key,
+              bool required, T &out, std::string &error)
 {
-    const std::string field = "campaign sidecar: '" + where + key + "'";
-    const Value *v = obj.find(key);
-    if (!v) {
-        if (required)
-            error = field + " is missing";
-        return !required;
-    }
-    if constexpr (std::is_integral_v<T>) {
-        std::uint64_t n = 0;
-        if (!readJsonInteger(*v, 0, std::numeric_limits<T>::max(), field, n,
-                             error))
-            return false;
-        out = static_cast<T>(n);
-        return true;
-    } else {
-        constexpr bool text = std::is_same_v<T, std::string>;
-        if (text ? v->isString() : v->isNumber()) {
-            if constexpr (text)
-                out = v->str;
-            else
-                out = v->num;
-            return true;
-        }
-        error = field + (text ? " must be a string" : " must be a number");
-        return false;
-    }
-}
-
-/**
- * Member `key` of a sidecar object, which must be of `kind` (an array
- * or an object) when present; an absent member reads as an empty one.
- * @return false, with `error` naming the member, on another kind.
- */
-bool
-readNested(const Value &obj, const std::string &where, const char *key,
-           Value::Kind kind, const Value *&out, std::string &error)
-{
-    static const Value empty;
-    out = obj.find(key);
-    if (!out)
-        out = &empty;
-    if (out == &empty || out->kind() == kind)
-        return true;
-    error = "campaign sidecar: '" + where + key + "' must be " +
-            (kind == Value::Kind::Array ? "an array" : "an object");
-    return false;
+    return obs::json::readMember(obj, key,
+                                 "campaign sidecar: '" + where + key + "'",
+                                 required, out, error);
 }
 
 /**
@@ -151,50 +104,50 @@ bool
 parseFigures(const Value &doc, std::vector<FigureDesc> &figures,
              std::string &error)
 {
-    constexpr Value::Kind array = Value::Kind::Array;
-    const Value *figs = nullptr;
-    if (!readNested(doc, "", "figures", array, figs, error))
+    const Array *figs = nullptr;
+    if (!sidecarMember(doc, "", "figures", false, figs, error))
         return false;
-    for (std::size_t i = 0; i < figs->arr.size(); ++i) {
-        const Value &f = figs->arr[i];
+    for (std::size_t i = 0; i < figs->size(); ++i) {
+        const Value &f = (*figs)[i];
         const std::string field = "figures[" + std::to_string(i) + "].";
         FigureDesc fd;
-        const Value *sizes = nullptr, *labels = nullptr,
+        const Array *sizes = nullptr, *labels = nullptr,
                     *workloads = nullptr, *nodes = nullptr;
-        if (!readMember(f, field, "figure", true, fd.name, error) ||
-            !readMember(f, field, "kind", false, fd.kind, error) ||
-            !readNested(f, field, "sizes", array, sizes, error) ||
-            !readNested(f, field, "scheme_labels", array, labels, error) ||
-            !readNested(f, field, "workloads", array, workloads, error) ||
-            !readNested(f, field, "nodes", array, nodes, error))
+        if (!sidecarMember(f, field, "figure", true, fd.name, error) ||
+            !sidecarMember(f, field, "kind", false, fd.kind, error) ||
+            !sidecarMember(f, field, "sizes", false, sizes, error) ||
+            !sidecarMember(f, field, "scheme_labels", false, labels, error) ||
+            !sidecarMember(f, field, "workloads", false, workloads, error) ||
+            !sidecarMember(f, field, "nodes", false, nodes, error))
             return false;
         const std::string where = "campaign sidecar: figure '" + fd.name + "'";
-        for (const auto &e : sizes->arr) {
+        for (const auto &e : *sizes) {
             std::uint64_t regs = 0;
-            if (!readJsonInteger(e, 1, 0xffffffffULL,
-                                 where + " 'sizes' entry", regs, error))
+            if (!obs::json::readInteger(e, 1, 0xffffffffULL,
+                                        where + " 'sizes' entry", regs,
+                                        error))
                 return false;
             fd.sizes.push_back(static_cast<std::uint32_t>(regs));
         }
         // The report reads no scheme label, but a label that is not a
         // string marks a sidecar not written by rrs-campaign.
-        for (const auto &e : labels->arr) {
+        for (const auto &e : *labels) {
             if (!e.isString()) {
                 error = where + ": each 'scheme_labels' entry must be "
                                 "a string";
                 return false;
             }
         }
-        for (std::size_t w = 0; w < workloads->arr.size(); ++w) {
-            const Value &wv = workloads->arr[w];
+        for (std::size_t w = 0; w < workloads->size(); ++w) {
+            const Value &wv = (*workloads)[w];
             const std::string at =
                 field + "workloads[" + std::to_string(w) + "].";
             auto &[name, suite] = fd.workloads.emplace_back();
-            if (!readMember(wv, at, "name", true, name, error) ||
-                !readMember(wv, at, "suite", true, suite, error))
+            if (!sidecarMember(wv, at, "name", true, name, error) ||
+                !sidecarMember(wv, at, "suite", true, suite, error))
                 return false;
         }
-        for (const auto &e : nodes->arr) {
+        for (const auto &e : *nodes) {
             if (!e.isString() || !isDigestHex(e.str)) {
                 error = where + ": each 'nodes' entry must be 16 "
                                 "lowercase hex digits";
@@ -218,24 +171,25 @@ readHostCost(const Value &doc, CampaignResult &nodes, SweepSummary &sweep,
 {
     const Value *tc = nullptr;
     const std::string t = "trace_cache.";
-    return readNested(doc, "", "trace_cache", Value::Kind::Object, tc,
-                      error) &&
-           readMember(doc, "", "threads", false, sweep.threads, error) &&
-           readMember(doc, "", "wall_seconds", false, sweep.wallSeconds,
-                      error) &&
-           readMember(doc, "", "nodes_total", false, nodes.totalNodes,
-                      error) &&
-           readMember(doc, "", "nodes_cached", false, nodes.hits, error) &&
-           readMember(doc, "", "nodes_simulated", false, nodes.simulated,
-                      error) &&
-           readMember(doc, "", "nodes_deferred", false, nodes.remaining,
-                      error) &&
-           readMember(*tc, t, "hits", false, sweep.traceHits, error) &&
-           readMember(*tc, t, "misses", false, sweep.traceMisses, error) &&
-           readMember(*tc, t, "captured_insts", false, sweep.instsCaptured,
-                      error) &&
-           readMember(*tc, t, "replayed_insts", false, sweep.instsReplayed,
-                      error);
+    return sidecarMember(doc, "", "trace_cache", false, tc, error) &&
+           sidecarMember(doc, "", "threads", false, sweep.threads, error) &&
+           sidecarMember(doc, "", "wall_seconds", false, sweep.wallSeconds,
+                         error) &&
+           sidecarMember(doc, "", "nodes_total", false, nodes.totalNodes,
+                         error) &&
+           sidecarMember(doc, "", "nodes_cached", false, nodes.hits,
+                         error) &&
+           sidecarMember(doc, "", "nodes_simulated", false, nodes.simulated,
+                         error) &&
+           sidecarMember(doc, "", "nodes_deferred", false, nodes.remaining,
+                         error) &&
+           sidecarMember(*tc, t, "hits", false, sweep.traceHits, error) &&
+           sidecarMember(*tc, t, "misses", false, sweep.traceMisses,
+                         error) &&
+           sidecarMember(*tc, t, "captured_insts", false,
+                         sweep.instsCaptured, error) &&
+           sidecarMember(*tc, t, "replayed_insts", false,
+                         sweep.instsReplayed, error);
 }
 
 /** Did two sweeps move the same trace-cache traffic? */
@@ -508,12 +462,12 @@ renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
     std::vector<FigureDesc> figures;
     CampaignResult nodes;
     SweepSummary sweep;
-    const Value *phases = nullptr;
-    if (!readMember(doc, "", "name", true, name, error) ||
-        !readMember(doc, "", "git_sha", true, gitSha, error) ||
+    const Array *phases = nullptr;
+    if (!sidecarMember(doc, "", "name", true, name, error) ||
+        !sidecarMember(doc, "", "git_sha", true, gitSha, error) ||
         !parseFigures(doc, figures, error) ||
         !readHostCost(doc, nodes, sweep, error) ||
-        !readNested(doc, "", "phases", Value::Kind::Array, phases, error))
+        !sidecarMember(doc, "", "phases", false, phases, error))
         return 2;
 
     std::ostringstream md;
@@ -560,10 +514,19 @@ renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
         if (fig.kind == "fig11") {
             md << "```\n" << renderFig11(fig.sizes, grid) << "```\n\n";
         } else if (fig.kind == "fig10") {
-            std::vector<workloads::Workload> ws;
-            for (const auto &[name, suite] : fig.workloads)
-                ws.push_back(workloads::workload(name));
-            md << "```\n" << renderFig10(ws, fig.sizes, grid)
+            // A row outside the four suites would drop out of every
+            // per-suite table.
+            const auto &suites = workloads::suiteNames();
+            for (const auto &[name, suite] : fig.workloads) {
+                if (std::find(suites.begin(), suites.end(), suite) ==
+                    suites.end()) {
+                    error = "campaign sidecar: figure '" + fig.name +
+                            "': workload '" + name + "' has unknown suite '" +
+                            suite + "'";
+                    return 2;
+                }
+            }
+            md << "```\n" << renderFig10(fig.workloads, fig.sizes, grid)
                << "```\n\n";
         } else {
             error = "figure '" + fig.name + "': unknown kind '" +
@@ -575,22 +538,22 @@ renderCampaignReport(const Ledger &ledger, const ReportOptions &opts,
     }
 
     md << "## Phase profile\n\n";
-    if (!phases->arr.empty()) {
+    if (!phases->empty()) {
         stats::TextTable t({"phase", "count", "seconds", "p50 us",
                             "p95 us", "max us"});
         // Every member of a row is required.
-        for (std::size_t i = 0; i < phases->arr.size(); ++i) {
-            const Value &p = phases->arr[i];
+        for (std::size_t i = 0; i < phases->size(); ++i) {
+            const Value &p = (*phases)[i];
             const std::string at = "phases[" + std::to_string(i) + "].";
             std::string path;
             std::uint64_t count = 0;
             double seconds = 0, p50 = 0, p95 = 0, max = 0;
-            if (!readMember(p, at, "path", true, path, error) ||
-                !readMember(p, at, "count", true, count, error) ||
-                !readMember(p, at, "seconds", true, seconds, error) ||
-                !readMember(p, at, "p50_us", true, p50, error) ||
-                !readMember(p, at, "p95_us", true, p95, error) ||
-                !readMember(p, at, "max_us", true, max, error))
+            if (!sidecarMember(p, at, "path", true, path, error) ||
+                !sidecarMember(p, at, "count", true, count, error) ||
+                !sidecarMember(p, at, "seconds", true, seconds, error) ||
+                !sidecarMember(p, at, "p50_us", true, p50, error) ||
+                !sidecarMember(p, at, "p95_us", true, p95, error) ||
+                !sidecarMember(p, at, "max_us", true, max, error))
                 return 2;
             t.row().cell(path).cell(count).cell(seconds, 3);
             t.cell(p50, 1).cell(p95, 1).cell(max, 1);

@@ -1,12 +1,10 @@
 #include "sweepmatrix.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <fstream>
 #include <limits>
 #include <numeric>
-#include <sstream>
 
+#include "common/atomicfile.hh"
 #include "common/logging.hh"
 #include "obs/jsonlite.hh"
 #include "rename/scheme.hh"
@@ -15,7 +13,12 @@ namespace rrs::harness {
 
 namespace {
 
+using obs::json::checkNoDuplicateKeys;
+using obs::json::readInteger;
 using obs::json::Value;
+
+/** The document label of every duplicate-key diagnostic. */
+constexpr const char *doc = "sweep matrix";
 
 constexpr std::uint64_t u32Max = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint64_t u64Max = std::numeric_limits<std::uint64_t>::max();
@@ -25,22 +28,6 @@ constexpr std::uint64_t u64Max = std::numeric_limits<std::uint64_t>::max();
  * warm + detailed cannot wrap.
  */
 constexpr std::uint64_t sampleMax = std::numeric_limits<std::int64_t>::max();
-
-/**
- * Duplicate detection for hand-written matrices: a matrix with two
- * "rf_sizes" members is almost certainly a merge accident, and silently
- * taking one of them would skew the sweep.
- */
-bool
-checkNoDuplicateKeys(const Value &obj, const std::string &where,
-                     std::string &error)
-{
-    if (!checkNoDuplicateJsonKeys(obj, where, error)) {
-        error = "sweep matrix: " + error;
-        return false;
-    }
-    return true;
-}
 
 /**
  * Read one declarative parameter of `scheme`: a key the scheme
@@ -70,10 +57,10 @@ parseParam(const rename::RenameScheme &scheme, const std::string &key,
     if (val.kind() == Value::Kind::Bool && range->min == 0 &&
         range->max == 1) {
         n = val.boolean;
-    } else if (!readJsonInteger(val, range->min, range->max,
-                                "sweep matrix: parameter '" + key +
-                                    "' of scheme '" + scheme.name() + "'",
-                                n, error)) {
+    } else if (!readInteger(val, range->min, range->max,
+                            "sweep matrix: parameter '" + key +
+                                "' of scheme '" + scheme.name() + "'",
+                            n, error)) {
         return false;
     }
     out = static_cast<double>(n);
@@ -88,7 +75,7 @@ parseSchemeSpec(const Value &v, SchemeSpec &spec, std::string &error)
                 "string or an object";
         return false;
     }
-    if (v.isObject() && !checkNoDuplicateKeys(v, "a scheme entry", error))
+    if (v.isObject() && !checkNoDuplicateKeys(v, doc, "a scheme entry", error))
         return false;
     const Value *name = v.isString() ? &v : v.find("scheme");
     if (!name || !name->isString()) {
@@ -124,8 +111,9 @@ parseSchemeSpec(const Value &v, SchemeSpec &spec, std::string &error)
                         "of name: number pairs";
                 return false;
             }
-            if (!checkNoDuplicateKeys(val, "the params of scheme '" +
-                                               spec.scheme + "'",
+            if (!checkNoDuplicateKeys(val, doc,
+                                      "the params of scheme '" +
+                                          spec.scheme + "'",
                                       error))
                 return false;
             for (const auto &[pk, pv] : val.members) {
@@ -148,45 +136,6 @@ parseSchemeSpec(const Value &v, SchemeSpec &spec, std::string &error)
 } // namespace
 
 bool
-checkNoDuplicateJsonKeys(const Value &obj, const std::string &where,
-                         std::string &error)
-{
-    for (std::size_t i = 0; i < obj.members.size(); ++i) {
-        for (std::size_t j = i + 1; j < obj.members.size(); ++j) {
-            if (obj.members[i].first == obj.members[j].first) {
-                error = "duplicate key '" + obj.members[i].first +
-                        "' in " + where;
-                return false;
-            }
-        }
-    }
-    return true;
-}
-
-bool
-readJsonInteger(const Value &v, std::uint64_t lo, std::uint64_t hi,
-                const std::string &field, std::uint64_t &out,
-                std::string &error)
-{
-    // 2^64 is exact as a double, and every whole double in [0, 2^64)
-    // converts to std::uint64_t exactly.
-    if (v.isNumber() && v.num == std::floor(v.num) && v.num >= 0 &&
-        v.num < 0x1p64) {
-        const auto n = static_cast<std::uint64_t>(v.num);
-        if (n >= lo && n <= hi) {
-            out = n;
-            return true;
-        }
-    }
-    const std::string top = std::to_string(hi);
-    error = field + " must be " +
-            (lo == 0   ? "a non-negative integer up to " + top
-             : lo == 1 ? "a positive integer up to " + top
-                       : "an integer in " + std::to_string(lo) + ".." + top);
-    return false;
-}
-
-bool
 tryParseSweepMatrix(const std::string &text, SweepMatrix &out,
                     std::string &error)
 {
@@ -207,7 +156,9 @@ tryParseSweepMatrix(const Value &root, SweepMatrix &out,
         error = "sweep matrix: the document root must be an object";
         return false;
     }
-    if (!checkNoDuplicateKeys(root, "the matrix", error))
+    // A matrix with two "rf_sizes" members is almost certainly a merge
+    // accident, and silently taking one of them would skew the sweep.
+    if (!checkNoDuplicateKeys(root, doc, "the matrix", error))
         return false;
 
     SweepMatrix m;
@@ -233,15 +184,15 @@ tryParseSweepMatrix(const Value &root, SweepMatrix &out,
             }
             for (const auto &entry : val.arr) {
                 std::uint64_t n = 0;
-                if (!readJsonInteger(entry, 1, u32Max,
-                                     "sweep matrix: each 'rf_sizes' entry",
-                                     n, error))
+                if (!readInteger(entry, 1, u32Max,
+                                 "sweep matrix: each 'rf_sizes' entry", n,
+                                 error))
                     return false;
                 m.rfSizes.push_back(static_cast<std::uint32_t>(n));
             }
         } else if (key == "cap") {
-            if (!readJsonInteger(val, 1, u64Max, "sweep matrix: 'cap'",
-                                 m.cap, error))
+            if (!readInteger(val, 1, u64Max, "sweep matrix: 'cap'", m.cap,
+                             error))
                 return false;
         } else if (key == "sample_sharing") {
             if (val.kind() != Value::Kind::Bool) {
@@ -252,6 +203,12 @@ tryParseSweepMatrix(const Value &root, SweepMatrix &out,
         } else if (key == "suite") {
             if (!val.isString()) {
                 error = "sweep matrix: 'suite' must be a string";
+                return false;
+            }
+            const auto &suites = workloads::suiteNames();
+            if (std::find(suites.begin(), suites.end(), val.str) ==
+                suites.end()) {
+                error = "sweep matrix: unknown suite '" + val.str + "'";
                 return false;
             }
             m.suite = val.str;
@@ -267,7 +224,7 @@ tryParseSweepMatrix(const Value &root, SweepMatrix &out,
                         "with warm/detailed/period members";
                 return false;
             }
-            if (!checkNoDuplicateKeys(val, "the sampling block", error))
+            if (!checkNoDuplicateKeys(val, doc, "the sampling block", error))
                 return false;
             for (const auto &[sk, sv] : val.members) {
                 const bool isWarm = sk == "warm";
@@ -280,9 +237,9 @@ tryParseSweepMatrix(const Value &root, SweepMatrix &out,
                 // and period must be positive for the mode to mean
                 // anything.
                 std::uint64_t n = 0;
-                if (!readJsonInteger(sv, isWarm ? 0 : 1, sampleMax,
-                                     "sweep matrix: sampling '" + sk + "'",
-                                     n, error))
+                if (!readInteger(sv, isWarm ? 0 : 1, sampleMax,
+                                 "sweep matrix: sampling '" + sk + "'", n,
+                                 error))
                     return false;
                 if (sk == "warm")
                     m.sampling.warm = n;
@@ -364,14 +321,12 @@ parseSweepMatrix(const std::string &text)
 SweepMatrix
 loadSweepMatrixFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::string text;
+    if (!tryReadFile(path, text))
         rrs_fatal("cannot open sweep matrix file '%s'", path.c_str());
-    std::ostringstream text;
-    text << in.rdbuf();
     SweepMatrix m;
     std::string error;
-    if (!tryParseSweepMatrix(text.str(), m, error))
+    if (!tryParseSweepMatrix(text, m, error))
         rrs_fatal("%s: %s", path.c_str(), error.c_str());
     return m;
 }

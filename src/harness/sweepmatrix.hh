@@ -17,9 +17,9 @@
  * declarative parameter overrides (the keys each scheme publishes via
  * RenameScheme::paramRanges()).  Every diagnostic — malformed JSON,
  * unknown scheme, unknown parameter key, a number that does not fit
- * its field, duplicate keys, an empty grid — is raised at parse time
- * with a clear message, so a bad matrix can never crash or skew a
- * sweep that has already started.
+ * its field, duplicate keys, an unknown suite, an empty grid — is
+ * raised at parse time with a clear message, so a bad matrix can never
+ * crash or skew a sweep that has already started.
  *
  * Expansion order is part of the determinism contract: workloads
  * outermost, then sizes, then scheme columns in document order.  Run
@@ -95,27 +95,6 @@ bool tryParseSweepMatrix(const std::string &text, SweepMatrix &out,
  */
 bool tryParseSweepMatrix(const obs::json::Value &root, SweepMatrix &out,
                          std::string &error);
-
-/**
- * jsonlite keeps object members in document order and does not reject
- * repeats; any parser of a hand-written document (sweep matrices,
- * campaign manifests) calls this so a duplicated key is a named
- * diagnostic instead of a silently-ignored member.
- */
-bool checkNoDuplicateJsonKeys(const obs::json::Value &obj,
-                              const std::string &where,
-                              std::string &error);
-
-/**
- * Read a JSON integer field: `v` must be a whole number in [lo, hi],
- * where `hi` is the most the field's type or its consumer takes.
- * Every integer field of a sweep matrix or campaign manifest goes
- * through here, so a value out of range fails by name instead of
- * being cast.  On failure `error` reads "<field> must be <range>".
- */
-bool readJsonInteger(const obs::json::Value &v, std::uint64_t lo,
-                     std::uint64_t hi, const std::string &field,
-                     std::uint64_t &out, std::string &error);
 
 /** Parse a matrix document, rrs_fatal on any diagnostic. */
 SweepMatrix parseSweepMatrix(const std::string &text);

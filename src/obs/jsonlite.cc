@@ -1,7 +1,7 @@
 #include "jsonlite.hh"
 
 #include <cctype>
-#include <cstdlib>
+#include <cmath>
 
 #include "common/logging.hh"
 #include "common/strutils.hh"
@@ -265,6 +265,45 @@ parse(const std::string &text, Value &out, std::string *error)
 {
     Parser p(text, error);
     return p.run(out);
+}
+
+bool
+checkNoDuplicateKeys(const Value &obj, const std::string &document,
+                     const std::string &where, std::string &error)
+{
+    for (std::size_t i = 0; i < obj.members.size(); ++i) {
+        for (std::size_t j = i + 1; j < obj.members.size(); ++j) {
+            if (obj.members[i].first == obj.members[j].first) {
+                error = document + ": duplicate key '" +
+                        obj.members[i].first + "' in " + where;
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
+bool
+readInteger(const Value &v, std::uint64_t lo, std::uint64_t hi,
+            const std::string &field, std::uint64_t &out,
+            std::string &error)
+{
+    // 2^64 is exact as a double, and every whole double in [0, 2^64)
+    // converts to std::uint64_t exactly.
+    if (v.isNumber() && v.num == std::floor(v.num) && v.num >= 0 &&
+        v.num < 0x1p64) {
+        const auto n = static_cast<std::uint64_t>(v.num);
+        if (n >= lo && n <= hi) {
+            out = n;
+            return true;
+        }
+    }
+    const std::string top = std::to_string(hi);
+    error = field + " must be " +
+            (lo == 0   ? "a non-negative integer up to " + top
+             : lo == 1 ? "a positive integer up to " + top
+                       : "an integer in " + std::to_string(lo) + ".." + top);
+    return false;
 }
 
 } // namespace rrs::obs::json

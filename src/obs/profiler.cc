@@ -3,18 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <utility>
 
+#include "common/strutils.hh"
 #include "stats/stats.hh"
 
 namespace rrs::obs {
 
-bool detail::profilerEnabled = [] {
-    const char *env = std::getenv("RRS_PROF");
-    return env != nullptr && *env != '\0' && std::string_view(env) != "0";
-}();
+bool detail::profilerEnabled = envFlag("RRS_PROF");
 
 namespace {
 

@@ -1,12 +1,19 @@
 #include "progress.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include <unistd.h>
 
+#include "common/strutils.hh"
+
 namespace rrs::obs {
+
+namespace {
+
+/** RRS_PROGRESS, read once during static initialisation. */
+const bool progressByEnv = envFlag("RRS_PROGRESS");
+
+} // namespace
 
 ProgressReporter::ProgressReporter(std::size_t totalRuns, bool enabled)
     : total(totalRuns), active(enabled),
@@ -18,8 +25,7 @@ ProgressReporter::ProgressReporter(std::size_t totalRuns, bool enabled)
 bool
 ProgressReporter::enabledByEnv()
 {
-    const char *env = std::getenv("RRS_PROGRESS");
-    return env && *env && std::strcmp(env, "0") != 0;
+    return progressByEnv;
 }
 
 std::size_t

@@ -51,7 +51,11 @@ class ProgressReporter
      */
     ProgressReporter(std::size_t totalRuns, bool enabled);
 
-    /** True when RRS_PROGRESS is set to anything but "" or "0". */
+    /**
+     * RRS_PROGRESS as an on/off switch (rrs::envFlag), read once during
+     * static initialisation: any value but unset, "", "0" or "1" is
+     * fatal before a sweep starts.
+     */
     static bool enabledByEnv();
 
     /** Worker: run `index` starts; `work` is its workload x scheme. */

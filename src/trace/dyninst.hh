@@ -34,9 +34,10 @@ struct DynInst
 
 /**
  * A source of dynamic instructions.  next() returns instructions in
- * program (commit) order; nullopt signals end of stream.  Streams must
- * be restartable via reset() so that sweeps can replay the same
- * workload under many configurations.
+ * program (commit) order; nullopt signals end of stream.  A stream is
+ * read once: a sweep replays a workload under many configurations
+ * through one ReplayStream per run over the shared captured trace
+ * (trace/recorded.hh).
  */
 class InstStream
 {
@@ -45,9 +46,6 @@ class InstStream
 
     /** Next correct-path instruction, or nullopt at end of stream. */
     virtual std::optional<DynInst> next() = 0;
-
-    /** Rewind to the beginning of the stream. */
-    virtual void reset() = 0;
 
     /** Short label for reports (workload name). */
     virtual const std::string &name() const = 0;

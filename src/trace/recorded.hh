@@ -93,7 +93,7 @@ class RecordedTrace
 using TracePtr = std::shared_ptr<const RecordedTrace>;
 
 /**
- * A cursor over a shared RecordedTrace.  next() and reset() touch only
+ * A cursor over a shared RecordedTrace.  next() and seek() touch only
  * the cursor, never the trace, so any number of ReplayStreams can read
  * one trace concurrently.
  */
@@ -103,7 +103,6 @@ class ReplayStream : public InstStream
     explicit ReplayStream(TracePtr trace);
 
     std::optional<DynInst> next() override;
-    void reset() override { pos = 0; }
     const std::string &name() const override;
 
     /**
@@ -116,7 +115,7 @@ class ReplayStream : public InstStream
      */
     void seek(std::size_t p) { pos = p < src->size() ? p : src->size(); }
 
-    /** Records emitted over the stream's lifetime (survives reset()). */
+    /** Records emitted over the stream's lifetime. */
     std::uint64_t replayed() const { return emitted; }
 
     const RecordedTrace &trace() const { return *src; }

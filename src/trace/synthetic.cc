@@ -25,17 +25,6 @@ SyntheticStream::SyntheticStream(SyntheticParams params, std::string name)
 {
 }
 
-void
-SyntheticStream::reset()
-{
-    rng.reseed(params.seed);
-    emitted = 0;
-    pc = isa::textBase;
-    stride = 0;
-    for (auto &p : pending)
-        p = PendingSingleUse{};
-}
-
 isa::RegId
 SyntheticStream::pickSource(RegClass cls)
 {

@@ -62,7 +62,6 @@ class SyntheticStream : public InstStream
                              std::string name = "synthetic");
 
     std::optional<DynInst> next() override;
-    void reset() override;
     const std::string &name() const override { return label; }
 
   private:

@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "isa/assembler.hh"
 #include "obs/profiler.hh"
+#include "trace/fnv.hh"
 
 namespace rrs::workloads {
 
@@ -110,12 +111,7 @@ program(const Workload &w)
 std::uint64_t
 sourceHash(const Workload &w)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char *p = w.source; *p; ++p) {
-        h ^= static_cast<std::uint8_t>(*p);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
+    return trace::fnv::hashBytes(w.source);
 }
 
 std::unique_ptr<emu::Emulator>

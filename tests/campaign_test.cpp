@@ -294,8 +294,11 @@ TEST(CampaignReportTest, FigureBlocksMatchTheDirectRenderers)
     EXPECT_EQ(report.substr(start, end - start), direct);
 
     // And fig10's block, against its renderer.
-    const std::string direct10 = harness::renderFig10(
-        ws, m.figures[1].matrix.rfSizes, grid);
+    std::vector<std::pair<std::string, std::string>> rows;
+    for (const auto &w : ws)
+        rows.emplace_back(w.name, w.suite);
+    const std::string direct10 =
+        harness::renderFig10(rows, m.figures[1].matrix.rfSizes, grid);
     const std::string marker10 = "## fig10 (fig10)\n\n```\n";
     const std::size_t at10 = report.find(marker10);
     ASSERT_NE(at10, std::string::npos);
@@ -317,6 +320,49 @@ TEST(CampaignReportTest, FigureBlocksMatchTheDirectRenderers)
     typo.baselineDir = bare.directory();
     EXPECT_EQ(harness::renderCampaignReport(ledger, typo, out, error), 2);
     EXPECT_NE(error.find(bare.directory()), std::string::npos) << error;
+}
+
+// fig10 renders the (name, suite) rows its sidecar stores, so a stored
+// figure renders without the workload registry; a row outside the four
+// suites would drop out of every per-suite table, so it is refused.
+TEST(CampaignReportTest, Fig10RendersTheSidecarsRows)
+{
+    const CampaignManifest m = parseManifest();
+    const Ledger ledger(tempDir("campaign_fig10_rows"));
+    std::ostringstream sink;
+    harness::runCampaign(m, ledger, CampaignOptions{}, sink);
+    const std::string path = ledger.directory() + "/campaign.json";
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    in.close();
+    const std::string sidecar = text.str();
+    // The last figure listing workloads is fig10.
+    const std::string row =
+        "{\"name\": \"media_adpcm\", \"suite\": \"media\"}";
+    const std::size_t at = sidecar.rfind(row);
+    ASSERT_NE(at, std::string::npos) << sidecar;
+    auto reportWith = [&](const std::string &stored, std::string &out,
+                          std::string &error) {
+        std::string doc = sidecar;
+        std::ofstream(path) << doc.replace(at, row.size(), stored);
+        return harness::renderCampaignReport(
+            ledger, harness::ReportOptions{}, out, error);
+    };
+
+    std::string out, error;
+    EXPECT_EQ(reportWith("{\"name\": \"media_adpcmX\", \"suite\": \"media\"}",
+                         out, error),
+              0)
+        << error;
+    EXPECT_NE(out.find("media_adpcmX"), std::string::npos) << out;
+
+    EXPECT_EQ(reportWith("{\"name\": \"media_adpcm\", \"suite\": \"mediaX\"}",
+                         out, error),
+              2);
+    EXPECT_NE(error.find("figure 'fig10'"), std::string::npos) << error;
+    EXPECT_NE(error.find("unknown suite 'mediaX'"), std::string::npos)
+        << error;
 }
 
 // The host-cost gate of `rrs-report --baseline`, on one shared node

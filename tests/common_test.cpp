@@ -27,31 +27,6 @@ TEST(BitUtils, PowerOfTwo)
     EXPECT_FALSE(isPowerOf2((1ULL << 40) + 1));
 }
 
-TEST(BitUtils, FloorCeilLog2)
-{
-    EXPECT_EQ(floorLog2(1), 0u);
-    EXPECT_EQ(floorLog2(2), 1u);
-    EXPECT_EQ(floorLog2(3), 1u);
-    EXPECT_EQ(floorLog2(1024), 10u);
-    EXPECT_EQ(ceilLog2(1024), 10u);
-    EXPECT_EQ(ceilLog2(1025), 11u);
-    EXPECT_EQ(ceilLog2(1), 0u);
-}
-
-TEST(BitUtils, Align)
-{
-    EXPECT_EQ(alignDown(0x1234, 0x100), 0x1200u);
-    EXPECT_EQ(alignUp(0x1234, 0x100), 0x1300u);
-    EXPECT_EQ(alignUp(0x1200, 0x100), 0x1200u);
-}
-
-TEST(BitUtils, BitsExtraction)
-{
-    EXPECT_EQ(bits(0xff00, 15, 8), 0xffu);
-    EXPECT_EQ(bits(0xdeadbeef, 31, 16), 0xdeadu);
-    EXPECT_EQ(bits(~0ULL, 63, 0), ~0ULL);
-}
-
 TEST(Random, Deterministic)
 {
     Random a(42), b(42);

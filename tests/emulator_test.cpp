@@ -290,28 +290,6 @@ TEST(EmulatorTest, InstructionCapEndsStream)
     EXPECT_TRUE(e.halted());
 }
 
-TEST(EmulatorTest, ResetReplaysIdenticalStream)
-{
-    Program p = assemble(R"(
-        movz x1, #3
-    loop:
-        muli x2, x1, #7
-        subi x1, x1, #1
-        bne x1, xzr, loop
-        halt
-    )");
-    auto e = makeEmu(p);
-    std::vector<Addr> first;
-    while (auto di = e.next())
-        first.push_back(di->pc);
-    e.reset();
-    std::vector<Addr> second;
-    while (auto di = e.next())
-        second.push_back(di->pc);
-    EXPECT_EQ(first, second);
-    EXPECT_FALSE(first.empty());
-}
-
 TEST(EmulatorTest, StackPointerInitialised)
 {
     Program p = assemble(R"(

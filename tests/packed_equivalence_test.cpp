@@ -2,7 +2,7 @@
 // workload, every PackedTrace column and attribute bit must agree
 // field-by-field with the DynInst records a live emulator produces —
 // the columns are a pure re-encoding, never a reinterpretation.  The
-// same columns must be what a ReplayStream serves, across reset() and
+// same columns must be what a ReplayStream serves, and again after
 // re-construction.
 
 #include <gtest/gtest.h>
@@ -130,10 +130,6 @@ TEST_P(EveryWorkloadPacked, ReplayStreamServesPackedView)
 
     // A replay cursor serves the trace's columns record by record...
     trace::ReplayStream stream(t);
-    expectPackedMatchesRecords(t->packed(), drain(stream));
-
-    // ...and serves them again after reset()...
-    stream.reset();
     expectPackedMatchesRecords(t->packed(), drain(stream));
 
     // ...and from a re-constructed cursor sharing the same columns.

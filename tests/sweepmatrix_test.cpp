@@ -126,6 +126,10 @@ TEST(SweepMatrixErrors, ProbeReportsWithoutDying)
                              "rf_sizes": [64]})")
                   .find("need a string 'scheme' member"),
               std::string::npos);
+    EXPECT_NE(probeError(R"({"schemes": ["baseline"], "rf_sizes": [64],
+                             "suite": "specitn"})")
+                  .find("sweep matrix: unknown suite 'specitn'"),
+              std::string::npos);
     EXPECT_NE(probeError(R"({"schemes": [{"scheme": "reuse",
                                           "params": {"counter_bits":
                                                      "two"}}],

@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -26,6 +25,7 @@
 
 #include <tuple>
 
+#include "common/atomicfile.hh"
 #include "obs/jsonlite.hh"
 #include "obs/telemetry.hh"
 
@@ -83,16 +83,14 @@ describeArgs(const Value &ev)
 int
 summarizeTrace(const std::string &path, bool listSpans)
 {
-    std::ifstream is(path);
-    if (!is) {
+    std::string text;
+    if (!rrs::tryReadFile(path, text)) {
         std::fprintf(stderr, "error: cannot open '%s'\n", path.c_str());
         return 2;
     }
-    std::ostringstream buf;
-    buf << is.rdbuf();
     Value doc;
     std::string error;
-    if (!rrs::obs::json::parse(buf.str(), doc, &error)) {
+    if (!rrs::obs::json::parse(text, doc, &error)) {
         std::fprintf(stderr, "error: %s: %s\n", path.c_str(),
                      error.c_str());
         return 2;
