@@ -208,10 +208,12 @@ workloadFilter()
 /**
  * Apply the --suite / --workload filters to a workload list.  Fatal
  * when the filters select nothing (a typo'd name would otherwise
- * silently produce an empty table).
+ * silently produce an empty table): "no <what> --suite '..'
+ * --workload '..'", naming only the flags given.
  */
 inline std::vector<workloads::Workload>
-filterWorkloads(const std::vector<workloads::Workload> &in)
+filterWorkloads(const std::vector<workloads::Workload> &in,
+                const std::string &what = "workloads match")
 {
     std::vector<workloads::Workload> out;
     for (const auto &w : in) {
@@ -222,9 +224,14 @@ filterWorkloads(const std::vector<workloads::Workload> &in)
             continue;
         out.push_back(w);
     }
-    if (out.empty())
-        rrs_fatal("no workloads match --suite '%s' --workload '%s'",
-                  suiteFilter().c_str(), workloadFilter().c_str());
+    if (out.empty()) {
+        std::string flags;
+        if (!suiteFilter().empty())
+            flags += " --suite '" + suiteFilter() + "'";
+        if (!workloadFilter().empty())
+            flags += " --workload '" + workloadFilter() + "'";
+        rrs_fatal("no %s%s", what.c_str(), flags.c_str());
+    }
     return out;
 }
 
@@ -386,7 +393,9 @@ matrixWorkloads(const harness::SweepMatrix &m)
 {
     if (m.suite.empty())
         return selectedWorkloads();
-    return filterWorkloads(workloads::suiteWorkloads(m.suite));
+    return filterWorkloads(workloads::suiteWorkloads(m.suite),
+                           "workload of the matrix's suite '" + m.suite +
+                               "' matches");
 }
 
 using harness::OutcomePair;

@@ -2,11 +2,12 @@
  * @file
  * Google-benchmark microbenchmarks of the hot simulator structures:
  * rename/commit throughput for both renamers, squash cost, cache
- * access, emulation speed, trace capture and digesting, trace
- * analysis, and the whole O3 core loop over captured and synthetic
- * streams.  These guard the simulator's own performance (the sweeps
- * run hundreds of timing simulations) and document the relative cost
- * of the proposed renamer's extra bookkeeping.
+ * access, the memory system under a warming replay, emulation speed,
+ * trace capture and digesting, trace analysis, and the whole O3 core
+ * loop over captured and synthetic streams.  These guard the
+ * simulator's own performance (the sweeps run hundreds of timing
+ * simulations) and document the relative cost of the proposed
+ * renamer's extra bookkeeping.
  */
 
 #include <benchmark/benchmark.h>
@@ -99,6 +100,41 @@ BM_CacheHit(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheHit);
+
+/**
+ * fp_matmul's 100k-record capture replayed through one MemSystem the
+ * way SamplingController::warmSpan warms it: one fetchAccess per new
+ * 64-byte line, one dataAccess per load or store, one tick per record.
+ * Each iteration is one pass; items are records.
+ */
+void
+BM_MemReplay(benchmark::State &state)
+{
+    const trace::TracePtr captured = harness::traceCache().get(
+        workloads::workload("fp_matmul"), 100'000);
+    const trace::PackedTrace &pk = captured->packed();
+    mem::MemSystem ms{mem::MemSystemParams{}};
+    Tick t = 0;
+    for (auto _ : state) {
+        Addr lastLine = invalidAddr;
+        for (std::size_t i = 0; i < pk.size(); ++i) {
+            ++t;
+            const isa::PackedMeta &m = pk.meta(i);
+            const Addr pc = pk.pc(i);
+            if (pc / 64 != lastLine) {
+                benchmark::DoNotOptimize(ms.fetchAccess(pc, t));
+                lastLine = pc / 64;
+            }
+            if (m.isLoad() || m.isStore()) {
+                benchmark::DoNotOptimize(
+                    ms.dataAccess(pc, pk.effAddr(i), m.isStore(), t));
+            }
+        }
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(pk.size()));
+}
+BENCHMARK(BM_MemReplay)->Unit(benchmark::kMillisecond);
 
 void
 BM_EmulatorThroughput(benchmark::State &state)

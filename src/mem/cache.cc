@@ -1,6 +1,7 @@
 #include "cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/bitutils.hh"
 #include "common/logging.hh"
@@ -11,18 +12,15 @@ Cache::Cache(const CacheParams &params, Cache *below, Dram *dram)
     : params(params),
       sets(static_cast<std::uint32_t>(params.sizeBytes /
                                       (params.lineBytes * params.assoc))),
+      lineShift(std::countr_zero(params.lineBytes)),
       below(below), dram(dram),
       lines(sets * params.assoc), mshrFile(params.mshrs)
 {
     rrs_assert((below == nullptr) != (dram == nullptr),
                "cache needs exactly one of a lower cache or DRAM");
-    rrs_assert(sets > 0, "cache too small for its associativity");
-}
-
-std::uint32_t
-Cache::setIndex(Addr line) const
-{
-    return static_cast<std::uint32_t>(line % sets);
+    rrs_assert(isPowerOf2(params.lineBytes),
+               "cache line size must be a power of two");
+    rrs_assert(isPowerOf2(sets), "cache set count must be a power of two");
 }
 
 Cache::Line *
@@ -63,7 +61,7 @@ Cache::fillFromBelow(Addr addr, Tick now)
 {
     if (below)
         return below->access(addr, now);
-    return dram->access(addr / params.lineBytes, now);
+    return dram->access(lineAddr(addr), now);
 }
 
 bool
@@ -158,13 +156,14 @@ Cache::prefetch(Addr addr, Tick now)
 Prefetcher::Prefetcher(std::uint32_t tableEntries, std::uint32_t degree)
     : table(tableEntries), degree(degree)
 {
+    rrs_assert(isPowerOf2(tableEntries),
+               "prefetcher table size must be a power of two");
 }
 
-std::vector<Addr>
-Prefetcher::observe(Addr pc, Addr addr)
+std::int64_t
+Prefetcher::train(Addr pc, Addr addr)
 {
-    Entry &e = table[hashMix(pc) % table.size()];
-    std::vector<Addr> out;
+    Entry &e = table[hashMix(pc) & (table.size() - 1)];
     if (e.valid && e.pc == pc) {
         std::int64_t stride =
             static_cast<std::int64_t>(addr) -
@@ -177,18 +176,11 @@ Prefetcher::observe(Addr pc, Addr addr)
             if (e.confidence == 0)
                 e.stride = stride;
         }
-        if (e.confidence >= 2 && e.stride != 0) {
-            for (std::uint32_t d = 1; d <= degree; ++d) {
-                out.push_back(static_cast<Addr>(
-                    static_cast<std::int64_t>(addr) +
-                    static_cast<std::int64_t>(d) * e.stride));
-            }
-        }
         e.lastAddr = addr;
-    } else {
-        e = Entry{true, pc, addr, 0, 0};
+        return e.confidence >= 2 ? e.stride : 0;
     }
-    return out;
+    e = Entry{true, pc, addr, 0, 0};
+    return 0;
 }
 
 } // namespace rrs::mem

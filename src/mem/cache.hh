@@ -29,7 +29,7 @@ struct CacheParams
 {
     std::uint64_t sizeBytes = 32 * 1024;
     std::uint32_t assoc = 2;
-    std::uint32_t lineBytes = 64;
+    std::uint32_t lineBytes = 64;   //!< a power of two, as is the set count
     Cycles hitLatency = 1;
     std::uint32_t mshrs = 8;
 };
@@ -80,8 +80,12 @@ class Cache
         Tick done = 0;
     };
 
-    Addr lineAddr(Addr addr) const { return addr / params.lineBytes; }
-    std::uint32_t setIndex(Addr line) const;
+    Addr lineAddr(Addr addr) const { return addr >> lineShift; }
+    std::uint32_t
+    setIndex(Addr line) const
+    {
+        return static_cast<std::uint32_t>(line & (sets - 1));
+    }
     Line *findLine(Addr line);
     const Line *findLine(Addr line) const;
     Line &victimLine(Addr line);
@@ -89,6 +93,7 @@ class Cache
 
     CacheParams params;
     std::uint32_t sets;
+    unsigned lineShift;
     Cache *below;
     Dram *dram;
     std::vector<Line> lines;
@@ -107,13 +112,30 @@ class Cache
 class Prefetcher
 {
   public:
+    /** @param tableEntries a power of two */
     explicit Prefetcher(std::uint32_t tableEntries = 64,
                         std::uint32_t degree = 1);
 
-    /** Observe a demand access; returns prefetch addresses to issue. */
-    std::vector<Addr> observe(Addr pc, Addr addr);
+    /**
+     * Observe a demand access and call issue(Addr) once per prefetch
+     * address, nearest first: degree of them once pc's stride is
+     * confident, none before.
+     */
+    template <typename Issue>
+    void
+    observe(Addr pc, Addr addr, Issue &&issue)
+    {
+        const std::int64_t step = train(pc, addr);
+        for (std::uint32_t d = 1; step != 0 && d <= degree; ++d) {
+            issue(static_cast<Addr>(static_cast<std::int64_t>(addr) +
+                                    static_cast<std::int64_t>(d) * step));
+        }
+    }
 
   private:
+    /** Record addr in pc's entry; the stride to prefetch by, or 0. */
+    std::int64_t train(Addr pc, Addr addr);
+
     struct Entry
     {
         bool valid = false;

@@ -23,11 +23,10 @@ MemSystem::fetchAccess(Addr pc, Tick now)
 Tick
 MemSystem::dataAccess(Addr pc, Addr addr, bool /*write*/, Tick now)
 {
-    TlbResult tr = dtlb->translate(addr);
-    Tick start = now + tr.latency;
+    const Tick start = now + dtlb->translate(addr).latency;
     if (stride) {
-        for (Addr pf : stride->observe(pc, addr))
-            l1dCache->prefetch(pf, start);
+        stride->observe(pc, addr,
+                        [&](Addr pf) { l1dCache->prefetch(pf, start); });
     }
     return l1dCache->access(addr, start);
 }

@@ -9,6 +9,7 @@
 #ifndef RRS_MEM_TLB_HH
 #define RRS_MEM_TLB_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -20,7 +21,7 @@ namespace rrs::mem {
 struct TlbParams
 {
     std::uint32_t entries = 48;
-    std::uint64_t pageBytes = 4096;
+    std::uint64_t pageBytes = 4096;   //!< a power of two
     Cycles walkLatency = 30;   //!< page table walk cost on a miss
 };
 
@@ -31,7 +32,13 @@ struct TlbResult
     Cycles latency = 0;   //!< extra cycles beyond the cache access
 };
 
-/** Fully-associative, LRU-replaced TLB. */
+/**
+ * Fully-associative, LRU-replaced TLB.  A page hint table, indexed by
+ * the low VPN bits, remembers which entry last held a page of each
+ * slot, so a translation usually checks one entry; the associative
+ * scan runs only when that entry has since been refilled.  The hint
+ * changes no hit, miss or victim.
+ */
 class Tlb
 {
   public:
@@ -50,8 +57,17 @@ class Tlb
         std::uint64_t lru = 0;
     };
 
+    /** Slots of the page hint table. */
+    static constexpr std::size_t hintSlots = 64;
+
+    /** Walk the page table for vpn into the victim; its entry index. */
+    std::uint32_t fill(Addr vpn);
+
     TlbParams params;
+    unsigned pageShift;
     std::vector<Entry> entries;
+    /** Per slot, the entry that last held a page of that slot. */
+    std::array<std::uint32_t, hintSlots> hint{};
     std::uint64_t lruTick = 0;
     std::uint64_t misses = 0;   //!< page walks
 };

@@ -4,12 +4,23 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/memsystem.hh"
 
 namespace {
 
 using namespace rrs;
 using namespace rrs::mem;
+
+/** The prefetch addresses one observed access issues. */
+std::vector<Addr>
+observed(Prefetcher &pf, Addr pc, Addr addr)
+{
+    std::vector<Addr> out;
+    pf.observe(pc, addr, [&](Addr a) { out.push_back(a); });
+    return out;
+}
 
 TEST(DramExtra, RefreshWindowDelaysAccess)
 {
@@ -83,10 +94,10 @@ TEST(PrefetcherExtra, DegreeTwoIssuesTwoAddresses)
 {
     Prefetcher pf(16, 2);
     Addr pc = 0x4000;
-    pf.observe(pc, 0x1000);
-    pf.observe(pc, 0x1040);
-    pf.observe(pc, 0x1080);
-    auto v = pf.observe(pc, 0x10c0);
+    observed(pf, pc, 0x1000);
+    observed(pf, pc, 0x1040);
+    observed(pf, pc, 0x1080);
+    auto v = observed(pf, pc, 0x10c0);
     ASSERT_EQ(v.size(), 2u);
     EXPECT_EQ(v[0], 0x1100u);
     EXPECT_EQ(v[1], 0x1140u);
@@ -96,10 +107,10 @@ TEST(PrefetcherExtra, NegativeStrideWorks)
 {
     Prefetcher pf(16, 1);
     Addr pc = 0x4000;
-    pf.observe(pc, 0x2000);
-    pf.observe(pc, 0x1fc0);
-    pf.observe(pc, 0x1f80);
-    auto v = pf.observe(pc, 0x1f40);
+    observed(pf, pc, 0x2000);
+    observed(pf, pc, 0x1fc0);
+    observed(pf, pc, 0x1f80);
+    auto v = observed(pf, pc, 0x1f40);
     ASSERT_EQ(v.size(), 1u);
     EXPECT_EQ(v[0], 0x1f00u);
 }
@@ -107,13 +118,13 @@ TEST(PrefetcherExtra, NegativeStrideWorks)
 TEST(PrefetcherExtra, TableConflictRelearns)
 {
     Prefetcher pf(1, 1);   // every PC aliases to one entry
-    pf.observe(0x4000, 0x1000);
-    pf.observe(0x4000, 0x1040);
+    observed(pf, 0x4000, 0x1000);
+    observed(pf, 0x4000, 0x1040);
     // A different PC steals the entry.
-    pf.observe(0x5000, 0x9000);
+    observed(pf, 0x5000, 0x9000);
     // The original PC must re-establish itself without firing bogus
     // prefetches.
-    auto v = pf.observe(0x4000, 0x1080);
+    auto v = observed(pf, 0x4000, 0x1080);
     EXPECT_TRUE(v.empty());
 }
 

@@ -3,12 +3,74 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/random.hh"
 #include "mem/memsystem.hh"
 
 namespace {
 
 using namespace rrs;
 using namespace rrs::mem;
+
+/** The prefetch addresses one observed access issues. */
+std::vector<Addr>
+observed(Prefetcher &pf, Addr pc, Addr addr)
+{
+    std::vector<Addr> out;
+    pf.observe(pc, addr, [&](Addr a) { out.push_back(a); });
+    return out;
+}
+
+/**
+ * The TLB as a plain associative scan, with no page hint: the
+ * reference that Tlb's hits, latencies and walks must match.
+ */
+class ScanTlb
+{
+  public:
+    explicit ScanTlb(const TlbParams &params)
+        : params(params), entries(params.entries)
+    {
+    }
+
+    TlbResult
+    translate(Addr vaddr)
+    {
+        const Addr vpn = vaddr / params.pageBytes;
+        Entry *victim = &entries[0];
+        for (auto &e : entries) {
+            if (e.valid && e.vpn == vpn) {
+                e.lru = ++lruTick;
+                return TlbResult{true, 0};
+            }
+            if (!e.valid)
+                victim = &e;
+            else if (victim->valid && e.lru < victim->lru)
+                victim = &e;
+        }
+        ++misses;
+        victim->valid = true;
+        victim->vpn = vpn;
+        victim->lru = ++lruTick;
+        return TlbResult{false, params.walkLatency};
+    }
+
+    std::uint64_t missCount() const { return misses; }
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        Addr vpn = 0;
+        std::uint64_t lru = 0;
+    };
+
+    TlbParams params;
+    std::vector<Entry> entries;
+    std::uint64_t lruTick = 0;
+    std::uint64_t misses = 0;
+};
 
 TEST(DramTest, RowHitFasterThanMiss)
 {
@@ -116,10 +178,10 @@ TEST(PrefetcherTest, DetectsConstantStride)
 {
     Prefetcher pf(16, 1);
     Addr pc = 0x4000;
-    EXPECT_TRUE(pf.observe(pc, 0x1000).empty());
-    EXPECT_TRUE(pf.observe(pc, 0x1040).empty());   // stride learned
-    EXPECT_TRUE(pf.observe(pc, 0x1080).empty());   // confidence 1
-    auto v = pf.observe(pc, 0x10c0);               // confidence 2: fire
+    EXPECT_TRUE(observed(pf, pc, 0x1000).empty());
+    EXPECT_TRUE(observed(pf, pc, 0x1040).empty());   // stride learned
+    EXPECT_TRUE(observed(pf, pc, 0x1080).empty());   // confidence 1
+    auto v = observed(pf, pc, 0x10c0);               // confidence 2: fire
     ASSERT_EQ(v.size(), 1u);
     EXPECT_EQ(v[0], 0x1100u);
 }
@@ -131,7 +193,7 @@ TEST(PrefetcherTest, RandomPatternStaysQuiet)
     Addr addrs[] = {0x1000, 0x5340, 0x2780, 0x9100, 0x0040, 0x7777};
     std::size_t fired = 0;
     for (Addr a : addrs)
-        fired += pf.observe(pc, a).size();
+        fired += observed(pf, pc, a).size();
     EXPECT_EQ(fired, 0u);
 }
 
@@ -172,6 +234,110 @@ TEST(TlbTest, LruCapacity)
     tlb.translate(0x3000);   // evicts page 1
     EXPECT_FALSE(tlb.translate(0x1000).hit);
     EXPECT_EQ(tlb.missCount(), 4u);
+}
+
+TEST(TlbTest, MatchesTheAssociativeScan)
+{
+    // Strided sweeps, a pool of more live pages than entries, and
+    // pages 64 VPNs apart (one hint slot), interleaved at random.
+    for (std::uint32_t entries : {48u, 2u}) {
+        SCOPED_TRACE(entries);
+        TlbParams tp;
+        tp.entries = entries;
+        Tlb tlb(tp);
+        ScanTlb scan(tp);
+        Random rng(entries);
+        const Addr page = tp.pageBytes;
+        std::uint64_t step = 0, hits = 0;
+        auto check = [&](Addr vaddr) {
+            const TlbResult got = tlb.translate(vaddr);
+            const TlbResult want = scan.translate(vaddr);
+            EXPECT_EQ(got.hit, want.hit) << "step " << step;
+            EXPECT_EQ(got.latency, want.latency) << "step " << step;
+            EXPECT_EQ(tlb.missCount(), scan.missCount()) << "step " << step;
+            hits += want.hit;
+            ++step;
+        };
+        for (int burst = 0; burst < 2000 && !HasFailure(); ++burst) {
+            const Addr base = rng.below(Addr{1} << 24) * page;
+            switch (rng.below(3)) {
+              case 0: {
+                const Addr stride = Addr{8} << rng.below(14);
+                for (Addr i = 0; i < 64; ++i)
+                    check(base + i * stride);
+                break;
+              }
+              case 1:
+                for (int i = 0; i < 64; ++i)
+                    check(0x40000000 + rng.below(80) * page + rng.below(page));
+                break;
+              default:
+                for (int i = 0; i < 64; ++i)
+                    check(base + rng.below(6) * 64 * page + rng.below(page));
+                break;
+            }
+        }
+        EXPECT_GT(scan.missCount(), 1000u);
+        EXPECT_GT(hits, 1000u);
+    }
+}
+
+TEST(TlbTest, HintAtARefilledEntryMisses)
+{
+    TlbParams tp;
+    tp.entries = 2;
+    Tlb tlb(tp);
+    tlb.translate(0x1000);   // page 1 into entry 1, the last invalid
+    tlb.translate(0x2000);   // page 2 into entry 0
+    tlb.translate(0x3000);   // page 3 evicts page 1 from entry 1
+    // Page 1's hint still names entry 1, which now holds page 3.
+    EXPECT_FALSE(tlb.translate(0x1000).hit);
+    EXPECT_EQ(tlb.missCount(), 4u);
+}
+
+TEST(TlbTest, PagesSharingAHintSlotBothHit)
+{
+    TlbParams tp;
+    Tlb tlb(tp);
+    const Addr a = 5 * tp.pageBytes;
+    const Addr b = (5 + 64) * tp.pageBytes;   // same hint slot
+    EXPECT_FALSE(tlb.translate(a).hit);
+    EXPECT_FALSE(tlb.translate(b).hit);
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_TRUE(tlb.translate(a + 8).hit);
+        EXPECT_TRUE(tlb.translate(b + 8).hit);
+    }
+    EXPECT_EQ(tlb.missCount(), 2u);
+}
+
+// Lines, sets, pages and prefetcher entries are found by shift and
+// mask, so each count must be a power of two.
+TEST(MemGeometryDeath, CacheSetsMustBeAPowerOf2)
+{
+    Dram dram{DramParams{}};
+    EXPECT_DEATH(Cache(CacheParams{48 * 1024, 2, 64, 1, 4}, nullptr, &dram),
+                 "assertion failed: isPowerOf2\\(sets\\)");
+}
+
+TEST(MemGeometryDeath, CacheLineMustBeAPowerOf2)
+{
+    Dram dram{DramParams{}};
+    EXPECT_DEATH(Cache(CacheParams{1536, 2, 48, 1, 4}, nullptr, &dram),
+                 "assertion failed: isPowerOf2\\(params.lineBytes\\)");
+}
+
+TEST(MemGeometryDeath, TlbPageMustBeAPowerOf2)
+{
+    TlbParams tp;
+    tp.pageBytes = 3000;
+    EXPECT_DEATH(Tlb{tp},
+                 "assertion failed: isPowerOf2\\(params.pageBytes\\)");
+}
+
+TEST(MemGeometryDeath, PrefetcherTableMustBeAPowerOf2)
+{
+    EXPECT_DEATH(Prefetcher(48, 1),
+                 "assertion failed: isPowerOf2\\(tableEntries\\)");
 }
 
 TEST(MemSystemTest, FetchPathUsesL1I)
