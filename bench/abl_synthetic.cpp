@@ -5,50 +5,18 @@
  * can do.  Validates the paper's core premise: the benefit of register
  * sharing grows with the fraction of single-use values.
  *
+ * Each fraction's stream is captured once and both schemes replay it
+ * through harness::runOn at their 48-register equal-area
+ * configurations, like every harness run (so RRS_AUDIT audits them).
  * The (fraction x scheme) grid runs in parallel on the thread pool;
- * every run owns its stream, models and seed, so the table is
+ * every run owns its cursor, models and seed, so the table is
  * bit-identical for every RRS_THREADS value.
  */
 
-#include "bpred/bpred.hh"
 #include "common.hh"
-#include "core/o3core.hh"
-#include "rename/scheme.hh"
 #include "trace/synthetic.hh"
 
 using namespace rrs;
-
-namespace {
-
-double
-runSynthetic(double singleUse, bool reuseScheme)
-{
-    trace::SyntheticParams sp;
-    sp.numInsts = 120'000;
-    sp.singleUseFraction = singleUse;
-    sp.redefFraction = 0.8;
-    // Keep control flow predictable and memory light so register
-    // pressure, not branch or cache behaviour, dominates the sweep.
-    sp.branchFraction = 0.06;
-    sp.takenFraction = 0.98;
-    sp.loadFraction = 0.15;
-    sp.storeFraction = 0.05;
-    trace::SyntheticStream stream(sp);
-
-    mem::MemSystem mem{mem::MemSystemParams{}};
-    bpred::BranchPredictor bp{bpred::BPredParams{}};
-    // Both renamers come from the scheme registry at their 48-register
-    // equal-area configurations, like every harness run.
-    const rename::RenameScheme &scheme =
-        rename::renameScheme(reuseScheme ? "reuse" : "baseline");
-    rename::SchemeParams rp;
-    scheme.configureEqualArea(rp, 48);
-    std::unique_ptr<rename::Renamer> rn = scheme.makeRenamer(rp);
-    core::O3Core core(core::CoreParams{}, *rn, mem, bp, stream);
-    return static_cast<double>(core.run().cycles);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -59,11 +27,28 @@ main(int argc, char **argv)
                   "injected single-use fraction");
 
     const std::vector<double> fractions = {0.0, 0.2, 0.4, 0.6, 0.8};
+    std::vector<trace::TracePtr> traces;
+    for (double f : fractions) {
+        trace::SyntheticParams sp;
+        sp.numInsts = 120'000;
+        sp.singleUseFraction = f;
+        sp.redefFraction = 0.8;
+        // Keep control flow predictable and memory light so register
+        // pressure, not branch or cache behaviour, dominates the sweep.
+        sp.branchFraction = 0.06;
+        sp.takenFraction = 0.98;
+        sp.loadFraction = 0.15;
+        sp.storeFraction = 0.05;
+        traces.push_back(trace::captureSynthetic(sp));
+    }
     // Grid cells: [2*i] baseline, [2*i+1] proposed.
     std::vector<double> cycles(fractions.size() * 2);
     ThreadPool pool;
     pool.parallelFor(cycles.size(), [&](std::size_t k) {
-        cycles[k] = runSynthetic(fractions[k / 2], k % 2 == 1);
+        const harness::RunConfig cfg =
+            harness::schemeConfig(k % 2 ? "reuse" : "baseline", 48);
+        cycles[k] = static_cast<double>(
+            harness::runOn(traces[k / 2], cfg).sim.cycles);
     });
 
     stats::TextTable t({"single-use fraction", "baseline cycles",

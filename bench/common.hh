@@ -120,7 +120,8 @@ constexpr std::uint64_t samplePeriodDefault = 8192;
  * RRS_SAMPLE=1) select the defaults.  Each field is an rrs::parseInt
  * integer up to INT64_MAX, warm at least 0 and the others at least 1,
  * so warm + detailed cannot wrap.  Fatal, naming the field, on
- * anything else.
+ * anything else, and on a schedule harness::samplingScheduleError
+ * refuses.
  */
 inline harness::SamplingParams
 parseSampleSpec(const char *spec)
@@ -145,9 +146,8 @@ parseSampleSpec(const char *spec)
                       i == 0 ? "non-negative" : "positive");
         *out[i] = static_cast<std::uint64_t>(*v);
     }
-    if (p.period < p.warm + p.detailed)
-        rrs_fatal("sampling spec '%s': period must cover warm + detailed",
-                  spec);
+    if (const char *why = harness::samplingScheduleError(p))
+        rrs_fatal("sampling spec '%s': %s", spec, why);
     return p;
 }
 
@@ -358,28 +358,20 @@ banner(const std::string &what, const std::string &paperRef)
     std::printf("==============================================================\n");
 }
 
-/** Value-usage analysis for one workload (trace-cache backed). */
-inline trace::UsageReport
-usageOf(const workloads::Workload &w,
-        std::uint64_t window = analysisInsts)
-{
-    trace::ReplayStream stream(harness::traceCache().get(w, window));
-    return trace::analyzeUsage(stream, window);
-}
-
 /**
- * Value-usage analyses for many workloads, fanned out across the
- * sweep pool's sibling (analysis has no RunConfig, so it uses the
- * thread pool directly).  Reports come back in input order.
+ * Value-usage analyses of each workload's analysisInsts-record capture
+ * from the trace cache, fanned out across the sweep pool's sibling
+ * (analysis has no RunConfig, so it uses the thread pool directly).
+ * Reports come back in input order.
  */
 inline std::vector<trace::UsageReport>
-usageReports(const std::vector<workloads::Workload> &ws,
-             std::uint64_t window = analysisInsts)
+usageReports(const std::vector<workloads::Workload> &ws)
 {
     std::vector<trace::UsageReport> out(ws.size());
     ThreadPool pool;
     pool.parallelFor(ws.size(), [&](std::size_t i) {
-        out[i] = usageOf(ws[i], window);
+        out[i] = trace::analyzeUsage(
+            *harness::traceCache().get(ws[i], analysisInsts));
     });
     return out;
 }

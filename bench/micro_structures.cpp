@@ -4,7 +4,7 @@
  * rename/commit throughput for both renamers, squash cost, cache
  * access, the memory system under a warming replay, emulation speed,
  * trace capture and digesting, trace analysis, and the whole O3 core
- * loop over captured and synthetic streams.  These guard the
+ * loop over captured workload and synthetic streams.  These guard the
  * simulator's own performance (the sweeps run hundreds of timing
  * simulations) and document the relative cost of the proposed
  * renamer's extra bookkeeping.
@@ -17,7 +17,6 @@
 
 #include "common/threadpool.hh"
 #include "core/o3core.hh"
-#include "emu/emulator.hh"
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
 #include "harness/tracecache.hh"
@@ -180,17 +179,18 @@ BM_TraceDigest(benchmark::State &state)
 }
 BENCHMARK(BM_TraceDigest)->Unit(benchmark::kMillisecond);
 
+/** Analysis of fp_horner's 50k-record capture; items are records. */
 void
 BM_UsageAnalysis(benchmark::State &state)
 {
+    const trace::TracePtr t =
+        workloads::captureTrace(workloads::workload("fp_horner"), 50'000);
     for (auto _ : state) {
-        auto stream =
-            workloads::makeEmulator(workloads::workload("fp_horner"),
-                                  50'000);
-        auto rep = trace::analyzeUsage(*stream, 50'000);
+        auto rep = trace::analyzeUsage(*t);
         benchmark::DoNotOptimize(rep);
     }
-    state.SetItemsProcessed(state.iterations() * 50'000);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(t->size()));
 }
 BENCHMARK(BM_UsageAnalysis);
 
@@ -240,25 +240,24 @@ BENCHMARK(BM_SweepRunnerTinySweep);
 /** Everything one core run needs, built fresh for each iteration. */
 struct CoreRig
 {
-    std::unique_ptr<trace::InstStream> stream;
+    trace::ReplayStream stream;
     mem::MemSystem mem;
     bpred::BranchPredictor bp;
     std::unique_ptr<rename::Renamer> renamer;
     core::O3Core core;
 
-    CoreRig(std::unique_ptr<trace::InstStream> s,
-            const harness::RunConfig &cfg)
-        : stream(std::move(s)), mem(cfg.mem), bp(cfg.bpred),
+    CoreRig(const trace::TracePtr &trace, const harness::RunConfig &cfg)
+        : stream(trace), mem(cfg.mem), bp(cfg.bpred),
           renamer(rename::renameScheme(cfg.scheme).makeRenamer(cfg.rename)),
-          core(cfg.core, *renamer, mem, bp, *stream)
+          core(cfg.core, *renamer, mem, bp, stream)
     {
     }
 };
 
 /**
- * O3Core::run() over one whole stream, at 56 registers: `source` is a
- * workload replayed from its 20k-record capture, or "synthetic" for a
- * 5000-record SyntheticStream.  Building the rig is not timed; items
+ * O3Core::run() over one whole captured stream, at 56 registers:
+ * `source` is a workload's 20k-record capture, or "synthetic" for a
+ * 5000-record synthetic capture.  Building the rig is not timed; items
  * are committed instructions.
  */
 void
@@ -268,22 +267,17 @@ BM_CoreReplay(benchmark::State &state, const std::string &source,
     const harness::RunConfig cfg = harness::schemeConfig(scheme, 56);
     trace::SyntheticParams synth;
     synth.numInsts = 5'000;
-    trace::TracePtr captured;
-    if (source != "synthetic") {
-        captured = harness::traceCache().get(workloads::workload(source),
-                                             20'000);
-    }
-    auto newStream = [&]() -> std::unique_ptr<trace::InstStream> {
-        if (captured)
-            return std::make_unique<trace::ReplayStream>(captured);
-        return std::make_unique<trace::SyntheticStream>(synth);
-    };
+    const trace::TracePtr captured =
+        source == "synthetic"
+            ? trace::captureSynthetic(synth)
+            : harness::traceCache().get(workloads::workload(source),
+                                        20'000);
 
     std::unique_ptr<CoreRig> rig;
     std::int64_t committed = 0;
     for (auto _ : state) {
         state.PauseTiming();
-        rig = std::make_unique<CoreRig>(newStream(), cfg);
+        rig = std::make_unique<CoreRig>(captured, cfg);
         state.ResumeTiming();
         const core::SimResult r = rig->core.run();
         benchmark::DoNotOptimize(r);

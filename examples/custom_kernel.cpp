@@ -11,7 +11,6 @@
 #include <cstdio>
 
 #include "harness/experiment.hh"
-#include "isa/assembler.hh"
 #include "trace/analysis.hh"
 
 using namespace rrs;
@@ -67,19 +66,21 @@ main()
         halt
     )";
 
-    isa::Program prog = isa::assemble(source);
+    // An ad-hoc workload: the harness captures it past warmup_done
+    // like any registry kernel.
+    const workloads::Workload w{"dotprod", "custom", source, 120'000};
+    const isa::Program &prog = workloads::program(w);
 
     // 1. Architectural verification with the emulator.
-    emu::Emulator check(prog, "dotprod");
+    emu::Emulator check(prog);
     check.run();
     std::printf("architectural result: %llu (scaled dot product)\n\n",
                 static_cast<unsigned long long>(
                     check.memory().read(prog.symbol("result"), 8)));
 
-    // 2. Value-usage character (Figures 1-3 statistics).
-    emu::Emulator stream(prog, "dotprod");
-    stream.fastForwardTo(prog.symbol("warmup_done"), 1'000'000);
-    auto rep = trace::analyzeUsage(stream, 100'000);
+    // 2. Value-usage character (Figures 1-3 statistics) of a
+    //    100k-record capture.
+    auto rep = trace::analyzeUsage(*workloads::captureTrace(w, 100'000));
     std::printf("single-consumer instructions: %.1f%% (redefining "
                 "%.1f%%)\n",
                 100.0 * rep.fracSingleConsumer(),
@@ -94,11 +95,8 @@ main()
     std::printf("%-8s %-16s %-16s %s\n", "regs", "baseline IPC",
                 "proposed IPC", "speedup");
     for (std::uint32_t n : {48u, 64u, 96u}) {
-        workloads::Workload w{"dotprod", "custom", source, 120'000};
         auto cb = harness::baselineConfig(n);
-        cb.maxInsts = 120'000;
         auto cp = harness::reuseConfig(n);
-        cp.maxInsts = 120'000;
         auto ob = harness::runOn(w, cb);
         auto op = harness::runOn(w, cp);
         std::printf("%-8u %-16.3f %-16.3f %.3fx\n", n, ob.sim.ipc(),

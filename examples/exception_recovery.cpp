@@ -13,11 +13,11 @@
 
 #include "bpred/bpred.hh"
 #include "core/o3core.hh"
-#include "emu/emulator.hh"
 #include "isa/assembler.hh"
 #include "mem/memsystem.hh"
 #include "rename/baseline.hh"
 #include "rename/reuse.hh"
+#include "workloads/workloads.hh"
 
 using namespace rrs;
 
@@ -50,9 +50,11 @@ main()
         .space 8
     )");
 
-    // Golden result from pure functional execution.
-    emu::Emulator golden(prog, "golden");
-    golden.run();
+    // Golden result from pure functional execution, captured on the
+    // way for the timing runs to replay.
+    emu::Emulator golden(prog);
+    const trace::TracePtr trace =
+        workloads::capture(golden, "kernel", 1'000'000);
     std::uint64_t expected =
         golden.memory().read(prog.symbol("sum"), 8);
     std::printf("golden architectural sum: %llu\n\n",
@@ -63,7 +65,7 @@ main()
     cp.interruptInterval = 4000;       // periodic timer interrupts
 
     auto runWith = [&](rename::Renamer &renamer, const char *label) {
-        emu::Emulator stream(prog, "kernel");
+        trace::ReplayStream stream(trace);
         mem::MemSystem mem{mem::MemSystemParams{}};
         bpred::BranchPredictor bp{bpred::BPredParams{}};
         core::O3Core core(cp, renamer, mem, bp, stream);

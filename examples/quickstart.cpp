@@ -6,19 +6,15 @@
  *   $ ./examples/quickstart
  *
  * This is the smallest end-to-end use of the library: an assembly
- * kernel, the functional emulator as the instruction stream, the
- * Table I core, and the two renamers the paper compares.
+ * kernel, its trace captured once from the functional emulator, and
+ * harness::runOn replaying it on the Table I core under the two
+ * renamers the paper compares, at equal area.
  */
 
 #include <cstdio>
 
-#include "bpred/bpred.hh"
-#include "core/o3core.hh"
-#include "emu/emulator.hh"
+#include "harness/experiment.hh"
 #include "isa/assembler.hh"
-#include "mem/memsystem.hh"
-#include "rename/baseline.hh"
-#include "rename/reuse.hh"
 
 using namespace rrs;
 
@@ -56,17 +52,17 @@ main()
         bne x1, xzr, loop
         halt
     )");
+    emu::Emulator emulator(prog);
+    const trace::TracePtr trace =
+        workloads::capture(emulator, "quickstart", 1'000'000);
 
-    auto runWith = [&](rename::Renamer &renamer, const char *label) {
-        emu::Emulator stream(prog, "quickstart");
-        mem::MemSystem mem{mem::MemSystemParams{}};
-        bpred::BranchPredictor bp{bpred::BPredParams{}};
-        core::O3Core core(core::CoreParams{}, renamer, mem, bp, stream);
-        core::SimResult res = core.run();
+    auto runWith = [&](const char *scheme, const char *label) {
+        const harness::Outcome out =
+            harness::runOn(trace, harness::schemeConfig(scheme, 48));
         std::printf("%-32s %8llu cycles   IPC %.3f\n", label,
-                    static_cast<unsigned long long>(res.cycles),
-                    res.ipc());
-        return res;
+                    static_cast<unsigned long long>(out.sim.cycles),
+                    out.sim.ipc());
+        return out;
     };
 
     std::printf("Running the same program under both renaming "
@@ -74,24 +70,17 @@ main()
     std::printf("(48 baseline registers vs the equal-area 4-bank "
                 "organisation)\n\n");
 
-    rename::BaselineRenamer baseline(rename::BaselineParams{48, 48});
-    auto base = runWith(baseline, "baseline (48 regs/class)");
-
-    rename::ReuseRenamerParams rp;
-    rp.intBanks = {34, 8, 2, 2};   // equal area to 48 plain registers
-    rp.fpBanks = {34, 8, 2, 2};
-    rename::ReuseRenamer reuse(rp);
-    auto prop = runWith(reuse, "proposed (34+8+2+2 banks)");
+    auto base = runWith("baseline", "baseline (48 regs/class)");
+    auto prop = runWith("reuse", "proposed (34+8+2+2 banks)");
 
     std::printf("\nspeedup: %.3fx with %.0f%% of the register count\n",
-                static_cast<double>(base.cycles) /
-                    static_cast<double>(prop.cycles),
+                static_cast<double>(base.sim.cycles) /
+                    static_cast<double>(prop.sim.cycles),
                 100.0 * 46.0 / 48.0);
     std::printf("registers shared %llu times; fresh allocations "
                 "avoided: %.1f%%\n",
-                static_cast<unsigned long long>(reuse.reuseCount()),
-                100.0 * static_cast<double>(reuse.reuseCount()) /
-                    static_cast<double>(reuse.reuseCount() +
-                                        reuse.allocationCount()));
+                static_cast<unsigned long long>(prop.reuses),
+                100.0 * static_cast<double>(prop.reuses) /
+                    static_cast<double>(prop.reuses + prop.allocations));
     return 0;
 }

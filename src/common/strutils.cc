@@ -125,4 +125,18 @@ envFlag(const char *name)
     return true;
 }
 
+std::optional<std::int64_t>
+envCount(const char *name, std::int64_t min, std::int64_t max)
+{
+    const char *env = std::getenv(name);
+    if (!env || *env == '\0')
+        return std::nullopt;
+    const std::optional<std::int64_t> v = parseInt(env);
+    if (!v || *v < min || *v > max)
+        rrs_fatal("%s must be a %s integer up to %lld, got '%s'", name,
+                  min == 0 ? "non-negative" : "positive",
+                  static_cast<long long>(max), env);
+    return v;
+}
+
 } // namespace rrs

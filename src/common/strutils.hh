@@ -57,6 +57,15 @@ const char *parseDoublePrefix(const char *first, const char *last,
  */
 bool envFlag(const char *name);
 
+/**
+ * A count variable (`RRS_THREADS`, `RRS_AUDIT`): unset or empty is
+ * nullopt, else an rrs::parseInt integer from `min` (0 or 1) to `max`.
+ * Anything else is an rrs_fatal naming the variable and the range, so
+ * read it on the main thread.
+ */
+std::optional<std::int64_t> envCount(const char *name, std::int64_t min,
+                                     std::int64_t max);
+
 } // namespace rrs
 
 #endif // RRS_COMMON_STRUTILS_HH

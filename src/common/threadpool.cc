@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <limits>
 #include <mutex>
@@ -10,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/logging.hh"
 #include "common/strutils.hh"
 
 namespace rrs {
@@ -18,12 +16,9 @@ namespace rrs {
 unsigned
 ThreadPool::defaultThreadCount()
 {
-    if (const char *env = std::getenv("RRS_THREADS")) {
-        const std::optional<std::int64_t> v = parseInt(env);
-        if (v && *v >= 1 && *v <= std::numeric_limits<unsigned>::max())
-            return static_cast<unsigned>(*v);
-        rrs_warn("ignoring invalid RRS_THREADS='%s'", env);
-    }
+    if (const std::optional<std::int64_t> v = envCount(
+            "RRS_THREADS", 1, std::numeric_limits<unsigned>::max()))
+        return static_cast<unsigned>(*v);
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }

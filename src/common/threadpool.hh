@@ -7,8 +7,8 @@
  * pool is exactly that loop:
  *
  *  - The lane count is fixed at construction.  `0` picks the default:
- *    the `RRS_THREADS` environment variable if set, otherwise the
- *    hardware concurrency.
+ *    the `RRS_THREADS` environment variable if set and not empty,
+ *    otherwise the hardware concurrency.
  *  - parallelFor(n, fn) runs min(numThreads(), n) lanes: the caller
  *    plus helper threads started for the call and joined before it
  *    returns.  Each lane claims the next index from one atomic counter
@@ -45,9 +45,9 @@ class ThreadPool
     explicit ThreadPool(unsigned numThreads = 0);
 
     /**
-     * `RRS_THREADS` if set to a positive integer that fits an unsigned,
-     * else std::thread::hardware_concurrency(), else 1.  An invalid
-     * `RRS_THREADS` is warned about and ignored.
+     * `RRS_THREADS` (rrs::envCount: fatal unless a positive integer
+     * that fits an unsigned), else std::thread::hardware_concurrency(),
+     * else 1.
      */
     static unsigned defaultThreadCount();
 

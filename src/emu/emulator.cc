@@ -85,9 +85,8 @@ SparseMemory::digest() const
     return h;
 }
 
-Emulator::Emulator(const isa::Program &prog, std::string name,
-                   std::uint64_t maxInsts)
-    : prog(prog), label(std::move(name)), maxInsts(maxInsts)
+Emulator::Emulator(const isa::Program &prog, std::uint64_t maxInsts)
+    : prog(prog), maxInsts(maxInsts)
 {
     xregs.fill(0);
     fregs.fill(0.0);
@@ -113,15 +112,6 @@ Emulator::writeIntReg(LogRegIndex idx, std::uint64_t value)
 {
     if (idx != isa::zeroReg)
         xregs[idx] = value;
-}
-
-std::optional<trace::DynInst>
-Emulator::next()
-{
-    trace::DynInst di;
-    if (!step(di))
-        return std::nullopt;
-    return di;
 }
 
 std::uint64_t
@@ -151,7 +141,7 @@ Emulator::step(trace::DynInst &out)
         return false;
     }
     if (!prog.validPc(pc))
-        rrs_fatal("%s: pc 0x%llx outside text segment", label.c_str(),
+        rrs_fatal("emulator: pc 0x%llx outside text segment",
                   static_cast<unsigned long long>(pc));
 
     const isa::StaticInst &si = prog.instAt(pc);

@@ -2,10 +2,11 @@
  * @file
  * Functional emulator for the rrsim ISA.
  *
- * Executes an assembled Program architecturally (no timing), producing
- * the dynamic instruction stream the timing model consumes.  Memory is
- * a sparse paged store; unmapped pages read as zero, so programs can use
- * BSS-style data without explicit initialisation.
+ * Executes an assembled Program architecturally (no timing); its
+ * dynamic instruction stream is captured into the trace the timing
+ * model replays (workloads::capture).  Memory is a sparse paged store;
+ * unmapped pages read as zero, so programs can use BSS-style data
+ * without explicit initialisation.
  */
 
 #ifndef RRS_EMU_EMULATOR_HH
@@ -56,31 +57,23 @@ class SparseMemory
     std::unordered_map<Addr, std::unique_ptr<Page>> pages;
 };
 
-/**
- * The architectural execution engine.  Also implements InstStream so a
- * timing simulation can pull the dynamic trace directly.
- */
-class Emulator : public trace::InstStream
+/** The architectural execution engine; timing runs replay its capture. */
+class Emulator
 {
   public:
     /**
      * @param prog assembled program (must outlive the emulator)
-     * @param name workload label used in reports
-     * @param maxInsts stream length cap; the stream ends after this
+     * @param maxInsts stream length cap; step() stops after this
      *        many instructions even if the program has not halted
      */
-    Emulator(const isa::Program &prog, std::string name,
-             std::uint64_t maxInsts = UINT64_MAX);
+    explicit Emulator(const isa::Program &prog,
+                      std::uint64_t maxInsts = UINT64_MAX);
 
     /** Execute one instruction; false once halted or capped. */
     bool step(trace::DynInst &out);
 
     /** Run to completion (or the cap); returns instructions executed. */
     std::uint64_t run();
-
-    // InstStream interface.
-    std::optional<trace::DynInst> next() override;
-    const std::string &name() const override { return label; }
 
     /** True once a Halt has executed or the cap was reached. */
     bool halted() const { return isHalted; }
@@ -98,9 +91,6 @@ class Emulator : public trace::InstStream
     /** Instructions executed so far. */
     std::uint64_t instCount() const { return icount; }
 
-    /** Current architectural PC. */
-    Addr currentPc() const { return pc; }
-
     /** Adjust the stream-length cap (absolute instruction count). */
     void setMaxInsts(std::uint64_t cap) { maxInsts = cap; }
 
@@ -116,7 +106,6 @@ class Emulator : public trace::InstStream
     void writeIntReg(LogRegIndex idx, std::uint64_t value);
 
     const isa::Program &prog;
-    std::string label;
     std::uint64_t maxInsts;
 
     std::array<std::uint64_t, isa::numLogRegs> xregs{};

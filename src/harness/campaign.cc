@@ -345,48 +345,42 @@ planCampaign(const CampaignManifest &manifest,
         const std::vector<workloads::Workload> ws =
             m.suite.empty() ? workloads::allWorkloads()
                             : workloads::suiteWorkloads(m.suite);
-
-        // Same expansion order as expandSweepMatrix — workloads
-        // outermost, then sizes, then scheme columns — and the seed of
-        // cell k is pinned to k, so the same matrix always yields the
-        // same digests no matter which figures share it or which nodes
-        // were already present.
-        std::size_t k = 0;
-        for (const auto &wl : ws) {
-            // The canonical registry entry outlives every plan; the
-            // local `ws` copy does not, and items hold a pointer.
-            const workloads::Workload &w = workloads::workload(wl.name);
+        for (const auto &w : ws)
             fp.workloads.emplace_back(w.name, w.suite);
-            for (std::uint32_t n : m.rfSizes) {
-                for (const auto &scheme : m.schemes) {
-                    RunConfig cfg =
-                        matrixConfig(scheme, n, m, capDefault);
-                    NodeSpec spec;
-                    spec.workload = w.name;
-                    spec.suite = w.suite;
-                    spec.sourceHash = workloads::sourceHash(w);
-                    spec.scheme = scheme.scheme;
-                    spec.label = scheme.label;
-                    spec.params = scheme.params;
-                    spec.regs = n;
-                    spec.cap = workloads::resolvedCap(w, cfg.maxInsts);
-                    spec.sampling = cfg.sampling;
-                    spec.seed = sweepSeed(cfg.core.seed, k);
 
-                    const std::string hex = digestHex(nodeDigest(spec));
-                    fp.digests.push_back(hex);
-                    if (plan.nodes.find(hex) == plan.nodes.end()) {
-                        SweepItem item =
-                            sweepItem(w, std::move(cfg),
-                                      m.sampleSharing);
-                        item.seedIndex = k;
-                        plan.order.push_back(hex);
-                        plan.nodes.emplace(
-                            hex, PlannedNode{std::move(spec),
-                                             std::move(item)});
-                    }
-                    ++k;
-                }
+        // Item k of expandSweepMatrix's order — workloads outermost,
+        // then sizes, then scheme columns — is seeded from k, so the
+        // same matrix always yields the same digests no matter which
+        // figures share it or which nodes were already present.
+        std::vector<SweepItem> items =
+            expandSweepMatrix(m, ws, capDefault);
+        const std::size_t cols = m.schemes.size();
+        for (std::size_t k = 0; k < items.size(); ++k) {
+            SweepItem &item = items[k];
+            // The canonical registry entry outlives every plan; the
+            // local `ws` copy does not.
+            item.workload = &workloads::workload(item.workload->name);
+            item.seedIndex = k;
+            const workloads::Workload &w = *item.workload;
+            const SchemeSpec &scheme = m.schemes[k % cols];
+            NodeSpec spec;
+            spec.workload = w.name;
+            spec.suite = w.suite;
+            spec.sourceHash = workloads::sourceHash(w);
+            spec.scheme = scheme.scheme;
+            spec.label = scheme.label;
+            spec.params = scheme.params;
+            spec.regs = m.rfSizes[k / cols % m.rfSizes.size()];
+            spec.cap = workloads::resolvedCap(w, item.config.maxInsts);
+            spec.sampling = item.config.sampling;
+            spec.seed = item.runSeed(k);
+
+            const std::string hex = digestHex(nodeDigest(spec));
+            fp.digests.push_back(hex);
+            if (plan.nodes.find(hex) == plan.nodes.end()) {
+                plan.order.push_back(hex);
+                plan.nodes.emplace(
+                    hex, PlannedNode{std::move(spec), std::move(item)});
             }
         }
         plan.figures.push_back(std::move(fp));

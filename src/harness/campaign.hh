@@ -26,7 +26,7 @@
  * nodes).  Every diagnostic — unknown kind, duplicate figure name, a
  * matrix that fails its own validation — is raised at parse time.
  *
- * Planning expands each figure's matrix exactly like expandSweepMatrix
+ * Planning expands each figure's matrix with expandSweepMatrix
  * (workloads outermost, then sizes, then scheme columns) and computes
  * each cell's ledger digest.  The digest covers the *effective* seed —
  * sweepSeed(base, k) for expansion index k within the figure — and the

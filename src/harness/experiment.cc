@@ -1,7 +1,6 @@
 #include "experiment.hh"
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "common/logging.hh"
@@ -20,32 +19,15 @@ namespace rrs::harness {
 namespace {
 
 /**
- * A count from the environment variable `name`: -1 when unset,
- * otherwise an integer in [0, max] (rrs::parseInt syntax).  Read
+ * The process-wide audit default from RRS_AUDIT: nullopt when the
+ * variable is unset or empty, otherwise its value (0 disables, 1
+ * audits after every commit, N > 1 audits every N cycles).  Read
  * during static initialisation so a malformed or too-large value dies
  * cleanly before any sweep worker starts (rrs_fatal from inside a pool
  * thread would race process teardown).
  */
-std::int64_t
-envCount(const char *name, std::int64_t max)
-{
-    const char *env = std::getenv(name);
-    if (!env)
-        return -1;
-    const std::optional<std::int64_t> v = parseInt(env);
-    if (!v || *v < 0 || *v > max)
-        rrs_fatal("%s must be a non-negative integer up to %lld, got '%s'",
-                  name, static_cast<long long>(max), env);
-    return *v;
-}
-
-/**
- * The process-wide audit default from RRS_AUDIT: -1 when the variable
- * is unset, otherwise its value (0 disables, 1 audits after every
- * commit, N > 1 audits every N cycles).
- */
-const std::int64_t envAuditDefault =
-    envCount("RRS_AUDIT", std::numeric_limits<std::int64_t>::max());
+const std::optional<std::int64_t> envAuditDefault =
+    envCount("RRS_AUDIT", 0, std::numeric_limits<std::int64_t>::max());
 
 /** Resolve a run's audit interval (0 = auditing off). */
 Cycles
@@ -55,8 +37,8 @@ resolveAuditInterval(const ObsOptions &obs)
         return 0;
     if (obs.auditInterval > 0)
         return obs.auditInterval;
-    if (envAuditDefault >= 0)
-        return static_cast<Cycles>(envAuditDefault);
+    if (envAuditDefault)
+        return static_cast<Cycles>(*envAuditDefault);
 #ifndef NDEBUG
     // Assert-enabled builds self-check at every commit by default.
     return 1;
@@ -210,17 +192,12 @@ class OccupancySampler : public obs::CoreObserver
     const core::O3Core &core;
 };
 
-} // namespace
-
+/** runOn over `trace`, setting `replayed` to the records it fed. */
 Outcome
-runOn(const workloads::Workload &w, const RunConfig &config,
-      bool sampleOccupancy)
+replay(const trace::TracePtr &trace, const RunConfig &config,
+       bool sampleOccupancy, std::uint64_t &replayed)
 {
-    // Capture-once / replay-many: the functional emulation of
-    // (workload, cap) happens at most once per process; every run —
-    // and every lane of a parallel sweep — replays the shared
-    // immutable trace through its own cursor.
-    trace::ReplayStream stream(traceCache().get(w, config.maxInsts));
+    trace::ReplayStream stream(trace);
     mem::MemSystem mem(config.mem);
     bpred::BranchPredictor bp(config.bpred);
 
@@ -249,7 +226,7 @@ runOn(const workloads::Workload &w, const RunConfig &config,
     std::optional<FlightFeed> flightFeed;
     if (auditing) {
         flightRec = std::make_unique<obs::FlightRecorder>(flightRecEvents);
-        flightRec->setContext("workload", w.name);
+        flightRec->setContext("workload", trace->workload());
         flightRec->setContext("scheme", config.scheme);
         flightRec->setContext("sweep_seed",
                               std::to_string(config.core.seed));
@@ -293,7 +270,7 @@ runOn(const workloads::Workload &w, const RunConfig &config,
             out.sim = core.run();
         }
     }
-    traceCache().noteReplayed(stream.replayed());
+    replayed = stream.replayed();
     out.stalls = core.stallBreakdown();
     out.condAccuracy = bp.condAccuracy();
     out.mispredicts = core.mispredictCount();
@@ -309,6 +286,31 @@ runOn(const workloads::Workload &w, const RunConfig &config,
         out.auditsRun = auditor->auditCount();
         out.auditViolations = auditor->violationCount();
     }
+    return out;
+}
+
+} // namespace
+
+Outcome
+runOn(const trace::TracePtr &trace, const RunConfig &config,
+      bool sampleOccupancy)
+{
+    std::uint64_t replayed = 0;
+    return replay(trace, config, sampleOccupancy, replayed);
+}
+
+Outcome
+runOn(const workloads::Workload &w, const RunConfig &config,
+      bool sampleOccupancy)
+{
+    // Capture-once / replay-many: the functional emulation of
+    // (workload, cap) happens at most once per process; every run —
+    // and every lane of a parallel sweep — replays the shared
+    // immutable trace through its own cursor.
+    std::uint64_t replayed = 0;
+    Outcome out = replay(traceCache().get(w, config.maxInsts), config,
+                         sampleOccupancy, replayed);
+    traceCache().noteReplayed(replayed);
     return out;
 }
 

@@ -162,9 +162,14 @@ struct Outcome
 };
 
 /**
- * Run one workload under one configuration.
+ * Replay one captured trace under one configuration (config.maxInsts
+ * is not read: the trace's length is the run's).
  * @param sampleOccupancy fill Outcome::occupancy.
  */
+Outcome runOn(const trace::TracePtr &trace, const RunConfig &config,
+              bool sampleOccupancy = false);
+
+/** runOn over the workload's trace from traceCache(), charged to it. */
 Outcome runOn(const workloads::Workload &w, const RunConfig &config,
               bool sampleOccupancy = false);
 

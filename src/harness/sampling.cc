@@ -10,6 +10,16 @@
 
 namespace rrs::harness {
 
+const char *
+samplingScheduleError(const SamplingParams &p)
+{
+    if (!p.enabled())
+        return "needs positive 'detailed' and 'period'";
+    if (p.period < p.warm + p.detailed)
+        return "'period' must cover warm + detailed";
+    return nullptr;
+}
+
 SamplingController::SamplingController(const SamplingParams &params,
                                        core::O3Core &core,
                                        trace::ReplayStream &stream,
@@ -17,10 +27,8 @@ SamplingController::SamplingController(const SamplingParams &params,
                                        bpred::BranchPredictor &bp)
     : params(params), core(core), stream(stream), mem(mem), bp(bp)
 {
-    rrs_assert(params.enabled(), "sampling controller needs "
-               "detailed > 0 and period > 0");
-    rrs_assert(params.period >= params.warm + params.detailed,
-               "sampling period must cover warm + detailed");
+    if (const char *why = samplingScheduleError(params))
+        rrs_panic("sampling controller: %s", why);
 }
 
 void

@@ -71,6 +71,12 @@ struct SamplingParams
     bool enabled() const { return detailed > 0 && period > 0; }
 };
 
+/**
+ * The sampling schedule rule, for every parser and the controller:
+ * the clause `p` breaks, or nullptr when it is runnable.
+ */
+const char *samplingScheduleError(const SamplingParams &p);
+
 /** What a sampled run reports on top of its detailed aggregates. */
 struct SampledSummary
 {

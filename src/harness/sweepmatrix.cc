@@ -248,15 +248,8 @@ tryParseSweepMatrix(const Value &root, SweepMatrix &out,
                 else
                     m.sampling.period = n;
             }
-            if (!m.sampling.enabled()) {
-                error = "sweep matrix: 'sampling' needs positive "
-                        "'detailed' and 'period' members";
-                return false;
-            }
-            if (m.sampling.period <
-                m.sampling.warm + m.sampling.detailed) {
-                error = "sweep matrix: sampling 'period' must cover "
-                        "warm + detailed";
+            if (const char *why = samplingScheduleError(m.sampling)) {
+                error = std::string("sweep matrix: sampling ") + why;
                 return false;
             }
         } else {

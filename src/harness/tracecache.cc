@@ -1,5 +1,7 @@
 #include "tracecache.hh"
 
+#include "common/logging.hh"
+
 namespace rrs::harness {
 
 trace::TracePtr
@@ -11,17 +13,24 @@ TraceCache::get(const workloads::Workload &w, std::uint64_t maxInsts)
     auto it = entries.find(key);
     if (it != entries.end()) {
         ++counts.hits;
-        auto future = it->second;
+        const auto [source, future] = it->second;
         lock.unlock();
         // May block until the capturing lane publishes the trace; the
         // arrival still counts as a hit because nothing was emulated
         // on its behalf.
-        return future.get();
+        trace::TracePtr trace = future.get();
+        // Registry entries share one source pointer, so only a foreign
+        // source pays for hashing.
+        if (source != w.source &&
+            trace->sourceHash() != workloads::sourceHash(w))
+            rrs_fatal("trace cache: workload '%s' was already captured "
+                      "from another source", w.name.c_str());
+        return trace;
     }
 
     ++counts.misses;
     std::promise<trace::TracePtr> promise;
-    entries.emplace(key, promise.get_future().share());
+    entries.emplace(key, std::pair{w.source, promise.get_future().share()});
     lock.unlock();
 
     // Capture outside the lock: other keys miss and capture

@@ -42,7 +42,8 @@ class TraceCache
     };
 
     /**
-     * The trace for (workload, maxInsts), capturing it on first use.
+     * The trace for (workload, maxInsts), capturing it on first use;
+     * fatal when the key's trace came from another source.
      * @param maxInsts cap override; 0 resolves to the workload default
      *        (the resolved value is the cache key, so 0 and the
      *        explicit default share an entry)
@@ -60,7 +61,9 @@ class TraceCache
     using Key = std::pair<std::string, std::uint64_t>;
 
     mutable std::mutex mu;
-    std::map<Key, std::shared_future<trace::TracePtr>> entries;
+    /** Per key: the source it was captured from, and its trace. */
+    std::map<Key, std::pair<const char *, std::shared_future<trace::TracePtr>>>
+        entries;
 
     Counters counts;   //!< guarded by `mu`, like `entries`
 };

@@ -94,10 +94,10 @@ UsageReport::reuseDepthBreakdown() const
 }
 
 UsageReport
-analyzeUsage(InstStream &stream, std::uint64_t maxInsts)
+analyzeUsage(const RecordedTrace &trace)
 {
     UsageReport rep;
-    rep.workload = stream.name();
+    rep.workload = trace.workload();
 
     std::vector<InstRecord> recs;
 
@@ -126,9 +126,9 @@ analyzeUsage(InstStream &stream, std::uint64_t maxInsts)
         }
     };
 
-    std::optional<DynInst> di;
-    while (recs.size() < maxInsts && (di = stream.next())) {
-        const isa::StaticInst &si = di->si;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const DynInst di = trace[i];
+        const isa::StaticInst &si = di.si;
         auto idx = static_cast<std::uint32_t>(recs.size());
         recs.emplace_back();
 

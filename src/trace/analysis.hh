@@ -1,6 +1,6 @@
 /**
  * @file
- * Offline value-usage analysis over a dynamic instruction stream.
+ * Offline value-usage analysis over a captured instruction trace.
  * Computes the paper's motivation statistics:
  *
  *  - Figure 1: fraction of dest-writing instructions that are the *only*
@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/dyninst.hh"
+#include "trace/recorded.hh"
 
 namespace rrs::trace {
 
@@ -70,13 +70,11 @@ struct UsageReport
 };
 
 /**
- * Analyse up to maxInsts instructions from a stream (which is *not*
- * reset first; callers choose the window).  Memory cost is
- * O(analysed instructions) with small constants, so keep windows in the
- * low tens of millions.
+ * Analyse every record of a captured trace; its cap is the window.
+ * Memory cost is O(records) with small constants, so keep windows in
+ * the low tens of millions.
  */
-UsageReport analyzeUsage(InstStream &stream,
-                         std::uint64_t maxInsts = 2'000'000);
+UsageReport analyzeUsage(const RecordedTrace &trace);
 
 } // namespace rrs::trace
 

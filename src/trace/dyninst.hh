@@ -35,9 +35,9 @@ struct DynInst
 /**
  * A source of dynamic instructions.  next() returns instructions in
  * program (commit) order; nullopt signals end of stream.  A stream is
- * read once: a sweep replays a workload under many configurations
- * through one ReplayStream per run over the shared captured trace
- * (trace/recorded.hh).
+ * read once: every run replays a captured trace through its own
+ * ReplayStream (trace/recorded.hh).  SyntheticStream is the only other
+ * implementer, kept live for the benchmark's synthetic pass.
  */
 class InstStream
 {
@@ -46,9 +46,6 @@ class InstStream
 
     /** Next correct-path instruction, or nullopt at end of stream. */
     virtual std::optional<DynInst> next() = 0;
-
-    /** Short label for reports (workload name). */
-    virtual const std::string &name() const = 0;
 };
 
 } // namespace rrs::trace

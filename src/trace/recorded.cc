@@ -84,10 +84,4 @@ ReplayStream::next()
     return (*src)[pos++];
 }
 
-const std::string &
-ReplayStream::name() const
-{
-    return src->workload();
-}
-
 } // namespace rrs::trace

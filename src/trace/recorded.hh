@@ -3,10 +3,11 @@
  * Capture-once / replay-many instruction streams.
  *
  * A RecordedTrace is an immutable, shareable dynamic instruction
- * sequence: the exact DynInst records a live emulator stream would
- * produce for one (workload, cap) pair, held only as PackedTrace
- * columns, plus the identity needed to validate reuse (workload name,
- * stream cap, a hash of the workload's assembly source).  Its FNV-1a
+ * sequence: the exact DynInst records Emulator::step() produces for one
+ * (workload, cap) pair (workloads::capture), or a synthetic generator's
+ * records (captureSynthetic), held only as PackedTrace columns, plus
+ * the identity needed to validate reuse (workload name, stream cap, a
+ * hash of the workload's assembly source).  Its FNV-1a
  * content digest over every field of every record is not stored:
  * digest() folds it from the columns for the callers that check it
  * (the tests and the benchmark's input check), and capture pays
@@ -15,10 +16,9 @@
  * A ReplayStream is a cheap cursor over a shared RecordedTrace: many
  * sweep lanes replay the same read-only trace concurrently, each with
  * its own position, so an N-config sweep pays the functional-emulation
- * cost once instead of N times.  Replaying is bit-identical to pulling
- * the emulator live — the determinism contract of harness/sweep.hh
- * holds across cached-vs-fresh streams as well as across thread
- * counts.
+ * cost once instead of N times.  Replaying is bit-identical to stepping
+ * the emulator — the determinism contract of harness/sweep.hh holds
+ * across cached-vs-fresh streams as well as across thread counts.
  */
 
 #ifndef RRS_TRACE_RECORDED_HH
@@ -103,7 +103,6 @@ class ReplayStream : public InstStream
     explicit ReplayStream(TracePtr trace);
 
     std::optional<DynInst> next() override;
-    const std::string &name() const override;
 
     /**
      * Reposition the cursor to record `p` (clamped to the trace end).

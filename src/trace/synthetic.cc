@@ -19,9 +19,8 @@ constexpr Addr synthDataBase = 0x2000000;
 
 } // namespace
 
-SyntheticStream::SyntheticStream(SyntheticParams params, std::string name)
-    : params(params), label(std::move(name)), rng(params.seed),
-      pc(isa::textBase)
+SyntheticStream::SyntheticStream(SyntheticParams params)
+    : params(params), rng(params.seed), pc(isa::textBase)
 {
 }
 
@@ -183,6 +182,18 @@ SyntheticStream::next()
 
     ++emitted;
     return di;
+}
+
+TracePtr
+captureSynthetic(const SyntheticParams &params)
+{
+    SyntheticStream stream(params);
+    PackedTrace records;
+    records.reserve(static_cast<std::size_t>(params.numInsts));
+    while (std::optional<DynInst> di = stream.next())
+        records.append(*di);
+    return std::make_shared<RecordedTrace>("synthetic", params.numInsts, 0,
+                                           std::move(records));
 }
 
 } // namespace rrs::trace

@@ -15,10 +15,8 @@
 #ifndef RRS_TRACE_SYNTHETIC_HH
 #define RRS_TRACE_SYNTHETIC_HH
 
-#include <string>
-
 #include "common/random.hh"
-#include "trace/dyninst.hh"
+#include "trace/recorded.hh"
 
 namespace rrs::trace {
 
@@ -58,18 +56,15 @@ struct SyntheticParams
 class SyntheticStream : public InstStream
 {
   public:
-    explicit SyntheticStream(SyntheticParams params,
-                             std::string name = "synthetic");
+    explicit SyntheticStream(SyntheticParams params);
 
     std::optional<DynInst> next() override;
-    const std::string &name() const override { return label; }
 
   private:
     isa::RegId pickSource(RegClass cls);
     isa::RegId pickDest(RegClass cls, bool &madeSingleUse);
 
     SyntheticParams params;
-    std::string label;
     Random rng;
     std::uint64_t emitted = 0;
     Addr pc;
@@ -88,6 +83,9 @@ class SyntheticStream : public InstStream
     };
     PendingSingleUse pending[numRegClasses];
 };
+
+/** The generator's records as a trace named "synthetic", cap numInsts. */
+TracePtr captureSynthetic(const SyntheticParams &params);
 
 } // namespace rrs::trace
 

@@ -1,6 +1,7 @@
 #include "workloads.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <mutex>
 
@@ -100,12 +101,20 @@ program(const Workload &w)
     // element references stable across later insertions, making the
     // returned reference safe to use outside the lock.
     static std::mutex cacheMutex;
-    static std::map<std::string, isa::Program> cache;
+    static std::map<std::string, std::pair<const char *, isa::Program>>
+        cache;
     std::lock_guard<std::mutex> lock(cacheMutex);
     auto it = cache.find(w.name);
-    if (it == cache.end())
-        it = cache.emplace(w.name, isa::assemble(w.source)).first;
-    return it->second;
+    if (it == cache.end()) {
+        it = cache.emplace(w.name, std::pair{w.source,
+                                             isa::assemble(w.source)})
+                 .first;
+    } else if (it->second.first != w.source &&
+               std::strcmp(it->second.first, w.source) != 0) {
+        rrs_fatal("workload '%s' was already assembled from another "
+                  "source", w.name.c_str());
+    }
+    return it->second.second;
 }
 
 std::uint64_t
@@ -118,32 +127,41 @@ std::unique_ptr<emu::Emulator>
 makeEmulator(const Workload &w, std::uint64_t maxInsts)
 {
     const isa::Program &prog = program(w);
-    auto stream = std::make_unique<emu::Emulator>(prog, w.name);
+    auto e = std::make_unique<emu::Emulator>(prog);
     // Skip the kernel's initialisation phase so measurements cover the
     // computation itself; the `warmup_done` label marks the boundary.
     auto it = prog.symbols.find("warmup_done");
     if (it != prog.symbols.end()) {
         obs::ScopedPhase phase("warmup");
-        stream->fastForwardTo(it->second, 5'000'000);
+        e->fastForwardTo(it->second, 5'000'000);
     }
-    stream->setMaxInsts(stream->instCount() + resolvedCap(w, maxInsts));
-    return stream;
+    e->setMaxInsts(e->instCount() + resolvedCap(w, maxInsts));
+    return e;
+}
+
+// Kept out of emulator.cc on purpose: there a Release build inlines
+// step() into this loop, and capture runs slower.
+trace::TracePtr
+capture(emu::Emulator &e, std::string workload, std::uint64_t cap,
+        std::uint64_t sourceHash)
+{
+    e.setMaxInsts(e.instCount() + cap);
+    trace::PackedTrace records;
+    records.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(cap, 1'000'000)));
+    trace::DynInst di;
+    while (e.step(di))
+        records.append(di);
+    return std::make_shared<trace::RecordedTrace>(
+        std::move(workload), cap, sourceHash, std::move(records));
 }
 
 trace::TracePtr
 captureTrace(const Workload &w, std::uint64_t maxInsts)
 {
     obs::ScopedPhase phase("capture");
-    const std::uint64_t cap = resolvedCap(w, maxInsts);
     auto e = makeEmulator(w, maxInsts);
-    trace::PackedTrace records;
-    records.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(cap, 1'000'000)));
-    trace::DynInst di;
-    while (e->step(di))
-        records.append(di);
-    return std::make_shared<trace::RecordedTrace>(
-        w.name, cap, sourceHash(w), std::move(records));
+    return capture(*e, w.name, resolvedCap(w, maxInsts), sourceHash(w));
 }
 
 } // namespace rrs::workloads

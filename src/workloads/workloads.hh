@@ -52,7 +52,7 @@ std::vector<Workload> suiteWorkloads(const std::string &suite);
 /** Find a workload by name (fatal if unknown). */
 const Workload &workload(const std::string &name);
 
-/** Assemble a workload (cached) and return its program. */
+/** Assemble a workload (cached by name; fatal on a second source). */
 const isa::Program &program(const Workload &w);
 
 /**
@@ -70,22 +70,26 @@ resolvedCap(const Workload &w, std::uint64_t maxInsts)
 }
 
 /**
- * Create a live functional emulator for a workload, fast-forwarded
- * past its warmup phase and capped at `maxInsts` post-warmup
- * instructions (0: workload default).  Use this when architectural
- * state matters (oracle tests, emulator microbenchmarks); timing runs
- * should replay a captured trace (captureTrace, or the harness trace
- * cache) instead.
+ * Create a functional emulator for a workload, fast-forwarded past its
+ * warmup phase and capped at `maxInsts` post-warmup instructions (0:
+ * workload default).  Capture steps it; tests and the emulator
+ * microbenchmark read its architectural state.  Timing runs replay a
+ * captured trace (captureTrace, or the harness trace cache).
  */
 std::unique_ptr<emu::Emulator> makeEmulator(const Workload &w,
                                             std::uint64_t maxInsts = 0);
 
 /**
- * Capture the post-warmup dynamic instruction stream of a workload
- * into an immutable, shareable trace.  The capture steps the functional
- * emulator once, appending each record straight to the trace's columns;
- * replaying the returned trace is bit-identical to pulling the emulator
- * live.
+ * Step `e` through its next `cap` instructions (fewer if it halts)
+ * into a trace named `workload`: the one loop every program's trace
+ * comes from, examples' and tests' included.
+ */
+trace::TracePtr capture(emu::Emulator &e, std::string workload,
+                        std::uint64_t cap, std::uint64_t sourceHash = 0);
+
+/**
+ * A workload's post-warmup stream as a shareable trace: capture() over
+ * makeEmulator.  Replaying it is bit-identical to stepping the emulator.
  */
 trace::TracePtr captureTrace(const Workload &w,
                              std::uint64_t maxInsts = 0);

@@ -4,9 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include "emu/emulator.hh"
 #include "isa/assembler.hh"
 #include "trace/analysis.hh"
+#include "workloads/workloads.hh"
 
 namespace {
 
@@ -17,8 +17,8 @@ UsageReport
 analyze(const char *src, std::uint64_t maxInsts = 1'000'000)
 {
     isa::Program p = isa::assemble(src);
-    emu::Emulator e(p, "t");
-    return trace::analyzeUsage(e, maxInsts);
+    emu::Emulator e(p);
+    return trace::analyzeUsage(*workloads::capture(e, "t", maxInsts));
 }
 
 TEST(UsageAnalysis, PaperFigure4Example)

@@ -5,11 +5,11 @@
 #include <gtest/gtest.h>
 
 #include "core/o3core.hh"
-#include "emu/emulator.hh"
 #include "isa/assembler.hh"
 #include "rename/baseline.hh"
 #include "rename/reuse.hh"
 #include "trace/synthetic.hh"
+#include "workloads/workloads.hh"
 
 namespace {
 
@@ -112,11 +112,15 @@ core::SimResult
 runProgram(const char *src, rename::Renamer &rn,
            core::CoreParams cp = core::CoreParams{})
 {
-    static std::map<const char *, isa::Program> cache;
+    static std::map<const char *, trace::TracePtr> cache;
     auto it = cache.find(src);
-    if (it == cache.end())
-        it = cache.emplace(src, isa::assemble(src)).first;
-    emu::Emulator stream(it->second, "prog");
+    if (it == cache.end()) {
+        isa::Program p = isa::assemble(src);
+        emu::Emulator e(p);
+        it = cache.emplace(src, workloads::capture(e, "prog", 1'000'000))
+                 .first;
+    }
+    trace::ReplayStream stream(it->second);
     Rig rig;
     return rig.run(rn, stream, cp);
 }
@@ -124,7 +128,7 @@ runProgram(const char *src, rename::Renamer &rn,
 TEST(O3Core, CommitsEveryInstructionBaseline)
 {
     isa::Program p = isa::assemble(loopProgram);
-    emu::Emulator counter(p, "count");
+    emu::Emulator counter(p);
     std::uint64_t n = counter.run();
 
     rename::BaselineRenamer rn(rename::BaselineParams{128, 128});
@@ -137,7 +141,7 @@ TEST(O3Core, CommitsEveryInstructionBaseline)
 TEST(O3Core, CommitsEveryInstructionReuse)
 {
     isa::Program p = isa::assemble(loopProgram);
-    emu::Emulator counter(p, "count");
+    emu::Emulator counter(p);
     std::uint64_t n = counter.run();
 
     rename::ReuseRenamer rn(rename::ReuseRenamerParams{});
@@ -182,14 +186,15 @@ TEST(O3Core, BranchyCodeRunsAndMispredicts)
 {
     rename::BaselineRenamer rn(rename::BaselineParams{128, 128});
     isa::Program p = isa::assemble(branchyProgram);
-    emu::Emulator stream(p, "branchy");
+    emu::Emulator e(p);
+    trace::ReplayStream stream(workloads::capture(e, "branchy", 1'000'000));
     mem::MemSystem mem{mem::MemSystemParams{}};
     bpred::BranchPredictor bp{bpred::BPredParams{}};
     core::CoreParams cp;
     core::O3Core core(cp, rn, mem, bp, stream);
     auto res = core.run();
 
-    emu::Emulator counter(p, "count");
+    emu::Emulator counter(p);
     EXPECT_EQ(res.committedInsts, counter.run());
     // The PRNG-driven branch is unpredictable: expect mispredictions
     // and therefore a visibly lower IPC than the loop program.
@@ -201,7 +206,7 @@ TEST(O3Core, MemoryProgramExercisesCaches)
     rename::BaselineRenamer rn(rename::BaselineParams{128, 128});
     auto res = runProgram(memoryProgram, rn);
     isa::Program p = isa::assemble(memoryProgram);
-    emu::Emulator counter(p, "count");
+    emu::Emulator counter(p);
     EXPECT_EQ(res.committedInsts, counter.run());
 }
 
@@ -212,7 +217,7 @@ TEST(O3Core, WrongPathOffStillCorrect)
     rename::ReuseRenamer rn(rename::ReuseRenamerParams{});
     auto res = runProgram(branchyProgram, rn, cp);
     isa::Program p = isa::assemble(branchyProgram);
-    emu::Emulator counter(p, "count");
+    emu::Emulator counter(p);
     EXPECT_EQ(res.committedInsts, counter.run());
 }
 
@@ -223,7 +228,7 @@ TEST(O3Core, ExceptionInjectionRecoversPrecisely)
     rename::ReuseRenamer rn(rename::ReuseRenamerParams{});
     auto res = runProgram(memoryProgram, rn, cp);
     isa::Program p = isa::assemble(memoryProgram);
-    emu::Emulator counter(p, "count");
+    emu::Emulator counter(p);
     // Every instruction still commits exactly once.
     EXPECT_EQ(res.committedInsts, counter.run());
 
@@ -240,7 +245,7 @@ TEST(O3Core, TimerInterruptsFlushAndReplay)
     rename::ReuseRenamer rn(rename::ReuseRenamerParams{});
     auto res = runProgram(loopProgram, rn, cp);
     isa::Program p = isa::assemble(loopProgram);
-    emu::Emulator counter(p, "count");
+    emu::Emulator counter(p);
     EXPECT_EQ(res.committedInsts, counter.run());
 }
 
@@ -275,7 +280,7 @@ TEST(O3Core, SyntheticStreamRuns)
 {
     trace::SyntheticParams sp;
     sp.numInsts = 20000;
-    trace::SyntheticStream stream(sp);
+    trace::ReplayStream stream(trace::captureSynthetic(sp));
     rename::ReuseRenamer rn(rename::ReuseRenamerParams{});
     mem::MemSystem mem{mem::MemSystemParams{}};
     bpred::BranchPredictor bp{bpred::BPredParams{}};
@@ -294,7 +299,7 @@ TEST(O3Core, TinyRegisterFileStillMakesProgress)
     rename::ReuseRenamer rn(rp);
     auto res = runProgram(pressureProgram, rn);
     isa::Program p = isa::assemble(pressureProgram);
-    emu::Emulator counter(p, "count");
+    emu::Emulator counter(p);
     EXPECT_EQ(res.committedInsts, counter.run());
 }
 
@@ -303,7 +308,7 @@ TEST(O3Core, BaselineTinyRegisterFileStillMakesProgress)
     rename::BaselineRenamer rn(rename::BaselineParams{48, 48});
     auto res = runProgram(pressureProgram, rn);
     isa::Program p = isa::assemble(pressureProgram);
-    emu::Emulator counter(p, "count");
+    emu::Emulator counter(p);
     EXPECT_EQ(res.committedInsts, counter.run());
 }
 

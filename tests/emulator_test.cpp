@@ -16,7 +16,7 @@ using rrs::emu::SparseMemory;
 Emulator
 makeEmu(const Program &p, std::uint64_t cap = UINT64_MAX)
 {
-    return Emulator(p, "test", cap);
+    return Emulator(p, cap);
 }
 
 TEST(SparseMemoryTest, ReadUnmappedIsZero)

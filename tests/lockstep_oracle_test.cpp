@@ -1,21 +1,28 @@
-// Lockstep golden test: a timing run must not corrupt architecture.
+// Lockstep golden test: a timing run must commit exactly the captured
+// architectural stream.
 //
-// The O3 core drives the functional emulator as its instruction stream
-// (execute-at-fetch); wrong-path work is synthetic and squashed, and
-// replays come from the core's internal buffer.  So after a timing run
-// the driving emulator's architectural state — every integer and fp
-// register plus the memory image — must equal that of a fresh,
-// pure-functional emulation of the same workload to the same cap.
+// The O3 core replays a trace captured from the functional emulator;
+// wrong-path work is synthetic and squashed, and replays after a
+// flush come from the core's internal buffer.  So every captured
+// record must commit exactly once, in trace order: the (pc, effAddr)
+// pairs in commit order equal the trace's.  And capture must leave
+// the emulator exactly where a fresh, pure-functional run of the same
+// workload to the same cap ends: every integer and fp register plus
+// the memory image.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "bpred/bpred.hh"
 #include "core/o3core.hh"
 #include "harness/experiment.hh"
 #include "isa/isa.hh"
 #include "mem/memsystem.hh"
+#include "obs/observer.hh"
 #include "rename/baseline.hh"
 #include "rename/reuse.hh"
 #include "workloads/workloads.hh"
@@ -26,6 +33,8 @@ using namespace rrs;
 
 constexpr std::uint64_t kInsts = 30'000;
 
+using Access = std::pair<Addr, Addr>;   //!< (pc, effAddr)
+
 std::uint64_t
 fpBits(double d)
 {
@@ -34,30 +43,74 @@ fpBits(double d)
     return raw;
 }
 
-// Run `w` through the timing core with the given renamer and compare
-// the stream emulator's final state against a functional oracle.
+/** The (pc, effAddr) of every committed instruction, in commit order. */
+class CommitLog : public obs::CoreObserver
+{
+  public:
+    void
+    fetch(std::uint64_t seq, const trace::DynInst &di, Tick) override
+    {
+        inFlight[seq] = {di.pc, di.effAddr};
+    }
+
+    void
+    commit(std::uint64_t seq, const obs::DestTag &, Tick) override
+    {
+        auto it = inFlight.find(seq);
+        ASSERT_NE(it, inFlight.end()) << "commit of unfetched " << seq;
+        committed.push_back(it->second);
+        inFlight.erase(it);
+    }
+
+    void
+    squash(std::uint64_t seq, Tick) override
+    {
+        inFlight.erase(seq);
+    }
+
+    std::vector<Access> committed;
+
+  private:
+    std::unordered_map<std::uint64_t, Access> inFlight;
+};
+
+// Replay `w`'s capture through the timing core with the given renamer
+// and check what commits; then compare the capturing emulator's final
+// state against a functional oracle.
 void
 checkLockstep(const workloads::Workload &w, rename::Renamer &renamer)
 {
-    auto stream = workloads::makeEmulator(w, kInsts);
+    auto emulator = workloads::makeEmulator(w, kInsts);
+    const trace::TracePtr captured = workloads::capture(
+        *emulator, w.name, kInsts, workloads::sourceHash(w));
+    trace::ReplayStream stream(captured);
     mem::MemSystem memsys{mem::MemSystemParams{}};
     bpred::BranchPredictor bp{bpred::BPredParams{}};
-    core::O3Core core(core::CoreParams{}, renamer, memsys, bp, *stream);
+    core::O3Core core(core::CoreParams{}, renamer, memsys, bp, stream);
+    CommitLog log;
+    core.addObserver(log);
     auto sim = core.run();
-    EXPECT_GT(sim.committedInsts, 0u);
+    EXPECT_EQ(sim.committedInsts, captured->size());
+
+    const trace::PackedTrace &pk = captured->packed();
+    ASSERT_EQ(log.committed.size(), pk.size());
+    for (std::size_t i = 0; i < pk.size(); ++i) {
+        ASSERT_EQ(log.committed[i], Access(pk.pc(i), pk.effAddr(i)))
+            << "commit " << i;
+    }
 
     auto oracle = workloads::makeEmulator(w, kInsts);
     oracle->run();
 
-    EXPECT_EQ(stream->instCount(), oracle->instCount());
-    EXPECT_EQ(stream->halted(), oracle->halted());
+    EXPECT_EQ(emulator->instCount(), oracle->instCount());
+    EXPECT_EQ(emulator->halted(), oracle->halted());
     for (LogRegIndex r = 0; r < isa::numLogRegs; ++r) {
-        EXPECT_EQ(stream->intReg(r), oracle->intReg(r)) << "x" << int{r};
-        EXPECT_EQ(fpBits(stream->fpReg(r)), fpBits(oracle->fpReg(r)))
+        EXPECT_EQ(emulator->intReg(r), oracle->intReg(r)) << "x" << int{r};
+        EXPECT_EQ(fpBits(emulator->fpReg(r)), fpBits(oracle->fpReg(r)))
             << "f" << int{r};
     }
-    EXPECT_EQ(stream->memory().digest(), oracle->memory().digest());
-    EXPECT_EQ(stream->memory().mappedPages(),
+    EXPECT_EQ(emulator->memory().digest(), oracle->memory().digest());
+    EXPECT_EQ(emulator->memory().mappedPages(),
               oracle->memory().mappedPages());
 }
 

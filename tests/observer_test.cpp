@@ -18,11 +18,11 @@
 #include <vector>
 
 #include "core/o3core.hh"
-#include "emu/emulator.hh"
 #include "isa/assembler.hh"
 #include "obs/observer.hh"
 #include "rename/baseline.hh"
 #include "rename/reuse.hh"
+#include "workloads/workloads.hh"
 
 namespace {
 
@@ -195,7 +195,8 @@ ObservedRun
 runCase(const Case &c, int observers)
 {
     isa::Program p = isa::assemble(c.src);
-    emu::Emulator stream(p, c.name);
+    emu::Emulator e(p);
+    trace::ReplayStream stream(workloads::capture(e, c.name, 1'000'000));
     mem::MemSystem mem{mem::MemSystemParams{}};
     bpred::BranchPredictor bp{bpred::BPredParams{}};
     std::unique_ptr<rename::Renamer> rn;

@@ -1,17 +1,21 @@
 // Property test for the trace columns (trace/packed.hh): for every
 // workload, every PackedTrace column and attribute bit must agree
-// field-by-field with the DynInst records a live emulator produces —
-// the columns are a pure re-encoding, never a reinterpretation.  The
-// same columns must be what a ReplayStream serves, and again after
-// re-construction.
+// field-by-field with the DynInst records the emulator's step()
+// produces — the columns are a pure re-encoding, never a
+// reinterpretation.  The same columns must be what a ReplayStream
+// serves, and again after re-construction.  A synthetic capture must
+// hold the live generator's records the same way.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
+#include "core/params.hh"
+#include "harness/sweep.hh"
 #include "trace/packed.hh"
 #include "trace/recorded.hh"
+#include "trace/synthetic.hh"
 #include "workloads/workloads.hh"
 
 namespace {
@@ -39,12 +43,16 @@ drain(trace::InstStream &stream)
     return out;
 }
 
-// The reference records: a live emulator stream, pulled to the cap.
+// The reference records: a fresh emulator, stepped to the cap.
 std::vector<DynInst>
 liveRecords(const workloads::Workload &w)
 {
     auto e = workloads::makeEmulator(w, kCap);
-    return drain(*e);
+    std::vector<DynInst> out;
+    DynInst di;
+    while (e->step(di))
+        out.push_back(di);
+    return out;
 }
 
 // The rename-allocation predicate, restated independently of the
@@ -145,6 +153,50 @@ INSTANTIATE_TEST_SUITE_P(
                       "fp_chain", "fp_blur", "media_adpcm", "media_dct",
                       "media_sobel", "media_g711", "cog_gmm", "cog_dnn",
                       "cog_knn"));
+
+// abl_synthetic's generator setting at single-use fraction f / 10.
+trace::SyntheticParams
+ablationParams(int f, std::uint64_t numInsts, std::uint64_t seed)
+{
+    trace::SyntheticParams sp;
+    sp.seed = seed;
+    sp.numInsts = numInsts;
+    sp.singleUseFraction = f / 10.0;
+    sp.redefFraction = 0.8;
+    sp.branchFraction = 0.06;
+    sp.takenFraction = 0.98;
+    sp.loadFraction = 0.15;
+    sp.storeFraction = 0.05;
+    return sp;
+}
+
+class EverySyntheticFraction : public ::testing::TestWithParam<int>
+{
+};
+
+// A synthetic capture holds exactly the live generator's records, at
+// abl_synthetic's size (its five fractions) and at the benchmark's
+// 5000 records seeded per fraction.
+TEST_P(EverySyntheticFraction, CaptureMatchesGenerator)
+{
+    const int f = GetParam();
+    std::vector<trace::SyntheticParams> cases = {ablationParams(
+        f, 5'000, harness::sweepSeed(core::CoreParams{}.seed, f))};
+    if (f % 2 == 0)
+        cases.push_back(ablationParams(f, 120'000, 1));
+    for (const trace::SyntheticParams &sp : cases) {
+        SCOPED_TRACE(sp.numInsts);
+        trace::SyntheticStream live(sp);
+        const std::vector<DynInst> ref = drain(live);
+        const trace::TracePtr t = trace::captureSynthetic(sp);
+        EXPECT_EQ(t->workload(), "synthetic");
+        EXPECT_EQ(t->cap(), sp.numInsts);
+        expectPackedMatchesRecords(t->packed(), ref);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Tenths, EverySyntheticFraction,
+                         ::testing::Range(0, 9));
 
 TEST(PackedTrace, EmptyTracePacksToEmptyColumns)
 {

@@ -16,11 +16,11 @@
 #include <vector>
 
 #include "core/o3core.hh"
-#include "emu/emulator.hh"
 #include "harness/sweep.hh"
 #include "isa/assembler.hh"
 #include "obs/pipetrace.hh"
 #include "rename/baseline.hh"
+#include "workloads/workloads.hh"
 
 namespace {
 
@@ -63,7 +63,8 @@ TracedRun
 runTraced(const char *src)
 {
     isa::Program p = isa::assemble(src);
-    emu::Emulator stream(p, "prog");
+    emu::Emulator e(p);
+    trace::ReplayStream stream(workloads::capture(e, "prog", 1'000'000));
     mem::MemSystem mem{mem::MemSystemParams{}};
     bpred::BranchPredictor bp{bpred::BPredParams{}};
     rename::BaselineRenamer rn(rename::BaselineParams{128, 128});

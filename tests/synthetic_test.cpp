@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/o3core.hh"
+#include "harness/experiment.hh"
 #include "trace/analysis.hh"
 #include "trace/synthetic.hh"
 #include "trace/wrongpath.hh"
@@ -94,8 +96,7 @@ TEST_P(SyntheticSingleUse, DeliversSingleUseValues)
     SyntheticParams sp;
     sp.numInsts = 150000;
     sp.singleUseFraction = GetParam();
-    SyntheticStream s(sp);
-    auto rep = trace::analyzeUsage(s, sp.numInsts);
+    auto rep = trace::analyzeUsage(*trace::captureSynthetic(sp));
     if (GetParam() == 0.0) {
         // With the knob off, chained single-use should be rare.
         EXPECT_LT(rep.fracSingleConsumer(), 0.35);
@@ -114,11 +115,70 @@ TEST(Synthetic, SingleUseKnobIsMonotonic)
         SyntheticParams sp;
         sp.numInsts = 150000;
         sp.singleUseFraction = knob;
-        SyntheticStream s(sp);
-        auto rep = trace::analyzeUsage(s, sp.numInsts);
+        auto rep = trace::analyzeUsage(*trace::captureSynthetic(sp));
         double f = rep.fracSingleConsumer();
         EXPECT_GT(f, last) << "knob=" << knob;
         last = f;
+    }
+}
+
+// abl_synthetic's stream at one single-use fraction.
+SyntheticParams
+ablationParams(double singleUse)
+{
+    SyntheticParams sp;
+    sp.numInsts = 120'000;
+    sp.singleUseFraction = singleUse;
+    sp.redefFraction = 0.8;
+    sp.branchFraction = 0.06;
+    sp.takenFraction = 0.98;
+    sp.loadFraction = 0.15;
+    sp.storeFraction = 0.05;
+    return sp;
+}
+
+// runOn over a synthetic capture is the rig a live SyntheticStream
+// feeds (the benchmark's synthetic pass builds that one): same cycles,
+// commits and stall breakdown, which pins abl_synthetic's table.
+TEST(SyntheticCapture, RunOnMatchesLiveStream)
+{
+    for (double f : {0.0, 0.8}) {
+        const SyntheticParams sp = ablationParams(f);
+        const trace::TracePtr captured = trace::captureSynthetic(sp);
+        for (const char *scheme : {"baseline", "reuse"}) {
+            SCOPED_TRACE(std::string(scheme) + " at " + std::to_string(f));
+            const harness::RunConfig cfg = harness::schemeConfig(scheme, 48);
+            const harness::Outcome replayed = harness::runOn(captured, cfg);
+
+            SyntheticStream live(sp);
+            mem::MemSystem mem{cfg.mem};
+            bpred::BranchPredictor bp{cfg.bpred};
+            std::unique_ptr<rename::Renamer> rn =
+                rename::renameScheme(scheme).makeRenamer(cfg.rename);
+            core::O3Core core(cfg.core, *rn, mem, bp, live);
+            const core::SimResult sim = core.run();
+
+            EXPECT_EQ(replayed.sim.cycles, sim.cycles);
+            EXPECT_EQ(replayed.sim.committedInsts, sim.committedInsts);
+            for (int c = 0; c < obs::numCycleCauses; ++c)
+                EXPECT_EQ(replayed.stalls.counts[c],
+                          core.stallBreakdown().counts[c])
+                    << "cause " << c;
+        }
+    }
+}
+
+// The same runs audit: every-commit auditing checks and finds nothing.
+TEST(SyntheticCapture, RunOnAudits)
+{
+    const trace::TracePtr captured =
+        trace::captureSynthetic(ablationParams(0.8));
+    for (const char *scheme : {"baseline", "reuse"}) {
+        harness::RunConfig cfg = harness::schemeConfig(scheme, 48);
+        cfg.obs.auditInterval = 1;
+        const harness::Outcome out = harness::runOn(captured, cfg);
+        EXPECT_GT(out.auditsRun, 0u) << scheme;
+        EXPECT_EQ(out.auditViolations, 0u) << scheme;
     }
 }
 

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,12 +27,16 @@ TEST(ThreadPoolConfig, DefaultThreadCountHonoursEnv)
     EXPECT_GE(fallback, 1u);
     ::setenv("RRS_THREADS", "3", 1);
     EXPECT_EQ(ThreadPool::defaultThreadCount(), 3u);
-    // Zero, negatives, garbage and values past unsigned all warn and
-    // fall back instead of wrapping into a huge lane count.
-    for (const char *bad : {"0", "-1", "abc", "4294967297"}) {
-        ::setenv("RRS_THREADS", bad, 1);
-        EXPECT_EQ(ThreadPool::defaultThreadCount(), fallback)
-            << "RRS_THREADS=" << bad;
+    // Empty means unset.
+    ::setenv("RRS_THREADS", "", 1);
+    EXPECT_EQ(ThreadPool::defaultThreadCount(), fallback);
+    // Zero, negatives, garbage and values past unsigned are refused by
+    // name instead of running on some other lane count.
+    for (const std::string bad : {"0", "-1", "abc", "4294967297"}) {
+        ::setenv("RRS_THREADS", bad.c_str(), 1);
+        EXPECT_DEATH(ThreadPool::defaultThreadCount(),
+                     "RRS_THREADS must be a positive integer up to "
+                     "4294967295, got '" + bad + "'");
     }
     ::unsetenv("RRS_THREADS");
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -109,6 +110,36 @@ TEST(TraceCache, SharedTraceDigestsAgreeAcrossLanes)
                      [&](std::size_t i) { got[i] = t->digest(); });
     for (std::size_t i = 0; i < got.size(); ++i)
         EXPECT_EQ(got[i], record) << i;
+}
+
+TEST(TraceCache, SameSourceTextUnderAHeldNameHits)
+{
+    // Only the text counts: a copy of a registry source at another
+    // address is the same program.
+    TraceCache cache;
+    const auto &w = workloads::workload("int_crc");
+    const std::string copy = w.source;
+    const workloads::Workload same{w.name, w.suite, copy.c_str(),
+                                   w.defaultMaxInsts};
+    trace::TracePtr first = cache.get(w, kCap);
+    EXPECT_EQ(cache.get(same, kCap).get(), first.get());
+}
+
+TEST(TraceCacheDeath, AnotherSourceUnderAHeldNameIsRefused)
+{
+    // A name means one program: a second source under a held name is
+    // refused instead of being handed the first one's trace.
+    const auto &w = workloads::workload("int_crc");
+    const workloads::Workload other{w.name, w.suite, "halt\n",
+                                    w.defaultMaxInsts};
+    EXPECT_DEATH(
+        {
+            TraceCache cache;
+            cache.get(w, kCap);
+            cache.get(other, kCap);
+        },
+        "trace cache: workload 'int_crc' was already captured from "
+        "another source");
 }
 
 TEST(TraceCache, CachedRunMatchesFreshRun)

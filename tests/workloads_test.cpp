@@ -60,14 +60,34 @@ TEST(WorkloadRegistry, SuitesArePopulated)
     EXPECT_EQ(workloads::allWorkloads().size(), 21u);
 }
 
+TEST(WorkloadRegistryDeath, AnotherSourceUnderAnAssembledNameIsRefused)
+{
+    // Two ad-hoc workloads named alike: the second used to be handed
+    // the first one's program, so its capture held the other loop.
+    const Workload ten{"mine", "custom",
+                       "movz x1, #10\nloop: subi x1, x1, #1\n"
+                       "bne x1, xzr, loop\nhalt\n",
+                       1'000};
+    const Workload three{"mine", "custom",
+                         "movz x1, #3\nloop: subi x1, x1, #1\n"
+                         "bne x1, xzr, loop\nhalt\n",
+                         1'000};
+    EXPECT_DEATH(
+        {
+            workloads::captureTrace(ten);
+            workloads::captureTrace(three);
+        },
+        "workload 'mine' was already assembled from another source");
+}
+
 TEST(WorkloadCharacter, FpSuiteHasMoreSingleUseThanIntSuite)
 {
     auto suiteSingleUse = [](const std::string &suite) {
         double sum = 0;
         auto list = workloads::suiteWorkloads(suite);
         for (const auto &w : list) {
-            auto stream = workloads::makeEmulator(w, 300'000);
-            auto rep = trace::analyzeUsage(*stream, 300'000);
+            auto rep =
+                trace::analyzeUsage(*workloads::captureTrace(w, 300'000));
             sum += rep.fracSingleConsumer();
         }
         return sum / static_cast<double>(list.size());
@@ -85,8 +105,7 @@ TEST(WorkloadCharacter, MostValuesHaveFewConsumers)
 {
     // Paper Figure 2: single-consumer values dominate.
     const Workload &w = workloads::workload("fp_horner");
-    auto stream = workloads::makeEmulator(w, 200'000);
-    auto rep = trace::analyzeUsage(*stream, 200'000);
+    auto rep = trace::analyzeUsage(*workloads::captureTrace(w, 200'000));
     EXPECT_GT(rep.fracConsumers(1), 0.4);
 }
 
