@@ -3,16 +3,17 @@
  * Google-benchmark microbenchmarks of the hot simulator structures:
  * rename/commit throughput for both renamers, squash cost, cache
  * access, the memory system under a warming replay, emulation speed,
- * trace capture and digesting, trace analysis, and the whole O3 core
- * loop over captured workload and synthetic streams.  These guard the
- * simulator's own performance (the sweeps run hundreds of timing
- * simulations) and document the relative cost of the proposed
+ * trace capture, replay and digesting, trace analysis, and the whole
+ * O3 core loop over captured workload and synthetic streams.  These
+ * guard the simulator's own performance (the sweeps run hundreds of
+ * timing simulations) and document the relative cost of the proposed
  * renamer's extra bookkeeping.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/threadpool.hh"
@@ -178,6 +179,26 @@ BM_TraceDigest(benchmark::State &state)
                             static_cast<std::int64_t>(t->size()));
 }
 BENCHMARK(BM_TraceDigest)->Unit(benchmark::kMillisecond);
+
+/**
+ * A ReplayStream drained over fp_matmul's 100k-record capture: the
+ * per-record rebuild every exact run's fetch pays.  Each iteration is
+ * one pass; items are records.
+ */
+void
+BM_TraceReplay(benchmark::State &state)
+{
+    const trace::TracePtr captured = harness::traceCache().get(
+        workloads::workload("fp_matmul"), 100'000);
+    for (auto _ : state) {
+        trace::ReplayStream stream(captured);
+        while (std::optional<trace::DynInst> di = stream.next())
+            benchmark::DoNotOptimize(*di);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(captured->size()));
+}
+BENCHMARK(BM_TraceReplay)->Unit(benchmark::kMillisecond);
 
 /** Analysis of fp_horner's 50k-record capture; items are records. */
 void

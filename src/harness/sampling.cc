@@ -35,7 +35,7 @@ void
 SamplingController::warmSpan(std::size_t from, std::size_t to)
 {
     // Emulator-equivalent state advance straight off the packed
-    // columns: the trace already holds the architectural outcome of
+    // trace: the trace already holds the architectural outcome of
     // every instruction (taken direction, target, effective address),
     // so warming is predict/train plus cache touches — no renaming,
     // no queues, no per-cycle loop.

@@ -7,7 +7,7 @@
  * ReplayStream:
  *
  *  - functional warm: the span's records advance branch-predictor and
- *    cache state directly from the pre-decoded trace columns — one
+ *    cache state directly from the pre-decoded packed trace — one
  *    predict/train round per control instruction, one cache access
  *    per new fetch line and per load/store — with no per-cycle
  *    pipeline work at all;

@@ -183,23 +183,23 @@ isControl(Opcode op)
  * Per-instruction attribute bits used by the pre-decoded trace layout
  * (trace::PackedTrace) and the timing model's hot loop.  The first
  * four are static per-opcode properties stamped by the classifier;
- * the last two are per-record facts stamped in at trace-pack time.
+ * writesReg also depends on the destination register, so the trace
+ * stamps it once per dictionary entry.
  */
 namespace instattr {
 constexpr std::uint8_t load = 1u << 0;       //!< InstClass::Load
 constexpr std::uint8_t store = 1u << 1;      //!< InstClass::Store
 constexpr std::uint8_t control = 1u << 2;    //!< any branch kind
 constexpr std::uint8_t hasDest = 1u << 3;    //!< writes a register
-constexpr std::uint8_t taken = 1u << 4;      //!< per-record: branch taken
-constexpr std::uint8_t writesReg = 1u << 5;  //!< per-record: dest renames
+constexpr std::uint8_t writesReg = 1u << 4;  //!< dest renames
                                              //!< (has a dest, not xzr)
 } // namespace instattr
 
 /**
- * Compact pre-decoded metadata for one instruction: everything the
- * per-cycle pipeline loop needs, resolved once by the classifier (or
- * once at trace-pack time) so the loop itself never chases through
- * OpInfo.  Four bytes, trivially copyable.
+ * Compact pre-decoded metadata for one static instruction: everything
+ * the per-cycle pipeline loop needs, resolved once by the classifier
+ * (or once per dictionary entry at trace capture) so the loop itself
+ * never chases through OpInfo.  Four bytes, trivially copyable.
  */
 struct PackedMeta
 {
@@ -216,7 +216,7 @@ struct PackedMeta
 
 /**
  * One-time classifier: the static PackedMeta for an opcode (per-opcode
- * bits only — per-record bits are stamped in by trace packing).  A
+ * bits only — the trace stamps writesReg per dictionary entry).  A
  * single table load; the table is built once from opInfo().
  */
 const PackedMeta &packedMeta(Opcode op);

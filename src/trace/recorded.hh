@@ -5,13 +5,13 @@
  * A RecordedTrace is an immutable, shareable dynamic instruction
  * sequence: the exact DynInst records Emulator::step() produces for one
  * (workload, cap) pair (workloads::capture), or a synthetic generator's
- * records (captureSynthetic), held only as PackedTrace columns, plus
- * the identity needed to validate reuse (workload name, stream cap, a
- * hash of the workload's assembly source).  Its FNV-1a
- * content digest over every field of every record is not stored:
- * digest() folds it from the columns for the callers that check it
- * (the tests and the benchmark's input check), and capture pays
- * nothing for it.
+ * records (captureSynthetic), held only as a PackedTrace (each distinct
+ * static instruction once, plus per-record dynamic state), with the
+ * identity needed to validate reuse (workload name, stream cap, a hash
+ * of the workload's assembly source).  Its FNV-1a content digest over
+ * every field of every record is not stored: digest() folds it from the
+ * rebuilt records for the callers that check it (the tests and the
+ * benchmark's input check), and capture pays nothing for it.
  *
  * A ReplayStream is a cheap cursor over a shared RecordedTrace: many
  * sweep lanes replay the same read-only trace concurrently, each with
@@ -46,7 +46,7 @@ class RecordedTrace
      * @param sourceHash hash of the workload's assembly source
      *        (workloads::sourceHash), naming the kernel version the
      *        records came from
-     * @param records the captured records' columns
+     * @param records the captured records, packed
      */
     RecordedTrace(std::string workload, std::uint64_t cap,
                   std::uint64_t sourceHash, PackedTrace records);
@@ -70,10 +70,10 @@ class RecordedTrace
     std::size_t size() const { return cols.size(); }
     bool empty() const { return cols.empty(); }
 
-    /** Record i, rebuilt from the columns. */
+    /** Record i, rebuilt from the packed trace. */
     DynInst operator[](std::size_t i) const { return cols.record(i); }
 
-    /** The columns: the trace's only in-memory form (DESIGN §4h). */
+    /** The packed records: the trace's only in-memory form (DESIGN §4h). */
     const PackedTrace &packed() const { return cols; }
 
     /** FNV-1a offset basis: the digest of an empty trace. */

@@ -5,8 +5,9 @@
  *   rrs-tracetool mix <workload> [maxInsts]
  *       Capture the workload (post-warmup, capped) and print its
  *       instruction-class mix (loads / stores / branches / ALU, taken
- *       and dest-writer fractions), counted from the packed meta
- *       column.
+ *       and dest-writer fractions), counted from the static
+ *       instructions' meta, and the trace's footprint: its distinct
+ *       static instructions and the bytes it holds per record.
  *
  * maxInsts must be a positive integer (decimal or 0x-hex); without it
  * the workload's default cap applies.
@@ -30,8 +31,8 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: rrs-tracetool mix <workload> [maxInsts]\n"
-                 "  instruction-class mix of a fresh capture, from the "
-                 "packed meta column\n"
+                 "  instruction-class mix and footprint of a fresh "
+                 "capture\n"
                  "workloads: every name from the registry, e.g. "
                  "int_sort, fp_matmul, media_dct, cog_gmm\n");
     return 2;
@@ -64,7 +65,7 @@ cmdMix(int argc, char **argv)
         return 0;
     }
 
-    // One pass over the meta column: attribute bits and class bytes,
+    // One pass over the records' meta: attribute bits and class bytes,
     // no per-record decode.
     std::uint64_t loads = 0, stores = 0, branches = 0, taken = 0;
     std::uint64_t destWriters = 0, renamed = 0;
@@ -122,6 +123,11 @@ cmdMix(int argc, char **argv)
                 static_cast<unsigned long long>(destWriters),
                 static_cast<unsigned long long>(total), pct(destWriters),
                 static_cast<unsigned long long>(renamed), pct(renamed));
+    std::printf("footprint: %llu static instructions, %.2f bytes per "
+                "record\n",
+                static_cast<unsigned long long>(p.staticInsts()),
+                static_cast<double>(p.bytes()) /
+                    static_cast<double>(total));
     return 0;
 }
 
